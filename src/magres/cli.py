@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile
-from .radial import (RadialGrid, anharmonic_levels, assemble_fiber,
+from .radial import (RadialGrid, anharmonic_levels, check_ceiling,
                      dirichlet_disk_levels, fiber_levels,
-                     island_neumann_levels, well_levels)
-from .stepband import StepParams, band_table, minimize_band, spectral_constants
+                     island_neumann_levels, sector_sweep, well_levels)
+from .stepband import StepParams, analyze_band
 from .quasimode import build_quasimode, quasimode_residual, tz_crossover, tz_window
 from .cscale import Window, find_resonances
 from .levels import ExpansionParams, compare
@@ -111,21 +111,12 @@ def cmd_spectrum(args) -> int:
     spec = load_spec(args.field)
     profile = make_profile(spec)
     grid = RadialGrid(args.rmax, args.grid_n)
+    rows = sector_sweep(profile, args.b, args.m, grid, k=args.levels)
+    check_ceiling(profile, args.b, args.m, grid, rows[-1][0])
     lines = ["m,index,eigenvalue,b_or_h,gridN,r_max"]
-    top = -math.inf
-    for m in args.m:
-        vals = fiber_levels(profile, m, args.b, grid, k=args.levels)
-        top = max(top, float(vals[-1]))
-        for n, lam in enumerate(vals):
-            lines.append(f"{m},{n},{_fmt(lam)},{_fmt(args.b)},"
-                         f"{grid.N},{_fmt(grid.r_max)}")
-    r_end = grid.nodes[-1]
-    ceiling = min((m / r_end - args.b * float(profile.a(r_end))) ** 2
-                  for m in args.m)
-    if ceiling < top + 10.0:
-        raise NumericalError(
-            f"potential ceiling {ceiling:.3g} at r_max is below the top "
-            f"level {top:.3g} + 10; enlarge --rmax")
+    for lam, m, n in sorted(rows, key=lambda t: (t[1], t[2])):
+        lines.append(f"{m},{n},{_fmt(lam)},{_fmt(args.b)},"
+                     f"{grid.N},{_fmt(grid.r_max)}")
     params = {"field": str(args.field), "b": args.b, "levels": args.levels,
               "m": [args.m.start, args.m.stop - 1],
               "grid_n": args.grid_n, "rmax": args.rmax,
@@ -142,17 +133,13 @@ def cmd_band(args) -> int:
     params_obj = StepParams(a=args.a, L=args.L, N=args.grid_n * factor,
                             validation_mode=True)
     lo, hi = args.bracket
-    n_scan = int(round((hi - lo) / 0.05))
-    xi_values = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
-    table = band_table(params_obj, xi_values)
+    table, zeta, beta, sc = analyze_band(params_obj, (lo, hi))
     lines = ["a,xi,mu"]
     for xi, mu in table:
         lines.append(f"{_fmt(args.a)},{_fmt(xi)},{_fmt(mu)}")
-    zeta, beta = minimize_band(params_obj, (lo, hi))
     constants = {"a": args.a, "L": params_obj.L, "N": params_obj.N,
                  "beta": beta, "zeta": zeta}
-    if -1.0 < args.a < 0.0:
-        sc = spectral_constants(params_obj)
+    if sc is not None:
         constants.update({"mu2": sc.mu2, "phi0": sc.phi0, "phi0p": sc.phi0p,
                           "C1": sc.C1, "C2": sc.C2})
     else:

@@ -26,7 +26,7 @@ import scipy.linalg as sla
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
 from .fields import FieldProfile
-from .radial import RadialGrid, assemble_fiber, face_form
+from .radial import RadialGrid, assemble_fiber, face_form, smoothstep
 
 THETA_MAX = 0.7  # largest scaling angle admitted (conditioning degrades beyond)
 IM_FLOOR = 1e-10  # |Im z| below this is a continuum/threshold artifact
@@ -48,14 +48,10 @@ class ScalingProfile:
     T0: float  # fully rotated from here on
 
     def g(self, t):
-        t = np.asarray(t, dtype=float)
-        s = np.clip((t - self.R1) / (self.T0 - self.R1), 0.0, 1.0)
-        return s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2)
+        return smoothstep(t, self.R1, self.T0 - self.R1)[0]
 
     def gp(self, t):
-        t = np.asarray(t, dtype=float)
-        s = np.clip((t - self.R1) / (self.T0 - self.R1), 0.0, 1.0)
-        return 30.0 * s ** 2 * (1.0 - s) ** 2 / (self.T0 - self.R1)
+        return smoothstep(t, self.R1, self.T0 - self.R1)[1]
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
@@ -364,10 +360,5 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
                                theta_pair=(t1, t2), m=m, h=h)
         found.extend(rs.resonances)
     found.sort(key=lambda r: (r.z.real, r.z.imag))
-    dedup = []
-    for r in found:
-        if dedup and abs(r.z - dedup[-1].z) <= 1e-12 * (1.0 + abs(r.z)):
-            continue
-        dedup.append(r)
-    return ResonanceSet(resonances=tuple(dedup), tol=tol, window=window,
+    return ResonanceSet(resonances=tuple(found), tol=tol, window=window,
                         theta_pair=(t1, t2), h=h, spectra=by_key)

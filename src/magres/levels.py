@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .radial import dirichlet_disk_levels
 
 MODELS = ("landau", "anharmonic", "step", "well", "island")
 
@@ -173,7 +172,3 @@ def compare(direct, expansions) -> ComparisonReport:
         for m, n, h, e, d, diff in rows)
     return ComparisonReport(rows=out, orders=orders)
 
-
-def island_reference(rho1: float, n_max: int) -> np.ndarray:
-    """Dirichlet levels of the disk of radius rho1 (Bessel cross-checked)."""
-    return dirichlet_disk_levels(rho1, n_max)

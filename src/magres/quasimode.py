@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .fields import FieldProfile
-from .radial import RadialGrid
+from .radial import RadialGrid, smoothstep
 
 
 def laguerre(n: int, k: int, x):
@@ -85,13 +85,8 @@ def _shoulder(r, r0: float, delta: float):
     chi = 1 on [0, (1-delta) r0], a quintic smoothstep down to 0 at r0:
     the C^2 shoulder keeps |chi'| <= (15/8)/(delta r0).
     """
-    r = np.asarray(r, dtype=float)
-    w = delta * r0
-    s = np.clip((r - (1.0 - delta) * r0) / w, 0.0, 1.0)
-    chi = 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2)
-    d1 = -30.0 * s ** 2 * (1.0 - s) ** 2 / w
-    d2 = -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / (w * w)
-    return chi, d1, d2
+    ramp, d1, d2 = smoothstep(r, (1.0 - delta) * r0, delta * r0)
+    return 1.0 - ramp, -d1, -d2
 
 
 @dataclass(frozen=True, eq=False)

@@ -96,6 +96,15 @@ def face_form(w_faces, mass, dr, V, boundary):
     return diag, off
 
 
+def smoothstep(r, r0: float, width: float):
+    """Quintic ramp S rising from 0 at r0 to 1 at r0 + width, C^2 at both
+    ends, with its first two derivatives in r: (S, S', S'')."""
+    s = np.clip((np.asarray(r, dtype=float) - r0) / width, 0.0, 1.0)
+    return (s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2),
+            30.0 * s ** 2 * (1.0 - s) ** 2 / width,
+            60.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / (width * width))
+
+
 @dataclass(frozen=True, eq=False)
 class FiberOperator:
     m: int  # angular momentum
@@ -204,16 +213,6 @@ def default_m_range(n_max: int) -> range:
     return range(-2 * n_max - 8, 2 * n_max + 9)
 
 
-def _dedup_ascending(values_with_meta, tol_rel: float = 1e-8):
-    """Strictly-increasing levels from a sorted (value, m, n) list."""
-    out = []
-    for lam, m, n in values_with_meta:
-        if out and abs(lam - out[-1][0]) <= tol_rel * (1.0 + abs(out[-1][0])):
-            continue
-        out.append((lam, m, n))
-    return out
-
-
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
                  k: int, boundary: str = "dirichlet_far", convention: str = "b",
                  refine: bool = True, window: float | None = None):
@@ -230,17 +229,52 @@ def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
     return rows
 
 
-def _check_m_truncation(rows_dedup, rows_all, ms, n_max):
-    """Boundary sectors must contribute nothing below the returned maximum."""
-    top = rows_dedup[n_max][0]
-    m_lo, m_hi = min(ms), max(ms)
-    for m_edge in (m_lo, m_hi):
-        lowest = min(lam for lam, m, n in rows_all if m == m_edge)
+def check_ceiling(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
+                  top: float, convention: str = "b") -> None:
+    """The Dirichlet truncation at r_max must hold the potential of every
+    sector in ms at least 10 above the top level it returns."""
+    r_end = grid.nodes[-1]
+    a_end = float(profile.a(r_end))
+    if convention == "b":
+        ceiling = min((m / r_end - scale * a_end) ** 2 for m in ms)
+    else:
+        ceiling = min((scale * m / r_end - a_end) ** 2 for m in ms)
+    if ceiling < top + 10.0:
+        raise TruncationError(
+            f"potential ceiling {ceiling:.3g} at r_max is below the top "
+            f"level {top:.3g} + 10; enlarge r_max")
+
+
+def _merged_ladder(profile: FieldProfile, scale: float, n_max: int, m_range,
+                   grid: RadialGrid, boundary: str = "dirichlet_far",
+                   convention: str = "b", ceiling: bool = False) -> np.ndarray:
+    """The n_max + 1 lowest distinct levels merged over the sectors.
+
+    m_range defaults to default_m_range(n_max). Levels within a relative
+    1e-8 count once. Each ladder is certified: enough distinct levels, both
+    edge sectors strictly above the returned top level and, when the far
+    end is a truncation (ceiling=True), the potential ceiling.
+    """
+    ms = list(default_m_range(n_max) if m_range is None else m_range)
+    rows = sector_sweep(profile, scale, ms, grid, k=n_max + 1,
+                        boundary=boundary, convention=convention)
+    levels = []
+    for lam, _, _ in rows:
+        if not levels or abs(lam - levels[-1]) > 1e-8 * (1 + abs(levels[-1])):
+            levels.append(lam)
+    if len(levels) < n_max + 1:
+        raise NumericalError("not enough distinct levels; widen m_range")
+    top = levels[n_max]
+    for m_edge in (min(ms), max(ms)):
+        lowest = min(lam for lam, m, n in rows if m == m_edge)
         if lowest <= top * (1.0 + 1e-10):
             raise NumericalError(
                 f"m-range truncation unsafe: sector m={m_edge} has an "
                 f"eigenvalue {lowest:.6g} at or below the requested top level "
                 f"{top:.6g}; widen m_range")
+    if ceiling:
+        check_ceiling(profile, scale, ms, grid, top, convention)
+    return np.array(levels[: n_max + 1])
 
 
 def anharmonic_levels(gamma: float, n_max: int, m_range=None,
@@ -251,46 +285,23 @@ def anharmonic_levels(gamma: float, n_max: int, m_range=None,
         raise ValidationError("gamma must be > 0")
     if grid is None:
         grid = RadialGrid(12.0, 3000)
-    if m_range is None:
-        m_range = default_m_range(n_max)
     profile = make_profile(FieldSpec("anharmonic", {"gamma": gamma}, R0=1.0))
-    ms = list(m_range)
-    rows = sector_sweep(profile, 1.0, ms, grid, k=n_max + 1)
-    levels = _dedup_ascending(rows)
-    if len(levels) < n_max + 1:
-        raise NumericalError("not enough distinct levels; widen m_range")
-    _check_m_truncation(levels, rows, ms, n_max)
-    top = levels[n_max][0]
-    r_end = grid.nodes[-1]
-    V_end = min((m / r_end - profile.a(r_end)) ** 2 for m in ms)
-    if V_end < top + 10.0:
-        raise TruncationError(
-            f"potential at r_max ({V_end:.3g}) too low for level {top:.3g}; "
-            f"enlarge r_max")
-    return np.array([lam for lam, m, n in levels[: n_max + 1]])
+    return _merged_ladder(profile, 1.0, n_max, m_range, grid, ceiling=True)
 
 
 def well_levels(b0: float, h: float, n_max: int, m_range=None,
                 grid: RadialGrid | None = None) -> np.ndarray:
-    """Low eigenvalues of the semiclassical operator for B(r) = b0 + r^2."""
+    """Distinct low eigenvalues of the semiclassical operator for
+    B(r) = b0 + r^2, merged over sectors."""
     if b0 <= 0:
         raise ValidationError("b0 must be > 0")
     if h <= 0:
         raise ValidationError("h must be > 0")
     if grid is None:
         grid = RadialGrid(3.0, 3000)
-    if m_range is None:
-        m_range = default_m_range(n_max)
     profile = make_profile(FieldSpec("well_radial", {"b0": b0}, R0=1.0))
-    ms = list(m_range)
-    rows = sector_sweep(profile, h, ms, grid, k=n_max + 1, convention="h")
-    top = rows[n_max][0]
-    r_end = grid.nodes[-1]
-    V_end = min((h * m / r_end - profile.a(r_end)) ** 2 for m in ms)
-    if V_end < top + 10.0:
-        raise TruncationError(
-            f"potential ceiling {V_end:.3g} too low for level {top:.3g}")
-    return np.array([lam for lam, m, n in rows[: n_max + 1]])
+    return _merged_ladder(profile, h, n_max, m_range, grid, convention="h",
+                          ceiling=True)
 
 
 def island_neumann_levels(rho1: float, rho2: float, b: float, n_max: int,
@@ -314,8 +325,6 @@ def island_neumann_levels(rho1: float, rho2: float, b: float, n_max: int,
         grid = RadialGrid(rho2, 3000)
     if abs(grid.r_max - rho2) > 1e-12 * rho2:
         raise ValidationError("island grid must end exactly at rho2")
-    if m_range is None:
-        m_range = default_m_range(n_max)
     if b == 0.0:
         profile = zero_profile(R0=rho2)
         scale = 1.0  # a == 0 makes the operator scale-free
@@ -323,14 +332,8 @@ def island_neumann_levels(rho1: float, rho2: float, b: float, n_max: int,
         profile = make_profile(
             FieldSpec("island_annular", {"rho1": rho1, "rho2": rho2}, R0=rho2))
         scale = b
-    ms = list(m_range)
-    rows = sector_sweep(profile, scale, ms, grid, k=n_max + 1,
-                        boundary="neumann_far")
-    levels = _dedup_ascending(rows)
-    if len(levels) < n_max + 1:
-        raise NumericalError("not enough distinct levels; widen m_range")
-    _check_m_truncation(levels, rows, ms, n_max)
-    return np.array([lam for lam, m, n in levels[: n_max + 1]])
+    return _merged_ladder(profile, scale, n_max, m_range, grid,
+                          boundary="neumann_far")
 
 
 def dirichlet_disk_levels(rho1: float, n_max: int,
@@ -343,14 +346,9 @@ def dirichlet_disk_levels(rho1: float, n_max: int,
         grid = RadialGrid(rho1, 3000)
     if abs(grid.r_max - rho1) > 1e-12 * rho1:
         raise ValidationError("disk grid must end exactly at rho1")
-    profile = zero_profile(R0=rho1)
     m_hi = n_max + 2
-    ms = list(range(-m_hi, m_hi + 1))
-    rows = sector_sweep(profile, 1.0, ms, grid, k=n_max + 1)
-    levels = _dedup_ascending(rows)
-    if len(levels) < n_max + 1:
-        raise NumericalError("not enough distinct disk levels")
-    out = np.array([lam for lam, m, n in levels[: n_max + 1]])
+    out = _merged_ladder(zero_profile(R0=rho1), 1.0, n_max,
+                         range(-m_hi, m_hi + 1), grid)
     ref = np.sort(np.concatenate(
         [jn_zeros(nu, n_max + 1) ** 2 for nu in range(m_hi + 1)]))
     ref = ref[: n_max + 1] / (rho1 * rho1)

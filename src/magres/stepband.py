@@ -83,23 +83,27 @@ def _potential(a: float, xi: float, tau: np.ndarray) -> np.ndarray:
     return (xi + b * tau) ** 2
 
 
-def _mu_raw(params: StepParams, xi: float, N: int | None = None) -> float:
-    """Lowest eigenvalue on the N-interval grid, no end check, no vector."""
-    if N is None:
-        N = params.N
+def _tridiagonal(params: StepParams, xi: float, N: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, diag, off) of h_a[xi] on the N-interval grid."""
     step = 2.0 * params.L / N
     tau = -params.L + step * np.arange(1, N)
-    V = _potential(params.a, xi, tau)
-    diag = 2.0 / step ** 2 + V
+    diag = 2.0 / step ** 2 + _potential(params.a, xi, tau)
     off = np.full(N - 2, -1.0 / step ** 2)
+    return tau, diag, off
+
+
+def _mu_raw(params: StepParams, xi: float, N: int) -> float:
+    """Lowest eigenvalue on the N-interval grid, no end check, no vector."""
+    _, diag, off = _tridiagonal(params, xi, N)
     vals = sla.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                                 eigvals_only=True)
     return float(vals[0])
 
 
 def _mu_refined(params: StepParams, xi: float) -> float:
-    mu_n = _mu_raw(params, xi)
-    mu_h = _mu_raw(params, xi, N=params.N // 2)
+    mu_n = _mu_raw(params, xi, params.N)
+    mu_h = _mu_raw(params, xi, params.N // 2)
     return (4.0 * mu_n - mu_h) / 3.0
 
 
@@ -121,19 +125,15 @@ def band_value(params: StepParams, xi: float) -> BandSample:
     """
     if not math.isfinite(xi):
         raise ValidationError("xi must be finite")
-    tau = params.tau()
-    V = _potential(params.a, xi, tau)
-    step = params.step
-    diag = 2.0 / step ** 2 + V
-    off = np.full(params.N - 2, -1.0 / step ** 2)
+    tau, diag, off = _tridiagonal(params, xi, params.N)
     try:
         vals, vecs = sla.eigh_tridiagonal(diag, off, select="i",
                                           select_range=(0, 0))
     except Exception as exc:
         raise NumericalError(f"band eigensolve failed at xi={xi}: {exc}") from exc
-    mu = (4.0 * float(vals[0]) - _mu_raw(params, xi, N=params.N // 2)) / 3.0
+    mu = (4.0 * float(vals[0]) - _mu_raw(params, xi, params.N // 2)) / 3.0
     _check_ends(params, xi, mu)
-    phi = vecs[:, 0] / math.sqrt(step)  # unit discrete L2: sum phi^2 step = 1
+    phi = vecs[:, 0] / math.sqrt(params.step)  # sum phi^2 step = 1
     i0 = params.N // 2 - 1  # index of tau = 0
     if phi[int(np.argmax(np.abs(phi)))] < 0:
         phi = -phi
@@ -153,23 +153,20 @@ def band_table(params: StepParams, xi_values) -> list[tuple[float, float]]:
     return list(zip(xs, mus))
 
 
-def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
-                  ) -> tuple[float, float]:
-    """Minimizer and minimum (zeta_a, beta_a) of the band function.
-
-    Coarse scan at step 0.05, then bounded parabolic refinement around the
-    unique interior scan minimum, then a local least-squares quartic polish
-    whose model slope must drop below 1e-8. A flat band (relative variation
-    below FLAT_TOL) and multiple scan minima are both hard errors: the
-    minimization problem is ill-posed, and silently picking a candidate
-    would corrupt every downstream constant.
-    """
+def _band_minimum(params: StepParams, xi_bracket
+                  ) -> tuple[list, float, BandSample]:
+    """(scan rows, zeta_a, band_value at zeta_a); see minimize_band. The
+    band_value solve also checks the line ends at the minimizer."""
     lo, hi = float(xi_bracket[0]), float(xi_bracket[1])
-    if not lo < hi:
-        raise ValidationError("xi_bracket must be an increasing interval")
-    n_scan = int(round((hi - lo) / 0.05))
-    xs = lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
-    mus = np.array(pmap(lambda x: _mu_refined(params, float(x)), list(xs)))
+    span = hi - lo
+    n_scan = round(span / 0.05) if math.isfinite(span / 0.05) else 0
+    if n_scan < 2:
+        raise ValidationError("xi_bracket must be a finite increasing "
+                              "interval of at least two scan steps (0.1)")
+    table = band_table(params,
+                       [lo + span * i / n_scan for i in range(n_scan + 1)])
+    xs = [xi for xi, _ in table]
+    mus = np.array([mu for _, mu in table])
     mu_span = mus.max() - mus.min()
     if mu_span < FLAT_TOL * (1.0 + abs(float(mus.mean()))):
         raise FlatBandError(
@@ -186,13 +183,28 @@ def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
             "no interior minimum in the bracket; the scan minimum sits at an "
             "endpoint, widen xi_bracket")
     i = interior[0]
-    res = minimize_scalar(lambda x: _mu_refined(params, x), bounds=(xs[i - 1], xs[i + 1]),
+    res = minimize_scalar(lambda x: _mu_refined(params, x),
+                          bounds=(xs[i - 1], xs[i + 1]),
                           method="bounded", options={"xatol": 1e-10})
     zeta, slope = _quartic_polish(params, float(res.x))
     if abs(slope) >= 1e-8:
         raise NumericalError(
             f"band slope {slope:.3g} at the refined minimizer exceeds 1e-8")
-    sample = band_value(params, zeta)  # end-safety check at the minimizer
+    return table, zeta, band_value(params, zeta)
+
+
+def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
+                  ) -> tuple[float, float]:
+    """Minimizer and minimum (zeta_a, beta_a) of the band function.
+
+    Coarse scan at step 0.05, then bounded parabolic refinement around the
+    unique interior scan minimum, then a local least-squares quartic polish
+    whose model slope must drop below 1e-8. A flat band (relative variation
+    below FLAT_TOL) and multiple scan minima are both hard errors: the
+    minimization problem is ill-posed, and silently picking a candidate
+    would corrupt every downstream constant.
+    """
+    _, zeta, sample = _band_minimum(params, xi_bracket)
     return zeta, sample.mu
 
 
@@ -233,8 +245,10 @@ def band_second_derivative(params: StepParams, zeta: float) -> float:
     over steps 1e-2 and 5e-3. Errors on a non-positive (or vanishing)
     result: the band minimum is non-degenerate for a in (-1, 0), so such
     a value means the input zeta or the resolution is wrong."""
+    mu0 = _mu_refined(params, zeta)
+
     def second(s: float) -> float:
-        return (_mu_refined(params, zeta + s) - 2.0 * _mu_refined(params, zeta)
+        return (_mu_refined(params, zeta + s) - 2.0 * mu0
                 + _mu_refined(params, zeta - s)) / (s * s)
 
     d_big = second(1e-2)
@@ -261,18 +275,21 @@ class SpectralConstants:
     N: int
 
 
-def spectral_constants(params: StepParams) -> SpectralConstants:
-    """Assemble (beta, zeta, mu'', phi(0), phi'(0), C1, C2) for a in (-1, 0).
+def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0)
+                 ) -> tuple[list, float, float, SpectralConstants | None]:
+    """(scan rows, zeta_a, beta_a, constants) of the band in one pass.
 
+    One scan feeds both the table and the minimum search inside xi_bracket
+    (see minimize_band); one band_value solve at zeta_a gives the end check,
+    beta, phi(0) and phi'(0). constants is None unless a lies in (-1, 0).
     C1 = (1/3)(1 - 1/a) zeta phi(0) phi'(0) must come out positive; a
-    non-positive value indicates a sign-convention bug and is a hard error.
+    non-positive value is a sign-convention bug and a hard error.
     C2 = (1/2) sqrt(mu'' C1) holds exactly by construction.
     """
+    table, zeta, sample = _band_minimum(params, xi_bracket)
     if not (-1.0 < params.a < 0.0):
-        raise ValidationError("spectral constants require a in (-1, 0)")
-    zeta, beta = minimize_band(params)
+        return table, zeta, sample.mu, None
     mu2 = band_second_derivative(params, zeta)
-    sample = band_value(params, zeta)
     i0 = params.N // 2 - 1
     phi0 = float(sample.eigenfunction[i0])
     phi0p = float(sample.eigenfunction[i0 + 1]
@@ -282,6 +299,14 @@ def spectral_constants(params: StepParams) -> SpectralConstants:
         raise NumericalError(
             f"C1 = {C1:.3g} <= 0 for a = {params.a}; sign convention violated")
     C2 = 0.5 * math.sqrt(mu2 * C1)
-    return SpectralConstants(a=params.a, beta=beta, zeta=zeta, mu2=mu2,
-                             phi0=phi0, phi0p=phi0p, C1=C1, C2=C2,
-                             L=params.L, N=params.N)
+    return table, zeta, sample.mu, SpectralConstants(
+        a=params.a, beta=sample.mu, zeta=zeta, mu2=mu2, phi0=phi0,
+        phi0p=phi0p, C1=C1, C2=C2, L=params.L, N=params.N)
+
+
+def spectral_constants(params: StepParams) -> SpectralConstants:
+    """Assemble (beta, zeta, mu'', phi(0), phi'(0), C1, C2) for a in (-1, 0),
+    minimizing over the default bracket (-4, 1) (see analyze_band)."""
+    if not (-1.0 < params.a < 0.0):
+        raise ValidationError("spectral constants require a in (-1, 0)")
+    return analyze_band(params)[3]

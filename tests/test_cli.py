@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+import scipy.linalg as sla
 
 from magres.cli import build_parser, main
 
@@ -109,6 +110,31 @@ def test_band_files_and_determinism(tmp_path):
     assert out3.read_bytes() == out1.read_bytes()
 
 
+def test_band_scans_once(monkeypatch, tmp_path):
+    solve = sla.eigh_tridiagonal
+    callers = []
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
+    assert main(["band", "--a", "-0.5", "--out",
+                 str(tmp_path / "band.csv")]) == 0
+    # one 101-point scan, the minimizer refinement and the constants;
+    # each refined band value is two solves (N and N/2)
+    assert callers.count("magres.stepband") <= 310
+
+
+def test_band_bracket_governs_constants(tmp_path):
+    out = tmp_path / "band.csv"
+    assert main(["band", "--a", "-0.5", "--grid-n", "1600",
+                 "--bracket=-1.53,0.21", "--out", str(out)]) == 0
+    c = json.loads((tmp_path / "band.csv.constants.json").read_text())
+    c1 = (1.0 / 3.0) * (1.0 - 1.0 / c["a"]) * c["zeta"] * c["phi0"] \
+        * c["phi0p"]
+    assert c["C1"] == pytest.approx(c1, rel=1e-14, abs=0.0)
+
+
 def test_band_flat_field_exit(tmp_path):
     assert main(["band", "--a", "1.0", "--grid-n", "1600",
                  "--bracket=-1,1"]) == 3
@@ -116,6 +142,10 @@ def test_band_flat_field_exit(tmp_path):
 
 def test_band_bad_bracket():
     assert main(["band", "--a", "-0.5", "--bracket", "1.0"]) == 2
+    # reversed, narrower than two scan steps, unbounded, overflowing
+    for bracket in ("1,-1", "0,0.01", "-inf,1", "-1e307,1e307"):
+        assert main(["band", "--a", "-0.5", "--grid-n", "64",
+                     "--bracket=" + bracket]) == 2
 
 
 def test_resonances_files_and_fit(disk_config, tmp_path):
@@ -177,6 +207,13 @@ def test_compare_well_cli(tmp_path):
     diffs = [abs(float(line.split(",")[5])) for line in body[2:]]
     assert 4.0 <= diffs[0] / diffs[1] <= 16.0
     assert 4.0 <= diffs[1] / diffs[2] <= 16.0
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_bad_thread_count_is_input_error(monkeypatch, threads):
+    monkeypatch.setenv("MAGRES_THREADS", threads)
+    assert main(["compare", "--model", "well",
+                 "--h", "0.1,0.05,0.025"]) == 2
 
 
 def test_compare_argument_rules():

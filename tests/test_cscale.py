@@ -261,6 +261,17 @@ def test_small_angle_misses_resonance(disk_profile):
     assert caught.resonances[0].z.imag < 0.0
 
 
+def test_find_resonances_keeps_degenerate_sectors(disk_profile, monkeypatch):
+    """Equal resonances from distinct sectors are distinct rows."""
+    z = 0.2 - 0.05j
+    monkeypatch.setattr("magres.cscale.complex_spectrum",
+                        lambda op: np.array([z]))
+    rs = find_resonances(disk_profile, 0.25, [0, 1], WIN,
+                         theta_pair=(0.5, 0.6), grid=RadialGrid(18.0, 400),
+                         R1=1.5, T0=6.0)
+    assert [(r.m, r.z) for r in rs.resonances] == [(0, z), (1, z)]
+
+
 def test_find_resonances_validation(disk_profile):
     anh = make_profile(FieldSpec(kind="anharmonic", params={"gamma": 2.0},
                                  R0=1.0))

@@ -6,8 +6,8 @@ import pytest
 from magres.errors import ValidationError
 from magres.fields import FieldSpec, make_profile
 from magres.levels import (ComparisonReport, ExpansionParams, compare,
-                           expansion_real_part, island_reference)
-from magres.radial import RadialGrid, fiber_levels
+                           expansion_real_part)
+from magres.radial import RadialGrid, dirichlet_disk_levels, fiber_levels
 
 from conftest import FROZEN
 from oracles import bessel_j_zero
@@ -193,12 +193,12 @@ def test_compare_exact_match_has_no_order():
 
 
 def test_island_reference_levels():
-    ells = island_reference(1.0, 2)
+    ells = dirichlet_disk_levels(1.0, 2)
     assert ells[0] == pytest.approx(FROZEN["bessel_l0"], abs=1e-5)
     assert ells[1] == pytest.approx(FROZEN["bessel_l1"], abs=1e-5)
     # independent series oracle for the Bessel zeros
     assert ells[0] == pytest.approx(bessel_j_zero(0, 1) ** 2, abs=1e-6)
     assert ells[1] == pytest.approx(bessel_j_zero(1, 1) ** 2, abs=1e-6)
     # Dirichlet scaling: radius 3 divides every level by 9
-    scaled = island_reference(3.0, 2)
+    scaled = dirichlet_disk_levels(3.0, 2)
     assert np.allclose(scaled, ells / 9.0, rtol=1e-9)

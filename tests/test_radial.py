@@ -134,6 +134,12 @@ def test_anharmonic_guards():
         anharmonic_levels(2.0, 2, m_range=[0])
 
 
+def test_well_levels_m_edge_guard():
+    # the well ladder is certified like every merged ladder
+    with pytest.raises(NumericalError, match="m-range truncation"):
+        well_levels(1.0, 0.1, 1, m_range=[0])
+
+
 def test_well_levels_frozen():
     for h, e0 in FROZEN["well_e0"].items():
         got = well_levels(1.0, h, 1)

@@ -74,8 +74,12 @@ def _window(text: str) -> Window:
 
 
 def _emit(args, command: str, lines: list[str], params: dict,
-          json_blobs: dict | None = None) -> None:
-    """Write CSV (+ optional JSON files) and the manifest, or print to stdout."""
+          json_blobs: dict | None = None,
+          diagnostics: dict | None = None) -> None:
+    """Write CSV (+ optional JSON files) and the manifest, or print to stdout.
+
+    Diagnostics go to the manifest only, so the data files stay
+    byte-identical under replay."""
     if not args.out:
         for line in lines:
             print(line)
@@ -103,6 +107,8 @@ def _emit(args, command: str, lines: list[str], params: dict,
         "params": params,
         "outputs": outputs,
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     (out.parent / manifest_name).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -159,6 +165,7 @@ def cmd_resonances(args) -> int:
     grid = RadialGrid(args.rmax, args.grid_n)
     lines = ["m,h,theta1,theta2,reZ,imZ,drift,gridN"]
     lowest = []  # (h, z) of the lowest resonance per h
+    slices = []  # per h: the certified spectral slice of each (theta, m)
     for h in args.h:
         if args.window is not None:
             win = args.window
@@ -171,6 +178,11 @@ def cmd_resonances(args) -> int:
             lines.append(f"{r.m},{_fmt(h)},{_fmt(args.theta1)},"
                          f"{_fmt(args.theta2)},{_fmt(r.z.real)},"
                          f"{_fmt(r.z.imag)},{_fmt(r.drift)},{grid.N}")
+        centre, radius = rs.disk
+        slices.append({"h": h, "centre": [centre.real, centre.imag],
+                       "radius": radius,
+                       "counts": [{"theta": theta, "m": m, "count": len(vals)}
+                                  for (theta, m), vals in rs.spectra.items()]})
         if len(rs):
             z0 = min(rs, key=lambda r: r.z.real).z
             lowest.append((h, z0))
@@ -192,7 +204,8 @@ def cmd_resonances(args) -> int:
                args.window.im_min, args.window.im_max],
               "field_spec": {"kind": spec.kind, "params": dict(spec.params),
                              "R0": spec.R0}}
-    _emit(args, "resonances", lines, params)
+    _emit(args, "resonances", lines, params,
+          diagnostics={"slices": slices})
     return 0
 
 

@@ -12,6 +12,12 @@ continuum (arg approximately -2 theta) plus theta-independent points: the
 resonances. Genuine resonances are certified by running two angles and
 keeping eigenvalues that agree within tolerance while continuum points
 sweep past them.
+
+Only a slice of each spectrum is computed: shift-invert Arnoldi finds the
+eigenvalues in a disk about the window, and the argument principle on
+det(T - z), evaluated by the O(N) continuant recurrence, certifies that
+none were missed. The dense O(N^3) solve `complex_spectrum` is kept as
+the small-N reference the slice is tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
+from scipy.sparse import diags_array
 
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
@@ -149,7 +157,12 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
 
 
 def complex_spectrum(op: ScaledFiberOperator) -> np.ndarray:
-    """All eigenvalues of the scaled fiber, sorted by (Re, Im)."""
+    """All eigenvalues of the scaled fiber, sorted by (Re, Im).
+
+    A dense O(N^3) solve, capped at N = 6000. `find_resonances` does not
+    call it except as the fallback of `_spectrum_slice`; it is the
+    small-N reference that the slice is tested against.
+    """
     n = op.grid.N
     if n > 6000:
         raise ValidationError("dense complex eigensolve capped at N = 6000")
@@ -164,6 +177,125 @@ def complex_spectrum(op: ScaledFiberOperator) -> np.ndarray:
             f"{np.abs(M).max():.3g}): {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
+
+
+SLICE_K0 = 40  # eigenvalues asked of the first Arnoldi run
+CONTOUR_STEP = math.pi / 4  # largest phase step of det(T - z) between points
+CONTOUR_CAP = 4096  # contour points before the count is given up
+
+
+def _det_phase(op: ScaledFiberOperator, z: np.ndarray) -> np.ndarray:
+    """arg det(T - z), up to multiples of 2 pi, at each point of z.
+
+    The pivots of T - z obey the continuant recurrence
+    q_k = (d_k - z) - o_{k-1}^2 / q_{k-1}, and det(T - z) is their
+    product; summing their phases avoids over- and underflow. O(N) per
+    point, vectorized over the points.
+    """
+    q = op.diag[0] - z
+    phase = np.angle(q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d, o2 in zip(op.diag[1:], op.off * op.off):
+            q = (d - z) - o2 / q
+            phase += np.angle(q)
+    if not np.all(np.isfinite(phase)):
+        raise NumericalError("a pivot of T - z vanished on the contour")
+    return phase
+
+
+def _contour_count(op: ScaledFiberOperator, centre: complex, radius: float,
+                   known: np.ndarray) -> int:
+    """Eigenvalues of T inside |z - centre| < radius, by the argument
+    principle: the winding number of det(T - z) around the circle.
+
+    `known` eigenvalues (those near the circle above all) set the first
+    sampling: each step is a fraction of the distance to the nearest one,
+    and no eigenvalue outside max|known - centre| comes nearer than that
+    bound allows. Arcs whose phase step still reaches CONTOUR_STEP are
+    bisected until none does, so the winding read from the steps is
+    unambiguous. Too many points is a NumericalError.
+    """
+    unresolved = NumericalError(
+        f"contour count did not resolve |z - {centre:.6g}| = {radius:.6g} "
+        f"within {CONTOUR_CAP} points: eigenvalues lie on or next to it")
+    margin = float(np.abs(known - centre).max()) - radius
+    ts, t = [], 0.0
+    while t < 2.0 * math.pi:
+        if len(ts) == CONTOUR_CAP:
+            raise unresolved
+        ts.append(t)
+        z = centre + radius * cmath.exp(1j * t)
+        t += 0.25 * min(float(np.abs(known - z).min()), margin) / radius
+    t = np.array(ts + [2.0 * math.pi])
+    phase = _det_phase(op, centre + radius * np.exp(1j * t))
+    while True:
+        step = np.angle(np.exp(1j * np.diff(phase)))
+        bad = np.abs(step) >= CONTOUR_STEP
+        if not bad.any():
+            return int(round(float(step.sum()) / (2.0 * math.pi)))
+        if t.size + int(bad.sum()) > CONTOUR_CAP:
+            raise unresolved
+        mid = 0.5 * (t[:-1][bad] + t[1:][bad])
+        t = np.concatenate([t, mid])
+        phase = np.concatenate(
+            [phase, _det_phase(op, centre + radius * np.exp(1j * mid))])
+        order = np.argsort(t, kind="stable")
+        t, phase = t[order], phase[order]
+
+
+def _spectrum_slice(op: ScaledFiberOperator, centre: complex,
+                    radius: float) -> np.ndarray:
+    """Eigenvalues of the scaled fiber inside |z - centre| <= radius,
+    sorted by (Re, Im), with their count certified.
+
+    Shift-invert Arnoldi around the centre, on one sparse factorization
+    of T - centre and a fixed start vector (so reruns agree bit for bit),
+    asks for k eigenvalues and doubles k until the k-th nearest lies
+    outside the disk. The argument principle on det(T - z) then counts
+    the eigenvalues inside a circle drawn through the widest gap between
+    the disk edge and the k-th distance; a count other than Arnoldi's is
+    a NumericalError. When k would reach N/2 first, the disk is too wide
+    for slicing and the dense solve is used instead.
+    """
+    n = op.grid.N
+    T = diags_array([op.off, op.diag, op.off], offsets=[-1, 0, 1],
+                    format="csc")
+    try:
+        lu = spla.splu(diags_array([op.off, op.diag - centre, op.off],
+                                   offsets=[-1, 0, 1], format="csc"))
+    except RuntimeError as exc:
+        raise NumericalError(
+            f"T - {centre:.6g} is singular at N={n}: {exc}") from exc
+    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    k = SLICE_K0
+    while k < n // 2:
+        try:
+            vals = spla.eigs(T, k=k, sigma=centre, OPinv=opinv, v0=v0,
+                             return_eigenvectors=False)
+        except spla.ArpackError as exc:
+            raise NumericalError(
+                f"shift-invert Arnoldi failed (N={n}, k={k}, "
+                f"centre={centre:.6g}): {exc}") from exc
+        dist = np.abs(vals - centre)
+        if dist.max() > radius:
+            break
+        k *= 2
+    else:
+        vals = complex_spectrum(op)
+        return vals[np.abs(vals - centre) <= radius]
+    edges = np.concatenate([[radius], np.sort(dist[dist > radius])])
+    j = int(np.argmax(np.diff(edges)))
+    circle = 0.5 * (edges[j] + edges[j + 1])
+    count = _contour_count(op, centre, circle, vals)
+    found = int(np.sum(dist < circle))
+    if count != found:
+        raise NumericalError(
+            f"spectral slice incomplete: the contour |z - {centre:.6g}| = "
+            f"{circle:.6g} encloses {count} eigenvalues, Arnoldi found "
+            f"{found} (N={n}, m={op.m})")
+    inside = vals[dist <= radius]
+    return inside[np.lexsort((inside.imag, inside.real))]
 
 
 @dataclass(frozen=True)
@@ -225,6 +357,7 @@ class ResonanceSet:
     theta_pair: tuple[float, float] | None
     h: float | None
     spectra: dict = field(default_factory=dict, repr=False)  # (theta, m) -> eigenvalues
+    disk: tuple[complex, float] | None = None  # (centre, radius) of the spectra
 
     def __iter__(self):
         return iter(self.resonances)
@@ -320,6 +453,20 @@ def continuum_motion(spec1, spec2, radius: float, exclude=()) -> float | None:
     return worst
 
 
+def _slice_disk(window: Window, tol: float) -> tuple[complex, float]:
+    """Disk that the resonance filter and the continuum diagnostics read.
+
+    Centred on the window, it covers the window, every z with
+    |z| <= 2 max|corner| and the pairing tolerance beyond both.
+    """
+    centre = complex(0.5 * (window.re_min + window.re_max),
+                     0.5 * (window.im_min + window.im_max))
+    reach = 2.0 * max(abs(complex(re, im))
+                      for re in (window.re_min, window.re_max)
+                      for im in (window.im_min, window.im_max))
+    return centre, abs(centre) + reach + tol * (1.0 + reach)
+
+
 def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
                     theta_pair: tuple[float, float] = (0.25, 0.35),
                     grid: RadialGrid | None = None, R1: float | None = None,
@@ -328,7 +475,10 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     """Theta-robust resonances over the given sectors, sorted by Re z.
 
     Both angles share the grid and the deformation radii; the per-sector
-    eigensolves run in parallel. The raw spectra are kept on the result for
+    eigensolves run in parallel. Each solve is a certified spectral slice:
+    every eigenvalue in a disk about the window centre that covers the
+    window, |z| <= 2 max|window corner| and the pairing tolerance. The
+    slices are kept on the result as `spectra`, with the disk, for
     continuum-motion diagnostics and trend fits.
     """
     if not math.isfinite(profile.R0):
@@ -337,6 +487,8 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     t1, t2 = float(theta_pair[0]), float(theta_pair[1])
     if t1 == t2:
         raise ValidationError("theta pair must contain two distinct angles")
+    if not (0.0 < tol < math.inf):
+        raise ValidationError("tol must be positive and finite")
     if R1 is None:
         R1 = profile.R0 + 0.5
     if T0 is None:
@@ -347,10 +499,12 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     sp2 = scaling_profile(t2, R1, T0)
     ms = list(m_range)
     jobs = [(sp, m) for m in ms for sp in (sp1, sp2)]
+    centre, radius = _slice_disk(window, tol)
 
     def solve(job):
         sp, m = job
-        return complex_spectrum(assemble_scaled_fiber(profile, m, h, sp, grid))
+        return _spectrum_slice(assemble_scaled_fiber(profile, m, h, sp, grid),
+                               centre, radius)
 
     spectra = pmap(solve, jobs)
     by_key = {(job[0].theta, job[1]): s for job, s in zip(jobs, spectra)}
@@ -361,4 +515,5 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
         found.extend(rs.resonances)
     found.sort(key=lambda r: (r.z.real, r.z.imag))
     return ResonanceSet(resonances=tuple(found), tol=tol, window=window,
-                        theta_pair=(t1, t2), h=h, spectra=by_key)
+                        theta_pair=(t1, t2), h=h, spectra=by_key,
+                        disk=(centre, radius))

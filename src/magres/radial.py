@@ -195,8 +195,13 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
     """k lowest fiber eigenvalues, Richardson-extrapolated over (N/2, N).
 
     The scheme is O(dr^2), so (4 lam_N - lam_{N/2}) / 3 removes the leading
-    error term. refine=False returns the plain N-grid values.
+    error term. refine=False returns the plain N-grid values. k must stay
+    below the size of the coarsest grid solved: N/2 when refining, else N.
     """
+    n_max = grid.N // 2 if refine else grid.N
+    if not 1 <= k < n_max:
+        raise ValidationError(
+            f"need 1 <= k < {n_max} on an N={grid.N} grid (refine={refine})")
     op = assemble_fiber(profile, m, scale, grid, boundary, convention, window)
     vals = sla.eigh_tridiagonal(op.diag, op.off, select="i",
                                 select_range=(0, k - 1), eigvals_only=True)

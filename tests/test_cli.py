@@ -5,6 +5,7 @@ import sys
 
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from magres.cli import build_parser, main
 
@@ -76,6 +77,11 @@ def test_spectrum_unconfined_field_fails(disk_config, tmp_path):
     rc = main(["spectrum", "--field", str(disk_config), "--grid-n", "800",
                "--rmax", "12"])
     assert rc == 3
+
+
+def test_spectrum_levels_beyond_grid_is_input_error(anh_config):
+    assert main(["spectrum", "--field", str(anh_config), "--levels", "5000",
+                 "--grid-n", "64"]) == 2
 
 
 def test_spectrum_missing_config(tmp_path):
@@ -170,6 +176,54 @@ def test_resonances_files_and_fit(disk_config, tmp_path):
     r2 = float(fit.split("r2=")[1])
     assert slope < 0.0
     assert r2 >= 0.95
+
+
+def test_resonances_replay_is_byte_identical(disk_config, tmp_path):
+    out1 = tmp_path / "one" / "res.csv"
+    assert main(["resonances", "--field", str(disk_config),
+                 "--h", "0.25,0.2", "--grid-n", "480",
+                 "--out", str(out1)]) == 0
+    manifest = json.loads((tmp_path / "one"
+                           / "res.csv.manifest.json").read_text())
+    assert manifest["outputs"] == ["res.csv"]
+    out2 = tmp_path / "two" / "res.csv"
+    replay = [tok if tok != str(out1) else str(out2)
+              for tok in manifest["argv"]]
+    assert main(replay) == 0
+    assert out2.read_bytes() == out1.read_bytes()
+
+
+def test_resonances_manifest_records_slices(disk_config, tmp_path):
+    out = tmp_path / "res.csv"
+    assert main(["resonances", "--field", str(disk_config),
+                 "--h", "0.25,0.2", "--m", "0:1", "--grid-n", "480",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+    slices = manifest["diagnostics"]["slices"]
+    assert [s["h"] for s in slices] == [0.25, 0.2]
+    for s, h in zip(slices, (0.25, 0.2)):
+        centre = complex(*s["centre"])
+        assert centre == pytest.approx(complex(h, -0.25 * h), abs=1e-11)
+        # the disk covers |z| <= 2 max|window corner|
+        assert s["radius"] >= abs(centre) + 2.0 * abs(complex(1.5 * h,
+                                                              -0.5 * h))
+        assert sorted((c["theta"], c["m"]) for c in s["counts"]) == \
+            [(0.5, 0), (0.5, 1), (0.6, 0), (0.6, 1)]
+        assert all(c["count"] > 0 for c in s["counts"])
+
+
+def test_resonances_arnoldi_failure_exit(disk_config, monkeypatch):
+    def stalled(A, k, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+    monkeypatch.setattr(spla, "eigs", stalled)
+    assert main(["resonances", "--field", str(disk_config), "--h", "0.25",
+                 "--grid-n", "480"]) == 3
+
+
+def test_resonances_bad_tolerance(disk_config):
+    for tol in ("0", "-1e-5", "nan", "inf"):
+        assert main(["resonances", "--field", str(disk_config), "--h", "0.25",
+                     "--grid-n", "480", "--tol=" + tol]) == 2
 
 
 def test_resonances_equal_angles(disk_config):

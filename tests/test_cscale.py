@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from magres.cscale import (PAIR_TOL, Resonance, ResonanceSet, ScalingProfile,
-                           Window, assemble_scaled_fiber, complex_spectrum,
+                           Window, _slice_disk, _spectrum_slice,
+                           assemble_scaled_fiber, complex_spectrum,
                            continuum_motion, filter_resonances,
                            find_resonances, scaling_profile)
 from magres.errors import (AmbiguousPairingError, NumericalError,
@@ -24,6 +26,15 @@ def reference_run(disk_profile):
     return find_resonances(disk_profile, 0.25, [0], WIN,
                            theta_pair=(0.5, 0.6),
                            grid=RadialGrid(18.0, 1200), R1=1.5, T0=6.0)
+
+
+@pytest.fixture(scope="module")
+def dense_reference(disk_profile):
+    """Full dense spectra of the reference_run operators (N = 1200)."""
+    grid = RadialGrid(18.0, 1200)
+    return {theta: complex_spectrum(assemble_scaled_fiber(
+                disk_profile, 0, 0.25, scaling_profile(theta, 1.5, 6.0), grid))
+            for theta in (0.5, 0.6)}
 
 
 def test_scaling_profile_values():
@@ -203,24 +214,25 @@ def test_reference_continuum_sweeps(reference_run):
     assert motion >= 10.0 * PAIR_TOL * (1.0 + abs(r.z))
 
 
-def test_reference_robust_points_all_certify(reference_run):
+def test_reference_robust_points_all_certify(reference_run, dense_reference):
     # pairing over the whole lower half-plane: every robust point, wherever
-    # it sits, drifts within the certificate bound
+    # it sits, drifts within the certificate bound; the full dense spectra,
+    # since the run keeps only its slice
     wide = Window(1e-6, 200.0, -200.0, -1e-12)
-    rob = filter_resonances(reference_run.spectra[(0.5, 0)],
-                            reference_run.spectra[(0.6, 0)], 1e-5, wide)
+    rob = filter_resonances(dense_reference[0.5], dense_reference[0.6],
+                            1e-5, wide)
     zs = [r.z for r in rob]
     assert any(abs(z - reference_run.resonances[0].z) < 1e-10 for z in zs)
     assert all(r.drift <= 1e-5 * (1.0 + abs(r.z)) for r in rob)
 
 
-def test_resolution_dichotomy(disk_profile, reference_run):
+def test_resolution_dichotomy(disk_profile, dense_reference):
     """Refined-pair candidates converge under grid doubling; rotated
     continuum points jump by order one."""
     sp = scaling_profile(0.5, 1.5, 6.0)
     v600 = complex_spectrum(
         assemble_scaled_fiber(disk_profile, 0, 0.25, sp, RadialGrid(18.0, 600)))
-    v1200 = reference_run.spectra[(0.5, 0)]
+    v1200 = dense_reference[0.5]
     v2400 = complex_spectrum(
         assemble_scaled_fiber(disk_profile, 0, 0.25, sp,
                               RadialGrid(18.0, 2400)))
@@ -264,8 +276,8 @@ def test_small_angle_misses_resonance(disk_profile):
 def test_find_resonances_keeps_degenerate_sectors(disk_profile, monkeypatch):
     """Equal resonances from distinct sectors are distinct rows."""
     z = 0.2 - 0.05j
-    monkeypatch.setattr("magres.cscale.complex_spectrum",
-                        lambda op: np.array([z]))
+    monkeypatch.setattr("magres.cscale._spectrum_slice",
+                        lambda op, centre, radius: np.array([z]))
     rs = find_resonances(disk_profile, 0.25, [0, 1], WIN,
                          theta_pair=(0.5, 0.6), grid=RadialGrid(18.0, 400),
                          R1=1.5, T0=6.0)
@@ -280,3 +292,104 @@ def test_find_resonances_validation(disk_profile):
     with pytest.raises(ValidationError):
         find_resonances(disk_profile, 0.2, [0], WIN, theta_pair=(0.3, 0.3),
                         grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
+
+
+@pytest.mark.parametrize("N", [400, 600])
+@pytest.mark.parametrize("theta", [0.5, 0.6])
+@pytest.mark.parametrize("field, h", [("disk", 0.25), ("disk", 0.1),
+                                      ("zero", 0.2)])
+def test_slice_matches_dense_in_disk(disk_profile, N, theta, field, h):
+    """The certified slice is the dense spectrum cut to the slice disk."""
+    profile = disk_profile if field == "disk" else zero_profile(1.0)
+    op = assemble_scaled_fiber(profile, 0, h, scaling_profile(theta, 1.5, 6.0),
+                               RadialGrid(18.0, N))
+    centre, radius = _slice_disk(Window(0.5 * h, 1.5 * h, -0.5 * h, -1e-12),
+                                 PAIR_TOL)
+    dense = complex_spectrum(op)
+    want = dense[np.abs(dense - centre) <= radius]
+    got = _spectrum_slice(op, centre, radius)
+    assert got.size == want.size > 0
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_slice_disk_covers_what_the_diagnostics_read():
+    centre, radius = _slice_disk(WIN, PAIR_TOL)
+    corners = [complex(a, b) for a in (WIN.re_min, WIN.re_max)
+               for b in (WIN.im_min, WIN.im_max)]
+    reach = 2.0 * max(abs(c) for c in corners)
+    assert all(abs(c - centre) < radius for c in corners)
+    # the disk |z| <= reach (plus tolerance) lies inside the slice disk
+    assert abs(centre) + reach * (1.0 + PAIR_TOL) + PAIR_TOL <= radius
+
+
+def test_reference_slice_matches_dense_diagnostics(reference_run,
+                                                   dense_reference):
+    """Filter and continuum motion read the same points from the slice as
+    from the full dense spectra."""
+    r = reference_run.resonances[0]
+    dense = filter_resonances(dense_reference[0.5], dense_reference[0.6],
+                              PAIR_TOL, WIN, theta_pair=(0.5, 0.6), m=0,
+                              h=0.25)
+    assert [x.z for x in dense] == pytest.approx([r.z], abs=1e-10)
+    motion = continuum_motion(reference_run.spectra[(0.5, 0)],
+                              reference_run.spectra[(0.6, 0)], 0.5,
+                              exclude=[r.z])
+    want = continuum_motion(dense_reference[0.5], dense_reference[0.6], 0.5,
+                            exclude=[r.z])
+    assert motion == pytest.approx(want, abs=1e-9)
+
+
+def _nearest_dropped(eigs):
+    def dropping(A, k, sigma, **kwargs):
+        vals = eigs(A, k=k, sigma=sigma, **kwargs)
+        return np.delete(vals, np.argmin(np.abs(vals - sigma)))
+    return dropping
+
+
+def test_slice_missing_eigenvalue_is_numerical_error(disk_profile,
+                                                     monkeypatch):
+    monkeypatch.setattr(spla, "eigs", _nearest_dropped(spla.eigs))
+    with pytest.raises(NumericalError, match="incomplete"):
+        find_resonances(disk_profile, 0.25, [0], WIN, theta_pair=(0.5, 0.6),
+                        grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
+
+
+def test_slice_no_convergence_is_numerical_error(disk_profile, monkeypatch):
+    def stalled(A, k, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]),
+                                       np.array([]))
+    monkeypatch.setattr(spla, "eigs", stalled)
+    with pytest.raises(NumericalError, match="Arnoldi"):
+        find_resonances(disk_profile, 0.25, [0], WIN, theta_pair=(0.5, 0.6),
+                        grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
+
+
+def test_wide_disk_falls_back_to_dense(disk_profile):
+    """A disk holding N/2 eigenvalues or more is solved dense."""
+    op = assemble_scaled_fiber(disk_profile, 0, 0.25,
+                               scaling_profile(0.5, 1.5, 6.0),
+                               RadialGrid(18.0, 128))
+    dense = complex_spectrum(op)
+    radius = float(np.sort(np.abs(dense))[100])
+    got = _spectrum_slice(op, 0.0j, radius)
+    want = dense[np.abs(dense) <= radius]
+    assert np.array_equal(got, want)
+
+
+def test_find_resonances_beyond_dense_cap(disk_profile):
+    """N = 8000 is past the dense cap; the slice still certifies the
+    frozen resonance."""
+    grid = RadialGrid(18.0, 8000)
+    op = assemble_scaled_fiber(disk_profile, 0, 0.25,
+                               scaling_profile(0.5, 1.5, 6.0), grid)
+    with pytest.raises(ValidationError):
+        complex_spectrum(op)
+    rs = find_resonances(disk_profile, 0.25, [0], WIN, theta_pair=(0.5, 0.6),
+                         grid=grid, R1=1.5, T0=6.0)
+    assert len(rs) == 1
+    z = rs.resonances[0].z
+    assert z == pytest.approx(FROZEN["disk_resonances"][0.25], abs=1e-4)
+    assert rs.resonances[0].drift <= PAIR_TOL * (1.0 + abs(z))
+    centre, radius = rs.disk
+    assert all(np.all(np.abs(v - centre) <= radius)
+               for v in rs.spectra.values())

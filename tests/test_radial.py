@@ -96,6 +96,17 @@ def test_self_convergence_order(anharmonic_profile):
     assert richardson_order(*vals) >= 1.9
 
 
+def test_fiber_levels_count_guard(anharmonic_profile):
+    # refinement also solves the halved grid, so k must stay below N/2
+    grid = RadialGrid(12.0, 128)
+    assert fiber_levels(anharmonic_profile, 0, 1.0, grid, 63).size == 63
+    assert fiber_levels(anharmonic_profile, 0, 1.0, grid, 64,
+                        refine=False).size == 64
+    for k, refine in ((64, True), (128, False), (0, True)):
+        with pytest.raises(ValidationError):
+            fiber_levels(anharmonic_profile, 0, 1.0, grid, k, refine=refine)
+
+
 def test_dirichlet_disk_vs_series_oracle():
     got = dirichlet_disk_levels(1.0, 3)
     # independent ladder: power-series Bessel zeros, all angular orders

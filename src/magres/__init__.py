@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 from .errors import (AmbiguousPairingError, DecayCheckError, FlatBandError,
                      MagresError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
-from .fields import (FieldProfile, FieldSpec, angular_potential, flux,
-                     load_spec, make_profile, parse_spec, zero_profile)
+from .fields import (FieldProfile, FieldSpec, load_spec, make_profile,
+                     parse_spec, zero_profile)
 from .radial import (EigenResult, FiberOperator, RadialGrid, anharmonic_levels,
                      assemble_fiber, dirichlet_disk_levels, eigs_lowest,
                      fiber_levels, island_neumann_levels, verify_ah_decay,

@@ -237,27 +237,22 @@ def _compare_direct(args) -> tuple[list, list]:
     """(direct rows, expansion params) for the chosen model and sweep."""
     direct = []
     expans = []
-    if args.model == "landau":
+    if args.model in ("landau", "anharmonic"):
+        if args.model == "landau":
+            extras = {}
+            kind, params, R0 = "constant_disk", {"r0": args.rmax}, args.rmax
+        else:
+            extras = {"gamma": args.gamma,
+                      "lambdas": tuple(anharmonic_levels(args.gamma, args.n))}
+            kind, params, R0 = "anharmonic", {"gamma": args.gamma}, 1.0
         grid = RadialGrid(args.rmax, args.grid_n)
-        spec = FieldSpec("constant_disk", {"r0": args.rmax}, R0=args.rmax)
-        profile = make_profile(spec)
+        profile = make_profile(FieldSpec(kind, params, R0=R0))
         for h in args.h:
             vals = fiber_levels(profile, 0, h, grid, k=args.n + 1,
                                 convention="h")
-            direct.append(("landau", args.n, h, float(vals[args.n])))
-            expans.append(ExpansionParams(model="landau", n=args.n, h=h))
-    elif args.model == "anharmonic":
-        lam = anharmonic_levels(args.gamma, args.n)
-        grid = RadialGrid(args.rmax, args.grid_n)
-        spec = FieldSpec("anharmonic", {"gamma": args.gamma}, R0=1.0)
-        profile = make_profile(spec)
-        for h in args.h:
-            vals = fiber_levels(profile, 0, h, grid, k=args.n + 1,
-                                convention="h")
-            direct.append(("anharmonic", args.n, h, float(vals[args.n])))
-            expans.append(ExpansionParams(model="anharmonic", n=args.n, h=h,
-                                          gamma=args.gamma,
-                                          lambdas=tuple(lam)))
+            direct.append((args.model, args.n, h, float(vals[args.n])))
+            expans.append(ExpansionParams(model=args.model, n=args.n, h=h,
+                                          **extras))
     elif args.model == "well":
         for h in args.h:
             vals = well_levels(args.b0, h, args.n)

@@ -474,12 +474,12 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
                     ) -> ResonanceSet:
     """Theta-robust resonances over the given sectors, sorted by Re z.
 
-    Both angles share the grid and the deformation radii; the per-sector
-    eigensolves run in parallel. Each solve is a certified spectral slice:
-    every eigenvalue in a disk about the window centre that covers the
-    window, |z| <= 2 max|window corner| and the pairing tolerance. The
-    slices are kept on the result as `spectra`, with the disk, for
-    continuum-motion diagnostics and trend fits.
+    Both angles share the grid and the deformation radii. Each (theta, m)
+    solve is a certified spectral slice: every eigenvalue in a disk about
+    the window centre that covers the window, |z| <= 2 max|window corner|
+    and the pairing tolerance. The slices are kept on the result as
+    `spectra`, with the disk, for continuum-motion diagnostics and trend
+    fits.
     """
     if not math.isfinite(profile.R0):
         raise ValidationError(

@@ -86,8 +86,7 @@ class FieldProfile:
     """Field strength B(r), angular potential a(r), flux and support radius.
 
     alpha and R0 are math.inf for full-plane kinds (anharmonic, well_radial),
-    whose field is not compactly supported. Immutable; safe to share across
-    parallel sweeps.
+    whose field is not compactly supported. Immutable.
     """
 
     B: object  # callable, vectorized over r >= 0
@@ -180,20 +179,6 @@ def zero_profile(R0: float = 1.0) -> FieldProfile:
         return np.zeros_like(np.asarray(r, dtype=float))
 
     return FieldProfile(B=B, a=a, alpha=0.0, R0=R0, spec=None)
-
-
-def flux(profile: FieldProfile) -> float:
-    """Total flux alpha = (1/2pi) int B dx; inf for full-plane kinds."""
-    return profile.alpha
-
-
-def angular_potential(profile: FieldProfile, r) -> float:
-    """a(r) in the canonical radial gauge; rejects r <= 0."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
-        raise ValidationError("angular_potential requires r > 0")
-    out = profile.a(r_arr)
-    return float(out) if np.isscalar(r) or out.ndim == 0 else out
 
 
 def parse_spec(obj: dict) -> FieldSpec:

@@ -44,24 +44,35 @@ def laguerre(n: int, k: int, x):
     return cur
 
 
-def _landau_norm_const(n: int, m: int, b: float) -> float:
-    # full-plane L^2 normalization: 2 pi int |C r^{|m|} e^{-br^2/4} L|^2 r dr = 1
+def _finite_positive(*values) -> bool:
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
+def _landau_envelope(n: int, m: int, b: float, r):
+    """C_{n,m} r^{|m|} e^{-b r^2/4}, C_{n,m} the full-plane L^2 normalization
+    2 pi int |C r^{|m|} e^{-br^2/4} L|^2 r dr = 1.
+
+    For m != 0 it is one exponential: at large |m| the power overflows
+    where the Gaussian and C underflow.
+    """
     k = abs(m)
-    log_c2 = (math.log(b / (2.0 * math.pi)) + k * math.log(b / 2.0)
-              + math.lgamma(n + 1) - math.lgamma(n + k + 1))
-    return math.exp(0.5 * log_c2)
+    log_c = 0.5 * (math.log(b / (2.0 * math.pi)) + k * math.log(b / 2.0)
+                   + math.lgamma(n + 1) - math.lgamma(n + k + 1))
+    if k:
+        with np.errstate(divide="ignore"):
+            return np.exp(log_c + k * np.log(r) - b * r * r / 4.0)
+    return math.exp(log_c) * np.exp(-b * r * r / 4.0)
 
 
 def landau_radial(n: int, m: int, b: float, r):
     """Radial factor of the normalized Landau eigenfunction psi_{n,m}."""
-    if b <= 0:
-        raise ValidationError("b must be > 0")
+    if not _finite_positive(b):
+        raise ValidationError("b must be finite and > 0")
     if n < 0:
         raise ValidationError("n must be >= 0")
     r = np.asarray(r, dtype=float)
     k = abs(m)
-    C = _landau_norm_const(n, m, b)
-    return C * r ** k * np.exp(-b * r * r / 4.0) * laguerre(n, k, b * r * r / 2.0)
+    return _landau_envelope(n, m, b, r) * laguerre(n, k, b * r * r / 2.0)
 
 
 def _landau_radial_derivative(n: int, m: int, b: float, r):
@@ -73,8 +84,7 @@ def _landau_radial_derivative(n: int, m: int, b: float, r):
     if k:
         out = out + f * (k / r)
     if n:
-        C = _landau_norm_const(n, m, b)
-        out = out - (C * r ** k * np.exp(-b * r * r / 4.0)
+        out = out - (_landau_envelope(n, m, b, r)
                      * laguerre(n - 1, k + 1, b * r * r / 2.0) * b * r)
     return out
 
@@ -105,7 +115,7 @@ def build_quasimode(n: int, m: int, b: float, r0: float, delta: float,
                     grid: RadialGrid) -> Quasimode:
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must lie in (0, 1)")
-    if r0 <= 0 or r0 > grid.r_max:
+    if not (0.0 < r0 <= grid.r_max):  # also rejects nan and inf
         raise ValidationError("need 0 < r0 <= r_max")
     if delta * r0 / grid.dr < 16.0:
         raise ValidationError(
@@ -222,8 +232,8 @@ class TZWindow:
 
 def tz_window(E: float, h: float, c: float, r0: float) -> TZWindow:
     """Resonance-window rectangle [E - w, E + w] + i[-h^-3 S, 0]."""
-    if c <= 0 or h <= 0 or r0 <= 0:
-        raise ValidationError("tz_window requires c, h, r0 > 0")
+    if not _finite_positive(c, h, r0):
+        raise ValidationError("tz_window requires finite c, h, r0 > 0")
     K = c * r0 * r0
     S = math.exp(-K / h)
     w = math.exp(-K / (2.0 * h)) / (h * h)
@@ -241,8 +251,8 @@ def tz_crossover(c: float, r0: float) -> float | None:
     rising side (0, h_peak) is the crossover: for h below it the certificate
     window is smaller than 1.
     """
-    if c <= 0 or r0 <= 0:
-        raise ValidationError("tz_crossover requires c, r0 > 0")
+    if not _finite_positive(c, r0):
+        raise ValidationError("tz_crossover requires finite c, r0 > 0")
     K = c * r0 * r0
     h_peak = K / 4.0
 

@@ -249,6 +249,29 @@ def test_quasimode_report(tmp_path):
     assert main(["quasimode", "--delta", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tz-c", "nan"],
+    ["--r0", "nan", "--tz-c", "0.2"],
+    ["--b", "inf"],
+    ["--b", "nan"],
+    ["--r0", "nan"],
+], ids=["tz-c-nan", "r0-nan-tz-c", "b-inf", "b-nan", "r0-nan"])
+def test_quasimode_non_finite_input_is_input_error(argv, capsys):
+    assert main(["quasimode", *argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("m", ["300", "2000"])
+def test_quasimode_high_sector_stays_finite(m, capsys):
+    # formed apart, r^|m| overflows on this grid where e^{-b r^2/4} (and at
+    # m = 2000 the normalization constant) underflows
+    assert main(["quasimode", "--m", m, "--r0", "19"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    norm_defect, residual = float(row[6]), float(row[7])
+    assert math.isfinite(norm_defect) and abs(norm_defect) < 1e-3
+    assert math.isfinite(residual) and residual >= 0.0
+
+
 def test_compare_well_cli(tmp_path):
     out = tmp_path / "cmp.csv"
     rc = main(["compare", "--model", "well", "--h", "0.1,0.05,0.025",
@@ -261,13 +284,6 @@ def test_compare_well_cli(tmp_path):
     diffs = [abs(float(line.split(",")[5])) for line in body[2:]]
     assert 4.0 <= diffs[0] / diffs[1] <= 16.0
     assert 4.0 <= diffs[1] / diffs[2] <= 16.0
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
-def test_bad_thread_count_is_input_error(monkeypatch, threads):
-    monkeypatch.setenv("MAGRES_THREADS", threads)
-    assert main(["compare", "--model", "well",
-                 "--h", "0.1,0.05,0.025"]) == 2
 
 
 def test_compare_argument_rules():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magres.errors import MagresError, NumericalError, ValidationError
-from magres.fields import (FieldSpec, angular_potential, flux, load_spec,
-                           make_profile, parse_spec, zero_profile)
+from magres.fields import (FieldSpec, load_spec, make_profile, parse_spec,
+                           zero_profile)
 
 
 def test_kind_validation():
@@ -38,7 +38,6 @@ def test_error_hierarchy():
 def test_constant_disk_profile(disk_profile):
     p = disk_profile
     assert p.alpha == 0.5  # r0^2 / 2
-    assert flux(p) == 0.5
     assert p.R0 == 1.0
     r_in = np.array([0.1, 0.5, 0.99])
     assert np.allclose(p.B(r_in), 1.0)
@@ -88,14 +87,6 @@ def test_zero_profile():
     assert np.allclose(p.B(r), 0.0)
     assert np.allclose(p.a(r), 0.0)
     assert p.alpha == 0.0
-
-
-def test_angular_potential_guards(disk_profile):
-    assert angular_potential(disk_profile, 0.5) == 0.25
-    with pytest.raises(ValidationError):
-        angular_potential(disk_profile, 0.0)
-    with pytest.raises(ValidationError):
-        angular_potential(disk_profile, np.array([0.5, -1.0]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,6 +17,15 @@ truncated to [-L, L] with Dirichlet ends on a vertex grid that places tau = 0
 exactly on a node, so the potential kink is represented exactly and phi(0),
 phi'(0) are direct grid reads. Eigenvalues are refined by Richardson
 extrapolation over (N/2, N); the scheme is second order.
+
+Grid eigenpairs come from shifted inverse iteration (dpttrf/dpttrs) whose
+last shift, 64 eps max|T_ii| below the returned Rayleigh quotient mu, was
+factored as positive definite: that certifies mu as the lowest level. mu is
+summed in Dirichlet difference form, sum (dx)^2/h^2 + sum V x^2, free of
+the 2/h^2 cancellation that biases bisection by ~1e-11. The slope mu'(xi)
+= 2 sum (xi + b_a tau) x^2 is the Hellmann-Feynman derivative, exact on
+the grid and Richardson-combined like mu; zeta_a is its Newton root and
+mu'' its difference quotient.
 """
 
 from __future__ import annotations
@@ -25,14 +34,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from ._parallel import pmap
 from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
 
 FLAT_TOL = 1e-6  # relative band variation below which minimization is ill-posed
+MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
 
 
 @dataclass(frozen=True)
@@ -78,85 +86,102 @@ class BandSample:
     params: StepParams
 
 
-def _potential(a: float, xi: float, tau: np.ndarray) -> np.ndarray:
-    b = np.where(tau > 0, 1.0, a)
-    return (xi + b * tau) ** 2
-
-
-def _tridiagonal(params: StepParams, xi: float, N: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau, diag, off) of h_a[xi] on the N-interval grid."""
+def _arm(params: StepParams, xi: float, N: int) -> tuple[float, np.ndarray]:
+    """(step, arm = xi + b_a(tau) tau) on the N-grid; V = arm^2."""
     step = 2.0 * params.L / N
     tau = -params.L + step * np.arange(1, N)
-    diag = 2.0 / step ** 2 + _potential(params.a, xi, tau)
+    return step, xi + np.where(tau > 0, 1.0, params.a) * tau
+
+
+def _ground(params: StepParams, xi: float, N: int, start=None
+            ) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (mu, x > 0, unit l2) of h_a[xi] on the N-interval
+    grid; start is any earlier vector on this grid. A refused shift quadruples
+    its gap below mu; once mu moves by less than gap/8 the gap shrinks to
+    twice that move, down to tol. (T - sigma)^-1 is entrywise positive (an
+    M-matrix), so iterates stay positive; the 1e-3 share of exp(-V/2)
+    reaches wells where a start from a nearby xi underflowed to zero."""
+    step, arm = _arm(params, xi, N)
+    pot = arm * arm
+    diag = 2.0 / step ** 2 + pot
     off = np.full(N - 2, -1.0 / step ** 2)
-    return tau, diag, off
+
+    def rayleigh(v: np.ndarray) -> float:
+        dv = np.diff(v, prepend=0.0, append=0.0)
+        return float((dv @ dv / step ** 2 + pot @ (v * v)) / (v @ v))
+
+    x = np.exp(-0.5 * (pot - pot.min()))
+    if start is not None:
+        x = np.abs(start) + 1e-3 * x / math.sqrt(x @ x)
+    tol = 64.0 * np.finfo(float).eps * float(diag.max())
+    mu, gap, factors = rayleigh(x), 1e-2, None
+    for _ in range(MAX_SOLVES):
+        if factors is None:
+            d, e, info = dpttrf(diag - (mu - gap), off)
+            if info:
+                gap *= 4.0
+                continue
+            factors = d, e
+        y, _ = dpttrs(*factors, x)
+        x = y / math.sqrt(y @ y)
+        prev, mu = mu, rayleigh(x)
+        move = abs(mu - prev)
+        if gap <= tol and move <= 4.0 * np.spacing(mu):
+            return mu, x
+        if 8.0 * move < gap:
+            gap, factors = max(tol, 2.0 * move), None
+    raise NumericalError(f"inverse iteration at xi = {xi} (N = {N}) did not "
+                         f"converge in {MAX_SOLVES} steps")
 
 
-def _mu_raw(params: StepParams, xi: float, N: int) -> float:
-    """Lowest eigenvalue on the N-interval grid, no end check, no vector."""
-    _, diag, off = _tridiagonal(params, xi, N)
-    vals = sla.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
-                                eigvals_only=True)
-    return float(vals[0])
+def _refined(params: StepParams, xi: float, start=None
+             ) -> tuple[float, float, np.ndarray]:
+    """(mu, mu') at xi, Richardson-refined over (N/2, N), and the N-grid
+    vector, from which the N/2 solve starts; mu' = 2 sum arm x^2."""
+    mu_n, x = _ground(params, xi, params.N, start)
+    mu_h, y = _ground(params, xi, params.N // 2, x[1::2])
+    d_n = (_arm(params, xi, params.N)[1] * x) @ x
+    d_h = (_arm(params, xi, params.N // 2)[1] * y) @ y
+    return (4.0 * mu_n - mu_h) / 3.0, float(8.0 * d_n - 2.0 * d_h) / 3.0, x
 
 
-def _mu_refined(params: StepParams, xi: float) -> float:
-    mu_n = _mu_raw(params, xi, params.N)
-    mu_h = _mu_raw(params, xi, params.N // 2)
-    return (4.0 * mu_n - mu_h) / 3.0
-
-
-def _check_ends(params: StepParams, xi: float, mu: float) -> None:
-    left = (xi + params.a * (-params.L)) ** 2
-    right = (xi + params.L) ** 2
-    if min(left, right) < mu + 10.0:
+def _sample(params: StepParams, xi: float, mu: float, x: np.ndarray
+            ) -> BandSample:
+    """BandSample of a refined mu and N-grid vector x, after the checks."""
+    ends = min((xi - params.a * params.L) ** 2, (xi + params.L) ** 2)
+    if ends < mu + 10.0:
         raise TruncationError(
-            f"end potential {min(left, right):.3g} at xi = {xi:.4g} is below "
+            f"end potential {ends:.3g} at xi = {xi:.4g} is below "
             f"mu + 10 = {mu + 10.0:.3g}; enlarge L")
+    phi = x / math.sqrt(params.step)  # sum phi^2 step = 1
+    if not phi[params.N // 2 - 1] > 0:  # tau = 0
+        raise NumericalError(f"ground state vanishes at tau = 0 (xi = {xi})")
+    return BandSample(xi=xi, mu=mu, eigenfunction=phi, tau=params.tau(),
+                      params=params)
 
 
 def band_value(params: StepParams, xi: float) -> BandSample:
-    """Lowest eigenpair of h_a[xi] on the truncated line.
-
-    mu is Richardson-refined over (N/2, N); the eigenfunction is the N-grid
-    ground state, unit-normalized in the discrete L^2 norm and sign-fixed so
-    phi(0) > 0.
-    """
+    """Lowest eigenpair of h_a[xi] on the truncated line: refined mu and
+    the positive N-grid ground state of unit discrete L^2 norm."""
     if not math.isfinite(xi):
         raise ValidationError("xi must be finite")
-    tau, diag, off = _tridiagonal(params, xi, params.N)
-    try:
-        vals, vecs = sla.eigh_tridiagonal(diag, off, select="i",
-                                          select_range=(0, 0))
-    except Exception as exc:
-        raise NumericalError(f"band eigensolve failed at xi={xi}: {exc}") from exc
-    mu = (4.0 * float(vals[0]) - _mu_raw(params, xi, params.N // 2)) / 3.0
-    _check_ends(params, xi, mu)
-    phi = vecs[:, 0] / math.sqrt(params.step)  # sum phi^2 step = 1
-    i0 = params.N // 2 - 1  # index of tau = 0
-    if phi[int(np.argmax(np.abs(phi)))] < 0:
-        phi = -phi
-    if phi[i0] <= 0:
-        raise NumericalError(
-            f"ground state vanishes or changes sign at tau = 0 (xi = {xi}); "
-            f"sign convention unrealizable")
-    if mu <= 0:
-        raise NumericalError(f"nonpositive band value {mu} at xi = {xi}")
-    return BandSample(xi=xi, mu=mu, eigenfunction=phi, tau=tau, params=params)
+    mu, _, x = _refined(params, xi)
+    return _sample(params, xi, mu, x)
 
 
 def band_table(params: StepParams, xi_values) -> list[tuple[float, float]]:
-    """(xi, mu) rows over xi_values; raw refined values, no end checks."""
-    xs = [float(x) for x in xi_values]
-    mus = pmap(lambda x: _mu_refined(params, x), xs)
-    return list(zip(xs, mus))
+    """(xi, mu) rows over xi_values; raw refined values, no end checks.
+    Each point's solve starts from the previous point's ground state."""
+    rows, x = [], None
+    for xi in xi_values:
+        mu, _, x = _refined(params, float(xi), x)
+        rows.append((float(xi), mu))
+    return rows
 
 
 def _band_minimum(params: StepParams, xi_bracket
                   ) -> tuple[list, float, BandSample]:
-    """(scan rows, zeta_a, band_value at zeta_a); see minimize_band. The
-    band_value solve also checks the line ends at the minimizer."""
+    """(scan rows, zeta_a, end-checked band sample at zeta_a)."""
     lo, hi = float(xi_bracket[0]), float(xi_bracket[1])
     span = hi - lo
     n_scan = round(span / 0.05) if math.isfinite(span / 0.05) else 0
@@ -182,78 +207,53 @@ def _band_minimum(params: StepParams, xi_bracket
         raise ValidationError(
             "no interior minimum in the bracket; the scan minimum sits at an "
             "endpoint, widen xi_bracket")
-    i = interior[0]
-    res = minimize_scalar(lambda x: _mu_refined(params, x),
-                          bounds=(xs[i - 1], xs[i + 1]),
-                          method="bounded", options={"xatol": 1e-10})
-    zeta, slope = _quartic_polish(params, float(res.x))
+    i = interior[0]  # Newton starts from the vertex of the scan parabola
+    (m0, m1, m2), dxi = mus[i - 1:i + 2], xs[i + 1] - xs[i]
+    curv = (m0 - 2.0 * m1 + m2) / dxi ** 2
+    z = xs[i] + 0.5 * (m0 - m2) / (curv * dxi)
+    x, prev = None, None
+    for _ in range(20):
+        mu, slope, x = _refined(params, z, x)
+        if prev is not None:
+            curv = (slope - prev[1]) / (z - prev[0])
+        if not (curv > 0 and xs[i - 1] <= z <= xs[i + 1]):
+            raise NumericalError(f"Newton on the band slope left the scan "
+                                 f"cell of its minimum at xi = {z:.6g}")
+        if abs(slope / curv) <= 1e-10:
+            break
+        prev, z = (z, slope), z - slope / curv
     if abs(slope) >= 1e-8:
         raise NumericalError(
             f"band slope {slope:.3g} at the refined minimizer exceeds 1e-8")
-    return table, zeta, band_value(params, zeta)
+    return table, z, _sample(params, z, mu, x)
 
 
 def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
                   ) -> tuple[float, float]:
     """Minimizer and minimum (zeta_a, beta_a) of the band function.
 
-    Coarse scan at step 0.05, then bounded parabolic refinement around the
-    unique interior scan minimum, then a local least-squares quartic polish
-    whose model slope must drop below 1e-8. A flat band (relative variation
-    below FLAT_TOL) and multiple scan minima are both hard errors: the
-    minimization problem is ill-posed, and silently picking a candidate
-    would corrupt every downstream constant.
+    Coarse scan at step 0.05, then Newton (secant curvature after the
+    first step) on the slope mu' from the vertex of the parabola through
+    the unique interior scan minimum and its neighbours, until the step is
+    below 1e-10; the slope read at zeta must lie below 1e-8. A flat band
+    (relative variation below FLAT_TOL) and multiple scan minima are hard
+    errors: picking a candidate would corrupt every downstream constant.
     """
     _, zeta, sample = _band_minimum(params, xi_bracket)
     return zeta, sample.mu
 
 
-def _quartic_polish(params: StepParams, zeta0: float,
-                    half_width: float = 0.01) -> tuple[float, float]:
-    """Minimizer of a local least-squares quartic model of the band.
-
-    Pointwise difference quotients of mu bottom out at the eigensolver
-    roundoff (~1e-11) divided by the step, which cannot certify a slope
-    below 1e-8. Fitting 21 samples across a +-0.01 window averages that
-    noise to ~1e-9 on the model slope, so the certificate is meaningful.
-    Returns (zeta, band slope at zeta as measured by the model).
-    """
-    ts = np.linspace(-1.0, 1.0, 21)
-    xs = [zeta0 + half_width * float(t) for t in ts]
-    mus = np.array(pmap(lambda x: _mu_refined(params, x), xs))
-    poly = np.polynomial.Polynomial.fit(ts, mus, 4, domain=[-1, 1])
-    dpoly = poly.deriv()
-    d2poly = dpoly.deriv()
-    z = 0.0
-    for _ in range(60):
-        curv = d2poly(z)
-        if curv <= 0:
-            break
-        step = dpoly(z) / curv
-        z -= step
-        if abs(step) < 1e-15:
-            break
-    if abs(z) > 1.0:
-        raise NumericalError(
-            "local band model has no interior minimum; refinement bracket "
-            "or resolution is wrong")
-    return zeta0 + half_width * z, float(dpoly(z)) / half_width
-
-
 def band_second_derivative(params: StepParams, zeta: float) -> float:
-    """mu_a''(zeta) by centered second differences, Richardson-combined
-    over steps 1e-2 and 5e-3. Errors on a non-positive (or vanishing)
-    result: the band minimum is non-degenerate for a in (-1, 0), so such
-    a value means the input zeta or the resolution is wrong."""
-    mu0 = _mu_refined(params, zeta)
-
-    def second(s: float) -> float:
-        return (_mu_refined(params, zeta + s) - 2.0 * mu0
-                + _mu_refined(params, zeta - s)) / (s * s)
-
-    d_big = second(1e-2)
-    d_small = second(5e-3)
-    out = (4.0 * d_small - d_big) / 3.0
+    """mu_a''(zeta) by centered differences of the slope mu', Richardson-
+    combined over steps 1e-3 and 5e-4. A non-positive (or vanishing) result
+    is an error: the band minimum is non-degenerate for a in (-1, 0), so
+    the input zeta or the resolution is wrong."""
+    slopes, x = [], None
+    for s in (-1e-3, -5e-4, 5e-4, 1e-3):
+        _, slope, x = _refined(params, zeta + s, x)
+        slopes.append(slope)
+    lo2, lo1, hi1, hi2 = slopes
+    out = (4.0 * (hi1 - lo1) / 1e-3 - (hi2 - lo2) / 2e-3) / 3.0
     if out <= 1e-6:
         raise NumericalError(
             f"band second derivative {out:.3g} at zeta = {zeta:.6g} is not "
@@ -280,7 +280,7 @@ def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0)
     """(scan rows, zeta_a, beta_a, constants) of the band in one pass.
 
     One scan feeds both the table and the minimum search inside xi_bracket
-    (see minimize_band); one band_value solve at zeta_a gives the end check,
+    (see minimize_band); the Newton solve at zeta_a gives the end check,
     beta, phi(0) and phi'(0). constants is None unless a lies in (-1, 0).
     C1 = (1/3)(1 - 1/a) zeta phi(0) phi'(0) must come out positive; a
     non-positive value is a sign-convention bug and a hard error.

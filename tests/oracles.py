@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own discretization:
 Bessel zeros come from a power series plus bisection (not scipy.special),
 the half-line band oracle uses a node-centered ghost-point scheme (not the
-package's staggered face scheme), normalization checks go through
+package's staggered face scheme), the step band reference keeps the
+package's grid but solves it with LAPACK's MRRR routine instead of the
+package's inverse iteration, normalization checks go through
 adaptive quadrature of the closed-form integrand, and the island references
 come from a matched boundary-layer model (Robin disk plus the parabolic
 cylinder profile), not from any radial solve.
@@ -74,6 +76,31 @@ def half_line_neumann_mu(xi: float, T: float = 12.0, N: int = 4000) -> float:
     lam_n = plain(N)
     lam_h = plain(N // 2)
     return (4.0 * lam_n - lam_h) / 3.0
+
+
+def step_band_mu(a: float, xi: float, L: float = 12.0, N: int = 4800
+                 ) -> float:
+    """Lowest eigenvalue of -u'' + (xi + b(t) t)^2 u, b = 1 for t > 0 and a
+    for t < 0, on the package's vertex grid over [-L, L] with Dirichlet
+    ends, Richardson refined over (N/2, N). The discretization is the
+    package's on purpose; the eigensolver is LAPACK's MRRR routine (stemr),
+    not the package's inverse iteration. Bisection (stebz) is no reference
+    here: its Sturm counts carry the 2/h^2 cancellation and miss by up to
+    5e-12 at N = 4800 even at the tightest tolerance. scipy's stemr
+    wrapper allocates an n x n eigenvector array even for eigenvalues only
+    (184 MB and about 0.1 s per solve at n = 4800), so keep N moderate.
+    """
+
+    def plain(n: int) -> float:
+        h = 2.0 * L / n
+        t = -L + h * np.arange(1, n)
+        diag = 2.0 / h ** 2 + (xi + np.where(t > 0, 1.0, a) * t) ** 2
+        off = np.full(n - 2, -1.0 / h ** 2)
+        return float(sla.eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, 0), eigvals_only=True,
+            lapack_driver="stemr")[0])
+
+    return (4.0 * plain(N) - plain(N // 2)) / 3.0
 
 
 def de_gennes_constant(T: float = 12.0, N: int = 4000,

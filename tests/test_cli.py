@@ -4,9 +4,9 @@ import subprocess
 import sys
 
 import pytest
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+import magres.stepband as stepband
 from magres.cli import build_parser, main
 
 from conftest import FROZEN
@@ -117,18 +117,19 @@ def test_band_files_and_determinism(tmp_path):
 
 
 def test_band_scans_once(monkeypatch, tmp_path):
-    solve = sla.eigh_tridiagonal
-    callers = []
+    ground = stepband._ground
+    grids = []
 
     def counting(*args, **kwargs):
-        callers.append(sys._getframe(1).f_globals["__name__"])
-        return solve(*args, **kwargs)
-    monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
+        grids.append(args[2])
+        return ground(*args, **kwargs)
+    monkeypatch.setattr(stepband, "_ground", counting)
     assert main(["band", "--a", "-0.5", "--out",
                  str(tmp_path / "band.csv")]) == 0
-    # one 101-point scan, the minimizer refinement and the constants;
-    # each refined band value is two solves (N and N/2)
-    assert callers.count("magres.stepband") <= 310
+    # one 101-point scan, a few Newton steps on the slope and four slope
+    # points for mu''; each refined band value is two solves (N and N/2)
+    assert len(grids) <= 240
+    assert grids.count(4800) == grids.count(2400)
 
 
 def test_band_bracket_governs_constants(tmp_path):

@@ -233,13 +233,15 @@ def test_resolution_dichotomy(disk_profile, dense_reference):
     v600 = complex_spectrum(
         assemble_scaled_fiber(disk_profile, 0, 0.25, sp, RadialGrid(18.0, 600)))
     v1200 = dense_reference[0.5]
-    v2400 = complex_spectrum(
-        assemble_scaled_fiber(disk_profile, 0, 0.25, sp,
-                              RadialGrid(18.0, 2400)))
     zc = FROZEN["disk_resonance_h025_n1200"]
+    # N = 2400 needs only the point nearest zc: a certified slice holds
+    # every eigenvalue within 0.01 of it
+    v2400 = _spectrum_slice(assemble_scaled_fiber(
+        disk_profile, 0, 0.25, sp, RadialGrid(18.0, 2400)), zc, 0.01)
     z6 = v600[np.argmin(np.abs(v600 - zc))]
     z12 = v1200[np.argmin(np.abs(v1200 - zc))]
     z24 = v2400[np.argmin(np.abs(v2400 - zc))]
+    assert abs(z24 - zc) < 0.01
     fine = z12 + (z12 - z6) / 3.0
     finer = z24 + (z24 - z12) / 3.0
     assert abs(finer - fine) < 1e-6

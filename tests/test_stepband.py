@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import magres.stepband as stepband
+from magres.cli import main
 from magres.errors import (FlatBandError, MultipleMinimaError, NumericalError,
                            TruncationError, ValidationError)
 from magres.stepband import (BandSample, SpectralConstants, StepParams,
@@ -8,7 +11,7 @@ from magres.stepband import (BandSample, SpectralConstants, StepParams,
                              minimize_band, spectral_constants)
 
 from conftest import FROZEN
-from oracles import de_gennes_constant
+from oracles import de_gennes_constant, step_band_mu
 
 
 def test_params_validation():
@@ -85,6 +88,89 @@ def test_band_table_matches_band_value():
         assert mu == pytest.approx(band_value(p, x).mu, abs=1e-12)
 
 
+@pytest.mark.parametrize("a,key", [(-0.5, "step_minus05"),
+                                   (-1.0, "step_minus1")])
+def test_refined_mu_matches_mrrr(a, key):
+    """Inverse iteration against LAPACK's MRRR on the same grid: the whole
+    default 101-point scan at N = 1600 (scipy's stemr wrapper allocates an
+    n x n array per call) and the minimizer at N = 4800."""
+    p = StepParams(a=a, N=1600, validation_mode=True)
+    for xi, mu in band_table(p, [-4.0 + 0.05 * i for i in range(101)]):
+        assert abs(mu - step_band_mu(a, xi, N=1600)) < 1e-12
+    z = FROZEN[key]["zeta"]
+    mu = band_value(StepParams(a=a, validation_mode=True), z).mu
+    assert abs(mu - step_band_mu(a, z)) < 1e-12
+
+
+def test_scan_follows_ground_state_into_another_well():
+    """At a = -0.25 and L = 12 the ground state moves between xi = -3.2 and
+    -3.15 from the Landau well at tau = -xi to the weak-field well at the
+    tau = -L wall, where the vector from -3.2 has underflowed to zero."""
+    rows = band_table(StepParams(a=-0.25, N=1600), [-3.2, -3.15])
+    for xi, mu in rows:
+        assert abs(mu - step_band_mu(-0.25, xi, N=1600)) < 1e-12
+    assert rows[1][1] < rows[0][1] - 0.05
+
+
+@pytest.mark.parametrize("start", ["second", "minus_lowest"])
+def test_ground_from_any_start_lands_on_positive_lowest(start):
+    p = StepParams(a=-0.5, N=1600)
+    xi = FROZEN["step_minus05"]["zeta"]
+    step, arm = stepband._arm(p, xi, p.N)
+    vals, vecs = sla.eigh_tridiagonal(2.0 / step ** 2 + arm ** 2,
+                                      np.full(p.N - 2, -1.0 / step ** 2),
+                                      select="i", select_range=(0, 1))
+    v = vecs[:, 1] if start == "second" else -vecs[:, 0]
+    mu, x = stepband._ground(p, xi, p.N, start=v)
+    assert abs(mu - vals[0]) < 1e-10 and vals[1] - vals[0] > 0.5
+    assert np.all(x > 0) and np.sum(x * x) == pytest.approx(1.0)
+
+
+def test_ground_last_shift_certifies_lowest(monkeypatch):
+    """The last factored shift was positive definite and lies within
+    64 eps max|T_ii| below the returned Rayleigh quotient, so no level of
+    the grid operator lies below mu - tol."""
+    factor, shifted = stepband.dpttrf, []
+
+    def recording(d, e):
+        out = factor(d, e)
+        shifted.append((d, out[2]))
+        return out
+    monkeypatch.setattr(stepband, "dpttrf", recording)
+    p = StepParams(a=-0.5, N=1600)
+    mu, _ = stepband._ground(p, -0.66, p.N)
+    step, arm = stepband._arm(p, -0.66, p.N)
+    diag = 2.0 / step ** 2 + arm ** 2
+    tol = 64.0 * np.finfo(float).eps * diag.max()
+    d, info = shifted[-1]
+    assert info == 0
+    assert 0.0 < mu - (diag[0] - d[0]) <= 1.01 * tol
+
+
+@pytest.mark.parametrize("force", ["iteration_cap", "refused_shifts"])
+def test_ground_non_convergence_is_numerical_error(monkeypatch, tmp_path,
+                                                   force):
+    if force == "iteration_cap":
+        monkeypatch.setattr(stepband, "MAX_SOLVES", 2)
+    else:
+        monkeypatch.setattr(stepband, "dpttrf", lambda d, e: (d, e, 1))
+    with pytest.raises(NumericalError, match="did not converge"):
+        band_value(StepParams(a=-0.5), -0.66)
+    assert main(["band", "--a", "-0.5", "--grid-n", "64",
+                 "--out", str(tmp_path / "band.csv")]) == 3
+
+
+@pytest.mark.parametrize("xi", [-1.5, FROZEN["step_minus05"]["zeta"], 0.3])
+def test_hellmann_feynman_slope_matches_difference(xi):
+    """The Richardson-combined Hellmann-Feynman slope is the derivative of
+    the Richardson-combined band value."""
+    p = StepParams(a=-0.5)
+    _, slope, _ = stepband._refined(p, xi)
+    s = 1e-4
+    diff = (band_value(p, xi + s).mu - band_value(p, xi - s).mu) / (2 * s)
+    assert abs(slope - diff) < 1e-6
+
+
 def test_minimize_band_de_gennes_vs_oracle():
     """a = -1 recovers the half-line Neumann constants; the oracle is a
     node-centered ghost-point scheme, nothing shared with the solver."""
@@ -113,6 +199,14 @@ def test_second_derivative():
     assert d2 == pytest.approx(FROZEN["step_minus05"]["mu2"], rel=1e-3)
     with pytest.raises(NumericalError):
         band_second_derivative(StepParams(a=1.0, validation_mode=True), 0.0)
+
+
+def test_second_derivative_converged():
+    """mu'' at the minimizer zeta(-0.5) = -0.664312923 lies within 1e-7 of
+    its s -> 0 limit 0.99672516. The third derivative is about 2 there, so
+    the six-digit frozen zeta would itself move mu'' by 1.5e-7."""
+    d2 = band_second_derivative(StepParams(a=-0.5), -0.664312923)
+    assert abs(d2 - 0.99672516) < 1e-7
 
 
 @pytest.mark.parametrize("key,params", [

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .fields import FieldSpec, load_spec, make_profile
+from .fields import FieldSpec, load_spec, make_profile, spec_config
 from .radial import (RadialGrid, anharmonic_levels, check_ceiling,
                      dirichlet_disk_levels, fiber_levels,
                      island_neumann_levels, sector_sweep, well_levels)
@@ -126,8 +126,7 @@ def cmd_spectrum(args) -> int:
     params = {"field": str(args.field), "b": args.b, "levels": args.levels,
               "m": [args.m.start, args.m.stop - 1],
               "grid_n": args.grid_n, "rmax": args.rmax,
-              "field_spec": {"kind": spec.kind, "params": dict(spec.params),
-                             "R0": spec.R0}}
+              "field_spec": spec_config(spec)}
     _emit(args, "spectrum", lines, params)
     return 0
 
@@ -202,8 +201,7 @@ def cmd_resonances(args) -> int:
               "window": None if args.window is None else
               [args.window.re_min, args.window.re_max,
                args.window.im_min, args.window.im_max],
-              "field_spec": {"kind": spec.kind, "params": dict(spec.params),
-                             "R0": spec.R0}}
+              "field_spec": spec_config(spec)}
     _emit(args, "resonances", lines, params,
           diagnostics={"slices": slices})
     return 0

@@ -10,8 +10,22 @@ the Aharonov-Bohm tail carrying the total flux alpha = (1/2pi) int B dx.
 Every downstream computation is per angular sector in this gauge, so gauge
 phases never appear.
 
-Profiles store closed-form a(r) per piece (no runtime quadrature); this
-keeps the complex continuation of the tail exact.
+Every field is a piecewise power law: sorted, disjoint pieces (r_j, r_{j+1},
+terms), 0 <= r_j < r_{j+1} <= inf, with B(r) = sum_k c_k r^{p_k} (p_k >= 0)
+on a piece and B = 0 off the pieces. With Phi_j the flux inside r_j,
+
+    a(r) = (Phi_j + sum_k c_k (r^{p_k+2} - r_j^{p_k+2}) / (p_k+2)) / r
+
+on piece j, a = 0 before the first piece, and a = Phi_{j+1}/r past piece j,
+which beyond the support is the tail. A last piece ending at infinity makes
+a full-plane field (alpha = R0 = inf). A kind is a row of KINDS: its
+parameters with their sign rules, and the map from parameters to pieces.
+
+Bit-identity rule: r^{p+2} is evaluated as r^{p+1} * r (pow(x, 2.0) and
+x * x differ in the last bit for about 0.1% of x), and a piece from r = 0
+as sum_k c_k r^{p_k+1} / (p_k+2), without the 1/r. So a(r) and alpha equal
+the kinds' earlier hand-written closed forms bit for bit. Closed forms (no
+runtime quadrature) keep the complex continuation of the tail exact.
 """
 
 from __future__ import annotations
@@ -24,61 +38,66 @@ import numpy as np
 
 from .errors import ValidationError
 
-KINDS = ("constant_disk", "anharmonic", "well_radial", "island_annular")
-
-# required parameter names per kind
-KIND_PARAMS = {
-    "constant_disk": ("r0",),
-    "anharmonic": ("gamma",),
-    "well_radial": ("b0",),
-    "island_annular": ("rho1", "rho2"),
+# kind -> ({parameter: sign rule}, params -> pieces (r_j, r_{j+1}, terms))
+KINDS = {
+    "constant_disk": ({"r0": "> 0"},
+                      lambda r0: ((0.0, r0, ((1.0, 0.0),)),)),
+    "anharmonic": ({"gamma": ">= 0"},
+                   lambda gamma: ((0.0, math.inf, ((1.0, gamma),)),)),
+    "well_radial": ({"b0": "> 0"},
+                    lambda b0: ((0.0, math.inf, ((b0, 0.0), (1.0, 2.0))),)),
+    "island_annular": ({"rho1": "> 0", "rho2": "> 0"},
+                       lambda rho1, rho2: ((rho1, rho2, ((1.0, 0.0),)),)),
 }
+
+
+def _finite_number(x) -> bool:
+    """A real JSON number: not a bool, not an int beyond float range."""
+    try:
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and math.isfinite(x))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
 class FieldSpec:
     kind: str  # one of KINDS
-    params: dict  # named reals, see KIND_PARAMS
+    params: dict  # named reals, see KINDS
     R0: float  # outer support radius (ignored for full-plane kinds)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(
-                f"unknown field kind {self.kind!r}; expected one of {KINDS}")
-        required = set(KIND_PARAMS[self.kind])
-        given = set(self.params)
-        if given - required:
+                f"unknown field kind {self.kind!r}; expected one of "
+                f"{tuple(KINDS)}")
+        rules = KINDS[self.kind][0]
+        if set(self.params) != set(rules):
             raise ValidationError(
-                f"unknown parameter(s) {sorted(given - required)} for kind "
-                f"{self.kind!r}; expected exactly {sorted(required)}")
-        if required - given:
-            raise ValidationError(
-                f"missing parameter(s) {sorted(required - given)} for kind "
-                f"{self.kind!r}")
+                f"kind {self.kind!r} takes exactly the parameters "
+                f"{sorted(rules)}; got {sorted(self.params)}")
         for name, value in self.params.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValidationError(f"parameter {name!r} must be a finite number")
-        compact = self.kind in ("constant_disk", "island_annular")
-        if compact and not (isinstance(self.R0, (int, float))
-                            and math.isfinite(self.R0) and self.R0 > 0):
-            raise ValidationError("R0 must be a positive finite number")
-        p = self.params
-        if self.kind == "constant_disk":
-            if p["r0"] <= 0:
-                raise ValidationError("r0 must be > 0")
-            if p["r0"] > self.R0:
-                raise ValidationError("constant_disk requires r0 <= R0")
-        elif self.kind == "anharmonic":
-            if p["gamma"] < 0:
-                raise ValidationError("gamma must be >= 0")
-        elif self.kind == "well_radial":
-            if p["b0"] <= 0:
-                raise ValidationError("b0 must be > 0")
-        elif self.kind == "island_annular":
-            if not (0 < p["rho1"] < p["rho2"]):
-                raise ValidationError("island requires 0 < rho1 < rho2")
-            if p["rho2"] > self.R0:
-                raise ValidationError("island requires rho2 <= R0")
+            if not (_finite_number(value)
+                    and (value > 0 if rules[name] == "> 0" else value >= 0)):
+                raise ValidationError(
+                    f"parameter {name!r} must be a finite number {rules[name]}")
+        end = 0.0
+        for lo, hi, _ in self.pieces:
+            if not end <= lo < hi:
+                raise ValidationError(
+                    f"{self.kind} needs sorted, disjoint, non-empty pieces "
+                    f"in r >= 0; got [{lo}, {hi}] after {end}")
+            end = hi
+        if math.isfinite(end) and not (_finite_number(self.R0)
+                                       and end <= self.R0):
+            raise ValidationError(f"R0 must be a finite number at or beyond "
+                                  f"the end r = {end} of the {self.kind} support")
+
+    @property
+    def pieces(self) -> tuple:
+        """((r_j, r_{j+1}, ((c_k, p_k), ...)), ...) of this spec."""
+        return KINDS[self.kind][1](
+            **{name: float(value) for name, value in self.params.items()})
 
 
 @dataclass(frozen=True)
@@ -96,89 +115,55 @@ class FieldProfile:
     spec: FieldSpec | None = field(default=None, compare=False)
 
 
-def _constant_disk(r0: float) -> tuple:
-    alpha = r0 * r0 / 2.0
+def _integral(r, lo: float, terms) -> object:
+    """sum_k c_k (r^{p_k+2} - lo^{p_k+2}) / (p_k+2), x^{p+2} as x^{p+1} * x."""
+    return sum(c * (r ** (p + 1.0) * r - lo ** (p + 1.0) * lo) / (p + 2.0)
+               for c, p in terms)
+
+
+def _profile(pieces: tuple, R0: float, spec: FieldSpec | None) -> FieldProfile:
+    """Closed-form B, a and flux of validated pieces."""
+    fluxes, flux, end = [], 0.0, 0.0  # fluxes[j] = Phi_j, flux inside r_j
+    for lo, end, terms in pieces:
+        fluxes.append(flux)
+        flux = math.inf if math.isinf(end) else flux + _integral(end, lo, terms)
+    divides = any(lo > 0.0 or hi < math.inf for lo, hi, _ in pieces)
 
     def B(r):
         r = np.asarray(r, dtype=float)
-        return np.where(r <= r0, 1.0, 0.0)
+        out = np.zeros_like(r)
+        for lo, hi, terms in pieces:
+            out = np.where((r >= lo) & (r <= hi),
+                           sum(c * r ** p for c, p in terms), out)
+        return out
 
     def a(r):
         r = np.asarray(r, dtype=float)
-        return np.where(r <= r0, r / 2.0, alpha / np.where(r > 0, r, np.nan))
+        rs = np.where(r > 0, r, np.nan) if divides else r  # no 0/0 at r = 0
+        out = np.zeros_like(r)
+        for (lo, hi, terms), phi, phi_end in zip(pieces, fluxes,
+                                                 fluxes[1:] + [flux]):
+            if lo == 0.0:  # first piece, from zero: sum c r^{p+1} / (p+2)
+                out = sum(c * r ** (p + 1.0) / (p + 2.0) for c, p in terms)
+            else:
+                out = np.where(r >= lo, (phi + _integral(r, lo, terms)) / rs,
+                               out)
+            if hi < math.inf:  # a gap or the Aharonov-Bohm tail
+                out = np.where(r > hi, phi_end / rs, out)
+        return out
 
-    return B, a, alpha
-
-
-def _anharmonic(gamma: float) -> tuple:
-    def B(r):
-        return np.asarray(r, dtype=float) ** gamma
-
-    def a(r):
-        r = np.asarray(r, dtype=float)
-        return r ** (1.0 + gamma) / (2.0 + gamma)
-
-    return B, a
-
-
-def _well_radial(b0: float) -> tuple:
-    def B(r):
-        r = np.asarray(r, dtype=float)
-        return b0 + r * r
-
-    def a(r):
-        r = np.asarray(r, dtype=float)
-        return b0 * r / 2.0 + r ** 3 / 4.0
-
-    return B, a
-
-
-def _island_annular(rho1: float, rho2: float) -> tuple:
-    alpha = (rho2 * rho2 - rho1 * rho1) / 2.0
-
-    def B(r):
-        r = np.asarray(r, dtype=float)
-        return np.where((r >= rho1) & (r <= rho2), 1.0, 0.0)
-
-    def a(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.where(r > 0, r, np.nan)
-        inner = np.zeros_like(rs)
-        annulus = (rs * rs - rho1 * rho1) / (2.0 * rs)
-        tail = alpha / rs
-        return np.where(r < rho1, inner, np.where(r <= rho2, annulus, tail))
-
-    return B, a, alpha
+    return FieldProfile(B=B, a=a, alpha=flux,
+                        R0=R0 if math.isfinite(end) else math.inf, spec=spec)
 
 
 def make_profile(spec: FieldSpec) -> FieldProfile:
     """Build the closed-form profile for a validated FieldSpec."""
-    p = spec.params
-    if spec.kind == "constant_disk":
-        B, a, alpha = _constant_disk(p["r0"])
-        return FieldProfile(B=B, a=a, alpha=alpha, R0=spec.R0, spec=spec)
-    if spec.kind == "anharmonic":
-        B, a = _anharmonic(p["gamma"])
-        return FieldProfile(B=B, a=a, alpha=math.inf, R0=math.inf, spec=spec)
-    if spec.kind == "well_radial":
-        B, a = _well_radial(p["b0"])
-        return FieldProfile(B=B, a=a, alpha=math.inf, R0=math.inf, spec=spec)
-    if spec.kind == "island_annular":
-        B, a, alpha = _island_annular(p["rho1"], p["rho2"])
-        return FieldProfile(B=B, a=a, alpha=alpha, R0=spec.R0, spec=spec)
-    raise ValidationError(f"unknown field kind {spec.kind!r}")
+    return _profile(spec.pieces, spec.R0, spec)
 
 
 def zero_profile(R0: float = 1.0) -> FieldProfile:
     """B identically zero: alpha = 0, a identically zero (free operator)."""
-
-    def B(r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def a(r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    return FieldProfile(B=B, a=a, alpha=0.0, R0=R0, spec=None)
+    return _profile((), R0, None)
 
 
 def parse_spec(obj: dict) -> FieldSpec:
@@ -196,6 +181,11 @@ def parse_spec(obj: dict) -> FieldSpec:
     if not isinstance(obj["params"], dict):
         raise ValidationError('"params" must be an object of named numbers')
     return FieldSpec(kind=obj["kind"], params=dict(obj["params"]), R0=obj["R0"])
+
+
+def spec_config(spec: FieldSpec) -> dict:
+    """The config mapping of spec; parse_spec(spec_config(spec)) == spec."""
+    return {"kind": spec.kind, "params": dict(spec.params), "R0": spec.R0}
 
 
 def load_spec(path: str) -> FieldSpec:

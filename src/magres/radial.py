@@ -165,17 +165,25 @@ def assemble_fiber(profile: FieldProfile, m: int, scale: float,
                          V=V, kin=kin, profile=profile)
 
 
+def _lowest(op: FiberOperator, k: int, eigvals_only: bool = False):
+    """The k lowest eigenpairs (or values) of the fiber. A solver failure,
+    or a potential that overflowed (a steep field at a large scale), which
+    the solver's finiteness check refuses, is a numerical failure."""
+    try:
+        return sla.eigh_tridiagonal(op.diag, op.off, select="i",
+                                    select_range=(0, k - 1),
+                                    eigvals_only=eigvals_only)
+    except ValueError as exc:  # non-finite entries; LinAlgError subclasses it
+        raise NumericalError(
+            f"tridiagonal eigensolve failed for m={op.m}, "
+            f"N={op.grid.N}: {exc}") from exc
+
+
 def eigs_lowest(op: FiberOperator, k: int) -> EigenResult:
     """k lowest eigenpairs of the fiber; vectors orthonormal in r dr."""
     if not (1 <= k < op.grid.N):
         raise ValidationError("need 1 <= k < N")
-    try:
-        vals, vecs = sla.eigh_tridiagonal(
-            op.diag, op.off, select="i", select_range=(0, k - 1))
-    except Exception as exc:  # LinAlgError, convergence failure
-        raise NumericalError(
-            f"tridiagonal eigensolve failed for m={op.m}, "
-            f"N={op.grid.N}: {exc}") from exc
+    vals, vecs = _lowest(op, k)
     r = op.grid.nodes
     u = vecs / np.sqrt(r * op.grid.dr)[:, None]
     # deterministic sign: largest-magnitude component positive
@@ -203,14 +211,12 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
         raise ValidationError(
             f"need 1 <= k < {n_max} on an N={grid.N} grid (refine={refine})")
     op = assemble_fiber(profile, m, scale, grid, boundary, convention, window)
-    vals = sla.eigh_tridiagonal(op.diag, op.off, select="i",
-                                select_range=(0, k - 1), eigvals_only=True)
+    vals = _lowest(op, k, eigvals_only=True)
     if not refine:
         return vals
     oph = assemble_fiber(profile, m, scale, grid.halved(), boundary,
                          convention, window)
-    vals_h = sla.eigh_tridiagonal(oph.diag, oph.off, select="i",
-                                  select_range=(0, k - 1), eigvals_only=True)
+    vals_h = _lowest(oph, k, eigvals_only=True)
     return (4.0 * vals - vals_h) / 3.0
 
 

@@ -61,12 +61,14 @@ class StepParams:
             if not (self.a == -1.0 or 0.0 < self.a <= 1.0):
                 raise ValidationError(
                     "validation mode admits only a = -1 or a in (0, 1]")
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ValidationError("L must be positive and finite")
         if self.N < 64 or self.N % 4:
             raise ValidationError(
                 "N must be >= 64 and divisible by 4 (tau = 0 stays on a node "
                 "under grid halving)")
+        if not (self.L > 0 and math.isfinite(self.L * self.L)
+                and 0.0 < self.step ** 2 and 2.0 / self.step ** 2 < math.inf):
+            raise ValidationError("L must be positive, with L^2 and the "
+                                  "grid's 1/step^2 finite")
 
     @property
     def step(self) -> float:
@@ -94,11 +96,11 @@ def _arm(params: StepParams, xi: float, N: int) -> tuple[float, np.ndarray]:
 
 
 def _ground(params: StepParams, xi: float, N: int, start=None
-            ) -> tuple[float, np.ndarray]:
+            ) -> tuple[float, np.ndarray, np.ndarray]:
     """Lowest eigenpair (mu, x > 0, unit l2) of h_a[xi] on the N-interval
-    grid; start is any earlier vector on this grid. A refused shift quadruples
-    its gap below mu; once mu moves by less than gap/8 the gap shrinks to
-    twice that move, down to tol. (T - sigma)^-1 is entrywise positive (an
+    grid, and its arm; start is any earlier vector on this grid. A refused
+    shift quadruples its gap below mu; once mu moves by less than gap/8 the
+    gap shrinks to twice that move, down to tol. (T - sigma)^-1 is entrywise positive (an
     M-matrix), so iterates stay positive; the 1e-3 share of exp(-V/2)
     reaches wells where a start from a nearby xi underflowed to zero."""
     step, arm = _arm(params, xi, N)
@@ -127,7 +129,7 @@ def _ground(params: StepParams, xi: float, N: int, start=None
         prev, mu = mu, rayleigh(x)
         move = abs(mu - prev)
         if gap <= tol and move <= 4.0 * np.spacing(mu):
-            return mu, x
+            return mu, x, arm
         if 8.0 * move < gap:
             gap, factors = max(tol, 2.0 * move), None
     raise NumericalError(f"inverse iteration at xi = {xi} (N = {N}) did not "
@@ -138,10 +140,10 @@ def _refined(params: StepParams, xi: float, start=None
              ) -> tuple[float, float, np.ndarray]:
     """(mu, mu') at xi, Richardson-refined over (N/2, N), and the N-grid
     vector, from which the N/2 solve starts; mu' = 2 sum arm x^2."""
-    mu_n, x = _ground(params, xi, params.N, start)
-    mu_h, y = _ground(params, xi, params.N // 2, x[1::2])
-    d_n = (_arm(params, xi, params.N)[1] * x) @ x
-    d_h = (_arm(params, xi, params.N // 2)[1] * y) @ y
+    mu_n, x, arm_n = _ground(params, xi, params.N, start)
+    mu_h, y, arm_h = _ground(params, xi, params.N // 2, x[1::2])
+    d_n = (arm_n * x) @ x
+    d_h = (arm_h * y) @ y
     return (4.0 * mu_n - mu_h) / 3.0, float(8.0 * d_n - 2.0 * d_h) / 3.0, x
 
 

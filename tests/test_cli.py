@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magres.stepband as stepband
 from magres.cli import build_parser, main
@@ -89,6 +94,51 @@ def test_spectrum_missing_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("config,extra", [
+    ({"kind": "anharmonic", "params": {"gamma": 400}, "R0": 1.0}, []),
+    ({"kind": "well_radial", "params": {"b0": 1e300}, "R0": 1.0}, []),
+    ({"kind": "constant_disk", "params": {"r0": 1.0}, "R0": 1.0},
+     ["--b", "1e200"]),
+], ids=["anharmonic-gamma400", "well-b0-1e300", "disk-b-1e200"])
+def test_spectrum_overflowing_potential_is_numerical(config, extra, tmp_path,
+                                                     capsys):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(config))
+    assert main(["spectrum", "--field", str(path), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+_extreme = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0,
+                     True, False]),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=1e300))
+_kinds = {"constant_disk": ("r0",), "anharmonic": ("gamma",),
+          "well_radial": ("b0",), "island_annular": ("rho1", "rho2")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_kinds)), data=st.data())
+def test_spectrum_field_fuzz_keeps_exit_contract(kind, data, tmp_path_factory):
+    """Field configs of extreme finite numbers and booleans exit 0, 2 or 3,
+    never 1, and print nothing unless they succeed."""
+    config = {"kind": kind,
+              "params": {name: data.draw(_extreme, label=name)
+                         for name in _kinds[kind]},
+              "R0": data.draw(_extreme, label="R0")}
+    path = tmp_path_factory.mktemp("fuzz") / "field.json"
+    path.write_text(json.dumps(config))
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow is exit 3
+        rc = main(["spectrum", "--field", str(path), "--grid-n", "64",
+                   "--rmax", "2"])
+    assert rc in (0, 2, 3)
+    if rc != 0:
+        assert out.getvalue() == ""
+
+
 def test_band_files_and_determinism(tmp_path):
     out1 = tmp_path / "one" / "band.csv"
     out2 = tmp_path / "two" / "band.csv"
@@ -145,6 +195,13 @@ def test_band_bracket_governs_constants(tmp_path):
 def test_band_flat_field_exit(tmp_path):
     assert main(["band", "--a", "1.0", "--grid-n", "1600",
                  "--bracket=-1,1"]) == 3
+
+
+@pytest.mark.parametrize("L", ["1e300", "1e-300"])
+def test_band_length_without_finite_grid_is_input_error(L, capsys):
+    # L^2 overflows, or 1/step^2 does: the grid cannot be built
+    assert main(["band", "--a", "-0.5", "--L", L]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_band_bad_bracket():

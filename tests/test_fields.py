@@ -4,28 +4,40 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.integrate import quad
 from hypothesis import strategies as st
 
+from magres.cli import main
 from magres.errors import MagresError, NumericalError, ValidationError
 from magres.fields import (FieldSpec, load_spec, make_profile, parse_spec,
-                           zero_profile)
+                           spec_config, zero_profile)
 
 
-def test_kind_validation():
-    with pytest.raises(ValidationError):
-        FieldSpec("vortex", {}, R0=1.0)
-    with pytest.raises(ValidationError):
-        FieldSpec("constant_disk", {"radius": 1.0}, R0=1.0)  # wrong name
-    with pytest.raises(ValidationError):
-        FieldSpec("constant_disk", {}, R0=1.0)  # missing
-    with pytest.raises(ValidationError):
-        FieldSpec("constant_disk", {"r0": math.nan}, R0=1.0)
-    with pytest.raises(ValidationError):
-        FieldSpec("constant_disk", {"r0": 2.0}, R0=1.0)  # support beyond R0
-    with pytest.raises(ValidationError):
-        FieldSpec("island_annular", {"rho1": 1.5, "rho2": 1.0}, R0=2.0)
-    with pytest.raises(ValidationError):
-        FieldSpec("well_radial", {"b0": 0.0}, R0=1.0)
+REJECTED = [
+    ("vortex", {}, 1.0),
+    ("constant_disk", {"radius": 1.0}, 1.0),  # wrong name
+    ("constant_disk", {}, 1.0),  # missing
+    ("constant_disk", {"r0": math.nan}, 1.0),
+    ("constant_disk", {"r0": 2.0}, 1.0),  # support beyond R0
+    ("island_annular", {"rho1": 1.5, "rho2": 1.0}, 2.0),
+    ("well_radial", {"b0": 0.0}, 1.0),
+    ("island_annular", {"rho1": 0.0, "rho2": 1.0}, 2.0),
+    ("anharmonic", {"gamma": -0.5}, 1.0),
+    ("well_radial", {"b0": -1.0}, 1.0),
+    ("constant_disk", {"r0": True}, 1.0),  # JSON true is not the number 1
+]
+
+
+def test_kind_validation(tmp_path, capsys):
+    for kind, params, R0 in REJECTED:
+        with pytest.raises(ValidationError):
+            FieldSpec(kind, dict(params), R0=R0)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"kind": kind, "params": params,
+                                    "R0": R0}))
+        assert main(["spectrum", "--field", str(path), "--grid-n", "64",
+                     "--rmax", "2"]) == 2, (kind, params)
+    assert capsys.readouterr().out == ""
 
 
 def test_error_hierarchy():
@@ -132,3 +144,105 @@ def test_load_spec(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         load_spec(str(bad))
+
+
+def _closed_forms(kind, p, r):
+    """a(r) and alpha as the four kinds wrote them out by hand."""
+    if kind == "constant_disk":
+        alpha = p["r0"] * p["r0"] / 2.0
+        return np.where(r <= p["r0"], r / 2.0, alpha / r), alpha
+    if kind == "anharmonic":
+        return r ** (1.0 + p["gamma"]) / (2.0 + p["gamma"]), math.inf
+    if kind == "well_radial":
+        return p["b0"] * r / 2.0 + r ** 3 / 4.0, math.inf
+    if kind == "island_annular":
+        rho1, rho2 = p["rho1"], p["rho2"]
+        alpha = (rho2 * rho2 - rho1 * rho1) / 2.0
+        annulus = (r * r - rho1 * rho1) / (2.0 * r)
+        return np.where(r < rho1, 0.0, np.where(r <= rho2, annulus,
+                                                 alpha / r)), alpha
+    return np.zeros_like(r), 0.0
+
+
+_size = st.floats(min_value=0.05, max_value=10.0)
+INTEGRATOR_CASES = {
+    "constant_disk": st.fixed_dictionaries({"r0": _size}),
+    "anharmonic": st.fixed_dictionaries(
+        {"gamma": st.floats(min_value=0.0, max_value=6.0)}),
+    "well_radial": st.fixed_dictionaries(
+        {"b0": st.floats(min_value=0.01, max_value=10.0)}),
+    "island_annular": st.tuples(_size, _size).filter(
+        lambda t: t[0] != t[1]).map(
+        lambda t: {"rho1": min(t), "rho2": max(t)}),
+    "zero": st.just({}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INTEGRATOR_CASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_piecewise_integrator(kind, data):
+    """r a(r) is the flux integral inside pieces, at their ends and beyond
+    the support; the tail carries alpha; a and alpha equal the hand-written
+    closed forms bit for bit."""
+    p = data.draw(INTEGRATOR_CASES[kind], label="params")
+    if kind == "zero":
+        prof, ends = zero_profile(R0=1.0), []
+    else:
+        R0 = max([1.0, *p.values()])
+        prof = make_profile(FieldSpec(kind, dict(p), R0=R0))
+        ends = sorted(x for lo, hi, _ in prof.spec.pieces for x in (lo, hi)
+                      if 0.0 < x < math.inf)
+    edge = max(ends, default=1.0)
+    r = np.array(sorted({*ends, 0.37 * edge, 0.5 * edge, 0.99 * edge,
+                         1.5 * edge, 4.0 * edge}))
+    if kind in ("anharmonic", "well_radial"):
+        r = np.array([0.05, 0.3, 1.0, 2.5])
+    a = prof.a(r)
+    want, alpha = _closed_forms(kind, p, r)
+    assert np.array_equal(a, want) and prof.alpha == alpha
+    for x, ax in zip(r, a):
+        cuts = [0.0, *(e for e in ends if e < x), x]
+        flux = sum(quad(lambda s: s * float(prof.B(s)), lo, hi,
+                        epsabs=0.0, epsrel=1e-13)[0]
+                   for lo, hi in zip(cuts, cuts[1:]))
+        assert x * ax == pytest.approx(flux, rel=1e-10, abs=0.0)
+    if math.isfinite(prof.alpha):  # the Aharonov-Bohm tail
+        for x in (1.5 * edge, 4.0 * edge, 1e6 * edge):
+            assert x * float(prof.a(x)) == pytest.approx(prof.alpha,
+                                                          rel=1e-12, abs=0.0)
+    else:
+        assert math.isinf(prof.R0)
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "constant_disk", "params": {"r0": 1}, "R0": 1},
+    {"kind": "anharmonic", "params": {"gamma": 2}, "R0": "unused"},
+    {"kind": "well_radial", "params": {"b0": 1.0}, "R0": 1.0},
+    {"kind": "island_annular", "params": {"rho1": 1.0, "rho2": 1.5},
+     "R0": 2.0},
+], ids=lambda c: c["kind"])
+def test_spec_config_inverts_parse_spec(config):
+    """Integer params keep their closed forms; the manifest block is the
+    config."""
+    spec = parse_spec(config)
+    assert spec_config(spec) == config
+    assert parse_spec(spec_config(spec)) == spec
+    r = np.linspace(0.01, 5.0, 50)
+    want, alpha = _closed_forms(spec.kind, spec.params, r)
+    prof = make_profile(spec)
+    assert np.array_equal(prof.a(r), want) and prof.alpha == alpha
+
+
+def test_flux_is_bit_identical_over_many_radii():
+    """alpha is summed from Python floats, where pow(x, 2.0) != x * x for
+    about 0.08% of x; only the r^{p+1} * r form matches the closed forms on
+    every one of these radii."""
+    rng = np.random.default_rng(7)
+    for r0, rho1, rho2 in rng.uniform(0.05, 10.0, (4000, 3)).tolist():
+        disk = make_profile(FieldSpec("constant_disk", {"r0": r0}, R0=r0))
+        assert disk.alpha == r0 * r0 / 2.0
+        rho1, rho2 = min(rho1, rho2), max(rho1, rho2)
+        island = make_profile(FieldSpec(
+            "island_annular", {"rho1": rho1, "rho2": rho2}, R0=rho2))
+        assert island.alpha == (rho2 * rho2 - rho1 * rho1) / 2.0

@@ -30,6 +30,9 @@ def test_params_validation():
         StepParams(a=-0.5, N=4802)  # N must be divisible by 4
     with pytest.raises(ValidationError):
         StepParams(a=-0.5, L=0.0)
+    for L in (1e300, 1e-300):  # L^2, or 1/step^2, is not a finite float
+        with pytest.raises(ValidationError):
+            StepParams(a=-0.5, L=L)
 
 
 def test_tau_grid_has_exact_zero():
@@ -121,7 +124,7 @@ def test_ground_from_any_start_lands_on_positive_lowest(start):
                                       np.full(p.N - 2, -1.0 / step ** 2),
                                       select="i", select_range=(0, 1))
     v = vecs[:, 1] if start == "second" else -vecs[:, 0]
-    mu, x = stepband._ground(p, xi, p.N, start=v)
+    mu, x, _ = stepband._ground(p, xi, p.N, start=v)
     assert abs(mu - vals[0]) < 1e-10 and vals[1] - vals[0] > 0.5
     assert np.all(x > 0) and np.sum(x * x) == pytest.approx(1.0)
 
@@ -138,7 +141,7 @@ def test_ground_last_shift_certifies_lowest(monkeypatch):
         return out
     monkeypatch.setattr(stepband, "dpttrf", recording)
     p = StepParams(a=-0.5, N=1600)
-    mu, _ = stepband._ground(p, -0.66, p.N)
+    mu, _, _ = stepband._ground(p, -0.66, p.N)
     step, arm = stepband._arm(p, -0.66, p.N)
     diag = 2.0 / step ** 2 + arm ** 2
     tol = 64.0 * np.finfo(float).eps * diag.max()

@@ -43,6 +43,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bounded_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > 2 ** 53:  # sectors and levels enter float arithmetic
+        raise argparse.ArgumentTypeError(
+            "expected an integer within +-2**53, where floats hold "
+            "integers exactly")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok]
@@ -55,7 +64,7 @@ def _float_list(text: str) -> list[float]:
 
 def _m_range(text: str) -> range:
     try:
-        lo, hi = (int(tok) for tok in text.split(":"))
+        lo, hi = (_bounded_int(tok) for tok in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad sector range {text!r}; expected MIN:MAX") from exc
@@ -353,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("quasimode", help="cutoff Landau quasimode report")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--n", type=_bounded_int, default=0)
+    p.add_argument("--m", type=_bounded_int, default=0)
     p.add_argument("--b", type=float, default=25.0)
     p.add_argument("--r0", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.2)

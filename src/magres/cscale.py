@@ -6,8 +6,9 @@ along t -> f(t) = t e^{i theta g(t)} with a smooth ramp g rising 0 -> 1 on
 [R1, T0], R1 beyond the support. The continued potential is the closed form
 (h m - alpha)^2 / f(t)^2 -- no numerical analytic continuation -- and the
 kinetic term keeps the face-weighted form of the real solver with complex
-face weights h^2 f(F)/f'(F) and node mass f(t) f'(t). The result is a
-complex-symmetric tridiagonal matrix whose spectrum is the rotated
+face weights h^2 f(F)/f'(F) and node mass f(t) f'(t). The result is the
+real solver's FiberOperator ('h' convention, Dirichlet far end) with
+complex-symmetric tridiagonal entries, whose spectrum is the rotated
 continuum (arg approximately -2 theta) plus theta-independent points: the
 resonances. Genuine resonances are certified by running two angles and
 keeping eigenvalues that agree within tolerance while continuum points
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +35,8 @@ from scipy.sparse import diags_array
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
 from .fields import FieldProfile
-from .radial import RadialGrid, assemble_fiber, face_form, smoothstep
+from .radial import (FiberOperator, RadialGrid, assemble_fiber, face_form,
+                     fiber_potential, smoothstep)
 
 THETA_MAX = 0.7  # largest scaling angle admitted (conditioning degrades beyond)
 IM_FLOOR = 1e-10  # |Im z| below this is a continuum/threshold artifact
@@ -100,25 +102,17 @@ def scaling_profile(theta: float, R1: float, T0: float,
     return sp
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledFiberOperator:
-    m: int
-    h: float
-    sp: ScalingProfile
-    grid: RadialGrid
-    diag: np.ndarray = field(repr=False)  # complex
-    off: np.ndarray = field(repr=False)  # complex; matrix is complex-symmetric
-    profile: FieldProfile = field(repr=False, compare=False)
-
-
 def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
                           sp: ScalingProfile, grid: RadialGrid
-                          ) -> ScaledFiberOperator:
-    """Complex-scaled semiclassical fiber at angular momentum m.
+                          ) -> FiberOperator:
+    """Complex-scaled semiclassical fiber at angular momentum m: a
+    FiberOperator of the 'h' convention with a Dirichlet far end and
+    complex diag and off.
 
     Requires the deformation to start beyond the field support (the
     potential under the ramp must already be the pure AB tail) and
-    r_max >= 3 T0 so the rotated-contour decay has room. At theta = 0 the
+    r_max >= 3 T0 so the rotated-contour decay has room. Up to R1 the
+    potential is the real fiber's `fiber_potential`. At theta = 0 the
     assembly short-circuits to the real solver's code path, so the matrix
     equals the self-adjoint fiber entry for entry.
     """
@@ -138,25 +132,27 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     if sp.theta == 0.0:
         op = assemble_fiber(profile, m, h, grid, boundary="dirichlet_far",
                             convention="h")
-        return ScaledFiberOperator(m=m, h=h, sp=sp, grid=grid,
-                                   diag=op.diag.astype(complex),
-                                   off=op.off.astype(complex), profile=profile)
+        return replace(op, diag=op.diag.astype(complex),
+                       off=op.off.astype(complex))
     t = grid.nodes
     F = grid.faces
-    w = (h * h) * sp.f(F) / sp.fp(F)
-    mass = sp.f(t) * sp.fp(t)
     V = np.empty(grid.N, dtype=complex)
     inner = t <= sp.R1
-    a_in = np.asarray(profile.a(t[inner]), dtype=float)
-    V[inner] = (h * m / t[inner] - a_in) ** 2
-    ft = sp.f(t[~inner])
-    V[~inner] = (h * m - profile.alpha) ** 2 / (ft * ft)
-    diag, off = face_form(w, mass, grid.dr, V, "dirichlet_far")
-    return ScaledFiberOperator(m=m, h=h, sp=sp, grid=grid, diag=diag, off=off,
-                               profile=profile)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (h * h) * sp.f(F) / sp.fp(F)
+        mass = sp.f(t) * sp.fp(t)
+        a_in = np.asarray(profile.a(t[inner]), dtype=float)
+        V[inner] = fiber_potential(m, h, t[inner], a_in, "h")
+        ft = sp.f(t[~inner])
+        # as np.float64 an overflow gives inf, where a float's ** raises
+        V[~inner] = np.float64(h * m - profile.alpha) ** 2 / (ft * ft)
+        diag, off = face_form(w, mass, grid.dr, V, "dirichlet_far")
+    return FiberOperator(m=m, scale=h, convention="h",
+                         boundary="dirichlet_far", grid=grid, diag=diag,
+                         off=off, profile=profile)
 
 
-def complex_spectrum(op: ScaledFiberOperator) -> np.ndarray:
+def complex_spectrum(op: FiberOperator) -> np.ndarray:
     """All eigenvalues of the scaled fiber, sorted by (Re, Im).
 
     A dense O(N^3) solve, capped at N = 6000. `find_resonances` does not
@@ -184,7 +180,7 @@ CONTOUR_STEP = math.pi / 4  # largest phase step of det(T - z) between points
 CONTOUR_CAP = 4096  # contour points before the count is given up
 
 
-def _det_phase(op: ScaledFiberOperator, z: np.ndarray) -> np.ndarray:
+def _det_phase(op: FiberOperator, z: np.ndarray) -> np.ndarray:
     """arg det(T - z), up to multiples of 2 pi, at each point of z.
 
     The pivots of T - z obey the continuant recurrence
@@ -203,7 +199,7 @@ def _det_phase(op: ScaledFiberOperator, z: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _contour_count(op: ScaledFiberOperator, centre: complex, radius: float,
+def _contour_count(op: FiberOperator, centre: complex, radius: float,
                    known: np.ndarray) -> int:
     """Eigenvalues of T inside |z - centre| < radius, by the argument
     principle: the winding number of det(T - z) around the circle.
@@ -243,7 +239,7 @@ def _contour_count(op: ScaledFiberOperator, centre: complex, radius: float,
         t, phase = t[order], phase[order]
 
 
-def _spectrum_slice(op: ScaledFiberOperator, centre: complex,
+def _spectrum_slice(op: FiberOperator, centre: complex,
                     radius: float) -> np.ndarray:
     """Eigenvalues of the scaled fiber inside |z - centre| <= radius,
     sorted by (Re, Im), with their count certified.

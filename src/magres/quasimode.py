@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import ValidationError
 from .fields import FieldProfile
-from .radial import RadialGrid, smoothstep
+from .radial import RadialGrid, assemble_fiber, smoothstep
 
 
 def laguerre(n: int, k: int, x):
@@ -152,42 +152,30 @@ def quasimode_residual(q: Quasimode, profile: FieldProfile
     return res, q.norm
 
 
-_MODEL_KINDS = {"anharmonic": "anharmonic", "well": "well_radial",
-                "island": "island_annular"}
-
-
 def generic_quasimode_residual(result, r0: float, delta: float,
-                               profile: FieldProfile, model: str,
-                               index: int = 0) -> float:
+                               profile: FieldProfile, index: int = 0) -> float:
     """Residual norm of a cutoff discrete eigenfunction against the
     full-plane fiber operator of `profile`.
 
     `result` is an EigenResult whose eigenfunction solved an auxiliary
     problem (full-plane anharmonic/well, or the island disk with its Neumann
-    wall); the cutoff removes the part that sees the difference. The residual
+    wall); the cutoff removes the part that sees the difference, and
+    `profile` must carry the same field B on [0, r0]. The residual
     is evaluated at the matrix level on a grid extended past the cutoff with
     the same spacing, so it is exactly the discrete commutator, free of any
     separate discretization floor.
     """
-    from .radial import assemble_fiber  # local import avoids cycle at import time
-
-    if model not in _MODEL_KINDS:
-        raise ValidationError(f"unknown model {model!r}; expected one of "
-                              f"{sorted(_MODEL_KINDS)}")
-    if profile.spec is None or profile.spec.kind != _MODEL_KINDS[model]:
-        raise ValidationError(
-            f"profile kind {getattr(profile.spec, 'kind', None)!r} does not "
-            f"match model {model!r}")
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must lie in (0, 1)")
-    grid = result.grid
+    src = result.op
+    grid = src.grid
     if r0 >= grid.r_max:
         raise ValidationError("cutoff radius must sit inside the source grid")
     if delta * r0 / grid.dr < 16.0:
         raise ValidationError("cutoff shoulder under-resolved on this grid")
     r_src = grid.nodes
     mask = r_src <= r0
-    B_have = np.asarray(result.profile.B(r_src[mask]), dtype=float)
+    B_have = np.asarray(src.profile.B(r_src[mask]), dtype=float)
     B_want = np.asarray(profile.B(r_src[mask]), dtype=float)
     if not np.allclose(B_have, B_want, rtol=0.0, atol=1e-12):
         raise ValidationError(
@@ -205,8 +193,8 @@ def generic_quasimode_residual(result, r0: float, delta: float,
     n_ext = k * grid.N
     ext = RadialGrid(k * grid.r_max, n_ext)
     lam = float(result.values[index])
-    op = assemble_fiber(profile, result.m, result.scale, ext,
-                        boundary="dirichlet_far", convention=result.convention)
+    op = assemble_fiber(profile, src.m, src.scale, ext,
+                        boundary="dirichlet_far", convention=src.convention)
     r = ext.nodes
     chi, _, _ = _shoulder(r, r0, delta)
     u = np.zeros(n_ext)
@@ -245,23 +233,25 @@ def tz_window(E: float, h: float, c: float, r0: float) -> TZWindow:
 def tz_crossover(c: float, r0: float) -> float | None:
     """Largest h below which the window half-width w(h) drops under 1.
 
-    w(h) = h^-2 e^{-c r0^2/(2h)} vanishes at both ends and peaks at
-    h = c r0^2 / 4; if even the peak stays below 1 the window is always
-    informative and None is returned. Otherwise the root of w(h) = 1 on the
-    rising side (0, h_peak) is the crossover: for h below it the certificate
-    window is smaller than 1.
+    w(h) = h^-2 e^{-K/(2h)}, K = c r0^2, vanishes at both ends and peaks at
+    h = K/4; if even the peak stays below 1 (K > 4/e) the window is always
+    informative and None is returned. Otherwise the crossover is the root
+    of w(h) = 1 on the rising side (0, K/4], in closed form
+    h* = -K / (4 W_{-1}(-K/4)) with W_{-1} the lower Lambert W branch; for
+    h below it the certificate window is smaller than 1. At K = 4/e the
+    root is the peak K/4. A root that underflows is a ValidationError.
     """
     if not _finite_positive(c, r0):
         raise ValidationError("tz_crossover requires finite c, r0 > 0")
     K = c * r0 * r0
-    h_peak = K / 4.0
-
-    def log_w(h: float) -> float:
-        return -2.0 * math.log(h) - K / (2.0 * h)
-
-    if log_w(h_peak) < 0.0:
+    x = -K / 4.0
+    if x < -1.0 / math.e:
         return None
-    lo = h_peak
-    while log_w(lo) > 0.0:
-        lo /= 2.0
-    return float(brentq(log_w, lo, h_peak, xtol=1e-14, rtol=8.9e-16))
+    if x == -1.0 / math.e:  # the branch point, where lambertw returns nan
+        return K / 4.0
+    h = float(-K / (4.0 * lambertw(x, -1).real))
+    if not _finite_positive(h):
+        raise ValidationError(
+            f"crossover h for c r0^2 = {K:.3g} is not a positive float "
+            f"(got {h})")
+    return h

@@ -17,9 +17,11 @@ matrix. The face weight F_0 = 0 encodes the exact zero-flux condition at the
 coordinate singularity r = 0 (no ghost node, no explicit 1/(4r^2) term), and
 eigenvectors come out orthonormal in the discrete r dr inner product.
 
-Two scale conventions share the same assembly:
+Two scale conventions share the same assembly (and `fiber_potential`):
   'b':  kin = 1,   V = (m/r - b a(r))^2        eigenvalues of the b-scaled form
   'h':  kin = h^2, V = (h m / r - a(r))^2      semiclassical (-ih nabla - A)^2
+The complex-scaled fibers of `cscale` are FiberOperators of the 'h'
+convention with complex entries.
 
 The scheme is second order in dr; level-sweep routines refine eigenvalues by
 Richardson extrapolation over (N/2, N).
@@ -64,8 +66,9 @@ class RadialGrid:
         return np.arange(self.N + 1) * self.dr
 
     def halved(self) -> "RadialGrid":
-        if self.N % 2:
-            raise ValidationError("N must be even to halve the grid")
+        if self.N % 2 or self.N < 128:
+            raise ValidationError("refinement solves the N/2 grid too: "
+                                  "N must be even and at least 128")
         return RadialGrid(self.r_max, self.N // 2)
 
 
@@ -107,6 +110,10 @@ def smoothstep(r, r0: float, width: float):
 
 @dataclass(frozen=True, eq=False)
 class FiberOperator:
+    """Tridiagonal (diag, off) of the fiber at angular momentum m: real
+    symmetric from `assemble_fiber`, complex symmetric from
+    `cscale.assemble_scaled_fiber`."""
+
     m: int  # angular momentum
     scale: float  # field scale b, or h in the 'h' convention
     convention: str  # 'b' or 'h'
@@ -114,8 +121,6 @@ class FiberOperator:
     grid: RadialGrid
     diag: np.ndarray = field(repr=False)
     off: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)  # potential at nodes
-    kin: float  # kinetic coefficient (1 or h^2)
     profile: FieldProfile = field(repr=False, compare=False)
 
 
@@ -123,46 +128,39 @@ class FiberOperator:
 class EigenResult:
     values: np.ndarray  # ascending
     vectors: np.ndarray = field(repr=False)  # N x k, orthonormal in r dr
-    grid: RadialGrid
-    m: int
-    scale: float
-    convention: str
-    boundary: str
-    profile: FieldProfile = field(repr=False, compare=False)
+    op: FiberOperator = field(repr=False)  # the fiber they belong to
+
+
+def fiber_potential(m: int, scale: float, r, a, convention: str):
+    """The fiber potential at radii r where the field potential is a:
+    (m/r - scale a)^2 in the 'b' convention, (scale m/r - a)^2 in 'h'."""
+    if convention == "b":
+        return (m / r - scale * a) ** 2
+    return (scale * m / r - a) ** 2
 
 
 def assemble_fiber(profile: FieldProfile, m: int, scale: float,
                    grid: RadialGrid, boundary: str = "dirichlet_far",
-                   convention: str = "b", window: float | None = None
-                   ) -> FiberOperator:
+                   convention: str = "b") -> FiberOperator:
     """Symmetric tridiagonal fiber operator at angular momentum m.
 
-    window, if given, is the top of the spectral range the caller intends to
-    trust; the Dirichlet truncation is rejected unless the potential at r_max
-    exceeds it by the safety margin 10.
+    A field or potential that overflows gives non-finite entries, which
+    the eigensolvers report as a NumericalError; `check_ceiling`
+    certifies the Dirichlet truncation of a solved ladder.
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise ValidationError("scale must be > 0")
     if convention not in ("b", "h"):
         raise ValidationError("convention must be 'b' or 'h'")
     r = grid.nodes
-    a = np.asarray(profile.a(r), dtype=float)
-    if convention == "b":
-        kin = 1.0
-        V = (m / r - scale * a) ** 2
-    else:
-        kin = scale * scale
-        V = (scale * m / r - a) ** 2
-    if window is not None and boundary == "dirichlet_far":
-        if V[-1] < window + 10.0:
-            raise TruncationError(
-                f"potential at r_max is {V[-1]:.3g}, below the requested "
-                f"window {window:.3g} + 10; enlarge r_max")
-    w_faces = kin * grid.faces
-    diag, off = face_form(w_faces, r, grid.dr, V, boundary)
+    kin = 1.0 if convention == "b" else scale * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.asarray(profile.a(r), dtype=float)
+        V = fiber_potential(m, scale, r, a, convention)
+        diag, off = face_form(kin * grid.faces, r, grid.dr, V, boundary)
     return FiberOperator(m=m, scale=scale, convention=convention,
                          boundary=boundary, grid=grid, diag=diag, off=off,
-                         V=V, kin=kin, profile=profile)
+                         profile=profile)
 
 
 def _lowest(op: FiberOperator, k: int, eigvals_only: bool = False):
@@ -191,15 +189,12 @@ def eigs_lowest(op: FiberOperator, k: int) -> EigenResult:
         i = int(np.argmax(np.abs(u[:, j])))
         if u[i, j] < 0:
             u[:, j] = -u[:, j]
-    return EigenResult(values=vals, vectors=u, grid=op.grid, m=op.m,
-                       scale=op.scale, convention=op.convention,
-                       boundary=op.boundary, profile=op.profile)
+    return EigenResult(values=vals, vectors=u, op=op)
 
 
 def fiber_levels(profile: FieldProfile, m: int, scale: float,
                  grid: RadialGrid, k: int, boundary: str = "dirichlet_far",
-                 convention: str = "b", refine: bool = True,
-                 window: float | None = None) -> np.ndarray:
+                 convention: str = "b", refine: bool = True) -> np.ndarray:
     """k lowest fiber eigenvalues, Richardson-extrapolated over (N/2, N).
 
     The scheme is O(dr^2), so (4 lam_N - lam_{N/2}) / 3 removes the leading
@@ -210,12 +205,12 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
     if not 1 <= k < n_max:
         raise ValidationError(
             f"need 1 <= k < {n_max} on an N={grid.N} grid (refine={refine})")
-    op = assemble_fiber(profile, m, scale, grid, boundary, convention, window)
+    op = assemble_fiber(profile, m, scale, grid, boundary, convention)
     vals = _lowest(op, k, eigvals_only=True)
     if not refine:
         return vals
     oph = assemble_fiber(profile, m, scale, grid.halved(), boundary,
-                         convention, window)
+                         convention)
     vals_h = _lowest(oph, k, eigvals_only=True)
     return (4.0 * vals - vals_h) / 3.0
 
@@ -225,14 +220,13 @@ def default_m_range(n_max: int) -> range:
 
 
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
-                 k: int, boundary: str = "dirichlet_far", convention: str = "b",
-                 refine: bool = True, window: float | None = None):
-    """Per-sector lowest levels, merged ascending as (value, m, n) rows."""
+                 k: int, boundary: str = "dirichlet_far", convention: str = "b"):
+    """Per-sector lowest Richardson-refined levels, merged ascending as
+    (value, m, n) rows."""
     ms = list(m_range)
 
     def solve(m):
-        return fiber_levels(profile, m, scale, grid, k, boundary, convention,
-                            refine, window)
+        return fiber_levels(profile, m, scale, grid, k, boundary, convention)
     results = pmap(solve, ms)
     rows = [(float(lam), m, n)
             for m, vals in zip(ms, results) for n, lam in enumerate(vals)]
@@ -246,10 +240,8 @@ def check_ceiling(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
     sector in ms at least 10 above the top level it returns."""
     r_end = grid.nodes[-1]
     a_end = float(profile.a(r_end))
-    if convention == "b":
-        ceiling = min((m / r_end - scale * a_end) ** 2 for m in ms)
-    else:
-        ceiling = min((scale * m / r_end - a_end) ** 2 for m in ms)
+    ceiling = min(fiber_potential(m, scale, r_end, a_end, convention)
+                  for m in ms)
     if ceiling < top + 10.0:
         raise TruncationError(
             f"potential ceiling {ceiling:.3g} at r_max is below the top "
@@ -384,7 +376,7 @@ def verify_ah_decay(result: EigenResult, gamma: float, c0: float,
             f"c0 = {c0} is at or above the critical rate {critical:.4g}")
 
     def integral(res: EigenResult) -> float:
-        r = res.grid.nodes
+        r = res.op.grid.nodes
         f = res.vectors[:, 0]
         # inverse iteration tracks the true decay down to ~1e-40 and then
         # plateaus at solver noise; only the resolved prefix is meaningful,
@@ -431,11 +423,12 @@ def verify_island_decay(result: EigenResult, b: float, rho1: float) -> float:
     and K = int_0^inf (g'^2 + s^2 g^2) e^{s/2} ds for the layer profile
     g(s) = D_{-1/2}(sqrt(2) s) / D_{-1/2}(0); L = 25.56 at rho1 = 1.
     """
-    r = result.grid.nodes
+    op = result.op
+    r = op.grid.nodes
     f = result.vectors[:, 0]
     fp = np.gradient(f, r)
-    a = np.asarray(result.profile.a(r), dtype=float)
-    kin = fp * fp + (result.m / r - b * a) ** 2 * f * f
+    a = np.asarray(op.profile.a(r), dtype=float)
+    kin = fp * fp + fiber_potential(op.m, b, r, a, "b") * f * f
     weight = np.exp(0.5 * np.sqrt(b) * (r - rho1))
     mask = r > rho1
     rm = r[mask]

@@ -41,6 +41,7 @@ from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
 
 FLAT_TOL = 1e-6  # relative band variation below which minimization is ill-posed
 MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
+MAX_SCAN_STEPS = 2000  # widest band scan: a bracket of width 100
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,10 @@ def _band_minimum(params: StepParams, xi_bracket
     lo, hi = float(xi_bracket[0]), float(xi_bracket[1])
     span = hi - lo
     n_scan = round(span / 0.05) if math.isfinite(span / 0.05) else 0
-    if n_scan < 2:
-        raise ValidationError("xi_bracket must be a finite increasing "
-                              "interval of at least two scan steps (0.1)")
+    if not 2 <= n_scan <= MAX_SCAN_STEPS:
+        raise ValidationError(
+            f"xi_bracket must be a finite increasing interval of 2 to "
+            f"{MAX_SCAN_STEPS} scan steps of 0.05")
     table = band_table(params,
                        [lo + span * i / n_scan for i in range(n_scan + 1)])
     xs = [xi for xi, _ in table]

@@ -2,15 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import magres
 import magres.stepband as stepband
 from magres.cli import build_parser, main
 
@@ -104,7 +107,22 @@ def test_spectrum_overflowing_potential_is_numerical(config, extra, tmp_path,
                                                      capsys):
     path = tmp_path / "field.json"
     path.write_text(json.dumps(config))
-    assert main(["spectrum", "--field", str(path), *extra]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["spectrum", "--field", str(path), *extra]) == 3
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("m", ["0:0", "1:1"])
+def test_resonances_overflowing_scale_is_numerical(m, disk_config, capsys):
+    # h^2 and (h m - alpha)^2 overflow: a singular factorization, no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["resonances", "--field", str(disk_config),
+                     "--h", "1e300", "--m", m, "--grid-n", "480"]) == 3
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
 
@@ -116,27 +134,37 @@ _extreme = st.one_of(
     st.floats(min_value=1e-300, max_value=1e300))
 _kinds = {"constant_disk": ("r0",), "anharmonic": ("gamma",),
           "well_radial": ("b0",), "island_annular": ("rho1", "rho2")}
+_configs = st.sampled_from(sorted(_kinds)).flatmap(
+    lambda kind: st.fixed_dictionaries({
+        "kind": st.just(kind),
+        "params": st.fixed_dictionaries(
+            {name: _extreme for name in _kinds[kind]}),
+        "R0": _extreme}))
+_CONFINED = {"kind": "anharmonic", "params": {"gamma": 2}, "R0": 1.0}
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(sorted(_kinds)), data=st.data())
-def test_spectrum_field_fuzz_keeps_exit_contract(kind, data, tmp_path_factory):
+@example(config=_CONFINED)
+@given(config=_configs)
+def test_spectrum_field_fuzz_keeps_exit_contract(config, tmp_path_factory):
     """Field configs of extreme finite numbers and booleans exit 0, 2 or 3,
-    never 1, and print nothing unless they succeed."""
-    config = {"kind": kind,
-              "params": {name: data.draw(_extreme, label=name)
-                         for name in _kinds[kind]},
-              "R0": data.draw(_extreme, label="R0")}
+    never 1, and print nothing unless they succeed. The grid (N = 128, so
+    the N/2 refinement grid exists) holds a confined field's levels."""
     path = tmp_path_factory.mktemp("fuzz") / "field.json"
     path.write_text(json.dumps(config))
     out = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
-        warnings.simplefilter("ignore", RuntimeWarning)  # overflow is exit 3
-        rc = main(["spectrum", "--field", str(path), "--grid-n", "64",
-                   "--rmax", "2"])
+    with contextlib.redirect_stdout(out):
+        rc = main(["spectrum", "--field", str(path), "--grid-n", "128",
+                   "--rmax", "4"])
     assert rc in (0, 2, 3)
-    if rc != 0:
-        assert out.getvalue() == ""
+    lines = out.getvalue().splitlines()
+    if rc == 0:
+        assert lines[0] == "m,index,eigenvalue,b_or_h,gridN,r_max"
+        assert len(lines) == 4  # three levels of sector 0
+    else:
+        assert lines == []
+    if config == _CONFINED:
+        assert rc == 0
 
 
 def test_band_files_and_determinism(tmp_path):
@@ -204,10 +232,18 @@ def test_band_length_without_finite_grid_is_input_error(L, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_band_bad_bracket():
+def test_band_bad_bracket(monkeypatch):
     assert main(["band", "--a", "-0.5", "--bracket", "1.0"]) == 2
     # reversed, narrower than two scan steps, unbounded, overflowing
     for bracket in ("1,-1", "0,0.01", "-inf,1", "-1e307,1e307"):
+        assert main(["band", "--a", "-0.5", "--grid-n", "64",
+                     "--bracket=" + bracket]) == 2
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a bracket beyond the scan cap was solved")
+    monkeypatch.setattr(stepband, "_ground", no_solve)
+    # wider than MAX_SCAN_STEPS steps: rejected before any solve
+    for bracket in ("-200,0", "-1e300,1e300"):
         assert main(["band", "--a", "-0.5", "--grid-n", "64",
                      "--bracket=" + bracket]) == 2
 
@@ -319,6 +355,34 @@ def test_quasimode_non_finite_input_is_input_error(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("c", ["1e-320", "5e-324"])
+def test_quasimode_underflowing_crossover_is_input_error(c, capsys):
+    # the crossover h underflows to nan or 0 below the smallest float
+    assert main(["quasimode", "--tz-c", c]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+_BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--field", "x.json", f"--m={_BIG}:{_BIG}"],
+    ["resonances", "--field", "x.json", "--h", "0.2", f"--m=-{_BIG}:0"],
+    ["quasimode", "--m", _BIG],
+    ["quasimode", "--n", _BIG],
+    ["quasimode", "--m", str(-2 ** 53 - 1)],
+], ids=["spectrum-m", "resonances-m", "quasimode-m", "quasimode-n",
+        "quasimode-m-2pow53"])
+def test_integer_beyond_float_range_is_input_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "2**53" in captured.err
+
+
 @pytest.mark.parametrize("m", ["300", "2000"])
 def test_quasimode_high_sector_stays_finite(m, capsys):
     # formed apart, r^|m| overflows on this grid where e^{-b r^2/4} (and at
@@ -349,6 +413,17 @@ def test_compare_argument_rules():
     assert main(["compare", "--model", "island",
                  "--h", "0.1,0.05,0.025"]) == 2  # islands sweep --b
     assert main(["compare", "--model", "well", "--h", "0.1,0.05"]) == 2
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(magres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, magres.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():

@@ -68,6 +68,30 @@ def test_theta_zero_matches_real_fiber(disk_profile):
     assert np.max(np.abs(vals.imag)) <= 1e-10
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_scaled_fiber_is_the_real_fiber_inside_r1(disk_profile, m):
+    """Up to R1 the deformation is the identity: every entry whose nodes
+    and faces lie at or below R1 is the real 'h' fiber's, with imaginary
+    part exactly 0. The real parts agree to an ulp, not bit for bit:
+    numpy divides complex numbers by multiplying with the reciprocal."""
+    grid = RadialGrid(18.0, 600)
+    sp = scaling_profile(0.5, 1.5, 6.0)
+    op = assemble_scaled_fiber(disk_profile, m, 0.2, sp, grid)
+    real_op = assemble_fiber(disk_profile, m, 0.2, grid,
+                             boundary="dirichlet_far", convention="h")
+    assert (op.convention, op.boundary, op.scale) == ("h", "dirichlet_far",
+                                                      0.2)
+    n_in = int(np.sum(grid.faces <= sp.R1)) - 1  # nodes with both faces in
+    assert n_in > 10
+    np.testing.assert_array_max_ulp(op.diag[:n_in].real, real_op.diag[:n_in],
+                                    maxulp=1)
+    np.testing.assert_array_max_ulp(op.off[:n_in - 1].real,
+                                    real_op.off[:n_in - 1], maxulp=1)
+    assert not op.diag[:n_in].imag.any() and not op.off[:n_in - 1].imag.any()
+    # beyond R1 the deformation acts
+    assert op.diag[n_in:].imag.any()
+
+
 def test_assemble_guards(disk_profile):
     sp = scaling_profile(0.3, 1.5, 6.0)
     grid = RadialGrid(18.0, 600)

@@ -162,8 +162,7 @@ def test_generic_residual_anharmonic(anh_profile):
     prev = math.inf
     for b in bs:
         pair = eigs_lowest(assemble_fiber(anh_profile, 0, b, grid), 1)
-        res = generic_quasimode_residual(pair, 2.0, 0.2, anh_profile,
-                                         "anharmonic")
+        res = generic_quasimode_residual(pair, 2.0, 0.2, anh_profile)
         assert 0.0 < res < prev
         prev = res
         logs.append(math.log(res))
@@ -182,7 +181,7 @@ def test_generic_residual_island():
     for b in bs:
         op = assemble_fiber(iprof, 0, b, grid, boundary="neumann_far")
         pair = eigs_lowest(op, 1)
-        res = generic_quasimode_residual(pair, 1.4, 0.2, iprof, "island")
+        res = generic_quasimode_residual(pair, 1.4, 0.2, iprof)
         logs.append(math.log(res))
     roots = [math.sqrt(b) for b in bs]
     c1 = (logs[1] - logs[0]) / (roots[1] - roots[0])
@@ -196,8 +195,7 @@ def test_generic_residual_vanished_cutoff(anh_profile):
     solve: nothing left but the matrix-level noise floor."""
     pair = eigs_lowest(assemble_fiber(anh_profile, 0, 4.0,
                                       RadialGrid(8.0, 2000)), 1)
-    res = generic_quasimode_residual(pair, 5.0, 0.2, anh_profile,
-                                     "anharmonic")
+    res = generic_quasimode_residual(pair, 5.0, 0.2, anh_profile)
     assert res <= 1e-10
 
 
@@ -205,18 +203,16 @@ def test_generic_residual_validation(anh_profile):
     grid = RadialGrid(12.0, 3000)
     pair = eigs_lowest(assemble_fiber(anh_profile, 0, 4.0, grid), 1)
     with pytest.raises(ValidationError):
-        generic_quasimode_residual(pair, 2.0, 0.2, anh_profile, "landau")
+        generic_quasimode_residual(pair, 14.0, 0.2,
+                                   anh_profile)  # r0 outside source grid
     with pytest.raises(ValidationError):
-        generic_quasimode_residual(pair, 14.0, 0.2, anh_profile,
-                                   "anharmonic")  # r0 outside source grid
-    with pytest.raises(ValidationError):
-        generic_quasimode_residual(pair, 0.1, 0.2, anh_profile,
-                                   "anharmonic")  # shoulder under-resolved
+        generic_quasimode_residual(pair, 0.1, 0.2,
+                                   anh_profile)  # shoulder under-resolved
     iprof = make_profile(FieldSpec(kind="island_annular",
                                    params={"rho1": 1.0, "rho2": 1.5},
                                    R0=1.5))
-    with pytest.raises(ValidationError):
-        generic_quasimode_residual(pair, 2.0, 0.2, iprof, "island")
+    with pytest.raises(ValidationError, match="differs on"):
+        generic_quasimode_residual(pair, 2.0, 0.2, iprof)  # other field
 
 
 def test_tz_window_values():
@@ -254,12 +250,22 @@ def test_tz_window_sharpens():
 
 def test_tz_crossover():
     h_star = tz_crossover(0.2, 1.0)
-    assert h_star == pytest.approx(0.01111171536983885, rel=1e-10)
+    # the root of w(h) = 1 to 50 digits, 0.0111117153698388318...
+    assert h_star == pytest.approx(0.0111117153698388318, rel=4e-16)
     # at the crossover the half-width is exactly one; below it, informative
     assert tz_window(0.5, h_star, 0.2, 1.0).half_width == pytest.approx(
         1.0, rel=1e-10)
     assert tz_window(0.5, 0.9 * h_star, 0.2, 1.0).half_width < 1.0
     # peak already below 1: the window is informative at every h
     assert tz_crossover(60.0, 1.0) is None
+    # peak exactly 1 (c r0^2 = 4/e): the root is the peak, at the branch
+    # point of Lambert W
+    assert tz_crossover(4.0 / math.e, 1.0) == 1.0 / math.e
+    assert tz_window(0.5, 1.0 / math.e, 4.0 / math.e,
+                     1.0).half_width == pytest.approx(1.0, rel=1e-15)
+    # a root below the smallest float is an input error, not a zero
+    for c in (1e-320, 5e-324):
+        with pytest.raises(ValidationError):
+            tz_crossover(c, 1.0)
     with pytest.raises(ValidationError):
         tz_crossover(-0.2, 1.0)

@@ -7,7 +7,8 @@ from magres.errors import (DecayCheckError, NumericalError, TruncationError,
                            ValidationError)
 from magres.fields import FieldSpec, make_profile
 from magres.radial import (RadialGrid, anharmonic_levels, assemble_fiber,
-                           dirichlet_disk_levels, eigs_lowest, fiber_levels,
+                           check_ceiling, dirichlet_disk_levels, eigs_lowest,
+                           fiber_levels,
                            island_neumann_levels, sector_sweep,
                            verify_ah_decay, verify_island_decay, well_levels)
 
@@ -29,6 +30,8 @@ def test_grid_validation():
     assert g.halved().N == 64
     with pytest.raises(ValidationError):
         RadialGrid(10.0, 65).halved()  # odd N cannot halve
+    with pytest.raises(ValidationError, match="at least 128"):
+        RadialGrid(10.0, 64).halved()  # refinement needs N/2 >= 64
 
 
 def test_landau_plain_grid_invariant(disk_profile):
@@ -180,10 +183,9 @@ def test_island_zero_field_and_grid_guard():
 
 
 def test_window_truncation_guard(disk_profile):
-    """A spectral window must clear the potential ceiling at r_max."""
+    """A top level must clear the potential ceiling at r_max by 10."""
     with pytest.raises(TruncationError):
-        assemble_fiber(disk_profile, 0, 1.0, RadialGrid(40.0, 1000),
-                       window=50.0)
+        check_ceiling(disk_profile, 1.0, [0], RadialGrid(40.0, 1000), 50.0)
 
 
 @pytest.fixture(scope="module")

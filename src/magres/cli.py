@@ -30,6 +30,7 @@ from .cscale import Window, find_resonances
 from .levels import ExpansionParams, compare
 
 FMT = "{:.14e}"  # 15 significant digits, locale-independent
+COMPARE_GRID_N, COMPARE_RMAX = 3000, 12.0  # landau and anharmonic grid
 
 
 def _fmt(x: float) -> str:
@@ -82,6 +83,22 @@ def _window(text: str) -> Window:
     return Window(re_min=a, re_max=b, im_min=c, im_max=d)
 
 
+def _params(args, **extra) -> dict:
+    """The manifest's params: every parsed flag but --out, a sector range
+    as [lo, hi] and a window as its four numbers, then `extra`."""
+    params = {}
+    for key, value in vars(args).items():
+        if key in ("command", "func", "out", "_argv"):
+            continue
+        if isinstance(value, range):
+            value = [value.start, value.stop - 1]
+        elif isinstance(value, Window):
+            value = [value.re_min, value.re_max, value.im_min, value.im_max]
+        params[key] = value
+    params.update(extra)
+    return params
+
+
 def _emit(args, command: str, lines: list[str], params: dict,
           json_blobs: dict | None = None,
           diagnostics: dict | None = None) -> None:
@@ -132,22 +149,16 @@ def cmd_spectrum(args) -> int:
     for lam, m, n in sorted(rows, key=lambda t: (t[1], t[2])):
         lines.append(f"{m},{n},{_fmt(lam)},{_fmt(args.b)},"
                      f"{grid.N},{_fmt(grid.r_max)}")
-    params = {"field": str(args.field), "b": args.b, "levels": args.levels,
-              "m": [args.m.start, args.m.stop - 1],
-              "grid_n": args.grid_n, "rmax": args.rmax,
-              "field_spec": spec_config(spec)}
-    _emit(args, "spectrum", lines, params)
+    _emit(args, "spectrum", lines,
+          _params(args, field_spec=spec_config(spec)))
     return 0
 
 
 def cmd_band(args) -> int:
     if len(args.bracket) != 2:
         raise ValidationError("--bracket takes exactly two numbers LO,HI")
-    factor = 2 if args.resolution == "2x" else 1
-    params_obj = StepParams(a=args.a, L=args.L, N=args.grid_n * factor,
-                            validation_mode=True)
-    lo, hi = args.bracket
-    table, zeta, beta, sc = analyze_band(params_obj, (lo, hi))
+    params_obj = StepParams(a=args.a, L=args.L, N=args.grid_n)
+    table, zeta, beta, sc = analyze_band(params_obj, tuple(args.bracket))
     lines = ["a,xi,mu"]
     for xi, mu in table:
         lines.append(f"{_fmt(args.a)},{_fmt(xi)},{_fmt(mu)}")
@@ -159,15 +170,12 @@ def cmd_band(args) -> int:
     else:
         constants["note"] = ("validation-mode field strength: C1/C2 are "
                              "defined only for a in (-1, 0)")
-    params = {"a": args.a, "L": args.L, "grid_n": args.grid_n,
-              "resolution": args.resolution, "bracket": [lo, hi]}
-    _emit(args, "band", lines, params, json_blobs={"constants": constants})
+    _emit(args, "band", lines, _params(args),
+          json_blobs={"constants": constants})
     return 0
 
 
 def cmd_resonances(args) -> int:
-    if args.theta1 == args.theta2:
-        raise ValidationError("theta1 and theta2 must differ")
     spec = load_spec(args.field)
     profile = make_profile(spec)
     grid = RadialGrid(args.rmax, args.grid_n)
@@ -203,15 +211,8 @@ def cmd_resonances(args) -> int:
         r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot else 1.0
         lines.append(f"# fit_points={len(lowest)} logim_vs_invh_slope="
                      f"{_fmt(slope)} r2={_fmt(r2)}")
-    params = {"field": str(args.field), "h": list(args.h),
-              "theta": [args.theta1, args.theta2], "r1": args.r1,
-              "t0": args.t0, "grid_n": args.grid_n, "rmax": args.rmax,
-              "m": [args.m.start, args.m.stop - 1], "tol": args.tol,
-              "window": None if args.window is None else
-              [args.window.re_min, args.window.re_max,
-               args.window.im_min, args.window.im_max],
-              "field_spec": spec_config(spec)}
-    _emit(args, "resonances", lines, params,
+    _emit(args, "resonances", lines,
+          _params(args, field_spec=spec_config(spec)),
           diagnostics={"slices": slices})
     return 0
 
@@ -233,18 +234,14 @@ def cmd_quasimode(args) -> int:
         blobs = {"window": {"E": w.E, "h": w.h, "c": w.c, "r0": w.r0,
                             "half_width": w.half_width, "depth": w.depth,
                             "S": w.S, "R": w.R, "crossover_h": star}}
-    params = {"n": args.n, "m": args.m, "b": args.b, "r0": args.r0,
-              "delta": args.delta, "grid_n": args.grid_n, "rmax": args.rmax,
-              "tz_c": args.tz_c}
-    _emit(args, "quasimode", lines, params, json_blobs=blobs)
+    _emit(args, "quasimode", lines, _params(args), json_blobs=blobs)
     return 0
 
 
-def _compare_direct(args) -> tuple[list, list]:
-    """(direct rows, expansion params) for the chosen model and sweep."""
-    direct = []
-    expans = []
+def _compare_pairs(args) -> list:
+    """(expansion params, direct value) per sweep value of the model."""
     if args.model in ("landau", "anharmonic"):
+        grid = RadialGrid(args.rmax, args.grid_n)
         if args.model == "landau":
             extras = {}
             kind, params, R0 = "constant_disk", {"r0": args.rmax}, args.rmax
@@ -252,55 +249,49 @@ def _compare_direct(args) -> tuple[list, list]:
             extras = {"gamma": args.gamma,
                       "lambdas": tuple(anharmonic_levels(args.gamma, args.n))}
             kind, params, R0 = "anharmonic", {"gamma": args.gamma}, 1.0
-        grid = RadialGrid(args.rmax, args.grid_n)
         profile = make_profile(FieldSpec(kind, params, R0=R0))
-        for h in args.h:
-            vals = fiber_levels(profile, 0, h, grid, k=args.n + 1,
-                                convention="h")
-            direct.append((args.model, args.n, h, float(vals[args.n])))
-            expans.append(ExpansionParams(model=args.model, n=args.n, h=h,
-                                          **extras))
-    elif args.model == "well":
-        for h in args.h:
-            vals = well_levels(args.b0, h, args.n)
-            direct.append(("well", args.n, h, float(vals[args.n])))
-            expans.append(ExpansionParams(model="well", n=args.n, h=h,
-                                          b0=args.b0, detH=1.0, trSqrtH=2.0))
-    elif args.model == "island":
-        ells = tuple(float(x) for x in dirichlet_disk_levels(args.rho1, args.n))
-        for b in args.b:
-            h = 1.0 / b
-            vals = island_neumann_levels(args.rho1, args.rho2, b, args.n)
-            direct.append(("island", args.n, h,
-                           float(vals[args.n]) * h * h))
-            expans.append(ExpansionParams(model="island", n=args.n, h=h,
-                                          ells=ells))
-    else:
-        raise ValidationError(
-            f"no direct solver for model {args.model!r}: the step interface "
-            f"needs 2D geometry data this tool does not compute")
-    return direct, expans
+        return [(ExpansionParams(model=args.model, n=args.n, h=h, **extras),
+                 fiber_levels(profile, 0, h, grid, k=args.n + 1,
+                              convention="h")[args.n])
+                for h in args.h]
+    if args.model == "well":
+        return [(ExpansionParams(model="well", n=args.n, h=h, b0=args.b0,
+                                 detH=1.0, trSqrtH=2.0),
+                 well_levels(args.b0, h, args.n)[args.n])
+                for h in args.h]
+    ells = tuple(float(x) for x in dirichlet_disk_levels(args.rho1, args.n))
+    pairs = []
+    for b in args.b:
+        h = 1.0 / b
+        lam = island_neumann_levels(args.rho1, args.rho2, b, args.n)[args.n]
+        pairs.append((ExpansionParams(model="island", n=args.n, h=h,
+                                      ells=ells), float(lam) * h * h))
+    return pairs
 
 
 def cmd_compare(args) -> int:
-    if args.model == "island":
-        if args.b is None:
-            raise ValidationError("--b B1,B2,... is required for island")
-        if len(args.b) < 3:
-            raise ValidationError("need at least three field values")
-    else:
-        if args.h is None:
-            raise ValidationError("--h H1,H2,... is required for this model")
-        if len(args.h) < 3:
-            raise ValidationError("need at least three h values")
-    direct, expans = _compare_direct(args)
-    report = compare(direct, expans)
-    lines = list(report.csv_lines())
-    params = {"model": args.model, "n": args.n,
-              "h": args.h, "b": args.b, "gamma": args.gamma, "b0": args.b0,
-              "rho1": args.rho1, "rho2": args.rho2,
-              "grid_n": args.grid_n, "rmax": args.rmax}
-    _emit(args, "compare", lines, params)
+    if args.model == "step":
+        raise ValidationError(
+            "no direct solver for model 'step': the step interface needs 2D "
+            "geometry data this tool does not compute")
+    if args.model in ("landau", "anharmonic"):
+        if args.grid_n is None:
+            args.grid_n = COMPARE_GRID_N
+        if args.rmax is None:
+            args.rmax = COMPARE_RMAX
+    elif args.grid_n is not None or args.rmax is not None:
+        raise ValidationError(
+            "--grid-n and --rmax apply to landau and anharmonic only: the "
+            "well and island ladders solve on grids their model fixes")
+    flag = "--b" if args.model == "island" else "--h"
+    sweep = args.b if args.model == "island" else args.h
+    if sweep is None:
+        raise ValidationError(f"{flag} is required for model {args.model}")
+    if len(set(sweep)) < 3 or not all(0.0 < x < math.inf for x in sweep):
+        raise ValidationError(f"{flag} needs at least three distinct "
+                              f"values, each positive and finite")
+    report = compare(_compare_pairs(args))
+    _emit(args, "compare", list(report.csv_lines()), _params(args))
     return 0
 
 
@@ -311,12 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "with radial fields")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_n, rmax=None):
-        p.add_argument("--grid-n", type=_positive_int, default=grid_n,
-                       help=f"grid points (default {grid_n})")
+    def common(p, grid_n, rmax=None, scope=""):
+        """--grid-n, --rmax (unless rmax is None) and --out. Scoped grid
+        flags default to None, which the command resolves."""
+        p.add_argument("--grid-n", type=_positive_int,
+                       default=None if scope else grid_n,
+                       help=f"grid points{scope} (default {grid_n})")
         if rmax is not None:
-            p.add_argument("--rmax", type=float, default=rmax,
-                           help=f"truncation radius (default {rmax})")
+            p.add_argument("--rmax", type=float,
+                           default=None if scope else rmax,
+                           help=f"truncation radius{scope} (default {rmax})")
         p.add_argument("--out", default=None,
                        help="output CSV path (manifest written alongside); "
                             "stdout when omitted")
@@ -333,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("band", help="magnetic-step band constants")
     p.add_argument("--a", type=float, required=True,
-                   help="left field strength in [-1, 1]")
+                   help="left field strength in [-1, 0) or (0, 1]")
     p.add_argument("--L", type=float, default=12.0, help="half-length")
-    p.add_argument("--resolution", choices=["1x", "2x"], default="1x")
     p.add_argument("--bracket", type=_float_list, default=[-4.0, 1.0],
                    help="scan bracket LO,HI (default -4,1)")
     common(p, 4800)
@@ -383,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b0", type=float, default=1.0)
     p.add_argument("--rho1", type=float, default=1.0)
     p.add_argument("--rho2", type=float, default=1.5)
-    common(p, 3000, 12.0)
+    common(p, COMPARE_GRID_N, COMPARE_RMAX,
+           scope=", landau and anharmonic only")
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,8 +35,8 @@ from scipy.sparse import diags_array
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
 from .fields import FieldProfile
-from .radial import (FiberOperator, RadialGrid, assemble_fiber, face_form,
-                     fiber_potential, smoothstep)
+from .radial import (FiberOperator, RadialGrid, face_form, fiber_potential,
+                     smoothstep)
 
 THETA_MAX = 0.7  # largest scaling angle admitted (conditioning degrades beyond)
 IM_FLOOR = 1e-10  # |Im z| below this is a continuum/threshold artifact
@@ -49,8 +49,8 @@ class ScalingProfile:
 
     g is the quintic smoothstep on [R1, T0]: identity below R1 (no
     deformation near the field), full rotation e^{i theta} t beyond T0.
-    theta = 0 is admitted as the degenerate identity profile used to
-    cross-check the scaled assembly against the self-adjoint one.
+    theta = 0 is admitted as the degenerate identity profile, on which the
+    scaled assembly is the self-adjoint fiber to an ulp.
     """
 
     theta: float
@@ -73,11 +73,10 @@ class ScalingProfile:
             * (1.0 + 1j * self.theta * t * self.gp(t))
 
 
-def scaling_profile(theta: float, R1: float, T0: float,
-                    check_n: int = 4096) -> ScalingProfile:
+def scaling_profile(theta: float, R1: float, T0: float) -> ScalingProfile:
     """Validated scaling profile.
 
-    Checks on a dense grid of [0, 2 T0]: f is the identity below R1, the
+    Checks on 4096 points of [0, 2 T0]: f is the identity below R1, the
     full rotation beyond T0, 0 <= arg f <= theta, and f' never vanishes.
     """
     if not (0.0 <= theta <= THETA_MAX):
@@ -85,7 +84,7 @@ def scaling_profile(theta: float, R1: float, T0: float,
     if not (0.0 < R1 < T0):
         raise ValidationError("need 0 < R1 < T0")
     sp = ScalingProfile(theta=theta, R1=R1, T0=T0)
-    t = np.linspace(1e-9, 2.0 * T0, check_n)
+    t = np.linspace(1e-9, 2.0 * T0, 4096)
     ft = sp.f(t)
     inner = t <= R1
     if not np.array_equal(ft[inner], t[inner].astype(complex)):
@@ -112,16 +111,11 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     Requires the deformation to start beyond the field support (the
     potential under the ramp must already be the pure AB tail) and
     r_max >= 3 T0 so the rotated-contour decay has room. Up to R1 the
-    potential is the real fiber's `fiber_potential`. At theta = 0 the
-    assembly short-circuits to the real solver's code path, so the matrix
-    equals the self-adjoint fiber entry for entry.
+    potential is the real fiber's `fiber_potential`.
     """
     if h <= 0:
         raise ValidationError("h must be > 0")
-    if not math.isfinite(profile.R0):
-        raise ValidationError(
-            "complex scaling needs a compactly supported field (finite R0)")
-    if sp.R1 <= profile.R0:
+    if not sp.R1 > profile.R0:  # also a full-plane field, R0 = inf
         raise ValidationError(
             f"deformation region starts at R1 = {sp.R1} inside the field "
             f"support (R0 = {profile.R0}); the continued potential would be "
@@ -129,11 +123,6 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     if grid.r_max < 3.0 * sp.T0 * (1.0 - 1e-12):
         raise ValidationError(
             f"r_max = {grid.r_max} is below 3 T0 = {3.0 * sp.T0}")
-    if sp.theta == 0.0:
-        op = assemble_fiber(profile, m, h, grid, boundary="dirichlet_far",
-                            convention="h")
-        return replace(op, diag=op.diag.astype(complex),
-                       off=op.off.astype(complex))
     t = grid.nodes
     F = grid.faces
     V = np.empty(grid.N, dtype=complex)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 MODELS = ("landau", "anharmonic", "step", "well", "island")
 
@@ -129,34 +129,40 @@ class ComparisonReport:
                    f"{r.direct:.14e},{r.diff:.14e},{ratio},{obs}")
 
 
-def compare(direct, expansions) -> ComparisonReport:
+def compare(pairs) -> ComparisonReport:
     """Line up direct values against expansion values over an h sweep.
 
-    direct: iterable of (model, n, h, value) rows; expansions: matching
-    ExpansionParams. Each (model, n) group needs at least three h values so
-    the observed order (log-ratio fit of |difference| against h) means
-    something.
+    pairs: iterable of (ExpansionParams, direct value). Each (model, n)
+    group needs at least three distinct h so the observed order (log-ratio
+    fit of |difference| against h) means something. A difference, or an
+    h^expected_order, outside the float range is a NumericalError.
     """
-    table = {}
-    for model, n, h, value in direct:
-        table[(model, int(n), float(h))] = float(value)
     groups = {}
     rows = []
-    for p in expansions:
-        key = (p.model, p.n, p.h)
-        if key not in table:
-            raise ValidationError(
-                f"no direct value for (model={p.model}, n={p.n}, h={p.h})")
-        e = expansion_real_part(p)
-        d = table[key]
+    for p, value in pairs:
+        d = float(value)
+        order = EXPECTED_ORDER.get(p.model)
+        try:
+            e = expansion_real_part(p)
+            # csv_lines divides |diff| by h^order
+            finite = (math.isfinite(d - e)
+                      and (order is None or p.h ** order > 0.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise NumericalError(
+                f"{p.model} level {p.n} at h = {p.h:.6g} (direct value "
+                f"{d:.6g}): the expansion, the difference or h^order leaves "
+                f"the float range")
         rows.append((p.model, p.n, p.h, e, d, d - e))
         groups.setdefault((p.model, p.n), []).append((p.h, d - e))
     orders = {}
     for key, pts in groups.items():
-        if len(pts) < 3:
+        distinct = len({h for h, _ in pts})
+        if distinct < 3:
             raise ValidationError(
-                f"need at least three h values per (model, n); got "
-                f"{len(pts)} for {key}")
+                f"need at least three distinct h values per (model, n); got "
+                f"{distinct} for {key}")
         pts.sort(reverse=True)
         hs = np.array([h for h, _ in pts])
         ds = np.array([abs(d) for _, d in pts])

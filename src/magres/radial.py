@@ -194,21 +194,18 @@ def eigs_lowest(op: FiberOperator, k: int) -> EigenResult:
 
 def fiber_levels(profile: FieldProfile, m: int, scale: float,
                  grid: RadialGrid, k: int, boundary: str = "dirichlet_far",
-                 convention: str = "b", refine: bool = True) -> np.ndarray:
+                 convention: str = "b") -> np.ndarray:
     """k lowest fiber eigenvalues, Richardson-extrapolated over (N/2, N).
 
     The scheme is O(dr^2), so (4 lam_N - lam_{N/2}) / 3 removes the leading
-    error term. refine=False returns the plain N-grid values. k must stay
-    below the size of the coarsest grid solved: N/2 when refining, else N.
+    error term. k must stay below N/2, the size of the coarser grid; the
+    plain N-grid values are `eigs_lowest(assemble_fiber(...), k).values`.
     """
-    n_max = grid.N // 2 if refine else grid.N
-    if not 1 <= k < n_max:
+    if not 1 <= k < grid.N // 2:
         raise ValidationError(
-            f"need 1 <= k < {n_max} on an N={grid.N} grid (refine={refine})")
+            f"need 1 <= k < {grid.N // 2} on an N={grid.N} grid")
     op = assemble_fiber(profile, m, scale, grid, boundary, convention)
     vals = _lowest(op, k, eigvals_only=True)
-    if not refine:
-        return vals
     oph = assemble_fiber(profile, m, scale, grid.halved(), boundary,
                          convention)
     vals_h = _lowest(oph, k, eigvals_only=True)
@@ -248,12 +245,13 @@ def check_ceiling(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
             f"level {top:.3g} + 10; enlarge r_max")
 
 
-def _merged_ladder(profile: FieldProfile, scale: float, n_max: int, m_range,
+def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
                    grid: RadialGrid, boundary: str = "dirichlet_far",
-                   convention: str = "b", ceiling: bool = False) -> np.ndarray:
+                   convention: str = "b", ceiling: bool = False,
+                   m_range=None) -> np.ndarray:
     """The n_max + 1 lowest distinct levels merged over the sectors.
 
-    m_range defaults to default_m_range(n_max). Levels within a relative
+    m_range None means default_m_range(n_max). Levels within a relative
     1e-8 count once. Each ladder is certified: enough distinct levels, both
     edge sectors strictly above the returned top level and, when the far
     end is a truncation (ceiling=True), the potential ceiling.
@@ -280,7 +278,7 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int, m_range,
     return np.array(levels[: n_max + 1])
 
 
-def anharmonic_levels(gamma: float, n_max: int, m_range=None,
+def anharmonic_levels(gamma: float, n_max: int,
                       grid: RadialGrid | None = None) -> np.ndarray:
     """Anharmonic Landau levels: distinct low eigenvalues of the b=1
     full-plane operator with field |x|^gamma, merged over sectors."""
@@ -289,10 +287,10 @@ def anharmonic_levels(gamma: float, n_max: int, m_range=None,
     if grid is None:
         grid = RadialGrid(12.0, 3000)
     profile = make_profile(FieldSpec("anharmonic", {"gamma": gamma}, R0=1.0))
-    return _merged_ladder(profile, 1.0, n_max, m_range, grid, ceiling=True)
+    return _merged_ladder(profile, 1.0, n_max, grid, ceiling=True)
 
 
-def well_levels(b0: float, h: float, n_max: int, m_range=None,
+def well_levels(b0: float, h: float, n_max: int,
                 grid: RadialGrid | None = None) -> np.ndarray:
     """Distinct low eigenvalues of the semiclassical operator for
     B(r) = b0 + r^2, merged over sectors."""
@@ -303,13 +301,12 @@ def well_levels(b0: float, h: float, n_max: int, m_range=None,
     if grid is None:
         grid = RadialGrid(3.0, 3000)
     profile = make_profile(FieldSpec("well_radial", {"b0": b0}, R0=1.0))
-    return _merged_ladder(profile, h, n_max, m_range, grid, convention="h",
+    return _merged_ladder(profile, h, n_max, grid, convention="h",
                           ceiling=True)
 
 
 def island_neumann_levels(rho1: float, rho2: float, b: float, n_max: int,
-                          m_range=None, grid: RadialGrid | None = None
-                          ) -> np.ndarray:
+                          grid: RadialGrid | None = None) -> np.ndarray:
     """Strictly increasing eigenvalues of the magnetic Neumann Laplacian on
     the disk of radius rho2 with field 1 on [rho1, rho2] and 0 inside.
 
@@ -335,7 +332,7 @@ def island_neumann_levels(rho1: float, rho2: float, b: float, n_max: int,
         profile = make_profile(
             FieldSpec("island_annular", {"rho1": rho1, "rho2": rho2}, R0=rho2))
         scale = b
-    return _merged_ladder(profile, scale, n_max, m_range, grid,
+    return _merged_ladder(profile, scale, n_max, grid,
                           boundary="neumann_far")
 
 
@@ -350,8 +347,8 @@ def dirichlet_disk_levels(rho1: float, n_max: int,
     if abs(grid.r_max - rho1) > 1e-12 * rho1:
         raise ValidationError("disk grid must end exactly at rho1")
     m_hi = n_max + 2
-    out = _merged_ladder(zero_profile(R0=rho1), 1.0, n_max,
-                         range(-m_hi, m_hi + 1), grid)
+    out = _merged_ladder(zero_profile(R0=rho1), 1.0, n_max, grid,
+                         m_range=range(-m_hi, m_hi + 1))
     ref = np.sort(np.concatenate(
         [jn_zeros(nu, n_max + 1) ** 2 for nu in range(m_hi + 1)]))
     ref = ref[: n_max + 1] / (rho1 * rho1)

@@ -46,22 +46,14 @@ MAX_SCAN_STEPS = 2000  # widest band scan: a bracket of width 100
 
 @dataclass(frozen=True)
 class StepParams:
-    a: float  # left field strength, in [-1, 1]
+    a: float  # left field strength, in [-1, 0) or (0, 1]
     L: float = 12.0  # half-length of the truncated line
     N: int = 4800  # grid intervals on [-L, L]
-    validation_mode: bool = False  # admit a = -1 and a in (0, 1]
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and -1.0 <= self.a <= 1.0):
-            raise ValidationError("a must lie in [-1, 1]")
-        if not (-1.0 < self.a < 0.0):
-            if not self.validation_mode:
-                raise ValidationError(
-                    f"a = {self.a} is outside (-1, 0); pass "
-                    f"validation_mode=True to study this regime")
-            if not (self.a == -1.0 or 0.0 < self.a <= 1.0):
-                raise ValidationError(
-                    "validation mode admits only a = -1 or a in (0, 1]")
+        if not (-1.0 <= self.a <= 1.0 and self.a != 0.0):
+            raise ValidationError(
+                "a must lie in [-1, 0) or (0, 1]; a = 0 has no interface")
         if self.N < 64 or self.N % 4:
             raise ValidationError(
                 "N must be >= 64 and divisible by 4 (tau = 0 stays on a node "

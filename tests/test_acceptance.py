@@ -81,12 +81,12 @@ def test_criterion_02_anharmonic_scaling_law(anharmonic_profile):
 def test_criterion_03_step_band_constants():
     """Half-line limit hits the de Gennes point; constants are stable."""
     t0 = time.monotonic()
-    zeta, beta = minimize_band(StepParams(a=-1.0, validation_mode=True))
+    zeta, beta = minimize_band(StepParams(a=-1.0))
     theta0, xi0 = de_gennes_constant()
     assert beta == pytest.approx(theta0, abs=1e-4)
     assert zeta == pytest.approx(-xi0, abs=1e-3)
     with pytest.raises(FlatBandError):
-        minimize_band(StepParams(a=1.0, validation_mode=True))
+        minimize_band(StepParams(a=1.0))
     base = spectral_constants(StepParams(a=-0.5))
     fine = spectral_constants(StepParams(a=-0.5, N=9600))
     for name in ("beta", "zeta", "mu2", "phi0", "phi0p", "C1", "C2"):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magres
+import magres.cli as cli
 import magres.stepband as stepband
 from magres.cli import build_parser, main
 
@@ -44,7 +46,8 @@ def test_parser_rejects_malformed_arguments(disk_config):
                  ["resonances", "--field", "x.json", "--h", "a,b"],
                  ["resonances", "--field", "x.json", "--h", "0.2",
                   "--window", "1:2:3"],
-                 ["band"]):
+                 ["band"],
+                 ["band", "--a", "-0.5", "--resolution", "2x"]):
         with pytest.raises(SystemExit) as err:
             parser.parse_args(argv)
         assert err.value.code == 2
@@ -408,11 +411,104 @@ def test_compare_well_cli(tmp_path):
     assert 4.0 <= diffs[1] / diffs[2] <= 16.0
 
 
-def test_compare_argument_rules():
-    assert main(["compare", "--model", "step", "--h", "0.1,0.05,0.025"]) == 2
-    assert main(["compare", "--model", "island",
-                 "--h", "0.1,0.05,0.025"]) == 2  # islands sweep --b
-    assert main(["compare", "--model", "well", "--h", "0.1,0.05"]) == 2
+def test_compare_argument_rules(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an input error reached a solve")
+    for name in ("fiber_levels", "anharmonic_levels", "well_levels",
+                 "island_neumann_levels", "dirichlet_disk_levels"):
+        monkeypatch.setattr(cli, name, no_solve)
+    well, island = "--h=0.1,0.05,0.025", "--b=25,50,100"
+    for argv in (["--model", "step", well],
+                 ["--model", "island", well],  # islands sweep --b
+                 ["--model", "well", "--h=0.1,0.05"],
+                 ["--model", "well", "--h=0.1,0.05,0.05"],
+                 # h = 1/b: a field strength must be positive and finite
+                 *(["--model", "island", "--b=" + bs]
+                   for bs in ("0,1,2", "25,-50,100", "25,50,-0.0",
+                              "nan,25,50", "inf,25,50")),
+                 # the well and island ladders solve on grids their model
+                 # fixes
+                 *(["--model", model, sweep, flag]
+                   for model, sweep in (("well", well), ("island", island))
+                   for flag in ("--grid-n=64", "--rmax=0.5"))):
+        assert main(["compare", *argv]) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_manifest_params_are_the_parsed_flags(anh_config, disk_config,
+                                              tmp_path):
+    """Every flag but --out is recorded once, under its parser dest; a
+    field run adds the resolved field_spec."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    runs = {
+        "spectrum": ["--field", str(anh_config), "--levels", "1",
+                     "--grid-n", "800", "--rmax", "12"],
+        "band": ["--a", "-0.5", "--grid-n", "400", "--bracket=-2,0"],
+        "resonances": ["--field", str(disk_config), "--h", "0.25",
+                       "--grid-n", "480"],
+        "quasimode": ["--b", "16"],
+        "compare": ["--model", "landau", "--h", "0.1,0.05,0.025"],
+    }
+    assert set(runs) == set(subparsers)
+    for name, argv in runs.items():
+        out = tmp_path / name / "out.csv"
+        assert main([name, *argv, "--out", str(out)]) == 0
+        manifest = json.loads(
+            (out.parent / "out.csv.manifest.json").read_text())
+        dests = {a.dest for a in subparsers[name]._actions} - {"help", "out"}
+        assert set(manifest["params"]) - {"field_spec"} == dests, name
+    # compare records the grid it solved on, and none for the well
+    assert manifest["params"]["grid_n"] == 3000
+    assert manifest["params"]["rmax"] == 12.0
+    out = tmp_path / "well" / "out.csv"
+    assert main(["compare", "--model", "well", "--h", "0.1,0.05,0.025",
+                 "--out", str(out)]) == 0
+    params = json.loads(
+        (out.parent / "out.csv.manifest.json").read_text())["params"]
+    assert params["grid_n"] is None and params["rmax"] is None
+
+
+_sweep_values = st.sampled_from([0.0, -0.0, -0.1, math.nan, math.inf,
+                                 -math.inf, 1e300, 1e-300, 0.1, 0.05, 0.025,
+                                 25.0, 50.0])
+_README_SWEEP = [0.1, 0.05, 0.025]
+
+
+@settings(max_examples=80, deadline=None)
+@example(model="landau", n=0, sweep=_README_SWEEP)
+@example(model="island", n=0, sweep=[0.0, 1.0, 2.0])  # h = 1/b
+@example(model="landau", n=0, sweep=[0.1, 0.1, 0.1])  # no order to fit
+@example(model="island", n=0, sweep=[1e-300, 25.0, 50.0])  # h^2 overflows
+@example(model="well", n=0, sweep=[1e-300, 0.1, 0.05])  # h^3 underflows
+@given(model=st.sampled_from(["landau", "anharmonic", "well", "island"]),
+       n=st.sampled_from([-1, 0, 1]),
+       sweep=st.lists(_sweep_values, min_size=1, max_size=4))
+def test_compare_fuzz_keeps_exit_contract(model, n, sweep):
+    """Sweeps with zeros, negatives, repeats, nan, inf and extreme
+    magnitudes exit 0, 2 or 3, never 1, print nothing unless they succeed
+    and raise no warnings."""
+    flag = "--b=" if model == "island" else "--h="
+    argv = ["compare", "--model", model, f"--n={n}",
+            flag + ",".join(repr(x) for x in sweep)]
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert rc in (0, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    lines = out.getvalue().splitlines()
+    if rc == 0:
+        assert lines[0] == ("model,n,h,expansion,direct,diff,"
+                            "ratio_to_expected,observed_order")
+        assert len(lines) == 1 + len(sweep)
+    else:
+        assert lines == []
+    if model == "landau" and sweep == _README_SWEEP:
+        assert rc == 0
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,10 +106,9 @@ def test_compare_well_remainder():
     """Direct well levels against b0 h + (2n sqrt(det H) + (Tr sqrt H)^2)/b0
     h^2: the remainder shrinks by 4x to 16x per halving."""
     hs = [0.1, 0.05, 0.025]
-    direct = [("well", 0, h, FROZEN["well_e0"][h]) for h in hs]
-    exps = [ExpansionParams(model="well", n=0, h=h, b0=1.0, detH=1.0,
-                            trSqrtH=2.0) for h in hs]
-    rep = compare(direct, exps)
+    rep = compare((ExpansionParams(model="well", n=0, h=h, b0=1.0, detH=1.0,
+                                   trSqrtH=2.0), FROZEN["well_e0"][h])
+                  for h in hs)
     assert isinstance(rep, ComparisonReport)
     diffs = [abs(r.diff) for r in rep.rows]
     for d1, d2 in zip(diffs, diffs[1:]):
@@ -121,9 +121,8 @@ def test_compare_landau_vs_resonances():
     """Real parts of the disk resonances approach the Landau level h as h
     decreases, faster than linearly."""
     items = sorted(FROZEN["disk_resonances"].items(), reverse=True)
-    direct = [("landau", 0, h, z.real) for h, z in items]
-    exps = [ExpansionParams(model="landau", n=0, h=h) for h, _ in items]
-    rep = compare(direct, exps)
+    rep = compare((ExpansionParams(model="landau", n=0, h=h), z.real)
+                  for h, z in items)
     diffs = [abs(r.diff) for r in rep.rows]
     assert diffs[0] > diffs[1] > diffs[2]
     assert rep.orders[("landau", 0)] > 1.0
@@ -137,12 +136,10 @@ def test_compare_anharmonic_identity():
     grid = RadialGrid(12.0, 3000)
     lam = tuple(FROZEN["anharmonic_gamma2_ladder"])
     hs = [0.5, 0.25, 0.125]
-    direct = [("anharmonic", 0, h,
-               h * h * fiber_levels(aprof, 0, 1.0 / h, grid, 1)[0])
-              for h in hs]
-    exps = [ExpansionParams(model="anharmonic", n=0, h=h, gamma=2.0,
-                            lambdas=lam) for h in hs]
-    rep = compare(direct, exps)
+    rep = compare((ExpansionParams(model="anharmonic", n=0, h=h, gamma=2.0,
+                                   lambdas=lam),
+                   h * h * fiber_levels(aprof, 0, 1.0 / h, grid, 1)[0])
+                  for h in hs)
     for r in rep.rows:
         assert abs(r.diff) <= 1e-8
 
@@ -151,11 +148,9 @@ def test_compare_island_remainder():
     """ell_0 h^2 with the Dirichlet-disk ell_0: remainder is o(h^2), i.e.
     the remainder-to-h^2 ratio falls while the fitted order exceeds 2."""
     bs = [25, 50, 100, 200]
-    direct = [("island", 0, 1.0 / b, FROZEN["island_lowest"][b] / b ** 2)
-              for b in bs]
-    exps = [ExpansionParams(model="island", n=0, h=1.0 / b,
-                            ells=(FROZEN["bessel_l0"],)) for b in bs]
-    rep = compare(direct, exps)
+    rep = compare((ExpansionParams(model="island", n=0, h=1.0 / b,
+                                   ells=(FROZEN["bessel_l0"],)),
+                   FROZEN["island_lowest"][b] / b ** 2) for b in bs)
     ratios = [abs(r.diff) / r.h ** 2 for r in rep.rows]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
     assert rep.orders[("island", 0)] > 2.0
@@ -168,25 +163,31 @@ def test_compare_island_remainder():
 
 
 def test_compare_requires_three_h():
-    direct = [("landau", 0, h, h) for h in (0.2, 0.1)]
-    exps = [ExpansionParams(model="landau", n=0, h=h) for h in (0.2, 0.1)]
     with pytest.raises(ValidationError):
-        compare(direct, exps)
+        compare((ExpansionParams(model="landau", n=0, h=h), h)
+                for h in (0.2, 0.1))
 
 
-def test_compare_missing_direct():
-    exps = [ExpansionParams(model="landau", n=0, h=h)
-            for h in (0.2, 0.1, 0.05)]
-    with pytest.raises(ValidationError):
-        compare([("landau", 0, 0.2, 0.2)], exps)
+def test_compare_requires_three_distinct_h():
+    # three identical points fit no order: numpy's rank-deficient fit only
+    # warned and reported a slope
+    for hs in ((0.1, 0.1, 0.1), (0.2, 0.1, 0.1, 0.2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="distinct"):
+                compare((ExpansionParams(model="landau", n=0, h=h), 1.1 * h)
+                        for h in hs)
+    rep = compare((ExpansionParams(model="landau", n=0, h=h), 1.1 * h)
+                  for h in (0.2, 0.1, 0.1, 0.05))
+    assert len(rep.rows) == 4
+    assert rep.orders[("landau", 0)] == pytest.approx(1.0)
 
 
 def test_compare_exact_match_has_no_order():
     # differences at exactly zero cannot support a log fit
     hs = (0.2, 0.1, 0.05)
-    direct = [("landau", 1, h, 3.0 * h) for h in hs]
-    exps = [ExpansionParams(model="landau", n=1, h=h) for h in hs]
-    rep = compare(direct, exps)
+    rep = compare((ExpansionParams(model="landau", n=1, h=h), 3.0 * h)
+                  for h in hs)
     assert rep.orders[("landau", 1)] is None
     assert all(r.observed_order is None for r in rep.rows)
     assert all(r.diff == 0.0 for r in rep.rows)

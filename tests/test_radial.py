@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import magres.radial as radial
 from magres.errors import (DecayCheckError, NumericalError, TruncationError,
                            ValidationError)
 from magres.fields import FieldSpec, make_profile
@@ -41,7 +42,7 @@ def test_landau_plain_grid_invariant(disk_profile):
     grid = RadialGrid(20.0, 2000)
     tol = 10.0 * grid.dr ** 2
     for m in (-2, 0, 3):
-        vals = fiber_levels(prof, m, 1.0, grid, 3, refine=False)
+        vals = eigs_lowest(assemble_fiber(prof, m, 1.0, grid), 3).values
         for lam in vals:
             nearest = 2 * round((lam - 1) / 2) + 1
             assert abs(lam - nearest) < tol
@@ -86,16 +87,17 @@ def test_eigenvectors_orthonormal_weighted(anharmonic_profile):
 
 def test_minmax_monotonicity(anharmonic_profile):
     """Enlarging the Dirichlet box never raises eigenvalues (beyond noise)."""
-    lam_small = fiber_levels(anharmonic_profile, 0, 1.0,
-                             RadialGrid(8.0, 1000), 3, refine=False)
-    lam_big = fiber_levels(anharmonic_profile, 0, 1.0,
-                           RadialGrid(16.0, 2000), 3, refine=False)
+    lam_small = eigs_lowest(assemble_fiber(anharmonic_profile, 0, 1.0,
+                                           RadialGrid(8.0, 1000)), 3).values
+    lam_big = eigs_lowest(assemble_fiber(anharmonic_profile, 0, 1.0,
+                                         RadialGrid(16.0, 2000)), 3).values
     assert np.all(lam_big <= lam_small + 1e-10)
 
 
 def test_self_convergence_order(anharmonic_profile):
-    vals = [fiber_levels(anharmonic_profile, 0, 1.0, RadialGrid(12.0, n),
-                         1, refine=False)[0] for n in (800, 1600, 3200)]
+    vals = [eigs_lowest(assemble_fiber(anharmonic_profile, 0, 1.0,
+                                       RadialGrid(12.0, n)), 1).values[0]
+            for n in (800, 1600, 3200)]
     assert richardson_order(*vals) >= 1.9
 
 
@@ -103,11 +105,9 @@ def test_fiber_levels_count_guard(anharmonic_profile):
     # refinement also solves the halved grid, so k must stay below N/2
     grid = RadialGrid(12.0, 128)
     assert fiber_levels(anharmonic_profile, 0, 1.0, grid, 63).size == 63
-    assert fiber_levels(anharmonic_profile, 0, 1.0, grid, 64,
-                        refine=False).size == 64
-    for k, refine in ((64, True), (128, False), (0, True)):
+    for k in (64, 0):
         with pytest.raises(ValidationError):
-            fiber_levels(anharmonic_profile, 0, 1.0, grid, k, refine=refine)
+            fiber_levels(anharmonic_profile, 0, 1.0, grid, k)
 
 
 def test_dirichlet_disk_vs_series_oracle():
@@ -140,18 +140,20 @@ def test_anharmonic_scaling_covariance(gamma):
             b ** (2.0 / (2.0 + gamma)) * base, abs=1e-7)
 
 
-def test_anharmonic_guards():
+def test_anharmonic_guards(monkeypatch):
     with pytest.raises(ValidationError):
         anharmonic_levels(0.0, 1)
     # single-sector range cannot certify completeness of the merged ladder
+    monkeypatch.setattr(radial, "default_m_range", lambda n_max: range(0, 1))
     with pytest.raises((NumericalError, TruncationError)):
-        anharmonic_levels(2.0, 2, m_range=[0])
+        anharmonic_levels(2.0, 2)
 
 
-def test_well_levels_m_edge_guard():
+def test_well_levels_m_edge_guard(monkeypatch):
     # the well ladder is certified like every merged ladder
+    monkeypatch.setattr(radial, "default_m_range", lambda n_max: range(0, 1))
     with pytest.raises(NumericalError, match="m-range truncation"):
-        well_levels(1.0, 0.1, 1, m_range=[0])
+        well_levels(1.0, 0.1, 1)
 
 
 def test_well_levels_frozen():

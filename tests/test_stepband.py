@@ -15,17 +15,13 @@ from oracles import de_gennes_constant, step_band_mu
 
 
 def test_params_validation():
-    StepParams(a=-0.5)  # supported range (-1, 0) needs no opt-in
+    for a in (-0.5, -1.0, 0.5, 1.0):  # a in [-1, 0) or (0, 1]
+        StepParams(a=a)
     with pytest.raises(ValidationError):
-        StepParams(a=-1.0)  # boundary case requires validation_mode
-    StepParams(a=-1.0, validation_mode=True)
-    with pytest.raises(ValidationError):
-        StepParams(a=0.5)
-    StepParams(a=0.5, validation_mode=True)
-    with pytest.raises(ValidationError):
-        StepParams(a=0.0, validation_mode=True)  # no interface at all
-    with pytest.raises(ValidationError):
-        StepParams(a=-1.5, validation_mode=True)
+        StepParams(a=0.0)  # no interface at all
+    for a in (-1.5, 1.5, float("nan")):
+        with pytest.raises(ValidationError):
+            StepParams(a=a)
     with pytest.raises(ValidationError):
         StepParams(a=-0.5, N=4802)  # N must be divisible by 4
     with pytest.raises(ValidationError):
@@ -45,7 +41,7 @@ def test_tau_grid_has_exact_zero():
 
 
 def test_band_value_structure():
-    p = StepParams(a=-1.0, validation_mode=True)
+    p = StepParams(a=-1.0)
     s = band_value(p, FROZEN["step_minus1"]["zeta"])
     assert isinstance(s, BandSample)
     assert s.mu == pytest.approx(FROZEN["step_minus1"]["beta"], abs=1e-7)
@@ -59,10 +55,8 @@ def test_band_value_structure():
 def test_band_value_stable_under_longer_line():
     """Doubling margin: mu moves < 1e-8 when L grows by 2 at fixed step."""
     z = FROZEN["step_minus1"]["zeta"]
-    m12 = band_value(StepParams(a=-1.0, L=12.0, N=4800,
-                                validation_mode=True), z).mu
-    m14 = band_value(StepParams(a=-1.0, L=14.0, N=5600,
-                                validation_mode=True), z).mu
+    m12 = band_value(StepParams(a=-1.0, L=12.0, N=4800), z).mu
+    m14 = band_value(StepParams(a=-1.0, L=14.0, N=5600), z).mu
     assert abs(m12 - m14) < 1e-8
 
 
@@ -97,11 +91,11 @@ def test_refined_mu_matches_mrrr(a, key):
     """Inverse iteration against LAPACK's MRRR on the same grid: the whole
     default 101-point scan at N = 1600 (scipy's stemr wrapper allocates an
     n x n array per call) and the minimizer at N = 4800."""
-    p = StepParams(a=a, N=1600, validation_mode=True)
+    p = StepParams(a=a, N=1600)
     for xi, mu in band_table(p, [-4.0 + 0.05 * i for i in range(101)]):
         assert abs(mu - step_band_mu(a, xi, N=1600)) < 1e-12
     z = FROZEN[key]["zeta"]
-    mu = band_value(StepParams(a=a, validation_mode=True), z).mu
+    mu = band_value(StepParams(a=a), z).mu
     assert abs(mu - step_band_mu(a, z)) < 1e-12
 
 
@@ -177,7 +171,7 @@ def test_hellmann_feynman_slope_matches_difference(xi):
 def test_minimize_band_de_gennes_vs_oracle():
     """a = -1 recovers the half-line Neumann constants; the oracle is a
     node-centered ghost-point scheme, nothing shared with the solver."""
-    zeta, beta = minimize_band(StepParams(a=-1.0, validation_mode=True))
+    zeta, beta = minimize_band(StepParams(a=-1.0))
     theta0, xi0 = de_gennes_constant()
     assert beta == pytest.approx(theta0, abs=1e-4)
     assert zeta == pytest.approx(-xi0, abs=1e-3)
@@ -187,10 +181,10 @@ def test_minimize_band_de_gennes_vs_oracle():
 
 def test_minimize_band_error_paths():
     with pytest.raises(FlatBandError):
-        minimize_band(StepParams(a=1.0, validation_mode=True))
+        minimize_band(StepParams(a=1.0))
     # for 0 < a < 1 the band decreases toward -inf: endpoint minimum
     with pytest.raises(ValidationError):
-        minimize_band(StepParams(a=0.5, validation_mode=True))
+        minimize_band(StepParams(a=0.5))
     with pytest.raises(ValidationError):
         minimize_band(StepParams(a=-0.5), xi_bracket=(1.0, -1.0))
     assert issubclass(MultipleMinimaError, NumericalError)
@@ -201,7 +195,7 @@ def test_second_derivative():
     d2 = band_second_derivative(p, FROZEN["step_minus05"]["zeta"])
     assert d2 == pytest.approx(FROZEN["step_minus05"]["mu2"], rel=1e-3)
     with pytest.raises(NumericalError):
-        band_second_derivative(StepParams(a=1.0, validation_mode=True), 0.0)
+        band_second_derivative(StepParams(a=1.0), 0.0)
 
 
 def test_second_derivative_converged():
@@ -232,9 +226,9 @@ def test_spectral_constants_frozen(key, params):
 
 def test_spectral_constants_domain():
     with pytest.raises(ValidationError):
-        spectral_constants(StepParams(a=-1.0, validation_mode=True))
+        spectral_constants(StepParams(a=-1.0))
     with pytest.raises(ValidationError):
-        spectral_constants(StepParams(a=0.5, validation_mode=True))
+        spectral_constants(StepParams(a=0.5))
 
 
 def test_spectral_constants_shape():

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile, spec_config
-from .radial import (RadialGrid, anharmonic_levels, check_ceiling,
+from .radial import (RadialGrid, _anharmonic_ladder, check_ceiling,
                      dirichlet_disk_levels, fiber_levels,
                      island_neumann_levels, sector_sweep, well_levels)
 from .stepband import StepParams, analyze_band
@@ -168,8 +168,8 @@ def cmd_band(args) -> int:
         constants.update({"mu2": sc.mu2, "phi0": sc.phi0, "phi0p": sc.phi0p,
                           "C1": sc.C1, "C2": sc.C2})
     else:
-        constants["note"] = ("validation-mode field strength: C1/C2 are "
-                             "defined only for a in (-1, 0)")
+        constants["note"] = ("no interface constants at this a: C1/C2 "
+                             "are defined only for a in (-1, 0)")
     _emit(args, "band", lines, _params(args),
           json_blobs={"constants": constants})
     return 0
@@ -243,16 +243,17 @@ def _compare_pairs(args) -> list:
     if args.model in ("landau", "anharmonic"):
         grid = RadialGrid(args.rmax, args.grid_n)
         if args.model == "landau":
-            extras = {}
+            extras, (m, k) = {}, (0, args.n)
             kind, params, R0 = "constant_disk", {"r0": args.rmax}, args.rmax
-        else:
-            extras = {"gamma": args.gamma,
-                      "lambdas": tuple(anharmonic_levels(args.gamma, args.n))}
+        else:  # level n of sector m and index k there is Lambda_n
+            lambdas, homes = _anharmonic_ladder(args.gamma, args.n)
+            extras = {"gamma": args.gamma, "lambdas": tuple(lambdas)}
+            m, k = homes[args.n]
             kind, params, R0 = "anharmonic", {"gamma": args.gamma}, 1.0
         profile = make_profile(FieldSpec(kind, params, R0=R0))
         return [(ExpansionParams(model=args.model, n=args.n, h=h, **extras),
-                 fiber_levels(profile, 0, h, grid, k=args.n + 1,
-                              convention="h")[args.n])
+                 fiber_levels(profile, m, h, grid, k=k + 1,
+                              convention="h")[k])
                 for h in args.h]
     if args.model == "well":
         return [(ExpansionParams(model="well", n=args.n, h=h, b0=args.b0,

@@ -23,9 +23,12 @@ parameters with their sign rules, and the map from parameters to pieces.
 
 Bit-identity rule: r^{p+2} is evaluated as r^{p+1} * r (pow(x, 2.0) and
 x * x differ in the last bit for about 0.1% of x), and a piece from r = 0
-as sum_k c_k r^{p_k+1} / (p_k+2), without the 1/r. So a(r) and alpha equal
-the kinds' earlier hand-written closed forms bit for bit. Closed forms (no
-runtime quadrature) keep the complex continuation of the tail exact.
+as sum_k c_k r^{p_k+1} / (p_k+2), without the 1/r. A p = 0 term forms
+r^2 - r_j^2 as (r - r_j)(r + r_j): the difference of squares loses the flux
+of a thin annulus to cancellation, and a piece from zero keeps its bits.
+So a(r) and alpha equal the closed forms of the kinds bit for bit. Closed
+forms (no runtime quadrature) keep the complex continuation of the tail
+exact.
 """
 
 from __future__ import annotations
@@ -116,8 +119,10 @@ class FieldProfile:
 
 
 def _integral(r, lo: float, terms) -> object:
-    """sum_k c_k (r^{p_k+2} - lo^{p_k+2}) / (p_k+2), x^{p+2} as x^{p+1} * x."""
-    return sum(c * (r ** (p + 1.0) * r - lo ** (p + 1.0) * lo) / (p + 2.0)
+    """sum_k c_k (r^{p_k+2} - lo^{p_k+2}) / (p_k+2), x^{p+2} as x^{p+1} * x
+    and r^2 - lo^2 as (r - lo)(r + lo), which keeps a thin annulus's flux."""
+    return sum(c * ((r - lo) * (r + lo) if p == 0.0
+                    else r ** (p + 1.0) * r - lo ** (p + 1.0) * lo) / (p + 2.0)
                for c, p in terms)
 
 

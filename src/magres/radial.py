@@ -41,6 +41,9 @@ from .errors import (DecayCheckError, NumericalError, TruncationError,
                      ValidationError)
 from .fields import FieldProfile, make_profile, zero_profile, FieldSpec
 
+MAX_GRID_N = 10 ** 6  # largest grid of any solver (radial and step band)
+LADDER_N = 3000  # nodes of every ladder grid
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -50,8 +53,8 @@ class RadialGrid:
     def __post_init__(self):
         if not (self.r_max > 0 and math.isfinite(self.r_max)):
             raise ValidationError("r_max must be positive and finite")
-        if self.N < 64:
-            raise ValidationError("N must be at least 64")
+        if not 64 <= self.N <= MAX_GRID_N:
+            raise ValidationError(f"N must lie in 64..{MAX_GRID_N}")
 
     @property
     def dr(self) -> float:
@@ -80,19 +83,11 @@ def face_form(w_faces, mass, dr, V, boundary):
     Dirichlet value at the last face (mirror ghost: weight doubled) or a
     natural/Neumann end (last face free).
     """
-    diag = (w_faces[:-1] + w_faces[1:]) / (mass * dr * dr) + V
-    if boundary == "dirichlet_far":
-        diag = np.concatenate([
-            diag[:-1],
-            [(w_faces[-2] + 2.0 * w_faces[-1]) / (mass[-1] * dr * dr) + V[-1]],
-        ])
-    elif boundary == "neumann_far":
-        diag = np.concatenate([
-            diag[:-1],
-            [w_faces[-2] / (mass[-1] * dr * dr) + V[-1]],
-        ])
-    else:
+    far = {"dirichlet_far": 2.0, "neumann_far": 0.0}.get(boundary)
+    if far is None:
         raise ValidationError(f"unknown boundary {boundary!r}")
+    w_right = np.concatenate([w_faces[1:-1], [far * w_faces[-1]]])
+    diag = (w_faces[:-1] + w_right) / (mass * dr * dr) + V
     # per-factor roots: safe for complex mass (product args can leave the
     # principal branch at large scaling angles)
     off = -w_faces[1:-1] / (dr * dr * np.sqrt(mass[:-1]) * np.sqrt(mass[1:]))
@@ -216,6 +211,13 @@ def default_m_range(n_max: int) -> range:
     return range(-2 * n_max - 8, 2 * n_max + 9)
 
 
+def _check_index(n_max: int) -> None:
+    # fiber_levels also solves the N/2 grid: n_max + 1 levels need < N/2
+    if not 0 <= n_max < LADDER_N // 2 - 1:
+        raise ValidationError(f"level index must lie in 0..{LADDER_N // 2 - 2}"
+                              f" on the N={LADDER_N} ladder grid")
+
+
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
                  k: int, boundary: str = "dirichlet_far", convention: str = "b"):
     """Per-sector lowest Richardson-refined levels, merged ascending as
@@ -246,69 +248,74 @@ def check_ceiling(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
 
 
 def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
-                   grid: RadialGrid, boundary: str = "dirichlet_far",
-                   convention: str = "b", ceiling: bool = False,
-                   m_range=None) -> np.ndarray:
-    """The n_max + 1 lowest distinct levels merged over the sectors.
+                   r_max: float, boundary: str = "dirichlet_far",
+                   convention: str = "b") -> tuple:
+    """The n_max + 1 lowest distinct levels merged over the sectors of
+    default_m_range(n_max) on RadialGrid(r_max, LADDER_N), and the
+    (m, k) of each: its sector and its index there.
 
-    m_range None means default_m_range(n_max). Levels within a relative
-    1e-8 count once. Each ladder is certified: enough distinct levels, both
-    edge sectors strictly above the returned top level and, when the far
-    end is a truncation (ceiling=True), the potential ceiling.
+    Levels within a relative 1e-8 count once. Each ladder is certified:
+    enough distinct levels, both edge sectors strictly above the returned
+    top level and, when the far end is a Dirichlet truncation (a Neumann
+    far end is the problem's own wall), the potential ceiling.
     """
-    ms = list(default_m_range(n_max) if m_range is None else m_range)
+    _check_index(n_max)
+    grid = RadialGrid(r_max, LADDER_N)
+    ms = list(default_m_range(n_max))
     rows = sector_sweep(profile, scale, ms, grid, k=n_max + 1,
                         boundary=boundary, convention=convention)
-    levels = []
-    for lam, _, _ in rows:
+    levels, homes = [], []
+    for lam, m, k in rows:
         if not levels or abs(lam - levels[-1]) > 1e-8 * (1 + abs(levels[-1])):
             levels.append(lam)
+            homes.append((m, k))
     if len(levels) < n_max + 1:
-        raise NumericalError("not enough distinct levels; widen m_range")
+        raise NumericalError(f"fewer than {n_max + 1} distinct levels")
     top = levels[n_max]
-    for m_edge in (min(ms), max(ms)):
-        lowest = min(lam for lam, m, n in rows if m == m_edge)
+    for m_edge in (ms[0], ms[-1]):
+        lowest = min(lam for lam, m, _ in rows if m == m_edge)
         if lowest <= top * (1.0 + 1e-10):
             raise NumericalError(
                 f"m-range truncation unsafe: sector m={m_edge} has an "
-                f"eigenvalue {lowest:.6g} at or below the requested top level "
-                f"{top:.6g}; widen m_range")
-    if ceiling:
+                f"eigenvalue {lowest:.6g} at or below level {n_max} "
+                f"({top:.6g}) of sectors m = {ms[0]}..{ms[-1]}")
+    if boundary == "dirichlet_far":
         check_ceiling(profile, scale, ms, grid, top, convention)
-    return np.array(levels[: n_max + 1])
+    return np.array(levels[: n_max + 1]), homes[: n_max + 1]
 
 
-def anharmonic_levels(gamma: float, n_max: int,
-                      grid: RadialGrid | None = None) -> np.ndarray:
-    """Anharmonic Landau levels: distinct low eigenvalues of the b=1
-    full-plane operator with field |x|^gamma, merged over sectors."""
+def _anharmonic_ladder(gamma: float, n_max: int) -> tuple:
+    """`anharmonic_levels` with the (m, k) home of each level."""
     if gamma <= 0:
         raise ValidationError("gamma must be > 0")
-    if grid is None:
-        grid = RadialGrid(12.0, 3000)
     profile = make_profile(FieldSpec("anharmonic", {"gamma": gamma}, R0=1.0))
-    return _merged_ladder(profile, 1.0, n_max, grid, ceiling=True)
+    return _merged_ladder(profile, 1.0, n_max, 12.0)
 
 
-def well_levels(b0: float, h: float, n_max: int,
-                grid: RadialGrid | None = None) -> np.ndarray:
+def anharmonic_levels(gamma: float, n_max: int) -> np.ndarray:
+    """Anharmonic Landau levels: distinct low eigenvalues of the b=1
+    full-plane operator with field |x|^gamma, merged over sectors, on the
+    ladder grid truncated at r_max = 12."""
+    return _anharmonic_ladder(gamma, n_max)[0]
+
+
+def well_levels(b0: float, h: float, n_max: int) -> np.ndarray:
     """Distinct low eigenvalues of the semiclassical operator for
-    B(r) = b0 + r^2, merged over sectors."""
+    B(r) = b0 + r^2, merged over sectors, on the ladder grid truncated at
+    r_max = 3."""
     if b0 <= 0:
         raise ValidationError("b0 must be > 0")
     if h <= 0:
         raise ValidationError("h must be > 0")
-    if grid is None:
-        grid = RadialGrid(3.0, 3000)
     profile = make_profile(FieldSpec("well_radial", {"b0": b0}, R0=1.0))
-    return _merged_ladder(profile, h, n_max, grid, convention="h",
-                          ceiling=True)
+    return _merged_ladder(profile, h, n_max, 3.0, convention="h")[0]
 
 
-def island_neumann_levels(rho1: float, rho2: float, b: float, n_max: int,
-                          grid: RadialGrid | None = None) -> np.ndarray:
+def island_neumann_levels(rho1: float, rho2: float, b: float,
+                          n_max: int) -> np.ndarray:
     """Strictly increasing eigenvalues of the magnetic Neumann Laplacian on
-    the disk of radius rho2 with field 1 on [rho1, rho2] and 0 inside.
+    the disk of radius rho2 with field 1 on [rho1, rho2] and 0 inside, on
+    the ladder grid ending at the wall rho2.
 
     As b grows the levels approach the Dirichlet disk levels j^2 / rho1^2
     only at the rate b^{-1/2}: the hole mode leaks into an annulus layer of
@@ -321,10 +328,6 @@ def island_neumann_levels(rho1: float, rho2: float, b: float, n_max: int,
         raise ValidationError("need 0 < rho1 < rho2")
     if b < 0:
         raise ValidationError("b must be >= 0")
-    if grid is None:
-        grid = RadialGrid(rho2, 3000)
-    if abs(grid.r_max - rho2) > 1e-12 * rho2:
-        raise ValidationError("island grid must end exactly at rho2")
     if b == 0.0:
         profile = zero_profile(R0=rho2)
         scale = 1.0  # a == 0 makes the operator scale-free
@@ -332,31 +335,21 @@ def island_neumann_levels(rho1: float, rho2: float, b: float, n_max: int,
         profile = make_profile(
             FieldSpec("island_annular", {"rho1": rho1, "rho2": rho2}, R0=rho2))
         scale = b
-    return _merged_ladder(profile, scale, n_max, grid,
-                          boundary="neumann_far")
+    return _merged_ladder(profile, scale, n_max, rho2,
+                          boundary="neumann_far")[0]
 
 
-def dirichlet_disk_levels(rho1: float, n_max: int,
-                          grid: RadialGrid | None = None) -> np.ndarray:
-    """Dirichlet Laplacian eigenvalues on the disk of radius rho1,
-    cross-checked against Bessel zeros j_{nu,k}^2 / rho1^2."""
-    if rho1 <= 0:
-        raise ValidationError("rho1 must be > 0")
-    if grid is None:
-        grid = RadialGrid(rho1, 3000)
-    if abs(grid.r_max - rho1) > 1e-12 * rho1:
-        raise ValidationError("disk grid must end exactly at rho1")
-    m_hi = n_max + 2
-    out = _merged_ladder(zero_profile(R0=rho1), 1.0, n_max, grid,
-                         m_range=range(-m_hi, m_hi + 1))
+def dirichlet_disk_levels(rho1: float, n_max: int) -> np.ndarray:
+    """The n_max + 1 lowest Dirichlet Laplacian eigenvalues j_{nu,k}^2 /
+    rho1^2 on the disk of radius rho1, from Bessel zeros (no eigensolve).
+    nu <= n_max and k <= n_max + 1 suffice, as j_{nu,k} grows in nu and k;
+    distinct orders share no zero and -nu repeats nu."""
+    if not 0 < rho1 < math.inf:
+        raise ValidationError("rho1 must be positive and finite")
+    _check_index(n_max)
     ref = np.sort(np.concatenate(
-        [jn_zeros(nu, n_max + 1) ** 2 for nu in range(m_hi + 1)]))
-    ref = ref[: n_max + 1] / (rho1 * rho1)
-    err = np.max(np.abs(out - ref) / (1.0 + np.abs(ref)))
-    if err > 1e-6:
-        raise NumericalError(
-            f"disk levels disagree with Bessel zeros by {err:.2e} relative")
-    return out
+        [jn_zeros(nu, n_max + 1) ** 2 for nu in range(n_max + 1)]))
+    return ref[: n_max + 1] / (rho1 * rho1)
 
 
 def verify_ah_decay(result: EigenResult, gamma: float, c0: float,

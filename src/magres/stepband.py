@@ -38,6 +38,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
+from .radial import MAX_GRID_N
 
 FLAT_TOL = 1e-6  # relative band variation below which minimization is ill-posed
 MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
@@ -54,10 +55,10 @@ class StepParams:
         if not (-1.0 <= self.a <= 1.0 and self.a != 0.0):
             raise ValidationError(
                 "a must lie in [-1, 0) or (0, 1]; a = 0 has no interface")
-        if self.N < 64 or self.N % 4:
+        if not 64 <= self.N <= MAX_GRID_N or self.N % 4:
             raise ValidationError(
-                "N must be >= 64 and divisible by 4 (tau = 0 stays on a node "
-                "under grid halving)")
+                f"N must lie in 64..{MAX_GRID_N} and be divisible by 4 "
+                f"(tau = 0 stays on a node under grid halving)")
         if not (self.L > 0 and math.isfinite(self.L * self.L)
                 and 0.0 < self.step ** 2 and 2.0 / self.step ** 2 < math.inf):
             raise ValidationError("L must be positive, with L^2 and the "

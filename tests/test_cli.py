@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import magres
 import magres.cli as cli
+import magres.radial as radial
 import magres.stepband as stepband
 from magres.cli import build_parser, main
+from magres.radial import MAX_GRID_N
 
 from conftest import FROZEN
 
@@ -223,6 +225,17 @@ def test_band_bracket_governs_constants(tmp_path):
     assert c["C1"] == pytest.approx(c1, rel=1e-14, abs=0.0)
 
 
+def test_band_note_outside_interface_range(tmp_path):
+    """a = -1 has no C1/C2; the sidecar says why, naming the range."""
+    out = tmp_path / "band.csv"
+    assert main(["band", "--a", "-1", "--grid-n", "400", "--bracket=-2,0",
+                 "--out", str(out)]) == 0
+    c = json.loads((tmp_path / "band.csv.constants.json").read_text())
+    assert "C1" not in c and "C2" not in c
+    assert c["note"] == ("no interface constants at this a: C1/C2 are "
+                         "defined only for a in (-1, 0)")
+
+
 def test_band_flat_field_exit(tmp_path):
     assert main(["band", "--a", "1.0", "--grid-n", "1600",
                  "--bracket=-1,1"]) == 3
@@ -414,7 +427,7 @@ def test_compare_well_cli(tmp_path):
 def test_compare_argument_rules(monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("an input error reached a solve")
-    for name in ("fiber_levels", "anharmonic_levels", "well_levels",
+    for name in ("fiber_levels", "_anharmonic_ladder", "well_levels",
                  "island_neumann_levels", "dirichlet_disk_levels"):
         monkeypatch.setattr(cli, name, no_solve)
     well, island = "--h=0.1,0.05,0.025", "--b=25,50,100"
@@ -434,6 +447,62 @@ def test_compare_argument_rules(monkeypatch, capsys):
         assert main(["compare", *argv]) == 2, argv
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_compare_anharmonic_solves_the_sector_of_its_level(capsys):
+    """Lambda_1 of the gamma = 2 ladder lives in sector m = 1, so the direct
+    value at each h is that sector's ground level, equal to the expansion
+    Lambda_1 h^{3/2} up to the grids' error (the field is homogeneous)."""
+    assert main(["compare", "--model", "anharmonic", "--n", "1",
+                 "--h", "0.1,0.05,0.025"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        expansion, direct = float(row[3]), float(row[4])
+        assert abs(direct - expansion) <= 1e-8 * expansion, row
+
+
+@pytest.mark.parametrize("model", ["anharmonic", "well", "island"])
+def test_compare_level_index_beyond_ladder_grid_is_input_error(
+        model, monkeypatch, capsys):
+    """n + 1 >= N/2 of the ladder grid exits 2 before any sector list or
+    Bessel zero."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("an out-of-range index reached the ladder")
+    monkeypatch.setattr(radial, "sector_sweep", no_work)
+    monkeypatch.setattr(radial, "jn_zeros", no_work)
+    sweep = "--b=25,50,100" if model == "island" else "--h=0.1,0.05,0.025"
+    for n in ("1499", "1000000"):
+        assert main(["compare", "--model", model, "--n", n, sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "level index" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("rho1", ["nan", "inf", "0", "-1"])
+def test_compare_island_radius_must_be_finite_and_positive(rho1, capsys):
+    assert main(["compare", "--model", "island", f"--rho1={rho1}",
+                 "--b=25,50,100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("grid_n", ["4000000000000", "1" + "0" * 400])
+@pytest.mark.parametrize("command", ["spectrum", "band", "resonances",
+                                     "quasimode", "compare"])
+def test_huge_grid_is_input_error(command, grid_n, anh_config, disk_config,
+                                  capsys):
+    """N beyond MAX_GRID_N exits 2 before any allocation."""
+    argv = {"spectrum": ["--field", str(anh_config)],
+            "band": ["--a", "-0.5"],
+            "resonances": ["--field", str(disk_config), "--h", "0.25"],
+            "quasimode": [],
+            "compare": ["--model", "landau", "--h", "0.1,0.05,0.025"]}[command]
+    assert main([command, *argv, "--grid-n", grid_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert str(MAX_GRID_N) in captured.err
 
 
 def test_manifest_params_are_the_parsed_flags(anh_config, disk_config,

@@ -147,7 +147,8 @@ def test_load_spec(tmp_path):
 
 
 def _closed_forms(kind, p, r):
-    """a(r) and alpha as the four kinds wrote them out by hand."""
+    """a(r) and alpha as the four kinds wrote them out by hand, the
+    island's r^2 - rho1^2 factored as (r - rho1)(r + rho1)."""
     if kind == "constant_disk":
         alpha = p["r0"] * p["r0"] / 2.0
         return np.where(r <= p["r0"], r / 2.0, alpha / r), alpha
@@ -157,8 +158,8 @@ def _closed_forms(kind, p, r):
         return p["b0"] * r / 2.0 + r ** 3 / 4.0, math.inf
     if kind == "island_annular":
         rho1, rho2 = p["rho1"], p["rho2"]
-        alpha = (rho2 * rho2 - rho1 * rho1) / 2.0
-        annulus = (r * r - rho1 * rho1) / (2.0 * r)
+        alpha = (rho2 - rho1) * (rho2 + rho1) / 2.0
+        annulus = (r - rho1) * (r + rho1) / (2.0 * r)
         return np.where(r < rho1, 0.0, np.where(r <= rho2, annulus,
                                                  alpha / r)), alpha
     return np.zeros_like(r), 0.0
@@ -245,4 +246,17 @@ def test_flux_is_bit_identical_over_many_radii():
         rho1, rho2 = min(rho1, rho2), max(rho1, rho2)
         island = make_profile(FieldSpec(
             "island_annular", {"rho1": rho1, "rho2": rho2}, R0=rho2))
-        assert island.alpha == (rho2 * rho2 - rho1 * rho1) / 2.0
+        assert island.alpha == (rho2 - rho1) * (rho2 + rho1) / 2.0
+
+
+def test_thin_annulus_keeps_its_flux():
+    """An annulus one ulp wide: a difference of squares cancels to 2.17e-19
+    where the flux integral is 3.47e-19."""
+    rho1 = 0.05
+    rho2 = math.nextafter(rho1, 1.0)
+    island = make_profile(FieldSpec(
+        "island_annular", {"rho1": rho1, "rho2": rho2}, R0=1.0))
+    flux = quad(lambda s: s * float(island.B(s)), rho1, rho2,
+                epsabs=0.0, epsrel=1e-13)[0]
+    for got in (rho2 * float(island.a(rho2)), island.alpha):
+        assert got == pytest.approx(flux, rel=1e-10, abs=0.0)

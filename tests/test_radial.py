@@ -6,10 +6,10 @@ import pytest
 import magres.radial as radial
 from magres.errors import (DecayCheckError, NumericalError, TruncationError,
                            ValidationError)
-from magres.fields import FieldSpec, make_profile
-from magres.radial import (RadialGrid, anharmonic_levels, assemble_fiber,
-                           check_ceiling, dirichlet_disk_levels, eigs_lowest,
-                           fiber_levels,
+from magres.fields import FieldSpec, make_profile, zero_profile
+from magres.radial import (MAX_GRID_N, RadialGrid, anharmonic_levels,
+                           assemble_fiber, check_ceiling,
+                           dirichlet_disk_levels, eigs_lowest, fiber_levels,
                            island_neumann_levels, sector_sweep,
                            verify_ah_decay, verify_island_decay, well_levels)
 
@@ -24,6 +24,10 @@ def test_grid_validation():
         RadialGrid(math.inf, 100)
     with pytest.raises(ValidationError):
         RadialGrid(10.0, 32)
+    for n in (MAX_GRID_N + 1, 4_000_000_000_000, 10 ** 400):  # no allocation
+        with pytest.raises(ValidationError):
+            RadialGrid(10.0, n)
+    assert RadialGrid(10.0, MAX_GRID_N).N == MAX_GRID_N
     g = RadialGrid(10.0, 128)
     assert g.dr == pytest.approx(10.0 / 128)
     assert g.nodes[0] == pytest.approx(g.dr / 2)
@@ -121,6 +125,52 @@ def test_dirichlet_disk_vs_series_oracle():
     assert got3[0] == pytest.approx(got[0] / 9.0, rel=1e-8)
 
 
+def test_dirichlet_disk_levels_run_no_eigensolve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the disk ladder reached a radial solve")
+    for name in ("sector_sweep", "fiber_levels", "assemble_fiber", "_lowest"):
+        monkeypatch.setattr(radial, name, no_solve)
+    assert dirichlet_disk_levels(2.0, 4).shape == (5,)
+    for rho1 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            dirichlet_disk_levels(rho1, 0)
+
+
+@pytest.mark.parametrize("rho1", [1.0, 3.0])
+def test_zero_field_dirichlet_disk_matches_bessel_zeros(rho1):
+    """The solver's zero-field Dirichlet disk, on the ladder grid that
+    ends at rho1, against power-series Bessel zeros j_{nu,k}^2 / rho1^2."""
+    grid = RadialGrid(rho1, radial.LADDER_N)
+    for m in (0, 1, -1, 2, 5):
+        got = fiber_levels(zero_profile(R0=rho1), m, 1.0, grid, 3)
+        want = [bessel_j_zero(abs(m), k) ** 2 / rho1 ** 2 for k in (1, 2, 3)]
+        assert np.allclose(got, want, rtol=2e-9, atol=0.0), m
+    # merged over the sectors, with +-m counted once, as the ladder counts
+    merged = sorted(lam for m in range(0, 6) for lam in
+                    fiber_levels(zero_profile(R0=rho1), m, 1.0, grid, 5))
+    assert np.allclose(merged[:5], dirichlet_disk_levels(rho1, 4),
+                       rtol=2e-9, atol=0.0)
+
+
+def test_level_index_is_bounded_before_any_work(monkeypatch):
+    """n + 1 must stay below N/2 of the ladder grid; a larger index is
+    rejected before any sector list or Bessel zero."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("an out-of-range index reached the ladder")
+    monkeypatch.setattr(radial, "sector_sweep", no_work)
+    monkeypatch.setattr(radial, "jn_zeros", no_work)
+    monkeypatch.setattr(radial, "default_m_range", no_work)
+    top = radial.LADDER_N // 2 - 2
+    for n in (top + 1, 10 ** 6, -1):
+        for ladder in (lambda: anharmonic_levels(2.0, n),
+                       lambda: well_levels(1.0, 0.1, n),
+                       lambda: island_neumann_levels(1.0, 1.5, 25.0, n),
+                       lambda: dirichlet_disk_levels(1.0, n)):
+            with pytest.raises(ValidationError, match="level index"):
+                ladder()
+    radial._check_index(top)  # the largest index the ladder grid holds
+
+
 def test_anharmonic_ladder_frozen():
     got = anharmonic_levels(2.0, 4)
     assert np.allclose(got, FROZEN["anharmonic_gamma2_ladder"], atol=1e-7)
@@ -163,9 +213,10 @@ def test_well_levels_frozen():
         assert got[1] == pytest.approx(FROZEN["well_e1"][h], abs=1e-9)
 
 
-def test_well_truncation_guard():
+def test_well_truncation_guard(well_profile):
+    # the ladder's r_max = 3 holds; a ladder truncated at 1.5 does not
     with pytest.raises(TruncationError):
-        well_levels(1.0, 0.1, 1, grid=RadialGrid(1.5, 1500))
+        radial._merged_ladder(well_profile, 0.1, 1, 1.5, convention="h")
 
 
 def test_island_levels_frozen():
@@ -174,12 +225,10 @@ def test_island_levels_frozen():
         assert got[0] == pytest.approx(ref, abs=2e-6)
 
 
-def test_island_zero_field_and_grid_guard():
+def test_island_zero_field_and_input_guard():
     # b = 0: Neumann disk Laplacian, lowest eigenvalue 0 (constants)
     got = island_neumann_levels(1.0, 1.5, 0.0, 0)
     assert abs(got[0]) < 1e-8
-    with pytest.raises(ValidationError):
-        island_neumann_levels(1.0, 1.5, 25.0, 0, grid=RadialGrid(2.0, 1000))
     with pytest.raises(ValidationError):
         island_neumann_levels(1.5, 1.0, 25.0, 0)
 

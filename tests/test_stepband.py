@@ -6,6 +6,7 @@ import magres.stepband as stepband
 from magres.cli import main
 from magres.errors import (FlatBandError, MultipleMinimaError, NumericalError,
                            TruncationError, ValidationError)
+from magres.radial import MAX_GRID_N
 from magres.stepband import (BandSample, SpectralConstants, StepParams,
                              band_second_derivative, band_table, band_value,
                              minimize_band, spectral_constants)
@@ -24,6 +25,9 @@ def test_params_validation():
             StepParams(a=a)
     with pytest.raises(ValidationError):
         StepParams(a=-0.5, N=4802)  # N must be divisible by 4
+    for N in (MAX_GRID_N + 4, 4_000_000_000_000, 10 ** 400):  # N is capped
+        with pytest.raises(ValidationError):
+            StepParams(a=-0.5, N=N)
     with pytest.raises(ValidationError):
         StepParams(a=-0.5, L=0.0)
     for L in (1e300, 1e-300):  # L^2, or 1/step^2, is not a finite float

@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile, spec_config
-from .radial import (RadialGrid, _anharmonic_ladder, check_ceiling,
-                     dirichlet_disk_levels, fiber_levels,
-                     island_neumann_levels, sector_sweep, well_levels)
+from .radial import (RadialGrid, _anharmonic_ladder, _island_ladder,
+                     _well_ladder, check_ceiling, dirichlet_disk_levels,
+                     fiber_levels, sector_sweep)
 from .stepband import StepParams, analyze_band
 from .quasimode import build_quasimode, quasimode_residual, tz_crossover, tz_window
 from .cscale import Window, find_resonances
@@ -238,36 +238,51 @@ def cmd_quasimode(args) -> int:
     return 0
 
 
-def _compare_pairs(args) -> list:
-    """(expansion params, direct value) per sweep value of the model."""
+def _ladder_record(key: str, value: float, ladder) -> dict:
+    """The manifest diagnostics of one ladder sweep."""
+    return {key: value, "solved": ladder.solved,
+            "certified": ladder.certified, "fallback": ladder.fallback,
+            "margin": ladder.margin, "shift": ladder.shift,
+            "r_max": ladder.r_max}
+
+
+def _compare_pairs(args) -> tuple:
+    """(expansion params, direct value) per sweep value of the model, and
+    the diagnostics of each ladder solved for them."""
     if args.model in ("landau", "anharmonic"):
         grid = RadialGrid(args.rmax, args.grid_n)
         if args.model == "landau":
-            extras, (m, k) = {}, (0, args.n)
+            extras, (m, k), ladders = {}, (0, args.n), []
             kind, params, R0 = "constant_disk", {"r0": args.rmax}, args.rmax
         else:  # level n of sector m and index k there is Lambda_n
-            lambdas, homes = _anharmonic_ladder(args.gamma, args.n)
-            extras = {"gamma": args.gamma, "lambdas": tuple(lambdas)}
-            m, k = homes[args.n]
+            ladder = _anharmonic_ladder(args.gamma, args.n)
+            extras = {"gamma": args.gamma, "lambdas": tuple(ladder.levels)}
+            m, k = ladder.homes[args.n]
+            ladders = [_ladder_record("gamma", args.gamma, ladder)]
             kind, params, R0 = "anharmonic", {"gamma": args.gamma}, 1.0
         profile = make_profile(FieldSpec(kind, params, R0=R0))
         return [(ExpansionParams(model=args.model, n=args.n, h=h, **extras),
                  fiber_levels(profile, m, h, grid, k=k + 1,
                               convention="h")[k])
-                for h in args.h]
+                for h in args.h], ladders
+    pairs, ladders = [], []
     if args.model == "well":
-        return [(ExpansionParams(model="well", n=args.n, h=h, b0=args.b0,
-                                 detH=1.0, trSqrtH=2.0),
-                 well_levels(args.b0, h, args.n)[args.n])
-                for h in args.h]
+        for h in args.h:
+            ladder = _well_ladder(args.b0, h, args.n)
+            pairs.append((ExpansionParams(model="well", n=args.n, h=h,
+                                          b0=args.b0, detH=1.0, trSqrtH=2.0),
+                          ladder.levels[args.n]))
+            ladders.append(_ladder_record("h", h, ladder))
+        return pairs, ladders
     ells = tuple(float(x) for x in dirichlet_disk_levels(args.rho1, args.n))
-    pairs = []
     for b in args.b:
         h = 1.0 / b
-        lam = island_neumann_levels(args.rho1, args.rho2, b, args.n)[args.n]
+        ladder = _island_ladder(args.rho1, args.rho2, b, args.n)
         pairs.append((ExpansionParams(model="island", n=args.n, h=h,
-                                      ells=ells), float(lam) * h * h))
-    return pairs
+                                      ells=ells),
+                      float(ladder.levels[args.n]) * h * h))
+        ladders.append(_ladder_record("b", b, ladder))
+    return pairs, ladders
 
 
 def cmd_compare(args) -> int:
@@ -291,8 +306,10 @@ def cmd_compare(args) -> int:
     if len(set(sweep)) < 3 or not all(0.0 < x < math.inf for x in sweep):
         raise ValidationError(f"{flag} needs at least three distinct "
                               f"values, each positive and finite")
-    report = compare(_compare_pairs(args))
-    _emit(args, "compare", list(report.csv_lines()), _params(args))
+    pairs, ladders = _compare_pairs(args)
+    report = compare(pairs)
+    _emit(args, "compare", list(report.csv_lines()), _params(args),
+          diagnostics={"ladders": ladders})
     return 0
 
 

@@ -25,6 +25,19 @@ convention with complex entries.
 
 The scheme is second order in dr; level-sweep routines refine eigenvalues by
 Richardson extrapolation over (N/2, N).
+
+A merged ladder (well, anharmonic, island) is a certified sector sweep. It
+solves the sectors outward from m = 0 until the levels it needs are in
+hand, then certifies every other sector of the m cap by one LDL^T
+factorization per grid: T - s positive definite puts all of the sector's
+eigenvalues above s (Sylvester inertia). The shift s is the top level plus
+a margin of 10x the largest Richardson correction of the solved levels
+(at least the 1e-8 dedup tolerance), which keeps the certified sectors'
+refined levels above the top as long as their own corrections stay below
+the margin. A sector whose factorization is refused is solved instead.
+Solved sectors keep their exact values, so the ladder is the one a solve
+of every sector gives. A Dirichlet-truncated ladder whose potential
+ceiling fails grows its r_max by 1.5x, up to R_MAX_GROWTHS times.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpttrf
 from scipy.special import jn_zeros
 
 from ._parallel import pmap
@@ -43,6 +57,7 @@ from .fields import FieldProfile, make_profile, zero_profile, FieldSpec
 
 MAX_GRID_N = 10 ** 6  # largest grid of any solver (radial and step band)
 LADDER_N = 3000  # nodes of every ladder grid
+R_MAX_GROWTHS = 4  # 1.5x steps of a truncated ladder's r_max: at most 5.06x
 
 
 @dataclass(frozen=True)
@@ -187,6 +202,22 @@ def eigs_lowest(op: FiberOperator, k: int) -> EigenResult:
     return EigenResult(values=vals, vectors=u, op=op)
 
 
+def _richardson_levels(profile: FieldProfile, m: int, scale: float,
+                       grid: RadialGrid, k: int, boundary: str,
+                       convention: str) -> tuple:
+    """(`fiber_levels`, |lam_N - lam_{N/2}| / 3 of each): the refined
+    levels and their Richardson corrections."""
+    if not 1 <= k < grid.N // 2:
+        raise ValidationError(
+            f"need 1 <= k < {grid.N // 2} on an N={grid.N} grid")
+    op = assemble_fiber(profile, m, scale, grid, boundary, convention)
+    vals = _lowest(op, k, eigvals_only=True)
+    oph = assemble_fiber(profile, m, scale, grid.halved(), boundary,
+                         convention)
+    vals_h = _lowest(oph, k, eigvals_only=True)
+    return (4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0
+
+
 def fiber_levels(profile: FieldProfile, m: int, scale: float,
                  grid: RadialGrid, k: int, boundary: str = "dirichlet_far",
                  convention: str = "b") -> np.ndarray:
@@ -196,15 +227,20 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
     error term. k must stay below N/2, the size of the coarser grid; the
     plain N-grid values are `eigs_lowest(assemble_fiber(...), k).values`.
     """
-    if not 1 <= k < grid.N // 2:
-        raise ValidationError(
-            f"need 1 <= k < {grid.N // 2} on an N={grid.N} grid")
-    op = assemble_fiber(profile, m, scale, grid, boundary, convention)
-    vals = _lowest(op, k, eigvals_only=True)
-    oph = assemble_fiber(profile, m, scale, grid.halved(), boundary,
-                         convention)
-    vals_h = _lowest(oph, k, eigvals_only=True)
-    return (4.0 * vals - vals_h) / 3.0
+    return _richardson_levels(profile, m, scale, grid, k, boundary,
+                              convention)[0]
+
+
+def _pd_factors(diag: np.ndarray, off: np.ndarray, shift: float):
+    """`dpttrf` factors (d, e) of T - shift for the symmetric tridiagonal
+    T = (diag, off), or None when the factorization refuses it: T - shift
+    is not positive definite or has a non-finite entry. By Sylvester's law
+    of inertia, factors certify that every eigenvalue of T lies above
+    shift."""
+    d, e, info = dpttrf(diag - shift, off)
+    if info or not np.isfinite(d).all():
+        return None
+    return d, e
 
 
 def default_m_range(n_max: int) -> range:
@@ -218,17 +254,28 @@ def _check_index(n_max: int) -> None:
                               f" on the N={LADDER_N} ladder grid")
 
 
+def _solve_sectors(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
+                   k: int, boundary: str, convention: str) -> list:
+    """`_richardson_levels` of each sector in ms, in order."""
+    def solve(m):
+        return _richardson_levels(profile, m, scale, grid, k, boundary,
+                                  convention)
+    return pmap(solve, ms)
+
+
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
                  k: int, boundary: str = "dirichlet_far", convention: str = "b"):
     """Per-sector lowest Richardson-refined levels, merged ascending as
     (value, m, n) rows."""
     ms = list(m_range)
+    return _rows(zip(ms, _solve_sectors(profile, scale, ms, grid, k, boundary,
+                                        convention)))
 
-    def solve(m):
-        return fiber_levels(profile, m, scale, grid, k, boundary, convention)
-    results = pmap(solve, ms)
+
+def _rows(sectors) -> list:
+    """(value, m, n) rows of (m, (levels, corrections)) pairs, ascending."""
     rows = [(float(lam), m, n)
-            for m, vals in zip(ms, results) for n, lam in enumerate(vals)]
+            for m, (vals, _) in sectors for n, lam in enumerate(vals)]
     rows.sort(key=lambda t: (t[0], t[1], t[2]))
     return rows
 
@@ -247,33 +294,106 @@ def check_ceiling(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
             f"level {top:.3g} + 10; enlarge r_max")
 
 
-def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
-                   r_max: float, boundary: str = "dirichlet_far",
-                   convention: str = "b") -> tuple:
-    """The n_max + 1 lowest distinct levels merged over the sectors of
-    default_m_range(n_max) on RadialGrid(r_max, LADDER_N), and the
-    (m, k) of each: its sector and its index there.
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """A merged ladder and how its sweep certified it."""
 
-    Levels within a relative 1e-8 count once. Each ladder is certified:
-    enough distinct levels, both edge sectors strictly above the returned
-    top level and, when the far end is a Dirichlet truncation (a Neumann
-    far end is the problem's own wall), the potential ceiling.
-    """
-    _check_index(n_max)
-    grid = RadialGrid(r_max, LADDER_N)
-    ms = list(default_m_range(n_max))
-    rows = sector_sweep(profile, scale, ms, grid, k=n_max + 1,
-                        boundary=boundary, convention=convention)
+    levels: np.ndarray  # the n_max + 1 lowest distinct levels
+    homes: list  # (m, k) of each level: its sector and index there
+    solved: list  # sectors solved, ascending
+    certified: list  # sectors certified above shift without a solve
+    fallback: list  # sectors solved after their certificate was refused
+    margin: float | None  # shift - top level; None if the sweep solved all
+    shift: float | None  # every certified eigenvalue lies above it
+    r_max: float  # the truncation radius the ladder was solved on
+
+
+def _distinct(solved: dict) -> tuple:
+    """The distinct levels, ascending, of the solved sectors and the (m, k)
+    of each; levels within a relative 1e-8 count once."""
     levels, homes = [], []
-    for lam, m, k in rows:
+    for lam, m, k in _rows(solved.items()):
         if not levels or abs(lam - levels[-1]) > 1e-8 * (1 + abs(levels[-1])):
             levels.append(lam)
             homes.append((m, k))
+    return levels, homes
+
+
+def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
+                   r_max: float, boundary: str = "dirichlet_far",
+                   convention: str = "b") -> Ladder:
+    """The `Ladder` of the n_max + 1 lowest distinct levels merged over
+    the sectors of default_m_range(n_max) on RadialGrid(r_max, LADDER_N),
+    with the (m, k) of each: its sector and its index there.
+
+    The sweep solves sectors (`fiber_levels`, over N and N/2) shell by
+    shell, |m| = 0, 1, 2, ..., until n_max + 1 distinct levels are in hand
+    and the lowest level of each sector of the last shell lies above the
+    top level. Every other sector of the range is certified instead: T - s
+    factors as positive definite (`_pd_factors`) on both grids at
+    s = top + margin, so all its eigenvalues on both grids lie above s. The
+    margin is to cover the Richardson correction (4 lam_N - lam_{N/2}) / 3
+    - lam_N of the certified levels: it is 10x the largest |lam_N -
+    lam_{N/2}| / 3 among the solved levels at or below the top and the
+    lowest level of each solved sector, and at least the relative 1e-8
+    within which levels count once. A sector whose certificate is refused
+    is solved, and the certificates are redone with the new top and
+    margin. Every sector of the range is thus solved or certified, with no
+    assumption of monotonicity in m, and a solved sector keeps its exact
+    values: the ladder is the one a solve of all sectors gives.
+
+    Each ladder is certified: enough distinct levels, both edge sectors
+    strictly above the returned top level and, when the far end is a
+    Dirichlet truncation (a Neumann far end is the problem's own wall), the
+    potential ceiling.
+    """
+    _check_index(n_max)
+    grid = RadialGrid(r_max, LADDER_N)
+    grids = (grid, grid.halved())
+    ms = list(default_m_range(n_max))
+    k = n_max + 1
+    solved = {}  # m -> (levels, Richardson corrections)
+
+    def solve(batch):
+        solved.update(zip(batch, _solve_sectors(profile, scale, batch, grid,
+                                                k, boundary, convention)))
+
+    def holds(m, shift):  # the certificate of sector m on both grids
+        return all(_pd_factors(op.diag, op.off, shift) is not None
+                   for op in (assemble_fiber(profile, m, scale, g, boundary,
+                                             convention) for g in grids))
+
+    for shell in range(max(abs(m) for m in ms) + 1):
+        batch = [m for m in ms if abs(m) == shell]
+        solve(batch)
+        levels, _ = _distinct(solved)
+        if len(levels) > n_max and all(solved[m][0].min() > levels[n_max]
+                                       for m in batch):
+            break
+    fallback, margin, shift = [], None, None
+    while len(solved) < len(ms):
+        levels, _ = _distinct(solved)
+        top = levels[n_max]
+        richardson = max(
+            float(max(gaps[0], gaps[vals <= top].max(initial=0.0)))
+            for vals, gaps in solved.values())
+        margin = max(10.0 * richardson, 1e-8 * (1.0 + abs(top)))
+        shift = top + margin
+        refused = [m for m in ms
+                   if m not in solved and not holds(m, shift)]
+        if not refused:
+            break
+        fallback += refused
+        solve(refused)
+    levels, homes = _distinct(solved)
     if len(levels) < n_max + 1:
         raise NumericalError(f"fewer than {n_max + 1} distinct levels")
     top = levels[n_max]
     for m_edge in (ms[0], ms[-1]):
-        lowest = min(lam for lam, m, _ in rows if m == m_edge)
+        # a certified edge lies above shift > top by its certificate
+        if m_edge not in solved:
+            continue
+        lowest = solved[m_edge][0].min()
         if lowest <= top * (1.0 + 1e-10):
             raise NumericalError(
                 f"m-range truncation unsafe: sector m={m_edge} has an "
@@ -281,34 +401,76 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
                 f"({top:.6g}) of sectors m = {ms[0]}..{ms[-1]}")
     if boundary == "dirichlet_far":
         check_ceiling(profile, scale, ms, grid, top, convention)
-    return np.array(levels[: n_max + 1]), homes[: n_max + 1]
+    return Ladder(levels=np.array(levels[: n_max + 1]),
+                  homes=homes[: n_max + 1], solved=sorted(solved),
+                  certified=[m for m in ms if m not in solved],
+                  fallback=sorted(fallback), margin=margin, shift=shift,
+                  r_max=r_max)
 
 
-def _anharmonic_ladder(gamma: float, n_max: int) -> tuple:
+def _truncated_ladder(profile: FieldProfile, scale: float, n_max: int,
+                      r_max: float, convention: str = "b") -> Ladder:
+    """`_merged_ladder` with a Dirichlet far end at r_max or, while its
+    potential ceiling fails `check_ceiling`, at r_max grown 1.5x per step,
+    at most R_MAX_GROWTHS steps. A ladder that holds at r_max keeps it."""
+    for growth in range(R_MAX_GROWTHS + 1):
+        try:
+            return _merged_ladder(profile, scale, n_max, r_max,
+                                  convention=convention)
+        except TruncationError as exc:
+            if growth == R_MAX_GROWTHS:
+                raise TruncationError(
+                    f"{exc} (done up to r_max = {r_max:.6g}, the cap of "
+                    f"this ladder)") from None
+            r_max *= 1.5
+
+
+def _anharmonic_ladder(gamma: float, n_max: int) -> Ladder:
     """`anharmonic_levels` with the (m, k) home of each level."""
     if gamma <= 0:
         raise ValidationError("gamma must be > 0")
     profile = make_profile(FieldSpec("anharmonic", {"gamma": gamma}, R0=1.0))
-    return _merged_ladder(profile, 1.0, n_max, 12.0)
+    return _truncated_ladder(profile, 1.0, n_max, 12.0)
 
 
 def anharmonic_levels(gamma: float, n_max: int) -> np.ndarray:
     """Anharmonic Landau levels: distinct low eigenvalues of the b=1
     full-plane operator with field |x|^gamma, merged over sectors, on the
-    ladder grid truncated at r_max = 12."""
-    return _anharmonic_ladder(gamma, n_max)[0]
+    ladder grid truncated at r_max = 12 (grown while its ceiling fails)."""
+    return _anharmonic_ladder(gamma, n_max).levels
 
 
-def well_levels(b0: float, h: float, n_max: int) -> np.ndarray:
-    """Distinct low eigenvalues of the semiclassical operator for
-    B(r) = b0 + r^2, merged over sectors, on the ladder grid truncated at
-    r_max = 3."""
+def _well_ladder(b0: float, h: float, n_max: int) -> Ladder:
+    """`well_levels` with the record of its sweep."""
     if b0 <= 0:
         raise ValidationError("b0 must be > 0")
     if h <= 0:
         raise ValidationError("h must be > 0")
     profile = make_profile(FieldSpec("well_radial", {"b0": b0}, R0=1.0))
-    return _merged_ladder(profile, h, n_max, 3.0, convention="h")[0]
+    return _truncated_ladder(profile, h, n_max, 3.0, convention="h")
+
+
+def well_levels(b0: float, h: float, n_max: int) -> np.ndarray:
+    """Distinct low eigenvalues of the semiclassical operator for
+    B(r) = b0 + r^2, merged over sectors, on the ladder grid truncated at
+    r_max = 3 (grown while its ceiling fails)."""
+    return _well_ladder(b0, h, n_max).levels
+
+
+def _island_ladder(rho1: float, rho2: float, b: float, n_max: int) -> Ladder:
+    """`island_neumann_levels` with the record of its sweep."""
+    if not (0 < rho1 < rho2):
+        raise ValidationError("need 0 < rho1 < rho2")
+    if b < 0:
+        raise ValidationError("b must be >= 0")
+    if b == 0.0:
+        profile = zero_profile(R0=rho2)
+        scale = 1.0  # a == 0 makes the operator scale-free
+    else:
+        profile = make_profile(
+            FieldSpec("island_annular", {"rho1": rho1, "rho2": rho2}, R0=rho2))
+        scale = b
+    return _merged_ladder(profile, scale, n_max, rho2, boundary="neumann_far")
 
 
 def island_neumann_levels(rho1: float, rho2: float, b: float,
@@ -324,19 +486,7 @@ def island_neumann_levels(rho1: float, rho2: float, b: float,
     lowest level sits a relative 2 / (c sqrt(b) rho1) below j01^2 / rho1^2
     to first order; at b = 100, rho1 = 1 the gap is 24.6%.
     """
-    if not (0 < rho1 < rho2):
-        raise ValidationError("need 0 < rho1 < rho2")
-    if b < 0:
-        raise ValidationError("b must be >= 0")
-    if b == 0.0:
-        profile = zero_profile(R0=rho2)
-        scale = 1.0  # a == 0 makes the operator scale-free
-    else:
-        profile = make_profile(
-            FieldSpec("island_annular", {"rho1": rho1, "rho2": rho2}, R0=rho2))
-        scale = b
-    return _merged_ladder(profile, scale, n_max, rho2,
-                          boundary="neumann_far")[0]
+    return _island_ladder(rho1, rho2, b, n_max).levels
 
 
 def dirichlet_disk_levels(rho1: float, n_max: int) -> np.ndarray:

@@ -34,11 +34,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrs
 
 from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
-from .radial import MAX_GRID_N
+from .radial import MAX_GRID_N, _pd_factors
 
 FLAT_TOL = 1e-6  # relative band variation below which minimization is ill-posed
 MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
@@ -113,11 +113,10 @@ def _ground(params: StepParams, xi: float, N: int, start=None
     mu, gap, factors = rayleigh(x), 1e-2, None
     for _ in range(MAX_SOLVES):
         if factors is None:
-            d, e, info = dpttrf(diag - (mu - gap), off)
-            if info:
+            factors = _pd_factors(diag, off, mu - gap)
+            if factors is None:
                 gap *= 4.0
                 continue
-            factors = d, e
         y, _ = dpttrs(*factors, x)
         x = y / math.sqrt(y @ y)
         prev, mu = mu, rayleigh(x)

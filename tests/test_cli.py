@@ -424,11 +424,72 @@ def test_compare_well_cli(tmp_path):
     assert 4.0 <= diffs[1] / diffs[2] <= 16.0
 
 
+def test_compare_well_readme_bytes(capsys):
+    """The README well sweep, byte for byte as the solve of every sector of
+    the cap gave it."""
+    assert main(["compare", "--model", "well", "--h", "0.1,0.05,0.025"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "model,n,h,expansion,direct,diff,ratio_to_expected,observed_order",
+        "well,0,1.00000000000000e-01,1.40000000000000e-01,"
+        "1.16284955975553e-01,-2.37150440244473e-02,2.37150440244472e+01,"
+        "2.07815351730801e+00",
+        "well,0,5.00000000000000e-02,6.00000000000000e-02,"
+        "5.44353875577624e-02,-5.56461244223756e-03,4.45168995379004e+01,"
+        "2.07815351730801e+00",
+        "well,0,2.50000000000000e-02,2.75000000000000e-02,"
+        "2.61700024326938e-02,-1.32999756730625e-03,8.51198443075998e+01,"
+        "2.07815351730801e+00"]
+
+
+@pytest.mark.parametrize("sweep", ["2,1.5,1.2", "5,4,3"])
+def test_compare_well_grows_r_max_past_a_failed_ceiling(sweep, tmp_path):
+    """At h >= 2 the well ladder's r_max = 3 ceiling fails; the ladder is
+    solved again at r_max = 4.5, which the manifest records, and a value
+    whose ladder holds at r_max = 3 keeps it."""
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--model", "well", "--h", sweep,
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
+    radii = {d["h"]: d["r_max"] for d in manifest["diagnostics"]["ladders"]}
+    assert radii == {h: 4.5 if h >= 2 else 3.0
+                     for h in map(float, sweep.split(","))}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "well", "--n", "1", "--h", "0.1,0.05,0.025"],
+    ["--model", "island", "--b", "25,50,100"],
+    ["--model", "anharmonic", "--n", "1", "--h", "0.1,0.05,0.025"],
+    ["--model", "landau", "--h", "0.1,0.05,0.025"]])
+def test_compare_manifest_records_each_ladder_sweep(argv, tmp_path, capsys):
+    """diagnostics.ladders holds, per sweep value (per gamma for the
+    anharmonic ladder, none for landau), how its ladder was certified; the
+    CSV is the one printed without --out."""
+    assert main(["compare", *argv]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", *argv, "--out", str(out)]) == 0
+    assert out.read_text().split("\n", 1)[1] == printed
+    manifest = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
+    ladders = manifest["diagnostics"]["ladders"]
+    key = {"well": "h", "island": "b", "anharmonic": "gamma"}.get(argv[1])
+    values = {"h": [0.1, 0.05, 0.025], "b": [25.0, 50.0, 100.0],
+              "gamma": [2.0], None: []}[key]
+    assert [d[key] for d in ladders] == values
+    n = int(argv[argv.index("--n") + 1]) if "--n" in argv else 0
+    for d in ladders:
+        assert set(d) == {key, "solved", "certified", "fallback", "margin",
+                          "shift", "r_max"}
+        assert sorted(d["solved"] + d["certified"]) == list(
+            radial.default_m_range(n))
+        assert set(d["fallback"]) <= set(d["solved"])
+        assert d["margin"] > 0 and d["shift"] > d["margin"]
+
+
 def test_compare_argument_rules(monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("an input error reached a solve")
-    for name in ("fiber_levels", "_anharmonic_ladder", "well_levels",
-                 "island_neumann_levels", "dirichlet_disk_levels"):
+    for name in ("fiber_levels", "_anharmonic_ladder", "_well_ladder",
+                 "_island_ladder", "dirichlet_disk_levels"):
         monkeypatch.setattr(cli, name, no_solve)
     well, island = "--h=0.1,0.05,0.025", "--b=25,50,100"
     for argv in (["--model", "step", well],
@@ -470,8 +531,8 @@ def test_compare_level_index_beyond_ladder_grid_is_input_error(
     Bessel zero."""
     def no_work(*args, **kwargs):
         raise AssertionError("an out-of-range index reached the ladder")
-    monkeypatch.setattr(radial, "sector_sweep", no_work)
-    monkeypatch.setattr(radial, "jn_zeros", no_work)
+    for name in ("sector_sweep", "_solve_sectors", "jn_zeros"):
+        monkeypatch.setattr(radial, name, no_work)
     sweep = "--b=25,50,100" if model == "island" else "--h=0.1,0.05,0.025"
     for n in ("1499", "1000000"):
         assert main(["compare", "--model", model, "--n", n, sweep]) == 2

@@ -157,9 +157,9 @@ def test_level_index_is_bounded_before_any_work(monkeypatch):
     rejected before any sector list or Bessel zero."""
     def no_work(*args, **kwargs):
         raise AssertionError("an out-of-range index reached the ladder")
-    monkeypatch.setattr(radial, "sector_sweep", no_work)
-    monkeypatch.setattr(radial, "jn_zeros", no_work)
-    monkeypatch.setattr(radial, "default_m_range", no_work)
+    for name in ("sector_sweep", "_solve_sectors", "jn_zeros",
+                 "default_m_range"):
+        monkeypatch.setattr(radial, name, no_work)
     top = radial.LADDER_N // 2 - 2
     for n in (top + 1, 10 ** 6, -1):
         for ladder in (lambda: anharmonic_levels(2.0, n),
@@ -217,6 +217,136 @@ def test_well_truncation_guard(well_profile):
     # the ladder's r_max = 3 holds; a ladder truncated at 1.5 does not
     with pytest.raises(TruncationError):
         radial._merged_ladder(well_profile, 0.1, 1, 1.5, convention="h")
+
+
+def _full_cap_ladder(profile, scale, n_max, r_max, boundary="dirichlet_far",
+                     convention="b"):
+    """The ladder as every sector of the cap gives it: all solved, merged,
+    levels within a relative 1e-8 counted once."""
+    rows = sector_sweep(profile, scale, radial.default_m_range(n_max),
+                        RadialGrid(r_max, radial.LADDER_N), n_max + 1,
+                        boundary, convention)
+    levels, homes = [], []
+    for lam, m, k in rows:
+        if not levels or abs(lam - levels[-1]) > 1e-8 * (1 + abs(levels[-1])):
+            levels.append(lam)
+            homes.append((m, k))
+    return levels[: n_max + 1], homes[: n_max + 1]
+
+
+@pytest.mark.parametrize("case", [
+    ("well", 0.1, 1), ("well", 0.025, 3), ("anharmonic", 2.0, 4),
+    ("anharmonic", 0.5, 1), ("island", 0.0, 0), ("island", 200.0, 0),
+    ("island", 25.0, 5)])
+def test_certified_sweep_is_the_full_cap_ladder(case, well_profile,
+                                                island_profile):
+    """Levels and homes of the certified sweep equal, bit for bit, those
+    of a solve of every sector of the cap; every sector of the cap is
+    solved or certified, never both."""
+    model, x, n = case
+    if model == "well":
+        ladder = radial._well_ladder(1.0, x, n)
+        want = _full_cap_ladder(well_profile, x, n, 3.0, convention="h")
+    elif model == "anharmonic":
+        ladder = radial._anharmonic_ladder(x, n)
+        profile = make_profile(FieldSpec("anharmonic", {"gamma": x}, R0=1.0))
+        want = _full_cap_ladder(profile, 1.0, n, 12.0)
+    else:
+        ladder = radial._island_ladder(1.0, 1.5, x, n)
+        profile = zero_profile(R0=1.5) if x == 0.0 else island_profile
+        want = _full_cap_ladder(profile, x or 1.0, n, 1.5, "neumann_far")
+    assert ladder.levels.tolist() == want[0]
+    assert ladder.homes == want[1]
+    cap = list(radial.default_m_range(n))
+    assert sorted(ladder.solved + ladder.certified) == cap
+    assert set(ladder.fallback) <= set(ladder.solved)
+    assert ladder.shift == ladder.levels[-1] + ladder.margin
+
+
+def test_island_sweep_solves_past_a_non_monotone_gap():
+    """At b = 25 the lowest island level of sector m dips again past m = 5:
+    levels 4 and 5 live in m = 10 and m = 9. The outward sweep stops at
+    |m| = 4 with a top level of 16.5, the certificates of m = 7..12 are
+    refused at that shift, and those sectors are solved."""
+    ladder = radial._island_ladder(1.0, 1.5, 25.0, 5)
+    assert ladder.homes[4:] == [(10, 0), (9, 0)]
+    assert ladder.fallback == list(range(7, 13))
+    assert {5, 6, 13} <= set(ladder.certified)
+
+
+def test_well_sweep_solves_only_the_inner_shells(monkeypatch):
+    """well_levels(1.0, 0.1, 1) solves |m| <= 2 on both grids and
+    certifies every other sector of the cap by one factorization per
+    grid."""
+    solves, factored = [], []
+    lowest, factors = radial._lowest, radial._pd_factors
+
+    def counting_lowest(op, k, eigvals_only=False):
+        solves.append((op.m, op.grid.N))
+        return lowest(op, k, eigvals_only)
+
+    def counting_factors(diag, off, shift):
+        factored.append(len(diag))
+        return factors(diag, off, shift)
+    monkeypatch.setattr(radial, "_lowest", counting_lowest)
+    monkeypatch.setattr(radial, "_pd_factors", counting_factors)
+    ladder = radial._well_ladder(1.0, 0.1, 1)
+    assert sorted(solves) == sorted((m, N) for m in range(-2, 3)
+                                    for N in (1500, 3000))
+    assert ladder.solved == list(range(-2, 3)) and ladder.fallback == []
+    assert ladder.certified == [m for m in radial.default_m_range(1)
+                                if abs(m) > 2]
+    assert sorted(factored) == sorted([1500, 3000] * len(ladder.certified))
+    # the margin covers 10x the Richardson correction and the 1e-8 dedup
+    assert 1e-8 * (1 + ladder.levels[-1]) <= ladder.margin
+    assert ladder.margin < 1e-4 * ladder.levels[-1]
+
+
+def test_refused_certificates_fall_back_to_solves(monkeypatch):
+    """With every shift refused, each sector is solved instead and the
+    ladder comes out the same, bit for bit."""
+    want = radial._well_ladder(1.0, 0.1, 1)
+    monkeypatch.setattr(radial, "_pd_factors", lambda diag, off, shift: None)
+    got = radial._well_ladder(1.0, 0.1, 1)
+    assert got.levels.tolist() == want.levels.tolist()
+    assert got.homes == want.homes
+    assert got.certified == [] and got.fallback == want.certified
+    assert got.solved == list(radial.default_m_range(1))
+
+
+def test_pd_factors_certify_the_spectrum():
+    """Factors exist exactly when every eigenvalue lies above the shift;
+    a non-finite entry is refused."""
+    rng = np.random.default_rng(7)
+    diag, off = rng.uniform(1.0, 3.0, 40), rng.uniform(-1.0, 1.0, 39)
+    lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                             + np.diag(off, -1))
+    assert radial._pd_factors(diag, off, lam[0] - 1e-9) is not None
+    assert radial._pd_factors(diag, off, lam[0] + 1e-9) is None
+    bad = diag.copy()
+    bad[5] = math.nan
+    assert radial._pd_factors(bad, off, lam[0] - 1.0) is None
+    bad[5] = math.inf
+    assert radial._pd_factors(bad, off, lam[0] - 1.0) is None
+
+
+def test_truncated_ladder_grows_r_max_while_its_ceiling_fails(monkeypatch):
+    """A well ladder whose r_max = 3 ceiling fails is solved again at 1.5x
+    the radius; one that holds keeps r_max = 3. Past R_MAX_GROWTHS steps
+    the truncation error stands and names the radius reached."""
+    assert radial._well_ladder(1.0, 0.1, 0).r_max == 3.0
+    grown = radial._well_ladder(1.0, 2.0, 0)
+    assert grown.r_max == 4.5
+    assert grown.levels[0] > 2.0  # above the magnetic bound b0 h
+    radii = []
+
+    def failing(profile, scale, ms, grid, top, convention="b"):
+        radii.append(grid.r_max)
+        raise TruncationError("ceiling below the top level")
+    monkeypatch.setattr(radial, "check_ceiling", failing)
+    with pytest.raises(TruncationError, match=r"up to r_max = 15.1875"):
+        radial._well_ladder(1.0, 0.1, 0)
+    assert radii == [3.0 * 1.5 ** i for i in range(radial.R_MAX_GROWTHS + 1)]
 
 
 def test_island_levels_frozen():

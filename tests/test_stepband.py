@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import magres.radial as radial
 import magres.stepband as stepband
 from magres.cli import main
 from magres.errors import (FlatBandError, MultipleMinimaError, NumericalError,
@@ -131,13 +132,13 @@ def test_ground_last_shift_certifies_lowest(monkeypatch):
     """The last factored shift was positive definite and lies within
     64 eps max|T_ii| below the returned Rayleigh quotient, so no level of
     the grid operator lies below mu - tol."""
-    factor, shifted = stepband.dpttrf, []
+    factor, shifted = radial.dpttrf, []
 
     def recording(d, e):
         out = factor(d, e)
         shifted.append((d, out[2]))
         return out
-    monkeypatch.setattr(stepband, "dpttrf", recording)
+    monkeypatch.setattr(radial, "dpttrf", recording)
     p = StepParams(a=-0.5, N=1600)
     mu, _, _ = stepband._ground(p, -0.66, p.N)
     step, arm = stepband._arm(p, -0.66, p.N)
@@ -154,7 +155,7 @@ def test_ground_non_convergence_is_numerical_error(monkeypatch, tmp_path,
     if force == "iteration_cap":
         monkeypatch.setattr(stepband, "MAX_SOLVES", 2)
     else:
-        monkeypatch.setattr(stepband, "dpttrf", lambda d, e: (d, e, 1))
+        monkeypatch.setattr(radial, "dpttrf", lambda d, e: (d, e, 1))
     with pytest.raises(NumericalError, match="did not converge"):
         band_value(StepParams(a=-0.5), -0.66)
     assert main(["band", "--a", "-0.5", "--grid-n", "64",

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,9 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile, spec_config
-from .radial import (RadialGrid, _anharmonic_ladder, _island_ladder,
-                     _well_ladder, check_ceiling, dirichlet_disk_levels,
-                     fiber_levels, sector_sweep)
+from .radial import (RadialGrid, Work, _anharmonic_ladder, _island_ladder,
+                     _rows, _solve_sectors, _well_ladder, check_ceiling,
+                     dirichlet_disk_levels, fiber_levels)
 from .stepband import StepParams, analyze_band
 from .quasimode import build_quasimode, quasimode_residual, tz_crossover, tz_window
 from .cscale import Window, find_resonances
@@ -143,14 +144,18 @@ def cmd_spectrum(args) -> int:
     spec = load_spec(args.field)
     profile = make_profile(spec)
     grid = RadialGrid(args.rmax, args.grid_n)
-    rows = sector_sweep(profile, args.b, args.m, grid, k=args.levels)
+    sectors = _solve_sectors(profile, args.b, args.m, grid, args.levels,
+                             "dirichlet_far", "b")
+    rows = _rows(zip(args.m, sectors))
     check_ceiling(profile, args.b, args.m, grid, rows[-1][0])
     lines = ["m,index,eigenvalue,b_or_h,gridN,r_max"]
     for lam, m, n in sorted(rows, key=lambda t: (t[1], t[2])):
         lines.append(f"{m},{n},{_fmt(lam)},{_fmt(args.b)},"
                      f"{grid.N},{_fmt(grid.r_max)}")
+    work = sum((sector.work for sector in sectors), Work())
     _emit(args, "spectrum", lines,
-          _params(args, field_spec=spec_config(spec)))
+          _params(args, field_spec=spec_config(spec)),
+          diagnostics={"work": asdict(work)})
     return 0
 
 
@@ -158,7 +163,8 @@ def cmd_band(args) -> int:
     if len(args.bracket) != 2:
         raise ValidationError("--bracket takes exactly two numbers LO,HI")
     params_obj = StepParams(a=args.a, L=args.L, N=args.grid_n)
-    table, zeta, beta, sc = analyze_band(params_obj, tuple(args.bracket))
+    table, zeta, beta, sc, params_obj = analyze_band(params_obj,
+                                                     tuple(args.bracket))
     lines = ["a,xi,mu"]
     for xi, mu in table:
         lines.append(f"{_fmt(args.a)},{_fmt(xi)},{_fmt(mu)}")
@@ -238,12 +244,14 @@ def cmd_quasimode(args) -> int:
     return 0
 
 
-def _ladder_record(key: str, value: float, ladder) -> dict:
-    """The manifest diagnostics of one ladder sweep."""
-    return {key: value, "solved": ladder.solved,
-            "certified": ladder.certified, "fallback": ladder.fallback,
-            "margin": ladder.margin, "shift": ladder.shift,
-            "r_max": ladder.r_max}
+def _ladder_record(key: str, value: float, ladder) -> tuple:
+    """The manifest diagnostics of one ladder sweep: how it was certified,
+    and the work it took."""
+    return ({key: value, "solved": ladder.solved,
+             "certified": ladder.certified, "fallback": ladder.fallback,
+             "margin": ladder.margin, "shift": ladder.shift,
+             "r_max": ladder.r_max},
+            {key: value, **asdict(ladder.work)})
 
 
 def _compare_pairs(args) -> tuple:
@@ -306,10 +314,11 @@ def cmd_compare(args) -> int:
     if len(set(sweep)) < 3 or not all(0.0 < x < math.inf for x in sweep):
         raise ValidationError(f"{flag} needs at least three distinct "
                               f"values, each positive and finite")
-    pairs, ladders = _compare_pairs(args)
+    pairs, records = _compare_pairs(args)
     report = compare(pairs)
     _emit(args, "compare", list(report.csv_lines()), _params(args),
-          diagnostics={"ladders": ladders})
+          diagnostics={"ladders": [sweep for sweep, _ in records],
+                       "work": [work for _, work in records]})
     return 0
 
 

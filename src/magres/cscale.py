@@ -138,7 +138,7 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
         diag, off = face_form(w, mass, grid.dr, V, "dirichlet_far")
     return FiberOperator(m=m, scale=h, convention="h",
                          boundary="dirichlet_far", grid=grid, diag=diag,
-                         off=off, profile=profile)
+                         off=off, pot=V, profile=profile)
 
 
 def complex_spectrum(op: FiberOperator) -> np.ndarray:

@@ -26,28 +26,46 @@ convention with complex entries.
 The scheme is second order in dr; level-sweep routines refine eigenvalues by
 Richardson extrapolation over (N/2, N).
 
+Grid levels come from certified inverse iteration (`_lowest`). Level j is
+bisected on a coarse copy of the fiber (about N/16 nodes), then refined on
+the fiber itself by shifted inverse iteration (`_inverse_iteration`, which
+the step band shares). Each shift s is factored as T - s = L D L^T by
+`dpttrf`, restarted past each negative pivot (`_ldl_factors`), and is used
+only if exactly j pivots are negative: by Sylvester's law of inertia s then
+lies between levels j - 1 and j. The iterate is orthogonalized against the
+levels below, and its Rayleigh quotient is summed face by face from the
+face weights and the potential, free of the cancellation between diag and
+off that costs bisection up to 1e-8 relative where the diagonal is large.
+The iteration stops when the last shift lies within 64 eps max|T_ii| below
+the quotient and the quotient moves by at most 4 ulp. `eigs_lowest`, which
+returns eigenvectors, bisects the fiber itself.
+
 A merged ladder (well, anharmonic, island) is a certified sector sweep. It
 solves the sectors outward from m = 0 until the levels it needs are in
 hand, then certifies every other sector of the m cap by one LDL^T
 factorization per grid: T - s positive definite puts all of the sector's
-eigenvalues above s (Sylvester inertia). The shift s is the top level plus
-a margin of 10x the largest Richardson correction of the solved levels
-(at least the 1e-8 dedup tolerance), which keeps the certified sectors'
-refined levels above the top as long as their own corrections stay below
-the margin. A sector whose factorization is refused is solved instead.
-Solved sectors keep their exact values, so the ladder is the one a solve
-of every sector gives. A Dirichlet-truncated ladder whose potential
-ceiling fails grows its r_max by 1.5x, up to R_MAX_GROWTHS times.
+eigenvalues above s. The shift s is the top level plus a margin of 10x the
+largest Richardson correction of the solved levels (at least the 1e-8
+dedup tolerance), which keeps the certified sectors' refined levels above
+the top as long as their own corrections stay below the margin. A sector
+whose factorization is refused is solved instead. Once n_max + 1 levels
+are in hand, a sector is solved only for the levels that either grid has
+below the current top plus margin (counted by the same factorization);
+a level does not depend on how many are solved, so the ladder is the one a
+solve of every sector gives, bit for bit. A Dirichlet-truncated ladder
+whose potential ceiling fails grows its r_max by 1.5x, up to R_MAX_GROWTHS
+times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import jn_zeros
 
 from ._parallel import pmap
@@ -58,6 +76,10 @@ from .fields import FieldProfile, make_profile, zero_profile, FieldSpec
 MAX_GRID_N = 10 ** 6  # largest grid of any solver (radial and step band)
 LADDER_N = 3000  # nodes of every ladder grid
 R_MAX_GROWTHS = 4  # 1.5x steps of a truncated ladder's r_max: at most 5.06x
+MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
+NEAR = 4  # lower levels each inverse-iteration solve is orthogonalized to
+# weight of the last face: a Dirichlet value there (mirror ghost) or free
+FAR_WEIGHT = {"dirichlet_far": 2.0, "neumann_far": 0.0}
 
 
 @dataclass(frozen=True)
@@ -98,7 +120,7 @@ def face_form(w_faces, mass, dr, V, boundary):
     Dirichlet value at the last face (mirror ghost: weight doubled) or a
     natural/Neumann end (last face free).
     """
-    far = {"dirichlet_far": 2.0, "neumann_far": 0.0}.get(boundary)
+    far = FAR_WEIGHT.get(boundary)
     if far is None:
         raise ValidationError(f"unknown boundary {boundary!r}")
     w_right = np.concatenate([w_faces[1:-1], [far * w_faces[-1]]])
@@ -131,6 +153,7 @@ class FiberOperator:
     grid: RadialGrid
     diag: np.ndarray = field(repr=False)
     off: np.ndarray = field(repr=False)
+    pot: np.ndarray = field(repr=False)  # the potential V at the nodes
     profile: FieldProfile = field(repr=False, compare=False)
 
 
@@ -170,28 +193,230 @@ def assemble_fiber(profile: FieldProfile, m: int, scale: float,
         diag, off = face_form(kin * grid.faces, r, grid.dr, V, boundary)
     return FiberOperator(m=m, scale=scale, convention=convention,
                          boundary=boundary, grid=grid, diag=diag, off=off,
-                         profile=profile)
+                         pot=V, profile=profile)
 
 
-def _lowest(op: FiberOperator, k: int, eigvals_only: bool = False):
-    """The k lowest eigenpairs (or values) of the fiber. A solver failure,
-    or a potential that overflowed (a steep field at a large scale), which
-    the solver's finiteness check refuses, is a numerical failure."""
+def _bisect(op: FiberOperator, first: int, last: int):
+    """Eigenpairs first..last of the fiber by LAPACK bisection (stebz,
+    then stein for the vectors). A solver failure, or a potential that
+    overflowed (a steep field at a large scale), which the solver's
+    finiteness check refuses, is a numerical failure."""
     try:
         return sla.eigh_tridiagonal(op.diag, op.off, select="i",
-                                    select_range=(0, k - 1),
-                                    eigvals_only=eigvals_only)
+                                    select_range=(first, last))
     except ValueError as exc:  # non-finite entries; LinAlgError subclasses it
         raise NumericalError(
             f"tridiagonal eigensolve failed for m={op.m}, "
             f"N={op.grid.N}: {exc}") from exc
 
 
+@dataclass
+class Work:
+    """What a fiber solve cost: coarse bisections, LDL^T factorizations of
+    shifted fibers that were used and that were refused, and solves with
+    the factors."""
+
+    bisections: int = 0
+    factorizations: int = 0
+    refused: int = 0
+    solves: int = 0
+
+    def __add__(self, other: "Work") -> "Work":
+        return Work(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+
+def _ldl_factors(diag: np.ndarray, off: np.ndarray, shift: float, j: int
+                 ) -> tuple:
+    """(negative pivots, factors) of T - shift = L D L^T for the symmetric
+    tridiagonal T = (diag, off), by `dpttrf` restarted past each negative
+    pivot d_i: the trailing block is factored again with its first diagonal
+    entry reduced by e_i^2 / d_i. The factors (d, e), which `dpttrs` takes,
+    come only with exactly j negative pivots, and by Sylvester's law of
+    inertia T then has exactly j eigenvalues below shift. Counting stops
+    past j; a zero or non-finite pivot refuses the shift, counted as j + 1
+    (the shift must come down)."""
+    d, e, info = dpttrf(diag - shift, off)
+    negatives, start, last = 0, 0, len(d) - 1
+    while info:
+        i = start + info - 1  # dpttrf stopped at pivot d[i] <= 0
+        pivot = d[i]
+        if negatives == j or not pivot < 0.0:
+            return j + 1, None
+        negatives += 1
+        if i == last:
+            break
+        # LAPACK leaves e[i] and d[i + 1] unreduced at the stop
+        ratio = off[i] / pivot
+        e[i] = ratio
+        d[i + 1] -= ratio * off[i]
+        start = i + 1
+        if start == last:  # dpttrf takes no 1 x 1 block
+            info = 0 if d[last] > 0.0 else 1
+        else:  # in place on the trailing views (overwrite_d, overwrite_e)
+            info = dpttrf(d[start:], e[start:], 1, 1)[2]
+    if not np.isfinite(d).all():
+        return j + 1, None
+    return negatives, ((d, e) if negatives == j else None)
+
+
+def _pd_factors(diag: np.ndarray, off: np.ndarray, shift: float):
+    """`dpttrf` factors (d, e) of T - shift for the symmetric tridiagonal
+    T = (diag, off), or None when the factorization refuses it: T - shift
+    is not positive definite or has a non-finite entry. The j = 0 case of
+    `_ldl_factors`: factors certify that every eigenvalue of T lies above
+    shift."""
+    return _ldl_factors(diag, off, shift, 0)[1]
+
+
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, rayleigh, x, mu,
+                       gap: float, lower, work: Work, cap: int,
+                       what: str) -> tuple:
+    """(mu, x): eigenpair j of T = (diag, off) by shifted inverse
+    iteration, x unit l2. lower holds the unit eigenvectors of levels
+    0..j-1 as its j rows (an empty sequence for j = 0). Each solve is
+    orthogonalized against the nearest NEAR of them: a shift between
+    levels j - 1 and j can amplify only the levels just below j, and it
+    damps the others.
+
+    x is a start vector (orthogonal to lower) and mu an estimate of the
+    level, above level j - 1; rayleigh(x) sums the Rayleigh quotient from
+    the operator's own quadratic form. Each shift mu - gap is used only if
+    `_ldl_factors` finds exactly j eigenvalues below it. A shift with more
+    quadruples the gap and one with fewer quarters it, until one of each
+    is known; the gap then bisects between them on a log scale, which ends
+    in the window while mu lies above level j - 1. Once mu moves by less
+    than gap/8, the gap shrinks to twice that move, down to tol = 64 eps
+    max|T_ii|. mu is returned when the last shift lay within tol below it
+    and mu moved by at most 4 ulp (of tol at least, where mu is 0). The
+    certificate puts level j in (mu - tol, mu] up to the rounding of the
+    quotient: a poor estimate costs factorizations, never a wrong level.
+    More than cap factorizations and solves is a NumericalError.
+    """
+    j = len(lower)
+    tol = 64.0 * np.finfo(float).eps * float(np.abs(diag).max())
+    gap = max(gap, tol)
+    factors, low, high = None, 0.0, math.inf  # refused: too small, too large
+    for _ in range(cap):
+        if factors is None:
+            count, factors = _ldl_factors(diag, off, mu - gap, j)
+            if factors is None:
+                work.refused += 1
+                if count > j:
+                    low = gap
+                else:
+                    high = gap
+                gap = (4.0 * gap if high == math.inf else 0.25 * gap
+                       if low == 0.0 else math.sqrt(low * high))
+                continue
+            work.factorizations += 1
+            low, high = 0.0, math.inf
+        y, _ = dpttrs(*factors, x)
+        if j:
+            near = lower[-NEAR:]
+            y -= near.T @ (near @ y)
+        x = y / math.sqrt(y @ y)
+        work.solves += 1
+        prev, mu = mu, rayleigh(x)
+        move = abs(mu - prev)
+        if gap <= tol and move <= 4.0 * np.spacing(max(abs(mu), tol)):
+            return mu, x
+        if 8.0 * move < gap:
+            gap, factors = max(tol, 2.0 * move), None
+    raise NumericalError(f"inverse iteration at {what} did not converge "
+                         f"in {cap} steps")
+
+
+def _rayleigh(op: FiberOperator):
+    """v -> the Rayleigh quotient of the fiber at v, summed in face
+    difference form from the face weights and the potential, not from
+    (diag, off): with s = v / sqrt(r),
+
+        q(v) = sum_faces w_i (s_i - s_{i-1})^2 / dr^2 + sum_j V_j v_j^2,
+
+    the far face weighted as `face_form` weights it. Every term is
+    non-negative, so the sum carries no cancellation."""
+    g = op.grid
+    kin = 1.0 if op.convention == "b" else op.scale * op.scale
+    w = kin * g.faces[1:] / (g.dr * g.dr)
+    w[-1] *= FAR_WEIGHT[op.boundary]
+    root, pot, s, ds = np.sqrt(g.nodes), op.pot, np.empty(g.N), np.empty(g.N)
+
+    def rayleigh(v: np.ndarray) -> float:
+        np.divide(v, root, out=s)
+        np.subtract(s[1:], s[:-1], out=ds[:-1])
+        ds[-1] = s[-1]
+        return float((w @ (ds * ds) + (pot * v) @ v) / (v @ v))
+    return rayleigh
+
+
+def _coarse_block(j: int, N: int) -> tuple:
+    """(lo, hi): the levels whose coarse bisection level j shares on an N
+    grid: blocks of 1, 1, 2, 4, 8 and then 16 levels, fixed by j and N
+    alone."""
+    if j >= 16:
+        lo = j - j % 16
+        return lo, min(lo + 15, N - 2)
+    lo = 1 << (j.bit_length() - 1) if j else 0
+    return lo, min(max(lo, 2 * lo - 1), N - 2)
+
+
+def _lowest(op: FiberOperator, k: int, work: Work) -> np.ndarray:
+    """The k lowest eigenvalues of the fiber, with their cost added to work.
+
+    Level j starts from a bisection, shared by its `_coarse_block` lo..hi,
+    of levels lo - 2..hi + 1 of a coarse copy of the fiber: same field,
+    m, scale, r_max and boundary, on N/16 nodes (at least 64), doubled
+    until it has 4(hi + 2). Coarse levels lie below the fine ones by a
+    share of their spacing that grows smoothly with j. `_inverse_iteration`
+    refines the level on the fiber itself from the coarse eigenvector
+    interpolated onto the grid, with a first gap of 1% of the coarse
+    spacing above it. The estimate is coarse level j moved by the grid
+    shift of the two levels below, extrapolated (the start's Rayleigh
+    quotient where that is not above level j - 1). Each level thus depends
+    on the fiber and j alone, whatever k is. Non-finite entries (an
+    overflowed potential) are a NumericalError.
+    """
+    if not (np.isfinite(op.diag).all() and np.isfinite(op.off).all()):
+        raise NumericalError(
+            f"fiber m={op.m} on N={op.grid.N} has non-finite entries: the "
+            f"potential overflowed")
+    g = op.grid
+    r, rayleigh, hi = g.nodes, _rayleigh(op), -1
+    values, basis = np.empty(k), np.empty((k, g.N))
+    for j in range(k):
+        if j > hi:
+            lo, hi = _coarse_block(j, g.N)
+            n_c = max(64, g.N // 16)
+            while n_c < min(4 * (hi + 2), g.N):
+                n_c *= 2
+            coarse = op if n_c >= g.N else assemble_fiber(
+                op.profile, op.m, op.scale, RadialGrid(g.r_max, n_c),
+                op.boundary, op.convention)
+            first = max(0, lo - 2)
+            est, vecs = _bisect(coarse, first, hi + 1)
+            work.bisections += 1
+            rc = coarse.grid.nodes
+        i = j - first  # level j in est
+        drift = values[first:j] - est[:i]
+        mu = est[i] + (2.0 * drift[-1] - drift[-2] if i >= 2 else
+                       drift.sum())
+        x = np.interp(r, rc, vecs[:, i] / np.sqrt(rc)) * np.sqrt(r)
+        if j:
+            x -= basis[:j].T @ (basis[:j] @ x)
+        x /= math.sqrt(x @ x)
+        if j and not mu > values[j - 1]:
+            mu = rayleigh(x)
+        values[j], basis[j] = _inverse_iteration(
+            op.diag, op.off, rayleigh, x, mu, 1e-2 * (est[i + 1] - est[i]),
+            basis[:j], work, MAX_SOLVES, f"level {j} of m={op.m}, N={g.N}")
+    return values
+
+
 def eigs_lowest(op: FiberOperator, k: int) -> EigenResult:
     """k lowest eigenpairs of the fiber; vectors orthonormal in r dr."""
     if not (1 <= k < op.grid.N):
         raise ValidationError("need 1 <= k < N")
-    vals, vecs = _lowest(op, k)
+    vals, vecs = _bisect(op, 0, k - 1)
     r = op.grid.nodes
     u = vecs / np.sqrt(r * op.grid.dr)[:, None]
     # deterministic sign: largest-magnitude component positive
@@ -202,20 +427,37 @@ def eigs_lowest(op: FiberOperator, k: int) -> EigenResult:
     return EigenResult(values=vals, vectors=u, op=op)
 
 
+class Sector(NamedTuple):
+    """The Richardson-refined levels of one sector, their corrections
+    |lam_N - lam_{N/2}| / 3 and the work of both grids."""
+
+    levels: np.ndarray
+    corrections: np.ndarray
+    work: Work
+
+
 def _richardson_levels(profile: FieldProfile, m: int, scale: float,
                        grid: RadialGrid, k: int, boundary: str,
-                       convention: str) -> tuple:
-    """(`fiber_levels`, |lam_N - lam_{N/2}| / 3 of each): the refined
-    levels and their Richardson corrections."""
+                       convention: str, below: float | None = None
+                       ) -> Sector:
+    """The `Sector` of `fiber_levels`; with a bound below, only as many of
+    the k levels as either grid has below it (at least one), counted by
+    `_ldl_factors`. Each level is the one a solve of all k gives."""
     if not 1 <= k < grid.N // 2:
         raise ValidationError(
             f"need 1 <= k < {grid.N // 2} on an N={grid.N} grid")
+    work = Work()
     op = assemble_fiber(profile, m, scale, grid, boundary, convention)
-    vals = _lowest(op, k, eigvals_only=True)
     oph = assemble_fiber(profile, m, scale, grid.halved(), boundary,
                          convention)
-    vals_h = _lowest(oph, k, eigvals_only=True)
-    return (4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0
+    if below is not None:
+        counts = [_ldl_factors(o.diag, o.off, below, k)[0] for o in (op, oph)]
+        work.factorizations += 2
+        k = max(1, min(k, max(counts)))
+    vals = _lowest(op, k, work)
+    vals_h = _lowest(oph, k, work)
+    return Sector((4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0,
+                  work)
 
 
 def fiber_levels(profile: FieldProfile, m: int, scale: float,
@@ -228,19 +470,7 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
     plain N-grid values are `eigs_lowest(assemble_fiber(...), k).values`.
     """
     return _richardson_levels(profile, m, scale, grid, k, boundary,
-                              convention)[0]
-
-
-def _pd_factors(diag: np.ndarray, off: np.ndarray, shift: float):
-    """`dpttrf` factors (d, e) of T - shift for the symmetric tridiagonal
-    T = (diag, off), or None when the factorization refuses it: T - shift
-    is not positive definite or has a non-finite entry. By Sylvester's law
-    of inertia, factors certify that every eigenvalue of T lies above
-    shift."""
-    d, e, info = dpttrf(diag - shift, off)
-    if info or not np.isfinite(d).all():
-        return None
-    return d, e
+                              convention).levels
 
 
 def default_m_range(n_max: int) -> range:
@@ -255,11 +485,12 @@ def _check_index(n_max: int) -> None:
 
 
 def _solve_sectors(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
-                   k: int, boundary: str, convention: str) -> list:
+                   k: int, boundary: str, convention: str,
+                   below: float | None = None) -> list:
     """`_richardson_levels` of each sector in ms, in order."""
     def solve(m):
         return _richardson_levels(profile, m, scale, grid, k, boundary,
-                                  convention)
+                                  convention, below)
     return pmap(solve, ms)
 
 
@@ -273,9 +504,9 @@ def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
 
 
 def _rows(sectors) -> list:
-    """(value, m, n) rows of (m, (levels, corrections)) pairs, ascending."""
+    """(value, m, n) rows of (m, Sector) pairs, ascending."""
     rows = [(float(lam), m, n)
-            for m, (vals, _) in sectors for n, lam in enumerate(vals)]
+            for m, sector in sectors for n, lam in enumerate(sector.levels)]
     rows.sort(key=lambda t: (t[0], t[1], t[2]))
     return rows
 
@@ -306,6 +537,7 @@ class Ladder:
     margin: float | None  # shift - top level; None if the sweep solved all
     shift: float | None  # every certified eigenvalue lies above it
     r_max: float  # the truncation radius the ladder was solved on
+    work: Work  # of the sweep at r_max: its solves and certificates
 
 
 def _distinct(solved: dict) -> tuple:
@@ -339,8 +571,12 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     within which levels count once. A sector whose certificate is refused
     is solved, and the certificates are redone with the new top and
     margin. Every sector of the range is thus solved or certified, with no
-    assumption of monotonicity in m, and a solved sector keeps its exact
-    values: the ladder is the one a solve of all sectors gives.
+    assumption of monotonicity in m. Once a top exists, a sector is solved
+    only for the levels that either grid has below top + margin: the top
+    only falls as sectors are added, so every level at or below the final
+    top is solved. A level does not depend on how many are solved, so a
+    solved sector keeps its exact values: the ladder is the one a solve of
+    all sectors of all n_max + 1 levels gives.
 
     Each ladder is certified: enough distinct levels, both edge sectors
     strictly above the returned top level and, when the far end is a
@@ -352,32 +588,45 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     grids = (grid, grid.halved())
     ms = list(default_m_range(n_max))
     k = n_max + 1
-    solved = {}  # m -> (levels, Richardson corrections)
+    solved = {}  # m -> Sector
+    certificates = Work()
+
+    def bound():  # (top, margin) once n_max + 1 distinct levels are solved
+        levels, _ = _distinct(solved)
+        if len(levels) <= n_max:
+            return None
+        top = levels[n_max]
+        richardson = max(
+            float(max(gaps[0], gaps[vals <= top].max(initial=0.0)))
+            for vals, gaps, _ in solved.values())
+        return top, max(10.0 * richardson, 1e-8 * (1.0 + abs(top)))
 
     def solve(batch):
+        top_margin = bound()
+        below = None if top_margin is None else sum(top_margin)
         solved.update(zip(batch, _solve_sectors(profile, scale, batch, grid,
-                                                k, boundary, convention)))
+                                                k, boundary, convention,
+                                                below)))
 
     def holds(m, shift):  # the certificate of sector m on both grids
-        return all(_pd_factors(op.diag, op.off, shift) is not None
-                   for op in (assemble_fiber(profile, m, scale, g, boundary,
-                                             convention) for g in grids))
+        for g in grids:
+            op = assemble_fiber(profile, m, scale, g, boundary, convention)
+            if _pd_factors(op.diag, op.off, shift) is None:
+                certificates.refused += 1
+                return False
+            certificates.factorizations += 1
+        return True
 
     for shell in range(max(abs(m) for m in ms) + 1):
         batch = [m for m in ms if abs(m) == shell]
         solve(batch)
         levels, _ = _distinct(solved)
-        if len(levels) > n_max and all(solved[m][0].min() > levels[n_max]
+        if len(levels) > n_max and all(solved[m].levels.min() > levels[n_max]
                                        for m in batch):
             break
     fallback, margin, shift = [], None, None
     while len(solved) < len(ms):
-        levels, _ = _distinct(solved)
-        top = levels[n_max]
-        richardson = max(
-            float(max(gaps[0], gaps[vals <= top].max(initial=0.0)))
-            for vals, gaps in solved.values())
-        margin = max(10.0 * richardson, 1e-8 * (1.0 + abs(top)))
+        top, margin = bound()
         shift = top + margin
         refused = [m for m in ms
                    if m not in solved and not holds(m, shift)]
@@ -393,7 +642,7 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
         # a certified edge lies above shift > top by its certificate
         if m_edge not in solved:
             continue
-        lowest = solved[m_edge][0].min()
+        lowest = solved[m_edge].levels.min()
         if lowest <= top * (1.0 + 1e-10):
             raise NumericalError(
                 f"m-range truncation unsafe: sector m={m_edge} has an "
@@ -405,7 +654,9 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
                   homes=homes[: n_max + 1], solved=sorted(solved),
                   certified=[m for m in ms if m not in solved],
                   fallback=sorted(fallback), margin=margin, shift=shift,
-                  r_max=r_max)
+                  r_max=r_max, work=sum((sector.work
+                                         for sector in solved.values()),
+                                        certificates))
 
 
 def _truncated_ladder(profile: FieldProfile, scale: float, n_max: int,

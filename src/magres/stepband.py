@@ -18,14 +18,16 @@ exactly on a node, so the potential kink is represented exactly and phi(0),
 phi'(0) are direct grid reads. Eigenvalues are refined by Richardson
 extrapolation over (N/2, N); the scheme is second order.
 
-Grid eigenpairs come from shifted inverse iteration (dpttrf/dpttrs) whose
-last shift, 64 eps max|T_ii| below the returned Rayleigh quotient mu, was
-factored as positive definite: that certifies mu as the lowest level. mu is
-summed in Dirichlet difference form, sum (dx)^2/h^2 + sum V x^2, free of
-the 2/h^2 cancellation that biases bisection by ~1e-11. The slope mu'(xi)
-= 2 sum (xi + b_a tau) x^2 is the Hellmann-Feynman derivative, exact on
-the grid and Richardson-combined like mu; zeta_a is its Newton root and
-mu'' its difference quotient.
+Grid eigenpairs come from the radial fibers' certified inverse iteration
+(`radial._inverse_iteration`, level 0), whose last shift, 64 eps max|T_ii|
+below the returned Rayleigh quotient mu, was factored as positive definite:
+that certifies mu as the lowest level. mu is summed in Dirichlet difference
+form, sum (dx)^2/h^2 + sum V x^2, free of the 2/h^2 cancellation that
+biases bisection by ~1e-11. The slope mu'(xi) = 2 sum (xi + b_a tau) x^2
+is the Hellmann-Feynman derivative, exact on the grid and Richardson-
+combined like mu; zeta_a is its Newton root and mu'' its difference
+quotient. A band whose end check fails at L is solved again on a line 1.5x
+longer at the same step (`analyze_band`).
 """
 
 from __future__ import annotations
@@ -34,14 +36,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
 from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
-from .radial import MAX_GRID_N, _pd_factors
+from .radial import (MAX_GRID_N, MAX_SOLVES, R_MAX_GROWTHS, Work,
+                     _inverse_iteration)
 
 FLAT_TOL = 1e-6  # relative band variation below which minimization is ill-posed
-MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
 MAX_SCAN_STEPS = 2000  # widest band scan: a bracket of width 100
 
 
@@ -92,41 +93,30 @@ def _arm(params: StepParams, xi: float, N: int) -> tuple[float, np.ndarray]:
 def _ground(params: StepParams, xi: float, N: int, start=None
             ) -> tuple[float, np.ndarray, np.ndarray]:
     """Lowest eigenpair (mu, x > 0, unit l2) of h_a[xi] on the N-interval
-    grid, and its arm; start is any earlier vector on this grid. A refused
-    shift quadruples its gap below mu; once mu moves by less than gap/8 the
-    gap shrinks to twice that move, down to tol. (T - sigma)^-1 is entrywise positive (an
-    M-matrix), so iterates stay positive; the 1e-3 share of exp(-V/2)
-    reaches wells where a start from a nearby xi underflowed to zero."""
+    grid, and its arm; start is any earlier vector on this grid. The pair
+    is `radial._inverse_iteration`'s level 0 from the Rayleigh quotient of
+    the start and a first gap of 1e-2, with the band's own quadratic form.
+    (T - sigma)^-1 is entrywise positive (an M-matrix), so iterates stay
+    positive; the 1e-3 share of exp(-V/2) reaches wells where a start from
+    a nearby xi underflowed to zero."""
     step, arm = _arm(params, xi, N)
     pot = arm * arm
     diag = 2.0 / step ** 2 + pot
     off = np.full(N - 2, -1.0 / step ** 2)
+    dv = np.empty(N)  # differences across the N cells, Dirichlet ends
 
     def rayleigh(v: np.ndarray) -> float:
-        dv = np.diff(v, prepend=0.0, append=0.0)
+        dv[0] = v[0]
+        np.subtract(v[1:], v[:-1], out=dv[1:-1])
+        dv[-1] = -v[-1]
         return float((dv @ dv / step ** 2 + pot @ (v * v)) / (v @ v))
 
     x = np.exp(-0.5 * (pot - pot.min()))
     if start is not None:
         x = np.abs(start) + 1e-3 * x / math.sqrt(x @ x)
-    tol = 64.0 * np.finfo(float).eps * float(diag.max())
-    mu, gap, factors = rayleigh(x), 1e-2, None
-    for _ in range(MAX_SOLVES):
-        if factors is None:
-            factors = _pd_factors(diag, off, mu - gap)
-            if factors is None:
-                gap *= 4.0
-                continue
-        y, _ = dpttrs(*factors, x)
-        x = y / math.sqrt(y @ y)
-        prev, mu = mu, rayleigh(x)
-        move = abs(mu - prev)
-        if gap <= tol and move <= 4.0 * np.spacing(mu):
-            return mu, x, arm
-        if 8.0 * move < gap:
-            gap, factors = max(tol, 2.0 * move), None
-    raise NumericalError(f"inverse iteration at xi = {xi} (N = {N}) did not "
-                         f"converge in {MAX_SOLVES} steps")
+    mu, x = _inverse_iteration(diag, off, rayleigh, x, rayleigh(x), 1e-2, (),
+                               Work(), MAX_SOLVES, f"xi = {xi} (N = {N})")
+    return mu, x, arm
 
 
 def _refined(params: StepParams, xi: float, start=None
@@ -272,19 +262,34 @@ class SpectralConstants:
 
 
 def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0)
-                 ) -> tuple[list, float, float, SpectralConstants | None]:
-    """(scan rows, zeta_a, beta_a, constants) of the band in one pass.
+                 ) -> tuple[list, float, float, SpectralConstants | None,
+                            StepParams]:
+    """(scan rows, zeta_a, beta_a, constants, params used) of the band in
+    one pass.
 
     One scan feeds both the table and the minimum search inside xi_bracket
     (see minimize_band); the Newton solve at zeta_a gives the end check,
-    beta, phi(0) and phi'(0). constants is None unless a lies in (-1, 0).
-    C1 = (1/3)(1 - 1/a) zeta phi(0) phi'(0) must come out positive; a
-    non-positive value is a sign-convention bug and a hard error.
-    C2 = (1/2) sqrt(mu'' C1) holds exactly by construction.
+    beta, phi(0) and phi'(0). While the end check fails, the line grows
+    1.5x at the same step 2L/N: N rounded up to a multiple of 4, and L
+    from it. That is at most R_MAX_GROWTHS times and within MAX_GRID_N; a
+    band that holds at params keeps them. constants is None unless a lies
+    in (-1, 0). C1 = (1/3)(1 - 1/a) zeta phi(0) phi'(0) must come out
+    positive; a non-positive value is a sign-convention bug and a hard
+    error. C2 = (1/2) sqrt(mu'' C1) holds exactly by construction.
     """
-    table, zeta, sample = _band_minimum(params, xi_bracket)
+    for growth in range(R_MAX_GROWTHS + 1):
+        try:
+            table, zeta, sample = _band_minimum(params, xi_bracket)
+            break
+        except TruncationError as exc:
+            n = 4 * math.ceil(0.375 * params.N)  # 1.5 N, a multiple of 4
+            if growth == R_MAX_GROWTHS or n > MAX_GRID_N:
+                raise TruncationError(
+                    f"{exc} (done up to L = {params.L:.6g}, N = "
+                    f"{params.N}, the cap of this band)") from None
+            params = StepParams(a=params.a, L=0.5 * n * params.step, N=n)
     if not (-1.0 < params.a < 0.0):
-        return table, zeta, sample.mu, None
+        return table, zeta, sample.mu, None, params
     mu2 = band_second_derivative(params, zeta)
     i0 = params.N // 2 - 1
     phi0 = float(sample.eigenfunction[i0])
@@ -297,7 +302,7 @@ def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0)
     C2 = 0.5 * math.sqrt(mu2 * C1)
     return table, zeta, sample.mu, SpectralConstants(
         a=params.a, beta=sample.mu, zeta=zeta, mu2=mu2, phi0=phi0,
-        phi0p=phi0p, C1=C1, C2=C2, L=params.L, N=params.N)
+        phi0p=phi0p, C1=C1, C2=C2, L=params.L, N=params.N), params
 
 
 def spectral_constants(params: StepParams) -> SpectralConstants:

@@ -5,7 +5,9 @@ Bessel zeros come from a power series plus bisection (not scipy.special),
 the half-line band oracle uses a node-centered ghost-point scheme (not the
 package's staggered face scheme), the step band reference keeps the
 package's grid but solves it with LAPACK's MRRR routine instead of the
-package's inverse iteration, normalization checks go through
+package's inverse iteration, the radial fiber reference keeps the
+package's grid and float64 potential but assembles the matrix in long
+double and solves it by Sturm multisection, normalization checks go through
 adaptive quadrature of the closed-form integrand, and the island references
 come from a matched boundary-layer model (Robin disk plus the parabolic
 cylinder profile), not from any radial solve.
@@ -101,6 +103,65 @@ def step_band_mu(a: float, xi: float, L: float = 12.0, N: int = 4800
             lapack_driver="stemr")[0])
 
     return (4.0 * plain(N) - plain(N // 2)) / 3.0
+
+
+def _sturm_counts(diag, off2, shifts):
+    """Eigenvalues of the symmetric tridiagonal (diag, off^2 = off2) below
+    each shift, by the LDL^T (Sturm) recurrence, vectorized over shifts."""
+    q = diag[0] - shifts
+    count = (q < 0).astype(int)
+    tiny = np.finfo(diag.dtype).tiny
+    for a, b2 in zip(diag[1:], off2):
+        q = np.where(q == 0, tiny, q)
+        q = (a - shifts) - b2 / q
+        count += q < 0
+    return count
+
+
+def fiber_levels_longdouble(r_max: float, N: int, potential, kin: float,
+                            far: float, k: int, sweeps: int = 12) -> list:
+    """The k lowest eigenvalues of the radial fiber matrix on the staggered
+    grid r_j = (j + 1/2) dr, faces F_i = i dr, assembled in np.longdouble
+    from the float64 potential V(r_j) (`potential`, N values), the kinetic
+    weight kin (1 or h^2) and the far-face weight far (2 for a Dirichlet
+    end, 0 for a Neumann wall):
+
+        diag_j = kin (F_j + F_{j+1}') / (r_j dr^2) + V_j,
+        off_j = -kin F_{j+1} / (dr^2 sqrt(r_j r_{j+1})),
+
+    F_N' = far F_N. Each level is bracketed from a float64 eigensolve and
+    narrowed by Sturm multisection, 64 shifts per sweep, until the bracket
+    is a few long-double ulps wide. Returns float64 values."""
+    ld = np.longdouble
+    dr = ld(r_max) / N
+    r = (np.arange(N, dtype=ld) + ld(0.5)) * dr
+    faces = np.arange(N + 1, dtype=ld) * dr * ld(kin)
+    right = faces[1:].copy()
+    right[-1] *= ld(far)
+    diag = (faces[:-1] + right) / (r * dr * dr) + np.asarray(potential, ld)
+    off = -faces[1:-1] / (dr * dr * np.sqrt(r[:-1] * r[1:]))
+    off2 = off * off
+    guess = sla.eigh_tridiagonal(diag.astype(float), off.astype(float),
+                                 select="i", select_range=(0, k - 1),
+                                 eigvals_only=True).astype(ld)
+    j = np.arange(k)
+    lo, hi, step = guess.copy(), guess.copy(), ld(1e-9) * (1 + abs(guess))
+    while True:  # widen until count(lo) <= j < count(hi)
+        low = _sturm_counts(diag, off2, lo) > j
+        high = _sturm_counts(diag, off2, hi) <= j
+        if not (low.any() or high.any()):
+            break
+        lo, hi, step = lo - low * step, hi + high * step, 2 * step
+    frac = np.arange(1, 65, dtype=ld) / 65
+    for _ in range(sweeps):
+        shifts = lo[:, None] + (hi - lo)[:, None] * frac
+        counts = _sturm_counts(diag, off2, shifts.ravel()).reshape(k, 64)
+        below = np.where(counts <= j[:, None], shifts, -np.inf).max(axis=1)
+        above = np.where(counts > j[:, None], shifts, np.inf).min(axis=1)
+        lo, hi = np.maximum(lo, below), np.minimum(hi, above)
+        if np.all(hi - lo <= 4 * np.finfo(ld).eps * abs(hi)):
+            break
+    return [float(x) for x in (lo + hi) / 2]
 
 
 def de_gennes_constant(T: float = 12.0, N: int = 4000,

@@ -19,6 +19,7 @@ import magres.cli as cli
 import magres.radial as radial
 import magres.stepband as stepband
 from magres.cli import build_parser, main
+from magres.errors import TruncationError
 from magres.radial import MAX_GRID_N
 
 from conftest import FROZEN
@@ -426,19 +427,19 @@ def test_compare_well_cli(tmp_path):
 
 def test_compare_well_readme_bytes(capsys):
     """The README well sweep, byte for byte as the solve of every sector of
-    the cap gave it."""
+    the cap gives it with levels refined by certified inverse iteration."""
     assert main(["compare", "--model", "well", "--h", "0.1,0.05,0.025"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "model,n,h,expansion,direct,diff,ratio_to_expected,observed_order",
         "well,0,1.00000000000000e-01,1.40000000000000e-01,"
-        "1.16284955975553e-01,-2.37150440244473e-02,2.37150440244472e+01,"
-        "2.07815351730801e+00",
+        "1.16284955980154e-01,-2.37150440198464e-02,2.37150440198464e+01,"
+        "2.07815351731524e+00",
         "well,0,5.00000000000000e-02,6.00000000000000e-02,"
-        "5.44353875577624e-02,-5.56461244223756e-03,4.45168995379004e+01,"
-        "2.07815351730801e+00",
+        "5.44353875595481e-02,-5.56461244045187e-03,4.45168995236150e+01,"
+        "2.07815351731524e+00",
         "well,0,2.50000000000000e-02,2.75000000000000e-02,"
-        "2.61700024326938e-02,-1.32999756730625e-03,8.51198443075998e+01,"
-        "2.07815351730801e+00"]
+        "2.61700024329651e-02,-1.32999756703489e-03,8.51198442902328e+01,"
+        "2.07815351731524e+00"]
 
 
 @pytest.mark.parametrize("sweep", ["2,1.5,1.2", "5,4,3"])
@@ -659,3 +660,67 @@ def test_console_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == \
         "model,n,m,b,r0,delta,norm_defect,residual"
+
+
+def test_band_grows_L_while_its_end_check_fails(monkeypatch, tmp_path):
+    """At a = -0.25 the default L = 12 fails the end check; the band grows
+    to L = 18 at the same step (N = 7200) and meets the frozen L = 16
+    constants. With no growth left the end check stands."""
+    out = tmp_path / "band.csv"
+    assert main(["band", "--a", "-0.25", "--out", str(out)]) == 0
+    c = json.loads((tmp_path / "band.csv.constants.json").read_text())
+    ref = FROZEN["step_minus025"]
+    assert (c["L"], c["N"]) == (18.0, 7200)
+    assert c["beta"] == pytest.approx(ref["beta"], abs=1e-6)
+    assert c["zeta"] == pytest.approx(ref["zeta"], abs=1e-5)
+    for key in ("mu2", "C1", "C2"):
+        assert c[key] == pytest.approx(ref[key], rel=1e-3)
+    monkeypatch.setattr(stepband, "R_MAX_GROWTHS", 0)
+    with pytest.raises(TruncationError, match="enlarge L"):
+        stepband.analyze_band(stepband.StepParams(a=-0.25, N=1600))
+
+
+def test_manifests_record_the_eigensolver_work(anh_config, tmp_path):
+    """compare records, per ladder, the coarse bisections (one per block
+    of levels and grid), factorizations and solves; spectrum records the
+    same totals."""
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--model", "well", "--n", "1",
+                 "--h", "0.1,0.05,0.025", "--out", str(out)]) == 0
+    diag = json.loads((tmp_path / "cmp.csv.manifest.json").read_text()
+                      )["diagnostics"]
+    assert [w["h"] for w in diag["work"]] == [0.1, 0.05, 0.025]
+    for sweep, work in zip(diag["ladders"], diag["work"]):
+        assert work["bisections"] >= 2 * len(sweep["solved"])
+        # each certified sector is one factorization per grid
+        assert work["factorizations"] >= 2 * len(sweep["certified"])
+        assert work["solves"] >= 2 * 2 * len(sweep["solved"])
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--field", str(anh_config), "--levels", "2",
+                 "--m", "0:2", "--grid-n", "800", "--rmax", "12",
+                 "--out", str(out)]) == 0
+    work = json.loads((tmp_path / "spec.csv.manifest.json").read_text()
+                      )["diagnostics"]["work"]
+    assert set(work) == {"bisections", "factorizations", "refused",
+                         "solves"}
+    assert work["bisections"] == 3 * 2 * 2
+    assert work["solves"] >= work["factorizations"] - work["refused"] >= 12
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--field", None, "--b", "1e200"],
+    ["compare", "--model", "landau", "--h", "0.1,0.05,0.025",
+     "--rmax", "1e300"]], ids=["spectrum", "compare-landau"])
+def test_non_finite_fiber_is_numerical_failure(argv, disk_config, capsys):
+    """A potential that overflows to inf gives a fiber with non-finite
+    entries: exit 3, no traceback."""
+    argv = [str(disk_config) if tok is None else tok for tok in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "non-finite entries" in err and "Traceback" not in err
+
+
+def test_refinement_at_its_iteration_cap_exits_3(monkeypatch, anh_config):
+    monkeypatch.setattr(radial, "MAX_SOLVES", 2)
+    assert main(["spectrum", "--field", str(anh_config), "--grid-n", "800",
+                 "--rmax", "12"]) == 3

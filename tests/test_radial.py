@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrs
 
 import magres.radial as radial
 from magres.errors import (DecayCheckError, NumericalError, TruncationError,
@@ -14,7 +15,8 @@ from magres.radial import (MAX_GRID_N, RadialGrid, anharmonic_levels,
                            verify_ah_decay, verify_island_decay, well_levels)
 
 from conftest import FROZEN
-from oracles import bessel_j_zero, richardson_order
+from oracles import (bessel_j_zero, fiber_levels_longdouble,
+                     richardson_order)
 
 
 def test_grid_validation():
@@ -426,3 +428,132 @@ def test_sector_sweep_rows_sorted(disk_profile):
                         RadialGrid(12.0, 800), 2)
     vals = [v for v, m, n in rows]
     assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("N", [1500, 3000])
+@pytest.mark.parametrize("case", [
+    ("well_radial", {"b0": 1.0}, 1.0, 0.1, 3.0, "dirichlet_far", "h"),
+    ("well_radial", {"b0": 1.0}, 1.0, 0.025, 3.0, "dirichlet_far", "h"),
+    ("anharmonic", {"gamma": 2.0}, 1.0, 1.0, 12.0, "dirichlet_far", "b"),
+    ("island_annular", {"rho1": 1.0, "rho2": 1.5}, 1.5, 200.0, 1.5,
+     "neumann_far", "b")], ids=["well-0.1", "well-0.025", "anharmonic",
+                                "island-200"])
+def test_lowest_matches_longdouble_oracle(case, N):
+    """Levels 0-2 of the certified inverse iteration against long-double
+    Sturm multisection of the same grid matrix, within 1e-12 relative."""
+    kind, params, R0, scale, r_max, boundary, convention = case
+    profile = make_profile(FieldSpec(kind, params, R0=R0))
+    op = assemble_fiber(profile, 0, scale, RadialGrid(r_max, N), boundary,
+                        convention)
+    kin = scale * scale if convention == "h" else 1.0
+    want = fiber_levels_longdouble(r_max, N, op.pot, kin,
+                                   radial.FAR_WEIGHT[boundary], 3)
+    got = radial._lowest(op, 3, radial.Work())
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_lowest_certifies_each_level(monkeypatch, well_profile):
+    """The last factored shift of level j has exactly j eigenvalues below
+    it and lies within 64 eps max|T_ii| below the returned level; the work
+    record counts every factorization and solve."""
+    factored = []
+    ldl = radial._ldl_factors
+
+    def recording(diag, off, shift, j):
+        out = ldl(diag, off, shift, j)
+        factored.append((j, shift, out[1] is not None))
+        return out
+    monkeypatch.setattr(radial, "_ldl_factors", recording)
+    op = assemble_fiber(well_profile, 1, 0.05, RadialGrid(3.0, 1500),
+                        convention="h")
+    work = radial.Work()
+    got = radial._lowest(op, 4, work)
+    tol = 64.0 * np.finfo(float).eps * op.diag.max()
+    exact = np.linalg.eigvalsh(np.diag(op.diag) + np.diag(op.off, 1)
+                               + np.diag(op.off, -1))
+    for j, level in enumerate(got):
+        shift = [s for i, s, ok in factored if i == j and ok][-1]
+        assert 0.0 < level - shift <= 1.01 * tol
+        assert exact[j - 1] < shift < exact[j] if j else shift < exact[0]
+    assert work.bisections == 3  # coarse blocks {0}, {1} and {2, 3}
+    assert work.factorizations == sum(ok for _, _, ok in factored)
+    assert work.refused == sum(not ok for _, _, ok in factored)
+    assert work.solves >= work.factorizations
+
+
+def test_ldl_inertia_counts_the_levels_below_the_shift():
+    """Restarted dpttrf counts, at every shift, the eigenvalues below it
+    (np.linalg.eigvalsh), negative last pivot included; factors come only
+    at the asked count and solve T - shift. A zero or non-finite pivot is
+    refused."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        diag, off = rng.normal(0.0, 2.0, n), rng.normal(0.0, 1.0, n - 1)
+        lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+        cuts = np.concatenate([[lam[0] - 1.0], (lam[1:] + lam[:-1]) / 2,
+                               [lam[-1] + 1.0]])
+        for below, shift in enumerate(cuts):
+            count, factors = radial._ldl_factors(diag, off, shift, below)
+            assert count == below and factors is not None
+            d, e = factors
+            assert int(np.sum(d < 0)) == below
+            b = rng.normal(size=n)
+            x, info = dpttrs(d, e, b)
+            t = np.diag(diag - shift) + np.diag(off, 1) + np.diag(off, -1)
+            assert info == 0 and np.allclose(t @ x, b, atol=1e-8)
+            if below:
+                assert radial._ldl_factors(diag, off, shift,
+                                           below - 1) == (below, None)
+            more = radial._ldl_factors(diag, off, shift, below + 1)
+            assert more == (below, None)
+    # only the last pivot negative: 2, 2 - 1/2, then -1 - 1/1.5
+    diag, off = np.array([2.0, 2.0, -1.0]), np.array([1.0, 1.0])
+    count, (d, _) = radial._ldl_factors(diag, off, 0.0, 1)
+    assert count == 1 and d[-1] < 0 < d[:-1].min()
+    # a zero pivot, a NaN and an infinity refuse the shift
+    assert radial._ldl_factors(np.array([1.0, 1.0, 3.0]),
+                               np.array([1.0, 1.0]), 0.0, 1) == (2, None)
+    for bad in (math.nan, math.inf):
+        diag = np.array([2.0, bad, 2.0])
+        assert radial._ldl_factors(diag, off, 0.0, 0)[1] is None
+        assert radial._ldl_factors(diag, off, 0.0, 1)[1] is None
+
+
+def test_lowest_refuses_non_finite_fibers_and_its_iteration_cap(
+        monkeypatch, anharmonic_profile):
+    """An overflowed potential and a refinement that reaches MAX_SOLVES
+    are numerical failures."""
+    grid = RadialGrid(12.0, 800)
+    op = assemble_fiber(anharmonic_profile, 0, 1.0, grid)
+    bad = assemble_fiber(anharmonic_profile, 0, 1e200, grid)
+    with pytest.raises(NumericalError, match="non-finite"):
+        radial._lowest(bad, 1, radial.Work())
+    monkeypatch.setattr(radial, "MAX_SOLVES", 2)
+    with pytest.raises(NumericalError, match="did not converge"):
+        radial._lowest(op, 1, radial.Work())
+
+
+def test_zero_field_neumann_ground_level_is_zero():
+    """The constant is the exact m = 0 ground state of the zero-field
+    Neumann disk on the grid, so level 0 converges to 0 itself."""
+    op = assemble_fiber(zero_profile(R0=1.5), 0, 1.0,
+                        RadialGrid(1.5, radial.LADDER_N), "neumann_far")
+    got = radial._lowest(op, 2, radial.Work())
+    assert 0.0 <= got[0] < 1e-18
+    assert got[1] == pytest.approx(bessel_j_zero(1, 1) ** 2 / 1.5 ** 2,
+                                   rel=1e-6)
+
+
+def test_lowest_levels_do_not_depend_on_how_many_are_solved(well_profile):
+    """Level j comes out bit for bit the same whether 1, j + 1 or more
+    levels are solved, across the coarse blocks {0}, {1}, {2, 3}, ...,
+    {16..31}, {32..47}: the certified sweep solves only the levels below
+    its shift and must equal a solve of every level."""
+    op = assemble_fiber(well_profile, 2, 0.05, RadialGrid(3.0, 1500),
+                        convention="h")
+    full = radial._lowest(op, 40, radial.Work())
+    for k in (1, 2, 3, 5, 16, 17, 33):
+        assert radial._lowest(op, k, radial.Work()).tolist() == \
+            full[:k].tolist()

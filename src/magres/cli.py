@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile, spec_config
-from .radial import (RadialGrid, Work, _anharmonic_ladder, _island_ladder,
-                     _rows, _solve_sectors, _well_ladder, check_ceiling,
-                     dirichlet_disk_levels, fiber_levels)
+from .radial import (RadialGrid, Work, _anharmonic_ladder, _grid_pair,
+                     _island_ladder, _rows, _solve_sectors, _well_ladder,
+                     check_ceiling, dirichlet_disk_levels, fiber_levels)
 from .stepband import StepParams, analyze_band
 from .quasimode import build_quasimode, quasimode_residual, tz_crossover, tz_window
 from .cscale import Window, find_resonances
@@ -144,8 +144,9 @@ def cmd_spectrum(args) -> int:
     spec = load_spec(args.field)
     profile = make_profile(spec)
     grid = RadialGrid(args.rmax, args.grid_n)
-    sectors = _solve_sectors(profile, args.b, args.m, grid, args.levels,
-                             "dirichlet_far", "b")
+    pair = _grid_pair(profile, args.b, grid, args.levels, "dirichlet_far",
+                      "b")
+    sectors = _solve_sectors(pair, args.m, args.levels)
     rows = _rows(zip(args.m, sectors))
     check_ceiling(profile, args.b, args.m, grid, rows[-1][0])
     lines = ["m,index,eigenvalue,b_or_h,gridN,r_max"]
@@ -182,6 +183,10 @@ def cmd_band(args) -> int:
 
 
 def cmd_resonances(args) -> int:
+    if len(set(args.h)) < len(args.h) or not all(0.0 < h < math.inf
+                                                 for h in args.h):
+        raise ValidationError("--h needs distinct values, each positive and "
+                              "finite")
     spec = load_spec(args.field)
     profile = make_profile(spec)
     grid = RadialGrid(args.rmax, args.grid_n)

@@ -113,8 +113,8 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     r_max >= 3 T0 so the rotated-contour decay has room. Up to R1 the
     potential is the real fiber's `fiber_potential`.
     """
-    if h <= 0:
-        raise ValidationError("h must be > 0")
+    if not 0.0 < h < math.inf:
+        raise ValidationError("h must be positive and finite")
     if not sp.R1 > profile.R0:  # also a full-plane field, R0 = inf
         raise ValidationError(
             f"deformation region starts at R1 = {sp.R1} inside the field "
@@ -135,7 +135,8 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
         ft = sp.f(t[~inner])
         # as np.float64 an overflow gives inf, where a float's ** raises
         V[~inner] = np.float64(h * m - profile.alpha) ** 2 / (ft * ft)
-        diag, off = face_form(w, mass, grid.dr, V, "dirichlet_far")
+        kinetic, off = face_form(w, mass, grid.dr, "dirichlet_far")
+        diag = kinetic + V
     return FiberOperator(m=m, scale=h, convention="h",
                          boundary="dirichlet_far", grid=grid, diag=diag,
                          off=off, pot=V, profile=profile)
@@ -293,6 +294,9 @@ class Window:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min,
+                                       self.im_max))):
+            raise ValidationError("window bounds must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValidationError("window rectangle is empty")
         if self.im_max > 0.0:

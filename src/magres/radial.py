@@ -23,6 +23,16 @@ Two scale conventions share the same assembly (and `fiber_potential`):
 The complex-scaled fibers of `cscale` are FiberOperators of the 'h'
 convention with complex entries.
 
+Only V depends on m. A real fiber is assembled once per grid: a
+`_GridFiber` holds the nodes, a(r), the kinetic diagonal and the
+off-diagonal of `face_form`, and the face weights of the Rayleigh quotient,
+all read-only; sector m then adds its V to the kinetic diagonal
+(`_GridFiber.op`), the same operations in the same order as a one-off
+assembly, so every entry is the same bit for bit. A sweep builds the
+records of its N and N/2 grids once and solves and certifies every sector
+on them; the coarse copies that `_lowest` bisects are kept on their parent
+record. Records live as long as the sweep that built them.
+
 The scheme is second order in dr; level-sweep routines refine eigenvalues by
 Richardson extrapolation over (N/2, N).
 
@@ -112,11 +122,12 @@ class RadialGrid:
         return RadialGrid(self.r_max, self.N // 2)
 
 
-def face_form(w_faces, mass, dr, V, boundary):
-    """Tridiagonal (diag, off) of the face-weighted form.
+def face_form(w_faces, mass, dr, boundary):
+    """Tridiagonal (kinetic diag, off) of the face-weighted form: the
+    operator's diag is the kinetic diag plus the potential at the nodes.
 
     w_faces has N+1 entries (kinetic weight per cell face), mass has N
-    (the measure density at nodes), V has N. The far boundary is either a
+    (the measure density at nodes). The far boundary is either a
     Dirichlet value at the last face (mirror ghost: weight doubled) or a
     natural/Neumann end (last face free).
     """
@@ -124,11 +135,11 @@ def face_form(w_faces, mass, dr, V, boundary):
     if far is None:
         raise ValidationError(f"unknown boundary {boundary!r}")
     w_right = np.concatenate([w_faces[1:-1], [far * w_faces[-1]]])
-    diag = (w_faces[:-1] + w_right) / (mass * dr * dr) + V
+    kinetic = (w_faces[:-1] + w_right) / (mass * dr * dr)
     # per-factor roots: safe for complex mass (product args can leave the
     # principal branch at large scaling angles)
     off = -w_faces[1:-1] / (dr * dr * np.sqrt(mass[:-1]) * np.sqrt(mass[1:]))
-    return diag, off
+    return kinetic, off
 
 
 def smoothstep(r, r0: float, width: float):
@@ -155,6 +166,8 @@ class FiberOperator:
     off: np.ndarray = field(repr=False)
     pot: np.ndarray = field(repr=False)  # the potential V at the nodes
     profile: FieldProfile = field(repr=False, compare=False)
+    # the grid record of a real fiber; None for a complex-scaled one
+    record: _GridFiber | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +185,53 @@ def fiber_potential(m: int, scale: float, r, a, convention: str):
     return (scale * m / r - a) ** 2
 
 
+class _GridFiber:
+    """The m-independent half of the real fiber of one (profile, scale,
+    grid, boundary, convention): the nodes r and sqrt(r), a(r), the
+    kinetic diagonal and the off-diagonal of `face_form`, and the face
+    weights of `_rayleigh`, all read-only. `op(m)` adds sector m's
+    potential. Coarse copies (`coarse`) are built once and kept here."""
+
+    def __init__(self, profile: FieldProfile, scale: float, grid: RadialGrid,
+                 boundary: str, convention: str):
+        if not (scale > 0 and math.isfinite(scale)):
+            raise ValidationError("scale must be > 0")
+        if convention not in ("b", "h"):
+            raise ValidationError("convention must be 'b' or 'h'")
+        self.profile, self.scale, self.grid = profile, scale, grid
+        self.boundary, self.convention = boundary, convention
+        r = grid.nodes
+        kin = 1.0 if convention == "b" else scale * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.asarray(profile.a(r), dtype=float)
+            kinetic, off = face_form(kin * grid.faces, r, grid.dr, boundary)
+            weights = kin * grid.faces[1:] / (grid.dr * grid.dr)
+            weights[-1] *= FAR_WEIGHT[boundary]
+        shared = r, np.sqrt(r), a, kinetic, off, weights
+        for array in shared:
+            array.flags.writeable = False
+        self.r, self.root, self.a, self.kinetic, self.off, self.weights = shared
+        self._coarse = {}  # N -> the coarse copy's record
+
+    def op(self, m: int) -> FiberOperator:
+        """The fiber of sector m: diag = kinetic + V_m."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = fiber_potential(m, self.scale, self.r, self.a, self.convention)
+            diag = self.kinetic + V
+        return FiberOperator(m=m, scale=self.scale, convention=self.convention,
+                             boundary=self.boundary, grid=self.grid,
+                             diag=diag, off=self.off, pot=V,
+                             profile=self.profile, record=self)
+
+    def coarse(self, N: int) -> "_GridFiber":
+        """The record of the same fiber on N nodes over the same r_max."""
+        if N not in self._coarse:
+            self._coarse[N] = _GridFiber(
+                self.profile, self.scale, RadialGrid(self.grid.r_max, N),
+                self.boundary, self.convention)
+        return self._coarse[N]
+
+
 def assemble_fiber(profile: FieldProfile, m: int, scale: float,
                    grid: RadialGrid, boundary: str = "dirichlet_far",
                    convention: str = "b") -> FiberOperator:
@@ -181,19 +241,7 @@ def assemble_fiber(profile: FieldProfile, m: int, scale: float,
     the eigensolvers report as a NumericalError; `check_ceiling`
     certifies the Dirichlet truncation of a solved ladder.
     """
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValidationError("scale must be > 0")
-    if convention not in ("b", "h"):
-        raise ValidationError("convention must be 'b' or 'h'")
-    r = grid.nodes
-    kin = 1.0 if convention == "b" else scale * scale
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.asarray(profile.a(r), dtype=float)
-        V = fiber_potential(m, scale, r, a, convention)
-        diag, off = face_form(kin * grid.faces, r, grid.dr, V, boundary)
-    return FiberOperator(m=m, scale=scale, convention=convention,
-                         boundary=boundary, grid=grid, diag=diag, off=off,
-                         pot=V, profile=profile)
+    return _GridFiber(profile, scale, grid, boundary, convention).op(m)
 
 
 def _bisect(op: FiberOperator, first: int, last: int):
@@ -314,7 +362,11 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, rayleigh, x, mu,
         if j:
             near = lower[-NEAR:]
             y -= near.T @ (near @ y)
-        x = y / math.sqrt(y @ y)
+        norm2 = y @ y
+        if not 0.0 < norm2 < math.inf:
+            raise NumericalError(f"inverse iteration at {what} lost its "
+                                 f"iterate: the solve gave |y|^2 = {norm2:.3g}")
+        x = y / math.sqrt(norm2)
         work.solves += 1
         prev, mu = mu, rayleigh(x)
         move = abs(mu - prev)
@@ -334,12 +386,10 @@ def _rayleigh(op: FiberOperator):
         q(v) = sum_faces w_i (s_i - s_{i-1})^2 / dr^2 + sum_j V_j v_j^2,
 
     the far face weighted as `face_form` weights it. Every term is
-    non-negative, so the sum carries no cancellation."""
-    g = op.grid
-    kin = 1.0 if op.convention == "b" else op.scale * op.scale
-    w = kin * g.faces[1:] / (g.dr * g.dr)
-    w[-1] *= FAR_WEIGHT[op.boundary]
-    root, pot, s, ds = np.sqrt(g.nodes), op.pot, np.empty(g.N), np.empty(g.N)
+    non-negative, so the sum carries no cancellation. The weights w and
+    sqrt(r) come from the fiber's grid record."""
+    n, w, root, pot = op.grid.N, op.record.weights, op.record.root, op.pot
+    s, ds = np.empty(n), np.empty(n)
 
     def rayleigh(v: np.ndarray) -> float:
         np.divide(v, root, out=s)
@@ -380,8 +430,8 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> np.ndarray:
         raise NumericalError(
             f"fiber m={op.m} on N={op.grid.N} has non-finite entries: the "
             f"potential overflowed")
-    g = op.grid
-    r, rayleigh, hi = g.nodes, _rayleigh(op), -1
+    g, fine = op.grid, op.record
+    rayleigh, hi = _rayleigh(op), -1
     values, basis = np.empty(k), np.empty((k, g.N))
     for j in range(k):
         if j > hi:
@@ -389,18 +439,16 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> np.ndarray:
             n_c = max(64, g.N // 16)
             while n_c < min(4 * (hi + 2), g.N):
                 n_c *= 2
-            coarse = op if n_c >= g.N else assemble_fiber(
-                op.profile, op.m, op.scale, RadialGrid(g.r_max, n_c),
-                op.boundary, op.convention)
+            coarse = op if n_c >= g.N else fine.coarse(n_c).op(op.m)
             first = max(0, lo - 2)
             est, vecs = _bisect(coarse, first, hi + 1)
             work.bisections += 1
-            rc = coarse.grid.nodes
+            rc, root_c = coarse.record.r, coarse.record.root
         i = j - first  # level j in est
         drift = values[first:j] - est[:i]
         mu = est[i] + (2.0 * drift[-1] - drift[-2] if i >= 2 else
                        drift.sum())
-        x = np.interp(r, rc, vecs[:, i] / np.sqrt(rc)) * np.sqrt(r)
+        x = np.interp(fine.r, rc, vecs[:, i] / root_c) * fine.root
         if j:
             x -= basis[:j].T @ (basis[:j] @ x)
         x /= math.sqrt(x @ x)
@@ -436,20 +484,25 @@ class Sector(NamedTuple):
     work: Work
 
 
-def _richardson_levels(profile: FieldProfile, m: int, scale: float,
-                       grid: RadialGrid, k: int, boundary: str,
-                       convention: str, below: float | None = None
-                       ) -> Sector:
-    """The `Sector` of `fiber_levels`; with a bound below, only as many of
-    the k levels as either grid has below it (at least one), counted by
-    `_ldl_factors`. Each level is the one a solve of all k gives."""
+def _grid_pair(profile: FieldProfile, scale: float, grid: RadialGrid, k: int,
+               boundary: str, convention: str) -> tuple:
+    """The `_GridFiber` records of grid and of its N/2 grid, on which k
+    levels per sector are Richardson-refined."""
     if not 1 <= k < grid.N // 2:
         raise ValidationError(
             f"need 1 <= k < {grid.N // 2} on an N={grid.N} grid")
+    return tuple(_GridFiber(profile, scale, g, boundary, convention)
+                 for g in (grid, grid.halved()))
+
+
+def _richardson_levels(pair: tuple, m: int, k: int,
+                       below: float | None = None) -> Sector:
+    """The `Sector` of `fiber_levels` on the records of `_grid_pair`; with
+    a bound below, only as many of the k levels as either grid has below
+    it (at least one), counted by `_ldl_factors`. Each level is the one a
+    solve of all k gives."""
     work = Work()
-    op = assemble_fiber(profile, m, scale, grid, boundary, convention)
-    oph = assemble_fiber(profile, m, scale, grid.halved(), boundary,
-                         convention)
+    op, oph = (fiber.op(m) for fiber in pair)
     if below is not None:
         counts = [_ldl_factors(o.diag, o.off, below, k)[0] for o in (op, oph)]
         work.factorizations += 2
@@ -469,8 +522,8 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
     error term. k must stay below N/2, the size of the coarser grid; the
     plain N-grid values are `eigs_lowest(assemble_fiber(...), k).values`.
     """
-    return _richardson_levels(profile, m, scale, grid, k, boundary,
-                              convention).levels
+    return _richardson_levels(
+        _grid_pair(profile, scale, grid, k, boundary, convention), m, k).levels
 
 
 def default_m_range(n_max: int) -> range:
@@ -484,14 +537,11 @@ def _check_index(n_max: int) -> None:
                               f" on the N={LADDER_N} ladder grid")
 
 
-def _solve_sectors(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
-                   k: int, boundary: str, convention: str,
-                   below: float | None = None) -> list:
-    """`_richardson_levels` of each sector in ms, in order."""
-    def solve(m):
-        return _richardson_levels(profile, m, scale, grid, k, boundary,
-                                  convention, below)
-    return pmap(solve, ms)
+def _solve_sectors(pair: tuple, ms, k: int, below: float | None = None
+                   ) -> list:
+    """`_richardson_levels` of each sector in ms, in order, on the records
+    of one `_grid_pair`."""
+    return pmap(lambda m: _richardson_levels(pair, m, k, below), ms)
 
 
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
@@ -499,8 +549,8 @@ def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
     """Per-sector lowest Richardson-refined levels, merged ascending as
     (value, m, n) rows."""
     ms = list(m_range)
-    return _rows(zip(ms, _solve_sectors(profile, scale, ms, grid, k, boundary,
-                                        convention)))
+    pair = _grid_pair(profile, scale, grid, k, boundary, convention)
+    return _rows(zip(ms, _solve_sectors(pair, ms, k)))
 
 
 def _rows(sectors) -> list:
@@ -585,9 +635,9 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     """
     _check_index(n_max)
     grid = RadialGrid(r_max, LADDER_N)
-    grids = (grid, grid.halved())
     ms = list(default_m_range(n_max))
     k = n_max + 1
+    pair = _grid_pair(profile, scale, grid, k, boundary, convention)
     solved = {}  # m -> Sector
     certificates = Work()
 
@@ -604,13 +654,11 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     def solve(batch):
         top_margin = bound()
         below = None if top_margin is None else sum(top_margin)
-        solved.update(zip(batch, _solve_sectors(profile, scale, batch, grid,
-                                                k, boundary, convention,
-                                                below)))
+        solved.update(zip(batch, _solve_sectors(pair, batch, k, below)))
 
     def holds(m, shift):  # the certificate of sector m on both grids
-        for g in grids:
-            op = assemble_fiber(profile, m, scale, g, boundary, convention)
+        for fiber in pair:
+            op = fiber.op(m)
             if _pd_factors(op.diag, op.off, shift) is None:
                 certificates.refused += 1
                 return False

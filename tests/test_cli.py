@@ -151,18 +151,25 @@ _CONFINED = {"kind": "anharmonic", "params": {"gamma": 2}, "R0": 1.0}
 
 @settings(max_examples=60, deadline=None)
 @example(config=_CONFINED)
+@example(config={"kind": "well_radial",  # the inverse-iteration solve
+                 "params": {"b0": 3.5017051689555115e+96},  # underflows
+                 "R0": 3.5017051689555115e+96})
 @given(config=_configs)
 def test_spectrum_field_fuzz_keeps_exit_contract(config, tmp_path_factory):
     """Field configs of extreme finite numbers and booleans exit 0, 2 or 3,
-    never 1, and print nothing unless they succeed. The grid (N = 128, so
-    the N/2 refinement grid exists) holds a confined field's levels."""
+    never 1, print nothing unless they succeed and raise no warnings. The
+    grid (N = 128, so the N/2 refinement grid exists) holds a confined
+    field's levels."""
     path = tmp_path_factory.mktemp("fuzz") / "field.json"
     path.write_text(json.dumps(config))
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out):
+        warnings.simplefilter("always")
         rc = main(["spectrum", "--field", str(path), "--grid-n", "128",
                    "--rmax", "4"])
     assert rc in (0, 2, 3)
+    assert [str(w.message) for w in caught] == []
     lines = out.getvalue().splitlines()
     if rc == 0:
         assert lines[0] == "m,index,eigenvalue,b_or_h,gridN,r_max"
@@ -340,6 +347,77 @@ def test_resonances_bad_tolerance(disk_config):
 def test_resonances_equal_angles(disk_config):
     assert main(["resonances", "--field", str(disk_config), "--h", "0.2",
                  "--theta1", "0.5", "--theta2", "0.5"]) == 2
+
+
+_RES_DEFAULTS = {"window": None, "theta1": 0.5, "theta2": 0.6, "tol": 1e-5,
+                 "m": "0:0"}
+_res_bad = [0.0, -0.0, -0.25, 0.25, 1e300, -1e300, 1e-300, math.nan,
+            math.inf, -math.inf]
+
+
+@st.composite
+def _res_flags(draw):
+    """Resonance flags, valid but for at most two drawn from extremes, so
+    that most draws reach a solve: --h lists with repeats, zeros,
+    negatives, nan, inf and extreme magnitudes, windows, angles and
+    tolerances."""
+    broken = draw(st.sets(st.sampled_from(
+        ["h", "window", "theta1", "theta2", "tol"]), max_size=2))
+    pool = st.sampled_from(_res_bad)
+
+    def pick(name, good, bad=pool):
+        return draw(bad if name in broken else good)
+    return {"h": pick("h", st.lists(st.sampled_from([0.2, 0.25, 0.3]),
+                                    min_size=1, max_size=3, unique=True),
+                      st.lists(pool, min_size=1, max_size=3)),
+            "window": pick("window", st.sampled_from(
+                [None, (0.1, 0.4, -0.2, -1e-12), (0.15, 0.35, -0.1, -1e-6)]),
+                st.tuples(*[pool] * 4)),
+            "theta1": pick("theta1", st.sampled_from([0.5, 0.4])),
+            "theta2": pick("theta2", st.sampled_from([0.6, 0.7])),
+            "tol": pick("tol", st.sampled_from([1e-5, 1e-3])),
+            "m": draw(st.sampled_from(["0:0", "0:1", "-1:1"]))}
+
+
+@settings(max_examples=40, deadline=None)
+@example(flags={"h": [0.25, 0.25, 0.25], **_RES_DEFAULTS})  # one h to fit
+@example(flags={"h": [0.25], **{**_RES_DEFAULTS,
+                                "window": (0.1, math.inf, -1.0, 0.0)}})
+@given(flags=_res_flags())
+def test_resonances_fuzz_keeps_exit_contract(flags, tmp_path_factory):
+    """Resonance flags exit 0, 2 or 3, never 1, print nothing unless they
+    succeed and raise no warnings. A non-finite number anywhere is an input
+    error (exit 2)."""
+    h, window = flags["h"], flags["window"]
+    path = tmp_path_factory.mktemp("fuzz") / "disk.json"
+    path.write_text(json.dumps({"kind": "constant_disk",
+                                "params": {"r0": 1.0}, "R0": 1.0}))
+    argv = ["resonances", "--field", str(path), "--grid-n", "128",
+            "--h=" + ",".join(repr(x) for x in h), f"--m={flags['m']}"]
+    argv += [f"--{name}={flags[name]!r}" for name in ("theta1", "theta2",
+                                                      "tol")]
+    if window is not None:
+        argv.append("--window=" + ":".join(repr(x) for x in window))
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refused a flag
+            rc = exc.code
+    assert rc in (0, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    lines = out.getvalue().splitlines()
+    if rc == 0:
+        assert lines[0] == "m,h,theta1,theta2,reZ,imZ,drift,gridN"
+    else:
+        assert lines == []
+    numbers = [*h, *(window or ()), flags["theta1"], flags["theta2"],
+               flags["tol"]]
+    if not all(math.isfinite(x) for x in numbers):
+        assert rc == 2
 
 
 def test_quasimode_report(tmp_path):

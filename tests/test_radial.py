@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -479,6 +480,85 @@ def test_lowest_certifies_each_level(monkeypatch, well_profile):
     assert work.factorizations == sum(ok for _, _, ok in factored)
     assert work.refused == sum(not ok for _, _, ok in factored)
     assert work.solves >= work.factorizations
+
+
+def _one_off_fiber(profile, m, scale, grid, boundary, convention):
+    """(diag, off, V) of the fiber formed in one pass, without a grid
+    record: a(r), the potential and the face-weighted stencil."""
+    r, dr = grid.nodes, grid.dr
+    a = np.asarray(profile.a(r), dtype=float)
+    if convention == "b":
+        kin, V = 1.0, (m / r - scale * a) ** 2
+    else:
+        kin, V = scale * scale, (scale * m / r - a) ** 2
+    w = kin * grid.faces
+    w_right = np.concatenate([w[1:-1], [radial.FAR_WEIGHT[boundary] * w[-1]]])
+    diag = (w[:-1] + w_right) / (r * dr * dr) + V
+    off = -w[1:-1] / (dr * dr * np.sqrt(r[:-1]) * np.sqrt(r[1:]))
+    return diag, off, V
+
+
+@pytest.mark.parametrize("N", [64, 128, 3000])
+def test_fiber_from_its_grid_record_is_the_one_off_fiber(N):
+    """Every entry of a sector's fiber, its kinetic half shared through the
+    grid record, equals the one-pass assembly bit for bit: each field kind
+    and the zero field, both conventions, both far ends, m = 0, +-1, +-40."""
+    profiles = [make_profile(FieldSpec(kind, params, R0=1.0)) for kind, params
+                in (("constant_disk", {"r0": 1.0}), ("anharmonic",
+                                                     {"gamma": 2.0}),
+                    ("well_radial", {"b0": 1.0}),
+                    ("island_annular", {"rho1": 0.5, "rho2": 1.0}))]
+    grid = RadialGrid(3.0, N)
+    for profile in profiles + [zero_profile(R0=1.0)]:
+        for boundary in ("dirichlet_far", "neumann_far"):
+            for convention, scale in (("b", 2.5), ("h", 0.07)):
+                for m in (0, 1, -1, 40, -40):
+                    op = assemble_fiber(profile, m, scale, grid, boundary,
+                                        convention)
+                    want = _one_off_fiber(profile, m, scale, grid, boundary,
+                                          convention)
+                    for got, ref in zip((op.diag, op.off, op.pot), want):
+                        assert np.array_equal(got, ref)
+
+
+def test_well_ladder_evaluates_the_field_once_per_grid(monkeypatch):
+    """well_levels(1.0, 0.1, 1) evaluates a(r) once on each grid it solves
+    or certifies on: the two ladder grids and the coarse copy of each,
+    shared by all sectors, plus the ceiling check's node at r_max."""
+    calls = []
+
+    def counting_profile(spec):
+        profile = make_profile(spec)
+
+        def a(r):
+            r = np.asarray(r)
+            calls.append((r.size, float(r.flat[-1])))
+            return profile.a(r)
+        return replace(profile, a=a)
+    monkeypatch.setattr(radial, "make_profile", counting_profile)
+    well_levels(1.0, 0.1, 1)
+    grids = [call for call in calls if call[0] > 1]
+    assert len(grids) == len(set(grids))
+    N = radial.LADDER_N
+    assert sorted(size for size, _ in grids) == sorted(
+        [N, N // 2, N // 16, N // 32])
+    assert len(calls) == len(grids) + 1
+
+
+def test_sectors_share_their_grid_record_read_only(well_profile):
+    """The sectors of one grid share its record's arrays, and none can be
+    written; each sector's diag and potential are its own."""
+    op = assemble_fiber(well_profile, 1, 0.05, RadialGrid(3.0, 800),
+                        convention="h")
+    record = op.record
+    other = record.op(2)
+    assert other.off is op.off and other.record is record
+    for shared in (op.off, record.r, record.root, record.a, record.kinetic,
+                   record.weights):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    assert op.diag.flags.writeable and op.pot.flags.writeable
+    assert not np.array_equal(other.diag, op.diag)
 
 
 def test_ldl_inertia_counts_the_levels_below_the_shift():

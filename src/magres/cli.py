@@ -10,6 +10,7 @@ validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True,
                    help="left field strength in [-1, 0) or (0, 1]")
     p.add_argument("--L", type=float, default=12.0, help="half-length")
-    p.add_argument("--bracket", type=_float_list, default=[-4.0, 1.0],
+    p.add_argument("--bracket", type=_float_list, default=(-4.0, 1.0),
                    help="scan bracket LO,HI (default -4,1)")
     common(p, 4800)
     p.set_defaults(func=cmd_band)
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=6.0,
                    help="full-rotation radius")
     p.add_argument("--tol", type=float, default=1e-5,
-                   help="relative pairing tolerance")
+                   help="relative pairing tolerance, in (0, 1)")
     common(p, 3000, 18.0)
     p.set_defaults(func=cmd_resonances)
 
@@ -416,11 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: no command changes its defaults
+    (they are immutable: None, numbers, strings, tuples and ranges)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args._argv = list(argv)
     try:
         return args.func(args)

@@ -14,11 +14,29 @@ resonances. Genuine resonances are certified by running two angles and
 keeping eigenvalues that agree within tolerance while continuum points
 sweep past them.
 
+Up to R1 the scaled fiber is the real one, bit for bit: those entries are
+taken from the real fiber, formed in real arithmetic.
+
 Only a slice of each spectrum is computed: shift-invert Arnoldi finds the
 eigenvalues in a disk about the window, and the argument principle on
 det(T - z), evaluated by the O(N) continuant recurrence, certifies that
-none were missed. The dense O(N^3) solve `complex_spectrum` is kept as
-the small-N reference the slice is tested against.
+none were missed.
+  - Sizing. Scaling rotates the continuum and keeps its moduli, so the
+    real fiber of the same sector has about as many eigenvalues below
+    |centre| + radius as the scaled one has in the disk; one restarted
+    `dpttrf` counts them by Sylvester inertia. Arnoldi asks for that count
+    plus two and doubles k while all it found lie in the disk, so a low
+    count costs time, never correctness.
+  - Certificate. The contour is a circle through the middle of a gap
+    between the disk edge and the farthest eigenvalue found, the gap that
+    needs the fewest points. Its first points are spaced, arc by arc, at a
+    quarter of the exact distance from the arc to the nearest eigenvalue
+    found (and of the margin to the farthest); steps whose phase still
+    moves by pi/4 or more are bisected. The winding number must equal the
+    number of eigenvalues found inside the circle.
+The dense O(N^3) solve `complex_spectrum` is the fallback for a disk
+holding N/2 eigenvalues or more, and the small-N reference the slice is
+tested against.
 """
 
 from __future__ import annotations
@@ -35,12 +53,15 @@ from scipy.sparse import diags_array
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
 from .fields import FieldProfile
-from .radial import (FiberOperator, RadialGrid, face_form, fiber_potential,
-                     smoothstep)
+from .radial import (FiberOperator, RadialGrid, _ldl_factors, assemble_fiber,
+                     face_form, smoothstep)
 
 THETA_MAX = 0.7  # largest scaling angle admitted (conditioning degrades beyond)
 IM_FLOOR = 1e-10  # |Im z| below this is a continuum/threshold artifact
 PAIR_TOL = 1e-5  # default relative pairing tolerance
+TOL_RANGE = ("the relative pairing tolerance must lie in (0, 1): at 1 or "
+             "more every eigenvalue pairs with every other")
+NAMED_PARTNERS = 5  # partners an ambiguous-pairing message lists
 
 
 @dataclass(frozen=True)
@@ -111,7 +132,8 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     Requires the deformation to start beyond the field support (the
     potential under the ramp must already be the pure AB tail) and
     r_max >= 3 T0 so the rotated-contour decay has room. Up to R1 the
-    potential is the real fiber's `fiber_potential`.
+    potential, and every entry whose nodes and faces lie there, is the
+    real fiber's, bit for bit.
     """
     if not 0.0 < h < math.inf:
         raise ValidationError("h must be positive and finite")
@@ -123,20 +145,25 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     if grid.r_max < 3.0 * sp.T0 * (1.0 - 1e-12):
         raise ValidationError(
             f"r_max = {grid.r_max} is below 3 T0 = {3.0 * sp.T0}")
+    real = assemble_fiber(profile, m, h, grid, "dirichlet_far", "h")
     t = grid.nodes
     F = grid.faces
-    V = np.empty(grid.N, dtype=complex)
-    inner = t <= sp.R1
+    V = real.pot.astype(complex)
+    outer = t > sp.R1
     with np.errstate(over="ignore", invalid="ignore"):
         w = (h * h) * sp.f(F) / sp.fp(F)
         mass = sp.f(t) * sp.fp(t)
-        a_in = np.asarray(profile.a(t[inner]), dtype=float)
-        V[inner] = fiber_potential(m, h, t[inner], a_in, "h")
-        ft = sp.f(t[~inner])
+        ft = sp.f(t[outer])
         # as np.float64 an overflow gives inf, where a float's ** raises
-        V[~inner] = np.float64(h * m - profile.alpha) ** 2 / (ft * ft)
+        V[outer] = np.float64(h * m - profile.alpha) ** 2 / (ft * ft)
         kinetic, off = face_form(w, mass, grid.dr, "dirichlet_far")
         diag = kinetic + V
+    # entries whose faces and nodes all lie at or below R1 are undeformed:
+    # take them from the real fiber, formed in real arithmetic
+    n_diag = int(np.searchsorted(F[1:], sp.R1, side="right"))
+    n_off = int(np.searchsorted(t[1:], sp.R1, side="right"))
+    diag[:n_diag] = real.diag[:n_diag]
+    off[:n_off] = real.off[:n_off]
     return FiberOperator(m=m, scale=h, convention="h",
                          boundary="dirichlet_far", grid=grid, diag=diag,
                          off=off, pot=V, profile=profile)
@@ -165,9 +192,10 @@ def complex_spectrum(op: FiberOperator) -> np.ndarray:
     return vals[order]
 
 
-SLICE_K0 = 40  # eigenvalues asked of the first Arnoldi run
 CONTOUR_STEP = math.pi / 4  # largest phase step of det(T - z) between points
 CONTOUR_CAP = 4096  # contour points before the count is given up
+CONTOUR_ARCS = 64  # arcs of the first sampling, each sampled uniformly
+DET_BLOCK = 8  # pivots multiplied together per phase read
 
 
 def _det_phase(op: FiberOperator, z: np.ndarray) -> np.ndarray:
@@ -175,18 +203,62 @@ def _det_phase(op: FiberOperator, z: np.ndarray) -> np.ndarray:
 
     The pivots of T - z obey the continuant recurrence
     q_k = (d_k - z) - o_{k-1}^2 / q_{k-1}, and det(T - z) is their
-    product; summing their phases avoids over- and underflow. O(N) per
-    point, vectorized over the points.
+    product. The pivots are multiplied in blocks of DET_BLOCK, in place,
+    and the phases of the block products are summed, which avoids over-
+    and underflow of the whole product. A block product that is 0 or not
+    finite (a pivot vanished) is a NumericalError. O(N) per point,
+    vectorized over the points.
     """
-    q = op.diag[0] - z
-    phase = np.angle(q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for d, o2 in zip(op.diag[1:], op.off * op.off):
-            q = (d - z) - o2 / q
-            phase += np.angle(q)
-    if not np.all(np.isfinite(phase)):
-        raise NumericalError("a pivot of T - z vanished on the contour")
+    q = np.ones_like(z)  # q_{-1}: with o_{-1} = 0 the first pivot is d_0 - z
+    block = np.ones_like(z)
+    shifted = np.empty_like(z)
+    phase = np.zeros(z.shape)
+    last = len(op.diag) - 1
+    o2 = np.concatenate([[0.0], op.off * op.off])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        for k, (d, o) in enumerate(zip(op.diag, o2)):
+            np.subtract(d, z, out=shifted)
+            np.divide(o, q, out=q)
+            np.subtract(shifted, q, out=q)
+            np.multiply(block, q, out=block)
+            if k % DET_BLOCK == DET_BLOCK - 1 or k == last:
+                if not (np.isfinite(block).all() and block.all()):
+                    raise NumericalError(
+                        "a pivot of T - z vanished on the contour")
+                phase += np.angle(block)
+                block.fill(1.0)
     return phase
+
+
+def _first_sampling(centre: complex, radius: float, known: np.ndarray,
+                    margin: float) -> np.ndarray:
+    """Angles t in [0, 2 pi] of the first points on the circle
+    |z - centre| = radius, or None past CONTOUR_CAP points.
+
+    The circle is cut into CONTOUR_ARCS equal arcs. On each arc, every
+    step is at most 0.25 min(d, margin) / radius, where d is the exact
+    smallest distance from a known eigenvalue to the arc, so each step is
+    at most a quarter of the distance from its start to the nearest known
+    eigenvalue, and of the margin.
+    """
+    ends = np.linspace(0.0, 2.0 * math.pi, CONTOUR_ARCS + 1)
+    p = known - centre
+    phi = np.angle(p) % (2.0 * math.pi)
+    on_arc = (ends[:-1] <= phi[:, None]) & (phi[:, None] <= ends[1:])
+    corner = np.abs(p[:, None] - radius * np.exp(1j * ends))
+    dist = np.where(on_arc, np.abs(np.abs(p) - radius)[:, None],
+                    np.minimum(corner[:, :-1], corner[:, 1:])).min(axis=0)
+    step = 0.25 * np.minimum(dist, margin) / radius
+    with np.errstate(divide="ignore"):
+        counts = np.ceil(np.diff(ends) / step)
+    if not counts.sum() < CONTOUR_CAP:  # also a zero step
+        return None
+    counts = counts.astype(int)
+    arc = np.repeat(np.arange(CONTOUR_ARCS), counts)  # arc of each point
+    index = np.arange(counts.sum()) - (np.cumsum(counts) - counts)[arc]
+    t = ends[arc] + index * (np.diff(ends) / counts)[arc]
+    return np.append(t, 2.0 * math.pi)
 
 
 def _contour_count(op: FiberOperator, centre: complex, radius: float,
@@ -195,24 +267,19 @@ def _contour_count(op: FiberOperator, centre: complex, radius: float,
     principle: the winding number of det(T - z) around the circle.
 
     `known` eigenvalues (those near the circle above all) set the first
-    sampling: each step is a fraction of the distance to the nearest one,
-    and no eigenvalue outside max|known - centre| comes nearer than that
-    bound allows. Arcs whose phase step still reaches CONTOUR_STEP are
-    bisected until none does, so the winding read from the steps is
-    unambiguous. Too many points is a NumericalError.
+    sampling (`_first_sampling`): each step is a fraction of the distance
+    to the nearest one, and no eigenvalue outside max|known - centre|
+    comes nearer than that bound allows. Arcs whose phase step still
+    reaches CONTOUR_STEP are bisected until none does, so the winding read
+    from the steps is unambiguous. Too many points is a NumericalError.
     """
     unresolved = NumericalError(
         f"contour count did not resolve |z - {centre:.6g}| = {radius:.6g} "
         f"within {CONTOUR_CAP} points: eigenvalues lie on or next to it")
     margin = float(np.abs(known - centre).max()) - radius
-    ts, t = [], 0.0
-    while t < 2.0 * math.pi:
-        if len(ts) == CONTOUR_CAP:
-            raise unresolved
-        ts.append(t)
-        z = centre + radius * cmath.exp(1j * t)
-        t += 0.25 * min(float(np.abs(known - z).min()), margin) / radius
-    t = np.array(ts + [2.0 * math.pi])
+    t = _first_sampling(centre, radius, known, margin)
+    if t is None:
+        raise unresolved
     phase = _det_phase(op, centre + radius * np.exp(1j * t))
     while True:
         step = np.angle(np.exp(1j * np.diff(phase)))
@@ -229,6 +296,19 @@ def _contour_count(op: FiberOperator, centre: complex, radius: float,
         t, phase = t[order], phase[order]
 
 
+def _predicted_count(op: FiberOperator, centre: complex,
+                     radius: float) -> int:
+    """About how many eigenvalues of the scaled fiber lie in the disk
+    |z - centre| <= radius: the eigenvalues below |centre| + radius of the
+    real fiber it continues, counted by Sylvester inertia. Scaling rotates
+    the continuum and keeps its moduli, so the count is near the disk's
+    and, as measured, not below it."""
+    real = assemble_fiber(op.profile, op.m, op.scale, op.grid,
+                          "dirichlet_far", "h")
+    return _ldl_factors(real.diag, real.off, abs(centre) + radius,
+                        op.grid.N)[0]
+
+
 def _spectrum_slice(op: FiberOperator, centre: complex,
                     radius: float) -> np.ndarray:
     """Eigenvalues of the scaled fiber inside |z - centre| <= radius,
@@ -236,12 +316,14 @@ def _spectrum_slice(op: FiberOperator, centre: complex,
 
     Shift-invert Arnoldi around the centre, on one sparse factorization
     of T - centre and a fixed start vector (so reruns agree bit for bit),
-    asks for k eigenvalues and doubles k until the k-th nearest lies
-    outside the disk. The argument principle on det(T - z) then counts
-    the eigenvalues inside a circle drawn through the widest gap between
-    the disk edge and the k-th distance; a count other than Arnoldi's is
-    a NumericalError. When k would reach N/2 first, the disk is too wide
-    for slicing and the dense solve is used instead.
+    asks for the predicted count plus two eigenvalues (`_predicted_count`)
+    and doubles k until the k-th nearest lies outside the disk. The
+    argument principle on det(T - z) then counts the eigenvalues inside a
+    circle drawn through the middle of a gap between the disk edge and the
+    k-th distance, the gap that needs the fewest contour points; a count
+    other than Arnoldi's is a NumericalError. When k would reach N/2
+    first, the disk is too wide for slicing and the dense solve is used
+    instead.
     """
     n = op.grid.N
     T = diags_array([op.off, op.diag, op.off], offsets=[-1, 0, 1],
@@ -254,7 +336,7 @@ def _spectrum_slice(op: FiberOperator, centre: complex,
             f"T - {centre:.6g} is singular at N={n}: {exc}") from exc
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-    k = SLICE_K0
+    k = _predicted_count(op, centre, radius) + 2
     while k < n // 2:
         try:
             vals = spla.eigs(T, k=k, sigma=centre, OPinv=opinv, v0=v0,
@@ -270,9 +352,13 @@ def _spectrum_slice(op: FiberOperator, centre: complex,
     else:
         vals = complex_spectrum(op)
         return vals[np.abs(vals - centre) <= radius]
+    # the circle through the middle of a gap: the first sampling takes
+    # about circle / min(half the gap, d_k - circle) points
     edges = np.concatenate([[radius], np.sort(dist[dist > radius])])
-    j = int(np.argmax(np.diff(edges)))
-    circle = 0.5 * (edges[j] + edges[j + 1])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    with np.errstate(divide="ignore"):
+        cost = mids / np.minimum(0.5 * np.diff(edges), edges[-1] - mids)
+    circle = mids[int(np.argmin(cost))]
     count = _contour_count(op, centre, circle, vals)
     found = int(np.sum(dist < circle))
     if count != found:
@@ -368,8 +454,8 @@ def filter_resonances(spec1, spec2, tol: float, window: Window,
     angle pair is supplied, the window must avoid both rotated rays and each
     kept point must lie above the more-rotated one (arg z > -2 min theta).
     """
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(TOL_RANGE)
     if theta_pair is not None:
         t1, t2 = theta_pair
         if t1 == t2:
@@ -394,10 +480,12 @@ def filter_resonances(spec1, spec2, tol: float, window: Window,
         if hits.size == 0:
             continue
         if hits.size > 1:
-            cands = ", ".join(f"{spec2[i]:.8g}" for i in hits)
+            cands = ", ".join(f"{spec2[i]:.8g}"
+                              for i in hits[:NAMED_PARTNERS])
+            more = ", ..." if hits.size > NAMED_PARTNERS else ""
             raise AmbiguousPairingError(
                 f"eigenvalue {z1:.8g} pairs with {hits.size} partners within "
-                f"{tol_z:.3g}: {cands}")
+                f"{tol_z:.3g}: {cands}{more}")
         i = int(hits[0])
         z2 = spec2[i]
         if z2.imag >= -IM_FLOOR:
@@ -476,8 +564,8 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     t1, t2 = float(theta_pair[0]), float(theta_pair[1])
     if t1 == t2:
         raise ValidationError("theta pair must contain two distinct angles")
-    if not (0.0 < tol < math.inf):
-        raise ValidationError("tol must be positive and finite")
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(TOL_RANGE)
     if R1 is None:
         R1 = profile.R0 + 0.5
     if T0 is None:

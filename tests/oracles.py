@@ -8,9 +8,11 @@ package's grid but solves it with LAPACK's MRRR routine instead of the
 package's inverse iteration, the radial fiber reference keeps the
 package's grid and float64 potential but assembles the matrix in long
 double and solves it by Sturm multisection, normalization checks go through
-adaptive quadrature of the closed-form integrand, and the island references
+adaptive quadrature of the closed-form integrand, the island references
 come from a matched boundary-layer model (Robin disk plus the parabolic
-cylinder profile), not from any radial solve.
+cylinder profile), not from any radial solve, and the phase of
+det(T - z) sums the angle of every continuant pivot in long double (the
+package multiplies the pivots in blocks in float64).
 """
 
 from __future__ import annotations
@@ -116,6 +118,21 @@ def _sturm_counts(diag, off2, shifts):
         q = (a - shifts) - b2 / q
         count += q < 0
     return count
+
+
+def det_phase_per_pivot(diag, off, z) -> np.ndarray:
+    """arg det(T - z) for the complex-symmetric tridiagonal T = (diag,
+    off), up to multiples of 2 pi: the sum of the angles of the pivots
+    q_k = (d_k - z) - o_{k-1}^2 / q_{k-1}, one pivot at a time, in complex
+    long double."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    q = np.clongdouble(diag[0]) - z
+    phase = np.angle(q)
+    for d, o in zip(diag[1:], off):
+        o = np.clongdouble(o)
+        q = (np.clongdouble(d) - z) - o * o / q
+        phase = phase + np.angle(q)
+    return phase.astype(float)
 
 
 def fiber_levels_longdouble(r_max: float, N: int, potential, kin: float,

@@ -383,11 +383,14 @@ def _res_flags(draw):
 @example(flags={"h": [0.25, 0.25, 0.25], **_RES_DEFAULTS})  # one h to fit
 @example(flags={"h": [0.25], **{**_RES_DEFAULTS,
                                 "window": (0.1, math.inf, -1.0, 0.0)}})
+@example(flags={"h": [0.25], **{**_RES_DEFAULTS, "tol": 1e300}})
+@example(flags={"h": [0.25], **{**_RES_DEFAULTS, "tol": 0.25}})
 @given(flags=_res_flags())
 def test_resonances_fuzz_keeps_exit_contract(flags, tmp_path_factory):
     """Resonance flags exit 0, 2 or 3, never 1, print nothing unless they
-    succeed and raise no warnings. A non-finite number anywhere is an input
-    error (exit 2)."""
+    succeed, raise no warnings and write under 1 kB to stderr. A non-finite
+    number anywhere, or a pairing tolerance of 1 or more, is an input error
+    (exit 2)."""
     h, window = flags["h"], flags["window"]
     path = tmp_path_factory.mktemp("fuzz") / "disk.json"
     path.write_text(json.dumps({"kind": "constant_disk",
@@ -398,10 +401,9 @@ def test_resonances_fuzz_keeps_exit_contract(flags, tmp_path_factory):
                                                       "tol")]
     if window is not None:
         argv.append("--window=" + ":".join(repr(x) for x in window))
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
             rc = main(argv)
@@ -409,6 +411,7 @@ def test_resonances_fuzz_keeps_exit_contract(flags, tmp_path_factory):
             rc = exc.code
     assert rc in (0, 2, 3)
     assert [str(w.message) for w in caught] == []
+    assert len(err.getvalue()) < 1024
     lines = out.getvalue().splitlines()
     if rc == 0:
         assert lines[0] == "m,h,theta1,theta2,reZ,imZ,drift,gridN"
@@ -416,8 +419,10 @@ def test_resonances_fuzz_keeps_exit_contract(flags, tmp_path_factory):
         assert lines == []
     numbers = [*h, *(window or ()), flags["theta1"], flags["theta2"],
                flags["tol"]]
-    if not all(math.isfinite(x) for x in numbers):
+    if not all(math.isfinite(x) for x in numbers) or flags["tol"] >= 1.0:
         assert rc == 2
+    if flags == {"h": [0.25], **{**_RES_DEFAULTS, "tol": 0.25}}:
+        assert rc == 3  # every eigenvalue near the window pairs with many
 
 
 def test_quasimode_report(tmp_path):

@@ -1,21 +1,25 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from magres.cscale import (PAIR_TOL, Resonance, ResonanceSet, ScalingProfile,
-                           Window, _slice_disk, _spectrum_slice,
-                           assemble_scaled_fiber, complex_spectrum,
-                           continuum_motion, filter_resonances,
-                           find_resonances, scaling_profile)
+from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
+                           ScalingProfile, Window, _det_phase,
+                           _first_sampling, _predicted_count, _slice_disk,
+                           _spectrum_slice, assemble_scaled_fiber,
+                           complex_spectrum, continuum_motion,
+                           filter_resonances, find_resonances,
+                           scaling_profile)
 from magres.errors import (AmbiguousPairingError, NumericalError,
                            ValidationError)
 from magres.fields import FieldSpec, make_profile, zero_profile
 from magres.radial import RadialGrid, assemble_fiber
 
 from conftest import FROZEN
+from oracles import det_phase_per_pivot
 
 WIN = Window(0.1, 0.3, -0.12, -0.001)
 
@@ -77,9 +81,8 @@ def test_theta_zero_matches_real_fiber(disk_profile):
 @pytest.mark.parametrize("m", [0, 3])
 def test_scaled_fiber_is_the_real_fiber_inside_r1(disk_profile, m):
     """Up to R1 the deformation is the identity: every entry whose nodes
-    and faces lie at or below R1 is the real 'h' fiber's, with imaginary
-    part exactly 0. The real parts agree to an ulp, not bit for bit:
-    numpy divides complex numbers by multiplying with the reciprocal."""
+    and faces lie at or below R1 is the real 'h' fiber's, bit for bit,
+    with imaginary part exactly 0."""
     grid = RadialGrid(18.0, 600)
     sp = scaling_profile(0.5, 1.5, 6.0)
     op = assemble_scaled_fiber(disk_profile, m, 0.2, sp, grid)
@@ -89,10 +92,8 @@ def test_scaled_fiber_is_the_real_fiber_inside_r1(disk_profile, m):
                                                       0.2)
     n_in = int(np.sum(grid.faces <= sp.R1)) - 1  # nodes with both faces in
     assert n_in > 10
-    np.testing.assert_array_max_ulp(op.diag[:n_in].real, real_op.diag[:n_in],
-                                    maxulp=1)
-    np.testing.assert_array_max_ulp(op.off[:n_in - 1].real,
-                                    real_op.off[:n_in - 1], maxulp=1)
+    assert np.array_equal(op.diag[:n_in].real, real_op.diag[:n_in])
+    assert np.array_equal(op.off[:n_in - 1].real, real_op.off[:n_in - 1])
     assert not op.diag[:n_in].imag.any() and not op.off[:n_in - 1].imag.any()
     # beyond R1 the deformation acts
     assert op.diag[n_in:].imag.any()
@@ -179,6 +180,16 @@ def test_filter_ambiguous_partners():
         filter_resonances([0.2 - 0.05j], spec2, 1e-3, w)
 
 
+def test_filter_ambiguity_names_at_most_five_partners():
+    w = Window(0.1, 0.4, -0.3, -1e-8)
+    spec2 = 0.2 - 0.05j + 1e-6 * np.arange(128)
+    with pytest.raises(AmbiguousPairingError) as info:
+        filter_resonances([0.2 - 0.05j], spec2, 1e-3, w)
+    message = str(info.value)
+    assert "128 partners" in message and message.endswith(", ...")
+    assert message.count(",") == 5 and len(message) < 300
+
+
 def test_filter_double_claim():
     w = Window(0.1, 0.4, -0.3, -1e-8)
     spec1 = [0.2 - 0.05j, 0.2004 - 0.05j]
@@ -195,8 +206,9 @@ def test_filter_partner_on_axis_skipped():
 
 def test_filter_parameter_validation():
     w = Window(0.1, 0.4, -0.3, -1e-8)
-    with pytest.raises(ValidationError):
-        filter_resonances([], [], 0.0, w)
+    for tol in (0.0, 1.0, 1e300, math.nan):
+        with pytest.raises(ValidationError):
+            filter_resonances([], [], tol, w)
     with pytest.raises(ValidationError):
         filter_resonances([], [], 1e-5, w, theta_pair=(0.3, 0.3))
     with pytest.raises(ValidationError):
@@ -324,6 +336,11 @@ def test_find_resonances_validation(disk_profile):
     with pytest.raises(ValidationError):
         find_resonances(disk_profile, 0.2, [0], WIN, theta_pair=(0.3, 0.3),
                         grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
+    for tol in (1.0, 1e300):  # pairs anything with anything
+        with pytest.raises(ValidationError, match="pairing tolerance"):
+            find_resonances(disk_profile, 0.2, [0], WIN,
+                            grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0,
+                            tol=tol)
 
 
 @pytest.mark.parametrize("N", [400, 600])
@@ -425,3 +442,90 @@ def test_find_resonances_beyond_dense_cap(disk_profile):
     centre, radius = rs.disk
     assert all(np.all(np.abs(v - centre) <= radius)
                for v in rs.spectra.values())
+
+
+def _cli_slice(profile, m, h, theta, N):
+    """The scaled fiber and the slice disk of `resonances` at this h."""
+    op = assemble_scaled_fiber(profile, m, h, scaling_profile(theta, 1.5, 6.0),
+                               RadialGrid(18.0, N))
+    return op, _slice_disk(Window(0.5 * h, 1.5 * h, -0.5 * h, -1e-12),
+                           PAIR_TOL)
+
+
+@pytest.mark.parametrize("field", ["disk", "zero"])
+@pytest.mark.parametrize("h", [0.3, 0.2, 0.12])
+def test_predicted_count_is_not_below_the_disk_count(disk_profile, field, h):
+    """The real fiber's count below |centre| + radius, which sizes the
+    Arnoldi run, is never below the scaled fiber's count in the disk."""
+    profile = disk_profile if field == "disk" else zero_profile(1.0)
+    for m in (0, 4, -6):
+        for theta in (0.25, 0.5, 0.7):
+            op, (centre, radius) = _cli_slice(profile, m, h, theta, 256)
+            dense = complex_spectrum(op)
+            inside = int(np.sum(np.abs(dense - centre) <= radius))
+            assert inside <= _predicted_count(op, centre, radius) <= inside + 8
+
+
+def test_low_prediction_doubles_to_the_dense_slice(disk_profile,
+                                                   monkeypatch):
+    """A prediction far too low costs Arnoldi runs, not correctness."""
+    asked = []
+
+    def recording(A, k, **kwargs):
+        asked.append(k)
+        return eigs(A, k=k, **kwargs)
+    eigs = spla.eigs
+    monkeypatch.setattr(spla, "eigs", recording)
+    monkeypatch.setattr("magres.cscale._predicted_count",
+                        lambda op, centre, radius: 1)
+    op, (centre, radius) = _cli_slice(disk_profile, 0, 0.25, 0.5, 400)
+    dense = complex_spectrum(op)
+    want = dense[np.abs(dense - centre) <= radius]
+    got = _spectrum_slice(op, centre, radius)
+    assert asked[:3] == [3, 6, 12] and len(asked) >= 4
+    assert got.size == want.size > 0
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_first_sampling_steps_obey_the_rule(disk_profile):
+    """Each first step is at most 0.25 min(distance from its start to the
+    nearest known eigenvalue, margin) / radius, and the points close the
+    circle."""
+    op, (centre, radius) = _cli_slice(disk_profile, 0, 0.2, 0.5, 400)
+    dense = complex_spectrum(op)
+    known = dense[np.argsort(np.abs(dense - centre))[:40]]
+    dist = np.sort(np.abs(known - centre))
+    for circle in (0.5 * (dist[30] + dist[31]), 0.5 * (dist[38] + dist[39])):
+        margin = dist[-1] - circle
+        t = _first_sampling(centre, circle, known, margin)
+        assert t[0] == 0.0 and t[-1] == 2.0 * math.pi
+        z = centre + circle * np.exp(1j * t[:-1])
+        near = np.abs(known[:, None] - z).min(axis=0)
+        rule = 0.25 * np.minimum(near, margin) / circle
+        assert np.all(np.diff(t) > 0.0)
+        assert np.all(np.diff(t) <= rule * (1.0 + 1e-12))
+    # an eigenvalue on the circle leaves no finite step
+    assert _first_sampling(centre, abs(known[0] - centre), known, 1.0) is None
+
+
+@pytest.mark.parametrize("N", [64, 401, 480])
+def test_det_phase_matches_the_per_pivot_reference(disk_profile, N):
+    op = assemble_scaled_fiber(disk_profile, 3, 0.25,
+                               scaling_profile(0.5, 1.5, 6.0),
+                               RadialGrid(18.0, N))
+    z = 0.2 - 0.05j + 0.9 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 97))
+    got = _det_phase(op, z)
+    want = det_phase_per_pivot(op.diag, op.off, z)
+    assert np.max(np.abs(np.angle(np.exp(1j * (got - want))))) <= 1e-9
+
+
+def test_zero_block_product_is_numerical_error():
+    """det(T) = 2 * 0.5 - 1 = 0: the last pivot at z = 0 vanishes."""
+    for n in (2, DET_BLOCK, 3 * DET_BLOCK + 2):
+        diag = np.full(n, 4.0 + 0j)
+        off = np.zeros(n - 1, dtype=complex)
+        diag[-2:], off[-1] = (2.0, 0.5), 1.0
+        op = SimpleNamespace(diag=diag, off=off)
+        with pytest.raises(NumericalError, match="vanished"):
+            _det_phase(op, np.array([0.5j, 0.0j]))
+        assert np.isfinite(_det_phase(op, np.array([0.5j]))).all()

@@ -165,8 +165,9 @@ def cmd_band(args) -> int:
     if len(args.bracket) != 2:
         raise ValidationError("--bracket takes exactly two numbers LO,HI")
     params_obj = StepParams(a=args.a, L=args.L, N=args.grid_n)
-    table, zeta, beta, sc, params_obj = analyze_band(params_obj,
-                                                     tuple(args.bracket))
+    work = Work()
+    table, zeta, beta, sc, params_obj = analyze_band(
+        params_obj, tuple(args.bracket), work)
     lines = ["a,xi,mu"]
     for xi, mu in table:
         lines.append(f"{_fmt(args.a)},{_fmt(xi)},{_fmt(mu)}")
@@ -179,7 +180,8 @@ def cmd_band(args) -> int:
         constants["note"] = ("no interface constants at this a: C1/C2 "
                              "are defined only for a in (-1, 0)")
     _emit(args, "band", lines, _params(args),
-          json_blobs={"constants": constants})
+          json_blobs={"constants": constants},
+          diagnostics={"work": asdict(work)})
     return 0
 
 

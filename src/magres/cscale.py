@@ -42,13 +42,12 @@ tested against.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
-from scipy.sparse import diags_array
 
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
@@ -94,11 +93,15 @@ class ScalingProfile:
             * (1.0 + 1j * self.theta * t * self.gp(t))
 
 
+@functools.lru_cache(maxsize=64)
 def scaling_profile(theta: float, R1: float, T0: float) -> ScalingProfile:
     """Validated scaling profile.
 
     Checks on 4096 points of [0, 2 T0]: f is the identity below R1, the
     full rotation beyond T0, 0 <= arg f <= theta, and f' never vanishes.
+    The profile is frozen, so it is checked once per (theta, R1, T0), of
+    the last 64 asked for, and reused: an h sweep checks its two angles
+    once.
     """
     if not (0.0 <= theta <= THETA_MAX):
         raise ValidationError(f"theta must lie in [0, {THETA_MAX}]")
@@ -309,6 +312,18 @@ def _predicted_count(op: FiberOperator, centre: complex,
                         op.grid.N)[0]
 
 
+def _tridiagonal_product(op: FiberOperator):
+    """v -> T v for the tridiagonal T = (diag, off) of the fiber; v is a
+    vector or an n x 1 column."""
+    def matvec(v):
+        v = np.ravel(v)
+        out = op.diag * v
+        out[:-1] += op.off * v[1:]
+        out[1:] += op.off * v[:-1]
+        return out
+    return matvec
+
+
 def _spectrum_slice(op: FiberOperator, centre: complex,
                     radius: float) -> np.ndarray:
     """Eigenvalues of the scaled fiber inside |z - centre| <= radius,
@@ -316,6 +331,8 @@ def _spectrum_slice(op: FiberOperator, centre: complex,
 
     Shift-invert Arnoldi around the centre, on one sparse factorization
     of T - centre and a fixed start vector (so reruns agree bit for bit),
+    with T itself passed as its tridiagonal product (`eigs` never applies
+    a complex T in shift-invert mode, so no second matrix is built);
     asks for the predicted count plus two eigenvalues (`_predicted_count`)
     and doubles k until the k-th nearest lies outside the disk. The
     argument principle on det(T - z) then counts the eigenvalues inside a
@@ -325,9 +342,10 @@ def _spectrum_slice(op: FiberOperator, centre: complex,
     first, the disk is too wide for slicing and the dense solve is used
     instead.
     """
+    import scipy.sparse.linalg as spla  # slow to load, used only here
+    from scipy.sparse import diags_array
+
     n = op.grid.N
-    T = diags_array([op.off, op.diag, op.off], offsets=[-1, 0, 1],
-                    format="csc")
     try:
         lu = spla.splu(diags_array([op.off, op.diag - centre, op.off],
                                    offsets=[-1, 0, 1], format="csc"))
@@ -335,6 +353,8 @@ def _spectrum_slice(op: FiberOperator, centre: complex,
         raise NumericalError(
             f"T - {centre:.6g} is singular at N={n}: {exc}") from exc
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+    T = spla.LinearOperator((n, n), matvec=_tridiagonal_product(op),
+                            dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
     k = _predicted_count(op, centre, radius) + 2
     while k < n // 2:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import ValidationError
 from .fields import FieldProfile
@@ -249,6 +248,7 @@ def tz_crossover(c: float, r0: float) -> float | None:
         return None
     if x == -1.0 / math.e:  # the branch point, where lambertw returns nan
         return K / 4.0
+    from scipy.special import lambertw  # slow to load, used only here
     h = float(-K / (4.0 * lambertw(x, -1).real))
     if not _finite_positive(h):
         raise ValidationError(

@@ -76,7 +76,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.special import jn_zeros
 
 from ._parallel import pmap
 from .errors import (DecayCheckError, NumericalError, TruncationError,
@@ -786,6 +785,14 @@ def island_neumann_levels(rho1: float, rho2: float, b: float,
     to first order; at b = 100, rho1 = 1 the gap is 24.6%.
     """
     return _island_ladder(rho1, rho2, b, n_max).levels
+
+
+def jn_zeros(nu: int, count: int) -> np.ndarray:
+    """`scipy.special.jn_zeros`, imported when called: SciPy's special
+    functions are slow to load, and only the disk ladder and the
+    quasimode crossover use them."""
+    from scipy.special import jn_zeros as zeros
+    return zeros(nu, count)
 
 
 def dirichlet_disk_levels(rho1: float, n_max: int) -> np.ndarray:

@@ -28,6 +28,17 @@ is the Hellmann-Feynman derivative, exact on the grid and Richardson-
 combined like mu; zeta_a is its Newton root and mu'' its difference
 quotient. A band whose end check fails at L is solved again on a line 1.5x
 longer at the same step (`analyze_band`).
+
+What does not depend on xi is built once per grid: each scan, Newton
+search and mu'' builds a read-only record of the N and N/2 grids (step,
+b_a(tau) tau, kinetic diagonal, off-diagonal) and adds its solves to one
+Work, which `magres band` writes to its manifest. The scan seeds each
+point from the earlier ones: the N-grid level from the quadratic
+extrapolation of the last three, the N/2-grid level from this point's
+N-grid level plus the last grid shift, each with a first gap sized by
+how well that guess did at the last point. The certificate is the same
+for any seed, so a poor one costs refused factorizations, never a wrong
+level.
 """
 
 from __future__ import annotations
@@ -83,48 +94,108 @@ class BandSample:
     params: StepParams
 
 
+class _StepGrid:
+    """The xi-independent half of h_a[xi] on the N-interval grid: the
+    step, b_a(tau) tau, the kinetic diagonal 2/step^2 and the
+    off-diagonal, all read-only, with the difference buffer of the band's
+    quadratic form and the Work that its solves add to. Each scan, Newton
+    search and mu'' builds its own pair (`_grids`); none is kept."""
+
+    def __init__(self, params: StepParams, N: int, work: Work | None = None):
+        self.N, self.work = N, Work() if work is None else work
+        self.step = 2.0 * params.L / N
+        self.step2 = self.step ** 2
+        tau = -params.L + self.step * np.arange(1, N)
+        self.kinetic = 2.0 / self.step2
+        self.b_tau = np.where(tau > 0, 1.0, params.a) * tau
+        self.off = np.full(N - 2, -1.0 / self.step2)
+        self.b_tau.flags.writeable = self.off.flags.writeable = False
+        self.dv = np.empty(N)  # differences across the N cells
+
+
+def _grids(params: StepParams, work: Work | None = None) -> tuple:
+    """Records of the N and N/2 grids, adding to one Work."""
+    return _StepGrid(params, params.N, work), \
+        _StepGrid(params, params.N // 2, work)
+
+
 def _arm(params: StepParams, xi: float, N: int) -> tuple[float, np.ndarray]:
     """(step, arm = xi + b_a(tau) tau) on the N-grid; V = arm^2."""
-    step = 2.0 * params.L / N
-    tau = -params.L + step * np.arange(1, N)
-    return step, xi + np.where(tau > 0, 1.0, params.a) * tau
+    grid = _StepGrid(params, N)
+    return grid.step, xi + grid.b_tau
 
 
-def _ground(params: StepParams, xi: float, N: int, start=None
-            ) -> tuple[float, np.ndarray, np.ndarray]:
+def _ground(params: StepParams, xi: float, N: int, start=None, grid=None,
+            guess=None) -> tuple[float, np.ndarray, np.ndarray]:
     """Lowest eigenpair (mu, x > 0, unit l2) of h_a[xi] on the N-interval
-    grid, and its arm; start is any earlier vector on this grid. The pair
-    is `radial._inverse_iteration`'s level 0 from the Rayleigh quotient of
-    the start and a first gap of 1e-2, with the band's own quadratic form.
-    (T - sigma)^-1 is entrywise positive (an M-matrix), so iterates stay
-    positive; the 1e-3 share of exp(-V/2) reaches wells where a start from
-    a nearby xi underflowed to zero."""
-    step, arm = _arm(params, xi, N)
+    grid, and its arm; start is any earlier vector on this grid and grid
+    the grid's record (built when not given). The pair is
+    `radial._inverse_iteration`'s level 0, with the band's own quadratic
+    form, from guess = (estimate, first gap), or else from the Rayleigh
+    quotient of the start and a first gap of 1e-2. (T - sigma)^-1 is
+    entrywise positive (an M-matrix), so iterates stay positive; the 1e-3
+    share of exp(-V/2) reaches wells where a start from a nearby xi
+    underflowed to zero."""
+    if grid is None:
+        grid = _StepGrid(params, N)
+    arm = xi + grid.b_tau
     pot = arm * arm
-    diag = 2.0 / step ** 2 + pot
-    off = np.full(N - 2, -1.0 / step ** 2)
-    dv = np.empty(N)  # differences across the N cells, Dirichlet ends
+    diag = grid.kinetic + pot
+    dv, step2 = grid.dv, grid.step2
 
     def rayleigh(v: np.ndarray) -> float:
         dv[0] = v[0]
         np.subtract(v[1:], v[:-1], out=dv[1:-1])
         dv[-1] = -v[-1]
-        return float((dv @ dv / step ** 2 + pot @ (v * v)) / (v @ v))
+        return float((dv @ dv / step2 + pot @ (v * v)) / (v @ v))
 
     x = np.exp(-0.5 * (pot - pot.min()))
     if start is not None:
         x = np.abs(start) + 1e-3 * x / math.sqrt(x @ x)
-    mu, x = _inverse_iteration(diag, off, rayleigh, x, rayleigh(x), 1e-2, (),
-                               Work(), MAX_SOLVES, f"xi = {xi} (N = {N})")
+    mu, gap = (rayleigh(x), 1e-2) if guess is None else guess
+    mu, x = _inverse_iteration(diag, grid.off, rayleigh, x, mu, gap, (),
+                               grid.work, MAX_SOLVES, f"xi = {xi} (N = {N})")
     return mu, x, arm
 
 
-def _refined(params: StepParams, xi: float, start=None
-             ) -> tuple[float, float, np.ndarray]:
+def _fine_guess(levels: list) -> tuple | None:
+    """(estimate, first gap) of the next scan point's N-grid level from the
+    earlier points' levels: their quadratic extrapolation, and 4x the miss
+    of the same extrapolation at the last point, kept within [1e-8, 1e-2].
+    None with fewer than four levels."""
+    if len(levels) < 4:
+        return None
+    m4, m3, m2, m1 = levels[-4:]
+    miss = m1 - (3.0 * (m2 - m3) + m4)
+    return 3.0 * (m1 - m2) + m3, min(max(4.0 * abs(miss), 1e-8), 1e-2)
+
+
+def _coarse_guess(mu_n: float, shifts: list) -> tuple | None:
+    """(estimate, first gap) of a scan point's N/2-grid level from its
+    N-grid level mu_n and the earlier points' grid shifts mu_{N/2} - mu_N:
+    mu_n plus the last shift, and 4x the last change of the shift, kept
+    within [1e-9, 1e-2]. None with fewer than two shifts."""
+    if len(shifts) < 2:
+        return None
+    return mu_n + shifts[-1], \
+        min(max(4.0 * abs(shifts[-1] - shifts[-2]), 1e-9), 1e-2)
+
+
+def _refined(params: StepParams, xi: float, start=None, grids=None,
+             history=None) -> tuple[float, float, np.ndarray]:
     """(mu, mu') at xi, Richardson-refined over (N/2, N), and the N-grid
-    vector, from which the N/2 solve starts; mu' = 2 sum arm x^2."""
-    mu_n, x, arm_n = _ground(params, xi, params.N, start)
-    mu_h, y, arm_h = _ground(params, xi, params.N // 2, x[1::2])
+    vector, from which the N/2 solve starts; mu' = 2 sum arm x^2. grids
+    is the pair of `_grids`; history, a scan's (N-grid levels, grid
+    shifts) of the earlier points, seeds both solves and gains this
+    point's."""
+    fine, coarse = grids or _grids(params)
+    levels, shifts = history or ([], [])
+    mu_n, x, arm_n = _ground(params, xi, fine.N, start, fine,
+                             _fine_guess(levels))
+    mu_h, y, arm_h = _ground(params, xi, coarse.N, x[1::2], coarse,
+                             _coarse_guess(mu_n, shifts))
+    levels.append(mu_n)
+    shifts.append(mu_h - mu_n)
     d_n = (arm_n * x) @ x
     d_h = (arm_h * y) @ y
     return (4.0 * mu_n - mu_h) / 3.0, float(8.0 * d_n - 2.0 * d_h) / 3.0, x
@@ -154,19 +225,26 @@ def band_value(params: StepParams, xi: float) -> BandSample:
     return _sample(params, xi, mu, x)
 
 
-def band_table(params: StepParams, xi_values) -> list[tuple[float, float]]:
+def band_table(params: StepParams, xi_values, work: Work | None = None
+               ) -> list[tuple[float, float]]:
     """(xi, mu) rows over xi_values; raw refined values, no end checks.
-    Each point's solve starts from the previous point's ground state."""
-    rows, x = [], None
+    Each point's solve starts from the previous point's ground state and
+    is seeded by the earlier points' levels (`_fine_guess`,
+    `_coarse_guess`, which take the points as equally spaced; other
+    spacings cost factorizations, not accuracy). work, when given, gains
+    the scan's factorizations and solves."""
+    grids = _grids(params, work)
+    rows, x, history = [], None, ([], [])
     for xi in xi_values:
-        mu, _, x = _refined(params, float(xi), x)
+        mu, _, x = _refined(params, float(xi), x, grids, history)
         rows.append((float(xi), mu))
     return rows
 
 
-def _band_minimum(params: StepParams, xi_bracket
+def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
                   ) -> tuple[list, float, BandSample]:
-    """(scan rows, zeta_a, end-checked band sample at zeta_a)."""
+    """(scan rows, zeta_a, end-checked band sample at zeta_a); work gains
+    the factorizations and solves."""
     lo, hi = float(xi_bracket[0]), float(xi_bracket[1])
     span = hi - lo
     n_scan = round(span / 0.05) if math.isfinite(span / 0.05) else 0
@@ -175,7 +253,8 @@ def _band_minimum(params: StepParams, xi_bracket
             f"xi_bracket must be a finite increasing interval of 2 to "
             f"{MAX_SCAN_STEPS} scan steps of 0.05")
     table = band_table(params,
-                       [lo + span * i / n_scan for i in range(n_scan + 1)])
+                       [lo + span * i / n_scan for i in range(n_scan + 1)],
+                       work)
     xs = [xi for xi, _ in table]
     mus = np.array([mu for _, mu in table])
     mu_span = mus.max() - mus.min()
@@ -197,9 +276,9 @@ def _band_minimum(params: StepParams, xi_bracket
     (m0, m1, m2), dxi = mus[i - 1:i + 2], xs[i + 1] - xs[i]
     curv = (m0 - 2.0 * m1 + m2) / dxi ** 2
     z = xs[i] + 0.5 * (m0 - m2) / (curv * dxi)
-    x, prev = None, None
+    x, prev, grids = None, None, _grids(params, work)
     for _ in range(20):
-        mu, slope, x = _refined(params, z, x)
+        mu, slope, x = _refined(params, z, x, grids)
         if prev is not None:
             curv = (slope - prev[1]) / (z - prev[0])
         if not (curv > 0 and xs[i - 1] <= z <= xs[i + 1]):
@@ -229,14 +308,16 @@ def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
     return zeta, sample.mu
 
 
-def band_second_derivative(params: StepParams, zeta: float) -> float:
+def band_second_derivative(params: StepParams, zeta: float,
+                           work: Work | None = None) -> float:
     """mu_a''(zeta) by centered differences of the slope mu', Richardson-
     combined over steps 1e-3 and 5e-4. A non-positive (or vanishing) result
     is an error: the band minimum is non-degenerate for a in (-1, 0), so
-    the input zeta or the resolution is wrong."""
-    slopes, x = [], None
+    the input zeta or the resolution is wrong. work, when given, gains the
+    factorizations and solves."""
+    slopes, x, grids = [], None, _grids(params, work)
     for s in (-1e-3, -5e-4, 5e-4, 1e-3):
-        _, slope, x = _refined(params, zeta + s, x)
+        _, slope, x = _refined(params, zeta + s, x, grids)
         slopes.append(slope)
     lo2, lo1, hi1, hi2 = slopes
     out = (4.0 * (hi1 - lo1) / 1e-3 - (hi2 - lo2) / 2e-3) / 3.0
@@ -261,7 +342,8 @@ class SpectralConstants:
     N: int
 
 
-def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0)
+def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0),
+                 work: Work | None = None
                  ) -> tuple[list, float, float, SpectralConstants | None,
                             StepParams]:
     """(scan rows, zeta_a, beta_a, constants, params used) of the band in
@@ -275,11 +357,12 @@ def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0)
     band that holds at params keeps them. constants is None unless a lies
     in (-1, 0). C1 = (1/3)(1 - 1/a) zeta phi(0) phi'(0) must come out
     positive; a non-positive value is a sign-convention bug and a hard
-    error. C2 = (1/2) sqrt(mu'' C1) holds exactly by construction.
+    error. C2 = (1/2) sqrt(mu'' C1) holds exactly by construction. work,
+    when given, gains every factorization and solve, of longer lines too.
     """
     for growth in range(R_MAX_GROWTHS + 1):
         try:
-            table, zeta, sample = _band_minimum(params, xi_bracket)
+            table, zeta, sample = _band_minimum(params, xi_bracket, work)
             break
         except TruncationError as exc:
             n = 4 * math.ceil(0.375 * params.N)  # 1.5 N, a multiple of 4
@@ -290,7 +373,7 @@ def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0)
             params = StepParams(a=params.a, L=0.5 * n * params.step, N=n)
     if not (-1.0 < params.a < 0.0):
         return table, zeta, sample.mu, None, params
-    mu2 = band_second_derivative(params, zeta)
+    mu2 = band_second_derivative(params, zeta, work)
     i0 = params.N // 2 - 1
     phi0 = float(sample.eigenfunction[i0])
     phi0p = float(sample.eigenfunction[i0 + 1]

@@ -223,6 +223,26 @@ def test_band_scans_once(monkeypatch, tmp_path):
     assert grids.count(4800) == grids.count(2400)
 
 
+def test_band_manifest_records_work(tmp_path):
+    """band writes its factorizations, refused shifts and solves, summed
+    over the scan, the Newton search and mu'', as diagnostics.work; they
+    repeat exactly on a rerun. The seeded scan keeps the default run at
+    most 620 factorizations, refused ones included (699 unseeded)."""
+    works = []
+    for name in ("one", "two"):
+        out = tmp_path / name / "band.csv"
+        assert main(["band", "--a", "-0.5", "--out", str(out)]) == 0
+        manifest = out.with_name("band.csv.manifest.json")
+        works.append(json.loads(manifest.read_text())["diagnostics"]["work"])
+    work = works[0]
+    assert works[1] == work
+    assert set(work) == {"bisections", "factorizations", "refused",
+                         "solves"}
+    assert work["bisections"] == 0
+    assert 0 < work["factorizations"] + work["refused"] <= 620
+    assert work["solves"] >= work["factorizations"]
+
+
 def test_band_bracket_governs_constants(tmp_path):
     out = tmp_path / "band.csv"
     assert main(["band", "--a", "-0.5", "--grid-n", "1600",
@@ -734,6 +754,23 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_band_loads_no_sparse_or_special_functions(tmp_path):
+    """SciPy's sparse and special-function modules are imported only by
+    the commands that use them."""
+    code = ("import sys\n"
+            "import magres.cli\n"
+            f"assert magres.cli.main(['band', '--a', '-0.5', '--grid-n', "
+            f"'64', '--out', {str(tmp_path / 'band.csv')!r}]) == 0\n"
+            "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg', "
+            "'scipy.special') if m in sys.modules])\n")
+    src = str(Path(magres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
                            ScalingProfile, Window, _det_phase,
                            _first_sampling, _predicted_count, _slice_disk,
-                           _spectrum_slice, assemble_scaled_fiber,
+                           _spectrum_slice, _tridiagonal_product,
+                           assemble_scaled_fiber,
                            complex_spectrum, continuum_motion,
                            filter_resonances, find_resonances,
                            scaling_profile)
@@ -58,6 +59,34 @@ def test_scaling_profile_validation():
         with pytest.raises(ValidationError):
             scaling_profile(theta, R1, T0)
     assert scaling_profile(0.0, 2.0, 5.0).theta == 0.0  # degenerate identity
+
+
+def test_sweep_checks_each_scaling_profile_once(disk_profile):
+    """Profiles are frozen and memoized: an h sweep over one angle pair
+    checks two profiles, not two per h."""
+    scaling_profile.cache_clear()
+    for h in (0.25, 0.2, 0.15):
+        find_resonances(disk_profile, h, [0], WIN, theta_pair=(0.5, 0.6),
+                        grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
+    info = scaling_profile.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def test_tridiagonal_product_is_the_fiber(disk_profile):
+    """The operator that Arnoldi is handed multiplies by the scaled fiber,
+    for a vector and for a column."""
+    n = 64
+    op = assemble_scaled_fiber(disk_profile, 1, 0.25,
+                               scaling_profile(0.5, 1.5, 6.0),
+                               RadialGrid(18.0, n))
+    dense = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = dense @ v
+    times = _tridiagonal_product(op)
+    for got in (times(v), times(v[:, None])):
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_theta_zero_matches_real_fiber(disk_profile):

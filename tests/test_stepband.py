@@ -7,7 +7,7 @@ import magres.stepband as stepband
 from magres.cli import main
 from magres.errors import (FlatBandError, MultipleMinimaError, NumericalError,
                            TruncationError, ValidationError)
-from magres.radial import MAX_GRID_N
+from magres.radial import MAX_GRID_N, Work
 from magres.stepband import (BandSample, SpectralConstants, StepParams,
                              band_second_derivative, band_table, band_value,
                              minimize_band, spectral_constants)
@@ -112,6 +112,50 @@ def test_scan_follows_ground_state_into_another_well():
     for xi, mu in rows:
         assert abs(mu - step_band_mu(-0.25, xi, N=1600)) < 1e-12
     assert rows[1][1] < rows[0][1] - 0.05
+
+
+def test_seeded_scan_matches_oracle_across_the_well_change():
+    """The whole default 101-point scan at a = -0.25, N = 1600, where the
+    ground state leaves the Landau well mid-scan and the extrapolated seeds
+    overshoot the new level."""
+    p = StepParams(a=-0.25, N=1600)
+    rows = band_table(p, [-4.0 + 0.05 * i for i in range(101)])
+    for xi, mu in rows:
+        assert abs(mu - step_band_mu(-0.25, xi, N=1600)) < 1e-12
+
+
+@pytest.mark.parametrize("wrong", [1.0, -1.0])
+def test_wrong_seed_costs_factorizations_not_rows(monkeypatch, wrong):
+    """Seeds off by one in either direction (both grids) give the same rows
+    within 1e-13: a poor seed costs refused or extra factorizations."""
+    p = StepParams(a=-0.5, N=1600)
+    xs = [-2.0 + 0.05 * i for i in range(41)]
+    seeded = Work()
+    rows = band_table(p, xs, seeded)
+    for name in ("_fine_guess", "_coarse_guess"):
+        def off(*args, guess=getattr(stepband, name)):
+            g = guess(*args)
+            return None if g is None else (g[0] + wrong, g[1])
+        monkeypatch.setattr(stepband, name, off)
+    poor = Work()
+    wrong_rows = band_table(p, xs, poor)
+    assert [xi for xi, _ in wrong_rows] == xs
+    for (_, mu), (_, mu_wrong) in zip(rows, wrong_rows):
+        assert abs(mu - mu_wrong) < 1e-13
+    assert (poor.factorizations + poor.refused
+            > seeded.factorizations + seeded.refused)
+
+
+def test_seeds_need_history():
+    """Too few earlier points: no seed, the solve starts from the Rayleigh
+    quotient; the gaps stay within their bounds."""
+    assert stepband._fine_guess([1.0, 2.0, 3.0]) is None
+    assert stepband._coarse_guess(1.0, [0.1]) is None
+    assert stepband._fine_guess([1.0, 2.0, 3.0, 4.0]) == (5.0, 1e-8)
+    assert stepband._fine_guess([0.0, 0.0, 0.0, 1.0]) == (3.0, 1e-2)
+    assert stepband._coarse_guess(1.0, [0.5, 0.5]) == (1.5, 1e-9)
+    est, gap = stepband._coarse_guess(1.0, [0.5, 0.5 + 1e-6])
+    assert est == 1.0 + (0.5 + 1e-6) and gap == pytest.approx(4e-6)
 
 
 @pytest.mark.parametrize("start", ["second", "minus_lowest"])

@@ -211,7 +211,8 @@ def cmd_resonances(args) -> int:
         centre, radius = rs.disk
         slices.append({"h": h, "centre": [centre.real, centre.imag],
                        "radius": radius,
-                       "counts": [{"theta": theta, "m": m, "count": len(vals)}
+                       "counts": [{"theta": theta, "m": m, "count": len(vals),
+                                   **asdict(rs.work[(theta, m)])}
                                   for (theta, m), vals in rs.spectra.items()]})
         if len(rs):
             z0 = min(rs, key=lambda r: r.z.real).z

@@ -18,12 +18,14 @@ Up to R1 the scaled fiber is the real one, bit for bit: those entries are
 taken from the real fiber, formed in real arithmetic.
 
 Only a slice of each spectrum is computed: shift-invert Arnoldi finds the
-eigenvalues in a disk about the window, and the argument principle on
+eigenvalues in the disk about the origin that holds everything the filter
+and the continuum diagnostics read, and the argument principle on
 det(T - z), evaluated by the O(N) continuant recurrence, certifies that
-none were missed.
+none were missed. Arnoldi applies (T - centre)^-1 through one tridiagonal
+LU factorization (LAPACK `zgttrf`, solved by `zgttrs`).
   - Sizing. Scaling rotates the continuum and keeps its moduli, so the
     real fiber of the same sector has about as many eigenvalues below
-    |centre| + radius as the scaled one has in the disk; one restarted
+    the radius as the scaled one has in the disk; one restarted
     `dpttrf` counts them by Sylvester inertia. Arnoldi asks for that count
     plus two and doubles k while all it found lie in the disk, so a low
     count costs time, never correctness.
@@ -48,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
@@ -265,9 +268,9 @@ def _first_sampling(centre: complex, radius: float, known: np.ndarray,
 
 
 def _contour_count(op: FiberOperator, centre: complex, radius: float,
-                   known: np.ndarray) -> int:
-    """Eigenvalues of T inside |z - centre| < radius, by the argument
-    principle: the winding number of det(T - z) around the circle.
+                   known: np.ndarray) -> tuple[int, int]:
+    """(eigenvalues of T inside |z - centre| < radius, points used), by the
+    argument principle: the winding number of det(T - z) around the circle.
 
     `known` eigenvalues (those near the circle above all) set the first
     sampling (`_first_sampling`): each step is a fraction of the distance
@@ -288,7 +291,7 @@ def _contour_count(op: FiberOperator, centre: complex, radius: float,
         step = np.angle(np.exp(1j * np.diff(phase)))
         bad = np.abs(step) >= CONTOUR_STEP
         if not bad.any():
-            return int(round(float(step.sum()) / (2.0 * math.pi)))
+            return int(round(float(step.sum()) / (2.0 * math.pi))), t.size
         if t.size + int(bad.sum()) > CONTOUR_CAP:
             raise unresolved
         mid = 0.5 * (t[:-1][bad] + t[1:][bad])
@@ -297,6 +300,16 @@ def _contour_count(op: FiberOperator, centre: complex, radius: float,
             [phase, _det_phase(op, centre + radius * np.exp(1j * mid))])
         order = np.argsort(t, kind="stable")
         t, phase = t[order], phase[order]
+
+
+@dataclass
+class SliceWork:
+    """What a spectral slice cost: the k of its last Arnoldi run (0 when
+    none ran) and the points of its contour count (0 when the dense solve
+    answered)."""
+
+    k: int = 0
+    contour_points: int = 0
 
 
 def _predicted_count(op: FiberOperator, centre: complex,
@@ -324,15 +337,17 @@ def _tridiagonal_product(op: FiberOperator):
     return matvec
 
 
-def _spectrum_slice(op: FiberOperator, centre: complex,
-                    radius: float) -> np.ndarray:
+def _spectrum_slice(op: FiberOperator, centre: complex, radius: float,
+                    work: SliceWork | None = None) -> np.ndarray:
     """Eigenvalues of the scaled fiber inside |z - centre| <= radius,
-    sorted by (Re, Im), with their count certified.
+    sorted by (Re, Im), with their count certified; `work`, when given,
+    receives the final Arnoldi k and the contour points.
 
-    Shift-invert Arnoldi around the centre, on one sparse factorization
-    of T - centre and a fixed start vector (so reruns agree bit for bit),
-    with T itself passed as its tridiagonal product (`eigs` never applies
-    a complex T in shift-invert mode, so no second matrix is built);
+    Shift-invert Arnoldi around the centre, on one tridiagonal LU
+    factorization of T - centre (`zgttrf`; exactly singular or not finite
+    is a NumericalError) and a fixed start vector (so reruns agree bit for
+    bit), with T itself passed as its tridiagonal product (`eigs` never
+    applies a complex T in shift-invert mode, so no matrix is built);
     asks for the predicted count plus two eigenvalues (`_predicted_count`)
     and doubles k until the k-th nearest lies outside the disk. The
     argument principle on det(T - z) then counts the eigenvalues inside a
@@ -343,21 +358,25 @@ def _spectrum_slice(op: FiberOperator, centre: complex,
     instead.
     """
     import scipy.sparse.linalg as spla  # slow to load, used only here
-    from scipy.sparse import diags_array
 
     n = op.grid.N
-    try:
-        lu = spla.splu(diags_array([op.off, op.diag - centre, op.off],
-                                   offsets=[-1, 0, 1], format="csc"))
-    except RuntimeError as exc:
+    work = SliceWork() if work is None else work
+    *factors, info = zgttrf(op.off, op.diag - centre, op.off)
+    if info > 0:
         raise NumericalError(
-            f"T - {centre:.6g} is singular at N={n}: {exc}") from exc
-    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+            f"T - {centre:.6g} is singular at N={n}: pivot {info} of its LU "
+            f"factorization is zero")
+    if not all(np.isfinite(f).all() for f in factors[:4]):  # not ipiv
+        raise NumericalError(
+            f"T - {centre:.6g} has no finite LU factorization at N={n}")
+    opinv = spla.LinearOperator(
+        (n, n), matvec=lambda b: zgttrs(*factors, b)[0], dtype=complex)
     T = spla.LinearOperator((n, n), matvec=_tridiagonal_product(op),
                             dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
     k = _predicted_count(op, centre, radius) + 2
     while k < n // 2:
+        work.k = k
         try:
             vals = spla.eigs(T, k=k, sigma=centre, OPinv=opinv, v0=v0,
                              return_eigenvectors=False)
@@ -379,7 +398,7 @@ def _spectrum_slice(op: FiberOperator, centre: complex,
     with np.errstate(divide="ignore"):
         cost = mids / np.minimum(0.5 * np.diff(edges), edges[-1] - mids)
     circle = mids[int(np.argmin(cost))]
-    count = _contour_count(op, centre, circle, vals)
+    count, work.contour_points = _contour_count(op, centre, circle, vals)
     found = int(np.sum(dist < circle))
     if count != found:
         raise NumericalError(
@@ -453,6 +472,7 @@ class ResonanceSet:
     h: float | None
     spectra: dict = field(default_factory=dict, repr=False)  # (theta, m) -> eigenvalues
     disk: tuple[complex, float] | None = None  # (centre, radius) of the spectra
+    work: dict = field(default_factory=dict, repr=False)  # (theta, m) -> SliceWork
 
     def __iter__(self):
         return iter(self.resonances)
@@ -551,17 +571,17 @@ def continuum_motion(spec1, spec2, radius: float, exclude=()) -> float | None:
 
 
 def _slice_disk(window: Window, tol: float) -> tuple[complex, float]:
-    """Disk that the resonance filter and the continuum diagnostics read.
+    """The smallest disk that holds what the resonance filter and the
+    continuum diagnostics read: |z| <= reach, reach = 2 max|corner|, and
+    the pairing tolerance tol (1 + reach) beyond it.
 
-    Centred on the window, it covers the window, every z with
-    |z| <= 2 max|corner| and the pairing tolerance beyond both.
+    It is centred at the origin. Every window corner has modulus at most
+    reach / 2, so the disk also holds the window and its tolerance.
     """
-    centre = complex(0.5 * (window.re_min + window.re_max),
-                     0.5 * (window.im_min + window.im_max))
     reach = 2.0 * max(abs(complex(re, im))
                       for re in (window.re_min, window.re_max)
                       for im in (window.im_min, window.im_max))
-    return centre, abs(centre) + reach + tol * (1.0 + reach)
+    return 0j, reach + tol * (1.0 + reach)
 
 
 def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
@@ -572,11 +592,11 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     """Theta-robust resonances over the given sectors, sorted by Re z.
 
     Both angles share the grid and the deformation radii. Each (theta, m)
-    solve is a certified spectral slice: every eigenvalue in a disk about
-    the window centre that covers the window, |z| <= 2 max|window corner|
-    and the pairing tolerance. The slices are kept on the result as
-    `spectra`, with the disk, for continuum-motion diagnostics and trend
-    fits.
+    solve is a certified spectral slice: every eigenvalue in the disk
+    about the origin that holds |z| <= 2 max|window corner| and the
+    pairing tolerance beyond it, and with them the window. The slices are
+    kept on the result as `spectra`, with the disk, for continuum-motion
+    diagnostics and trend fits, and their cost (`SliceWork`) as `work`.
     """
     if not math.isfinite(profile.R0):
         raise ValidationError(
@@ -598,13 +618,15 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     jobs = [(sp, m) for m in ms for sp in (sp1, sp2)]
     centre, radius = _slice_disk(window, tol)
 
+    keys = [(sp.theta, m) for sp, m in jobs]
+    work = {key: SliceWork() for key in keys}
+
     def solve(job):
         sp, m = job
         return _spectrum_slice(assemble_scaled_fiber(profile, m, h, sp, grid),
-                               centre, radius)
+                               centre, radius, work[(sp.theta, m)])
 
-    spectra = pmap(solve, jobs)
-    by_key = {(job[0].theta, job[1]): s for job, s in zip(jobs, spectra)}
+    by_key = dict(zip(keys, pmap(solve, jobs)))
     found = []
     for m in ms:
         rs = filter_resonances(by_key[(t1, m)], by_key[(t2, m)], tol, window,
@@ -613,4 +635,4 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     found.sort(key=lambda r: (r.z.real, r.z.imag))
     return ResonanceSet(resonances=tuple(found), tol=tol, window=window,
                         theta_pair=(t1, t2), h=h, spectra=by_key,
-                        disk=(centre, radius))
+                        disk=(centre, radius), work=work)

@@ -341,13 +341,42 @@ def test_resonances_manifest_records_slices(disk_config, tmp_path):
     assert [s["h"] for s in slices] == [0.25, 0.2]
     for s, h in zip(slices, (0.25, 0.2)):
         centre = complex(*s["centre"])
-        assert centre == pytest.approx(complex(h, -0.25 * h), abs=1e-11)
+        assert centre == 0.0
         # the disk covers |z| <= 2 max|window corner|
         assert s["radius"] >= abs(centre) + 2.0 * abs(complex(1.5 * h,
                                                               -0.5 * h))
         assert sorted((c["theta"], c["m"]) for c in s["counts"]) == \
             [(0.5, 0), (0.5, 1), (0.6, 0), (0.6, 1)]
         assert all(c["count"] > 0 for c in s["counts"])
+
+
+def test_resonances_manifest_records_slice_work(disk_config, tmp_path):
+    """Each slice's final Arnoldi k and contour points sit next to its
+    count, repeat exactly on a rerun and leave the CSV bytes alone."""
+    records = []
+    for run in ("one", "two"):
+        out = tmp_path / run / "res.csv"
+        assert main(["resonances", "--field", str(disk_config),
+                     "--h", "0.25,0.2", "--grid-n", "480",
+                     "--out", str(out)]) == 0
+        manifest = json.loads(out.with_name("res.csv.manifest.json")
+                              .read_text())
+        records.append((out.read_bytes(), manifest["diagnostics"]))
+    assert records[0] == records[1]
+    for s in records[0][1]["slices"]:
+        for c in s["counts"]:
+            assert set(c) == {"theta", "m", "count", "k", "contour_points"}
+            assert c["k"] > c["count"] > 0 and c["contour_points"] > 0
+
+
+def test_resonances_no_false_incomplete_slice(disk_config):
+    """A window centred at 0.5 - 0.025i, with the slice disk about that
+    centre, drew a contour whose first steps the unfound continuum points
+    outran, and its winding aliased (44 counted, 77 found) to a false
+    "slice incomplete". The disk about the origin certifies the slice."""
+    assert main(["resonances", "--field", str(disk_config), "--h", "0.1",
+                 "--grid-n", "600",
+                 "--window=0.45:0.55:-0.05:-1e-12"]) == 0
 
 
 def test_resonances_arnoldi_failure_exit(disk_config, monkeypatch):

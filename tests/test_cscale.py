@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
                            ScalingProfile, Window, _det_phase,
@@ -17,7 +19,7 @@ from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
 from magres.errors import (AmbiguousPairingError, NumericalError,
                            ValidationError)
 from magres.fields import FieldSpec, make_profile, zero_profile
-from magres.radial import RadialGrid, assemble_fiber
+from magres.radial import FiberOperator, RadialGrid, assemble_fiber
 
 from conftest import FROZEN
 from oracles import det_phase_per_pivot
@@ -350,7 +352,7 @@ def test_find_resonances_keeps_degenerate_sectors(disk_profile, monkeypatch):
     """Equal resonances from distinct sectors are distinct rows."""
     z = 0.2 - 0.05j
     monkeypatch.setattr("magres.cscale._spectrum_slice",
-                        lambda op, centre, radius: np.array([z]))
+                        lambda op, centre, radius, work: np.array([z]))
     rs = find_resonances(disk_profile, 0.25, [0, 1], WIN,
                          theta_pair=(0.5, 0.6), grid=RadialGrid(18.0, 400),
                          R1=1.5, T0=6.0)
@@ -388,6 +390,74 @@ def test_slice_matches_dense_in_disk(disk_profile, N, theta, field, h):
     got = _spectrum_slice(op, centre, radius)
     assert got.size == want.size > 0
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.6])
+@pytest.mark.parametrize("h", [0.25, 0.1])
+@pytest.mark.parametrize("lo", [2.5, 4.5])
+def test_slice_count_matches_dense_above_the_ground(disk_profile, theta, h,
+                                                    lo):
+    """Windows [lo h, (lo + 1) h] above the lowest Landau level: the
+    certified count is the dense count, and the values agree where the
+    window and the filter read them, |z| <= max|corner|. Farther out the
+    rotated continuum of the two solvers differs by up to 6.2e-7; within
+    that modulus by at most 3.1e-9 here (and at N = 400)."""
+    win = Window(lo * h, (lo + 1.0) * h, -0.5 * h, -1e-12)
+    op = assemble_scaled_fiber(disk_profile, 0, h,
+                               scaling_profile(theta, 1.5, 6.0),
+                               RadialGrid(18.0, 600))
+    centre, radius = _slice_disk(win, PAIR_TOL)
+    dense = complex_spectrum(op)
+    want = dense[np.abs(dense - centre) <= radius]
+    got = _spectrum_slice(op, centre, radius)
+    assert got.size == want.size > 0
+    corner = max(abs(complex(re, im)) for re in (win.re_min, win.re_max)
+                 for im in (win.im_min, win.im_max))
+    for a, b in ((got, want), (want, got)):
+        near = a[np.abs(a) <= corner]
+        assert near.size > 0
+        assert np.abs(near[:, None] - b[None, :]).min(axis=1).max() <= 1e-8
+
+
+_bound = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=st.tuples(_bound, _bound), im=st.tuples(_bound, _bound),
+       tol=st.floats(min_value=1e-12, max_value=0.5))
+def test_slice_disk_is_the_disk_about_the_origin(re, im, tol):
+    """Over windows in Im z <= 0: the disk holds each corner with its
+    pairing tolerance and all of |z| <= reach, and is never wider than the
+    window-centred disk |centre| + reach + tol (1 + reach)."""
+    (re_min, re_max), (im_min, im_max) = sorted(re), sorted(-abs(x)
+                                                            for x in im)
+    assume(re_min < re_max and im_min < im_max)
+    win = Window(re_min, re_max, im_min, im_max)
+    centre, radius = _slice_disk(win, tol)
+    corners = [complex(a, b) for a in (re_min, re_max)
+               for b in (im_min, im_max)]
+    reach = 2.0 * max(abs(c) for c in corners)
+    assert all(abs(c - centre) + tol * (1.0 + abs(c)) <= radius
+               for c in corners)
+    assert abs(centre) + reach <= radius
+    window_centre = complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max))
+    assert radius <= abs(window_centre) + reach + tol * (1.0 + reach)
+
+
+@pytest.mark.parametrize("shift", [0j, 0.25 + 0.5j])
+def test_singular_shift_is_numerical_error(shift):
+    """T - shift decouples into 4 I and [[2, 1], [1, 0.5]], which is
+    exactly singular: its LU factorization has a zero pivot."""
+    n = 64
+    diag = np.full(n, 4.0 + shift)
+    off = np.zeros(n - 1, dtype=complex)
+    diag[-2:], off[-1] = (2.0 + shift, 0.5 + shift), 1.0
+    op = FiberOperator(m=0, scale=1.0, convention="h",
+                       boundary="dirichlet_far", grid=RadialGrid(18.0, n),
+                       diag=diag, off=off, pot=np.zeros(n),
+                       profile=zero_profile(1.0))
+    with pytest.raises(NumericalError, match="singular"):
+        _spectrum_slice(op, shift, 1.0)
 
 
 def test_slice_disk_covers_what_the_diagnostics_read():

@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile, spec_config
-from .radial import (RadialGrid, Work, _anharmonic_ladder, _grid_pair,
-                     _island_ladder, _rows, _solve_sectors, _well_ladder,
-                     check_ceiling, dirichlet_disk_levels, fiber_levels)
+from .radial import (RadialGrid, Work, _anharmonic_ladder, _island_ladder,
+                     _well_ladder, check_ceiling, dirichlet_disk_levels,
+                     fiber_levels, sector_sweep)
 from .stepband import StepParams, analyze_band
 from .quasimode import build_quasimode, quasimode_residual, tz_crossover, tz_window
 from .cscale import Window, find_resonances
@@ -145,16 +145,12 @@ def cmd_spectrum(args) -> int:
     spec = load_spec(args.field)
     profile = make_profile(spec)
     grid = RadialGrid(args.rmax, args.grid_n)
-    pair = _grid_pair(profile, args.b, grid, args.levels, "dirichlet_far",
-                      "b")
-    sectors = _solve_sectors(pair, args.m, args.levels)
-    rows = _rows(zip(args.m, sectors))
+    rows, work = sector_sweep(profile, args.b, args.m, grid, args.levels)
     check_ceiling(profile, args.b, args.m, grid, rows[-1][0])
     lines = ["m,index,eigenvalue,b_or_h,gridN,r_max"]
     for lam, m, n in sorted(rows, key=lambda t: (t[1], t[2])):
         lines.append(f"{m},{n},{_fmt(lam)},{_fmt(args.b)},"
                      f"{grid.N},{_fmt(grid.r_max)}")
-    work = sum((sector.work for sector in sectors), Work())
     _emit(args, "spectrum", lines,
           _params(args, field_spec=spec_config(spec)),
           diagnostics={"work": asdict(work)})

@@ -108,8 +108,8 @@ def scaling_profile(theta: float, R1: float, T0: float) -> ScalingProfile:
     """
     if not (0.0 <= theta <= THETA_MAX):
         raise ValidationError(f"theta must lie in [0, {THETA_MAX}]")
-    if not (0.0 < R1 < T0):
-        raise ValidationError("need 0 < R1 < T0")
+    if not (0.0 < R1 < T0 and 2.0 * T0 < math.inf):
+        raise ValidationError("need 0 < R1 < T0, with 2 T0 finite")
     sp = ScalingProfile(theta=theta, R1=R1, T0=T0)
     t = np.linspace(1e-9, 2.0 * T0, 4096)
     ft = sp.f(t)

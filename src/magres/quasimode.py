@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fields import FieldProfile
 from .radial import RadialGrid, assemble_fiber, smoothstep
 
@@ -45,6 +45,16 @@ def laguerre(n: int, k: int, x):
 
 def _finite_positive(*values) -> bool:
     return all(math.isfinite(v) and v > 0 for v in values)
+
+
+def _require_finite(what: str, value: float, n: int, r0: float) -> None:
+    """A quasimode norm or residual must be finite. At a high level n and
+    a wide r0 the Laguerre factor L_n(b r^2/2) overflows inside r0, where
+    no float e^{-b r^2/4} can balance it (0 * inf)."""
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"quasimode {what} is {value}: the Laguerre factor of level {n} "
+            f"overflows inside r0 = {r0:.6g}")
 
 
 def _landau_envelope(n: int, m: int, b: float, r):
@@ -122,9 +132,12 @@ def build_quasimode(n: int, m: int, b: float, r0: float, delta: float,
             f"cells; refine the grid")
     r = grid.nodes
     chi, _, _ = _shoulder(r, r0, delta)
-    vals = chi * landau_radial(n, m, b, r)
-    vals = np.where(r <= r0, vals, 0.0)
-    norm = math.sqrt(2.0 * math.pi * float(np.sum(vals * vals * r) * grid.dr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = chi * landau_radial(n, m, b, r)
+        vals = np.where(r <= r0, vals, 0.0)
+        norm = math.sqrt(2.0 * math.pi * float(np.sum(vals * vals * r)
+                                               * grid.dr))
+    _require_finite("norm", norm, n, r0)
     return Quasimode(n=n, m=m, b=b, r0=r0, delta=delta, grid=grid,
                      values=vals, norm=norm)
 
@@ -143,11 +156,13 @@ def quasimode_residual(q: Quasimode, profile: FieldProfile
     if not np.allclose(B_vals, 1.0, rtol=0.0, atol=1e-12):
         raise ValidationError("field is not constant 1 on [0, r0]")
     chi, d1, d2 = _shoulder(r, q.r0, q.delta)
-    f = landau_radial(q.n, q.m, q.b, r)
-    fp = _landau_radial_derivative(q.n, q.m, q.b, r)
-    g = -(d2 + d1 / r) * f - 2.0 * d1 * fp
-    g = np.where(r <= q.r0, g, 0.0)
-    res = math.sqrt(2.0 * math.pi * float(np.sum(g * g * r) * q.grid.dr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = landau_radial(q.n, q.m, q.b, r)
+        fp = _landau_radial_derivative(q.n, q.m, q.b, r)
+        g = -(d2 + d1 / r) * f - 2.0 * d1 * fp
+        g = np.where(r <= q.r0, g, 0.0)
+        res = math.sqrt(2.0 * math.pi * float(np.sum(g * g * r) * q.grid.dr))
+    _require_finite("residual", res, q.n, q.r0)
     return res, q.norm
 
 
@@ -219,8 +234,9 @@ class TZWindow:
 
 def tz_window(E: float, h: float, c: float, r0: float) -> TZWindow:
     """Resonance-window rectangle [E - w, E + w] + i[-h^-3 S, 0]."""
-    if not _finite_positive(c, h, r0):
-        raise ValidationError("tz_window requires finite c, h, r0 > 0")
+    if not _finite_positive(c, h, r0, h * h * h):
+        raise ValidationError("tz_window requires finite c, h, r0 > 0, "
+                              "with h^3 finite and nonzero")
     K = c * r0 * r0
     S = math.exp(-K / h)
     w = math.exp(-K / (2.0 * h)) / (h * h)

@@ -47,8 +47,9 @@ levels below, and its Rayleigh quotient is summed face by face from the
 face weights and the potential, free of the cancellation between diag and
 off that costs bisection up to 1e-8 relative where the diagonal is large.
 The iteration stops when the last shift lies within 64 eps max|T_ii| below
-the quotient and the quotient moves by at most 4 ulp. `eigs_lowest`, which
-returns eigenvectors, bisects the fiber itself.
+the quotient and the quotient moves by at most 4 ulp. `eigs_lowest` returns
+these certified pairs, its vectors scaled to unit norm in r dr: every real
+fiber eigenpair, level or vector, comes from this one solver.
 
 A merged ladder (well, anharmonic, island) is a certified sector sweep. It
 solves the sectors outward from m = 0 until the levels it needs are in
@@ -101,6 +102,11 @@ class RadialGrid:
             raise ValidationError("r_max must be positive and finite")
         if not 64 <= self.N <= MAX_GRID_N:
             raise ValidationError(f"N must lie in 64..{MAX_GRID_N}")
+        # face_form divides by r dr^2, which is dr^3 / 2 at the first node
+        if not 0.5 * self.dr * self.dr * self.dr >= np.finfo(float).tiny:
+            raise ValidationError(
+                f"r_max / N = {self.dr:.3g} is too small: the fiber's "
+                f"1 / (r dr^2) leaves the float range")
 
     @property
     def dr(self) -> float:
@@ -241,20 +247,6 @@ def assemble_fiber(profile: FieldProfile, m: int, scale: float,
     certifies the Dirichlet truncation of a solved ladder.
     """
     return _GridFiber(profile, scale, grid, boundary, convention).op(m)
-
-
-def _bisect(op: FiberOperator, first: int, last: int):
-    """Eigenpairs first..last of the fiber by LAPACK bisection (stebz,
-    then stein for the vectors). A solver failure, or a potential that
-    overflowed (a steep field at a large scale), which the solver's
-    finiteness check refuses, is a numerical failure."""
-    try:
-        return sla.eigh_tridiagonal(op.diag, op.off, select="i",
-                                    select_range=(first, last))
-    except ValueError as exc:  # non-finite entries; LinAlgError subclasses it
-        raise NumericalError(
-            f"tridiagonal eigensolve failed for m={op.m}, "
-            f"N={op.grid.N}: {exc}") from exc
 
 
 @dataclass
@@ -409,8 +401,9 @@ def _coarse_block(j: int, N: int) -> tuple:
     return lo, min(max(lo, 2 * lo - 1), N - 2)
 
 
-def _lowest(op: FiberOperator, k: int, work: Work) -> np.ndarray:
-    """The k lowest eigenvalues of the fiber, with their cost added to work.
+def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
+    """(values, basis): the k lowest eigenpairs of the fiber, the vectors
+    unit l2 as the rows of basis, with their cost added to work.
 
     Level j starts from a bisection, shared by its `_coarse_block` lo..hi,
     of levels lo - 2..hi + 1 of a coarse copy of the fiber: same field,
@@ -440,7 +433,14 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> np.ndarray:
                 n_c *= 2
             coarse = op if n_c >= g.N else fine.coarse(n_c).op(op.m)
             first = max(0, lo - 2)
-            est, vecs = _bisect(coarse, first, hi + 1)
+            try:  # LAPACK bisection (stebz, then stein for the vectors)
+                est, vecs = sla.eigh_tridiagonal(
+                    coarse.diag, coarse.off, select="i",
+                    select_range=(first, hi + 1))
+            except ValueError as exc:  # LinAlgError subclasses it
+                raise NumericalError(
+                    f"tridiagonal eigensolve failed for m={op.m}, "
+                    f"N={coarse.grid.N}: {exc}") from exc
             work.bisections += 1
             rc, root_c = coarse.record.r, coarse.record.root
         i = j - first  # level j in est
@@ -456,16 +456,20 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> np.ndarray:
         values[j], basis[j] = _inverse_iteration(
             op.diag, op.off, rayleigh, x, mu, 1e-2 * (est[i + 1] - est[i]),
             basis[:j], work, MAX_SOLVES, f"level {j} of m={op.m}, N={g.N}")
-    return values
+    return values, basis
 
 
 def eigs_lowest(op: FiberOperator, k: int) -> EigenResult:
-    """k lowest eigenpairs of the fiber; vectors orthonormal in r dr."""
+    """k lowest eigenpairs of a real fiber, the certified pairs of
+    `_lowest`; vectors orthonormal in r dr. A complex-scaled fiber, which
+    has no grid record, is a ValidationError."""
+    if op.record is None:
+        raise ValidationError("eigs_lowest solves real fibers only; this "
+                              "fiber has no grid record")
     if not (1 <= k < op.grid.N):
         raise ValidationError("need 1 <= k < N")
-    vals, vecs = _bisect(op, 0, k - 1)
-    r = op.grid.nodes
-    u = vecs / np.sqrt(r * op.grid.dr)[:, None]
+    vals, basis = _lowest(op, k, Work())
+    u = basis.T / np.sqrt(op.grid.nodes * op.grid.dr)[:, None]
     # deterministic sign: largest-magnitude component positive
     for j in range(u.shape[1]):
         i = int(np.argmax(np.abs(u[:, j])))
@@ -506,8 +510,8 @@ def _richardson_levels(pair: tuple, m: int, k: int,
         counts = [_ldl_factors(o.diag, o.off, below, k)[0] for o in (op, oph)]
         work.factorizations += 2
         k = max(1, min(k, max(counts)))
-    vals = _lowest(op, k, work)
-    vals_h = _lowest(oph, k, work)
+    vals, _ = _lowest(op, k, work)
+    vals_h, _ = _lowest(oph, k, work)
     return Sector((4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0,
                   work)
 
@@ -518,8 +522,9 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
     """k lowest fiber eigenvalues, Richardson-extrapolated over (N/2, N).
 
     The scheme is O(dr^2), so (4 lam_N - lam_{N/2}) / 3 removes the leading
-    error term. k must stay below N/2, the size of the coarser grid; the
-    plain N-grid values are `eigs_lowest(assemble_fiber(...), k).values`.
+    error term. k must stay below N/2, the size of the coarser grid. lam_N
+    is `eigs_lowest(assemble_fiber(...), k).values` bit for bit, and
+    lam_{N/2} the same on grid.halved().
     """
     return _richardson_levels(
         _grid_pair(profile, scale, grid, k, boundary, convention), m, k).levels
@@ -544,12 +549,15 @@ def _solve_sectors(pair: tuple, ms, k: int, below: float | None = None
 
 
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
-                 k: int, boundary: str = "dirichlet_far", convention: str = "b"):
-    """Per-sector lowest Richardson-refined levels, merged ascending as
-    (value, m, n) rows."""
+                 k: int, boundary: str = "dirichlet_far", convention: str = "b"
+                 ) -> tuple:
+    """(rows, work): the k lowest Richardson-refined levels of each sector,
+    merged ascending as (value, m, n) rows, and the Work of all sectors."""
     ms = list(m_range)
     pair = _grid_pair(profile, scale, grid, k, boundary, convention)
-    return _rows(zip(ms, _solve_sectors(pair, ms, k)))
+    sectors = _solve_sectors(pair, ms, k)
+    return _rows(zip(ms, sectors)), sum((sector.work for sector in sectors),
+                                        Work())
 
 
 def _rows(sectors) -> list:
@@ -800,8 +808,10 @@ def dirichlet_disk_levels(rho1: float, n_max: int) -> np.ndarray:
     rho1^2 on the disk of radius rho1, from Bessel zeros (no eigensolve).
     nu <= n_max and k <= n_max + 1 suffice, as j_{nu,k} grows in nu and k;
     distinct orders share no zero and -nu repeats nu."""
-    if not 0 < rho1 < math.inf:
-        raise ValidationError("rho1 must be positive and finite")
+    if not (0 < rho1 < math.inf and rho1 * rho1 > 0.0
+            and 1.0 / (rho1 * rho1) < math.inf):
+        raise ValidationError("rho1 must be positive and finite, with "
+                              "1 / rho1^2 finite")
     _check_index(n_max)
     ref = np.sort(np.concatenate(
         [jn_zeros(nu, n_max + 1) ** 2 for nu in range(n_max + 1)]))
@@ -824,9 +834,10 @@ def verify_ah_decay(result: EigenResult, gamma: float, c0: float,
     def integral(res: EigenResult) -> float:
         r = res.op.grid.nodes
         f = res.vectors[:, 0]
-        # inverse iteration tracks the true decay down to ~1e-40 and then
-        # plateaus at solver noise; only the resolved prefix is meaningful,
-        # and the weight would amplify the noise plateau without bound
+        # the certified ground state follows the true decay to ~1e-37, then
+        # plateaus at solver noise (1e-63 to 1e-69 for gamma = 2, b = 1 at
+        # N = 3000, 6000): only the resolved prefix is meaningful, and the
+        # weight would amplify the noise plateau without bound
         floor = 1e-30 * np.max(np.abs(f))
         below = np.nonzero(np.abs(f) < floor)[0]
         cut = int(below[0]) if below.size else len(r)

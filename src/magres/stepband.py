@@ -119,12 +119,6 @@ def _grids(params: StepParams, work: Work | None = None) -> tuple:
         _StepGrid(params, params.N // 2, work)
 
 
-def _arm(params: StepParams, xi: float, N: int) -> tuple[float, np.ndarray]:
-    """(step, arm = xi + b_a(tau) tau) on the N-grid; V = arm^2."""
-    grid = _StepGrid(params, N)
-    return grid.step, xi + grid.b_tau
-
-
 def _ground(params: StepParams, xi: float, N: int, start=None, grid=None,
             guess=None) -> tuple[float, np.ndarray, np.ndarray]:
     """Lowest eigenpair (mu, x > 0, unit l2) of h_a[xi] on the N-interval

@@ -734,6 +734,117 @@ def test_manifest_params_are_the_parsed_flags(anh_config, disk_config,
     assert params["grid_n"] is None and params["rmax"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--field", None, "--rmax", "1e-150", "--grid-n", "256"],
+    ["resonances", "--field", None, "--h", "0.25", "--t0", "inf"],
+    ["resonances", "--field", None, "--h", "0.25", "--t0", "1e308"],
+    ["compare", "--model", "island", "--rho1", "1e-300", "--rho2", "1",
+     "--b", "5,6,7"]],
+    ids=["spectrum-dr", "resonances-t0-inf", "resonances-t0-1e308",
+         "compare-rho1"])
+def test_scale_beyond_float_range_is_input_error(argv, disk_config, capsys):
+    """A grid whose 1 / (r dr^2) underflows, a deformation whose 2 T0 is
+    infinite and an island hole whose 1 / rho1^2 overflows exit 2 before
+    any arithmetic: no warning, no traceback."""
+    argv = [str(disk_config) if tok is None else tok for tok in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Warning" not in captured.err and "Traceback" not in captured.err
+
+
+def _run_fuzzed(argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refused a flag
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(rc, out, err, header):
+    """Exit 0, 2 or 3 and no traceback; a success prints its CSV under
+    header with no nan or infinity, a failure prints nothing."""
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err
+    if rc:
+        assert out == ""
+    else:
+        assert out.splitlines()[0] == header
+        assert "nan" not in out.lower() and "inf" not in out.lower(), out
+
+
+_EXTREMES = [0.0, -1.0, 1e-300, 1e300, -1e300, math.nan, math.inf]
+
+
+@st.composite
+def _flags(draw, pools: dict):
+    """Flags drawn from their (good, bad) pools: every flag good but at
+    most two, so that most draws reach a solve."""
+    broken = draw(st.sets(st.sampled_from(sorted(pools)), max_size=2))
+    return {name: draw(st.sampled_from(pools[name][name in broken]))
+            for name in pools}
+
+
+_BAND_FLAGS = {"a": ([-0.5, -0.3, -1.0, 0.5, 1.0], _EXTREMES),
+               "L": ([12.0, 6.0, 3.0], _EXTREMES),
+               "bracket": (["-2,0", "-4,1", "-1,1"],
+                           ["0,-2", "-2,-2", "-2", "-1e300,0", "nan,0",
+                            "-2,inf"]),
+               "grid_n": (["64", "128"], ["0", "100", "63"])}
+_QUASIMODE_FLAGS = {"n": ([0, 1, 5], [100, 300]),
+                    "m": ([0, 1, -3], [300, -2000]),
+                    "b": ([25.0, 16.0], _EXTREMES),
+                    "r0": ([1.0, 2.0], [20.0, 200.0, *_EXTREMES]),
+                    "delta": ([0.2, 0.5], [0.0, 1.0, math.nan]),
+                    "tz_c": ([None, 0.2], _EXTREMES),
+                    "rmax": ([20.0, 5.0], [200.0, *_EXTREMES]),
+                    "grid_n": ([4000, 1000], [64])}
+_BAND_SMALL = {"a": -0.5, "L": 12.0, "bracket": "-2,0", "grid_n": "64"}
+# inside r0, e^{-b r^2/4} L_n(b r^2/2) is 0 * inf here: exit 3, not nan
+_NAN_REPORTS = [{"n": n, "m": 0, "b": 25.0, "r0": r0, "delta": 0.2,
+                 "tz_c": None, "rmax": r0, "grid_n": 4000}
+                for n, r0 in ((300, 20.0), (100, 200.0))]
+
+
+@settings(max_examples=40, deadline=None)
+@example(flags=_BAND_SMALL)
+@given(flags=_flags(_BAND_FLAGS))
+def test_band_fuzz_keeps_exit_contract(flags):
+    """Band flags of extreme, non-finite and malformed values on small
+    grids exit 0, 2 or 3, never 1 or with a traceback, and a successful
+    run prints finite numbers only."""
+    argv = ["band", f"--a={flags['a']!r}", f"--L={flags['L']!r}",
+            f"--bracket={flags['bracket']}", f"--grid-n={flags['grid_n']}"]
+    rc, out, err = _run_fuzzed(argv)
+    _assert_exit_contract(rc, out, err, "a,xi,mu")
+    if flags == _BAND_SMALL:
+        assert rc == 0
+
+
+@settings(max_examples=60, deadline=None)
+@example(flags=_NAN_REPORTS[0])
+@example(flags=_NAN_REPORTS[1])
+@given(flags=_flags(_QUASIMODE_FLAGS))
+def test_quasimode_fuzz_keeps_exit_contract(flags):
+    """Quasimode flags of extreme and non-finite values exit 0, 2 or 3,
+    never 1 or with a traceback, and a successful report is finite: a
+    level whose Laguerre factor overflows inside r0 exits 3."""
+    argv = ["quasimode"] + [f"--{name.replace('_', '-')}={value!r}"
+                            for name, value in flags.items()
+                            if value is not None]
+    rc, out, err = _run_fuzzed(argv)
+    _assert_exit_contract(rc, out, err,
+                          "model,n,m,b,r0,delta,norm_defect,residual")
+    if flags in _NAN_REPORTS:
+        assert rc == 3
+
+
 _sweep_values = st.sampled_from([0.0, -0.0, -0.1, math.nan, math.inf,
                                  -math.inf, 1e300, 1e-300, 0.1, 0.05, 0.025,
                                  25.0, 50.0])
@@ -803,8 +914,10 @@ def test_band_loads_no_sparse_or_special_functions(tmp_path):
 
 
 def test_console_entry_point():
+    src = str(Path(magres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "magres.cli",
-                           "quasimode", "--b", "16"],
+                           "quasimode", "--b", "16"], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == \

@@ -226,9 +226,9 @@ def _full_cap_ladder(profile, scale, n_max, r_max, boundary="dirichlet_far",
                      convention="b"):
     """The ladder as every sector of the cap gives it: all solved, merged,
     levels within a relative 1e-8 counted once."""
-    rows = sector_sweep(profile, scale, radial.default_m_range(n_max),
-                        RadialGrid(r_max, radial.LADDER_N), n_max + 1,
-                        boundary, convention)
+    rows, _ = sector_sweep(profile, scale, radial.default_m_range(n_max),
+                           RadialGrid(r_max, radial.LADDER_N), n_max + 1,
+                           boundary, convention)
     levels, homes = [], []
     for lam, m, k in rows:
         if not levels or abs(lam - levels[-1]) > 1e-8 * (1 + abs(levels[-1])):
@@ -425,8 +425,8 @@ def test_island_decay_energy_identity(island_profile):
 
 
 def test_sector_sweep_rows_sorted(disk_profile):
-    rows = sector_sweep(disk_profile, 1.0, range(-2, 3),
-                        RadialGrid(12.0, 800), 2)
+    rows, _ = sector_sweep(disk_profile, 1.0, range(-2, 3),
+                           RadialGrid(12.0, 800), 2)
     vals = [v for v, m, n in rows]
     assert vals == sorted(vals)
 
@@ -449,7 +449,7 @@ def test_lowest_matches_longdouble_oracle(case, N):
     kin = scale * scale if convention == "h" else 1.0
     want = fiber_levels_longdouble(r_max, N, op.pot, kin,
                                    radial.FAR_WEIGHT[boundary], 3)
-    got = radial._lowest(op, 3, radial.Work())
+    got, _ = radial._lowest(op, 3, radial.Work())
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -468,7 +468,7 @@ def test_lowest_certifies_each_level(monkeypatch, well_profile):
     op = assemble_fiber(well_profile, 1, 0.05, RadialGrid(3.0, 1500),
                         convention="h")
     work = radial.Work()
-    got = radial._lowest(op, 4, work)
+    got, _ = radial._lowest(op, 4, work)
     tol = 64.0 * np.finfo(float).eps * op.diag.max()
     exact = np.linalg.eigvalsh(np.diag(op.diag) + np.diag(op.off, 1)
                                + np.diag(op.off, -1))
@@ -620,7 +620,7 @@ def test_zero_field_neumann_ground_level_is_zero():
     Neumann disk on the grid, so level 0 converges to 0 itself."""
     op = assemble_fiber(zero_profile(R0=1.5), 0, 1.0,
                         RadialGrid(1.5, radial.LADDER_N), "neumann_far")
-    got = radial._lowest(op, 2, radial.Work())
+    got, _ = radial._lowest(op, 2, radial.Work())
     assert 0.0 <= got[0] < 1e-18
     assert got[1] == pytest.approx(bessel_j_zero(1, 1) ** 2 / 1.5 ** 2,
                                    rel=1e-6)
@@ -633,7 +633,38 @@ def test_lowest_levels_do_not_depend_on_how_many_are_solved(well_profile):
     its shift and must equal a solve of every level."""
     op = assemble_fiber(well_profile, 2, 0.05, RadialGrid(3.0, 1500),
                         convention="h")
-    full = radial._lowest(op, 40, radial.Work())
+    full, _ = radial._lowest(op, 40, radial.Work())
     for k in (1, 2, 3, 5, 16, 17, 33):
-        assert radial._lowest(op, k, radial.Work()).tolist() == \
+        assert radial._lowest(op, k, radial.Work())[0].tolist() == \
             full[:k].tolist()
+
+
+@pytest.mark.parametrize("case", [
+    ("anharmonic", {"gamma": 2.0}, 1.0, 0, 1.0, 12.0, 3000, "b"),
+    ("well_radial", {"b0": 1.0}, 1.0, 1, 0.05, 3.0, 1500, "h"),
+    ("constant_disk", {"r0": 1.0}, 1.0, 0, 1.0, 20.0, 4000, "b")],
+    ids=["anharmonic", "well", "disk"])
+def test_eigs_lowest_returns_the_certified_levels(case):
+    """eigs_lowest's values do not depend on k, and fiber_levels is their
+    Richardson combination over (N, N/2), bit for bit: one solver gives
+    every real fiber eigenpair."""
+    kind, params, R0, m, scale, r_max, N, convention = case
+    profile = make_profile(FieldSpec(kind, params, R0=R0))
+    grid = RadialGrid(r_max, N)
+    fine, coarse = (eigs_lowest(assemble_fiber(profile, m, scale, g,
+                                               convention=convention),
+                                4).values for g in (grid, grid.halved()))
+    op = assemble_fiber(profile, m, scale, grid, convention=convention)
+    assert eigs_lowest(op, 2).values.tolist() == fine[:2].tolist()
+    assert fiber_levels(profile, m, scale, grid, 4,
+                        convention=convention).tolist() == \
+        ((4.0 * fine - coarse) / 3.0).tolist()
+
+
+def test_eigs_lowest_refuses_a_complex_scaled_fiber(disk_profile):
+    from magres.cscale import assemble_scaled_fiber, scaling_profile
+    op = assemble_scaled_fiber(disk_profile, 0, 0.25,
+                               scaling_profile(0.5, 1.5, 6.0),
+                               RadialGrid(18.0, 480))
+    with pytest.raises(ValidationError, match="real fibers"):
+        eigs_lowest(op, 1)

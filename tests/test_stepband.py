@@ -162,7 +162,7 @@ def test_seeds_need_history():
 def test_ground_from_any_start_lands_on_positive_lowest(start):
     p = StepParams(a=-0.5, N=1600)
     xi = FROZEN["step_minus05"]["zeta"]
-    step, arm = stepband._arm(p, xi, p.N)
+    step, arm = p.step, stepband._ground(p, xi, p.N)[2]
     vals, vecs = sla.eigh_tridiagonal(2.0 / step ** 2 + arm ** 2,
                                       np.full(p.N - 2, -1.0 / step ** 2),
                                       select="i", select_range=(0, 1))
@@ -184,8 +184,8 @@ def test_ground_last_shift_certifies_lowest(monkeypatch):
         return out
     monkeypatch.setattr(radial, "dpttrf", recording)
     p = StepParams(a=-0.5, N=1600)
-    mu, _, _ = stepband._ground(p, -0.66, p.N)
-    step, arm = stepband._arm(p, -0.66, p.N)
+    mu, _, arm = stepband._ground(p, -0.66, p.N)
+    step = p.step
     diag = 2.0 / step ** 2 + arm ** 2
     tol = 64.0 * np.finfo(float).eps * diag.max()
     d, info = shifted[-1]

@@ -130,6 +130,12 @@ def build_quasimode(n: int, m: int, b: float, r0: float, delta: float,
         raise ValidationError(
             f"cutoff shoulder spans {delta * r0 / grid.dr:.1f} < 16 grid "
             f"cells; refine the grid")
+    # L_n has n sign changes: ask for 4 nodes per sign change before the
+    # n-step recurrence runs
+    if not n < grid.N / 4:
+        raise ValidationError(
+            f"level n = {n} needs n < N/4 = {grid.N / 4:g}: the Laguerre "
+            f"factor has n sign changes; refine the grid")
     r = grid.nodes
     chi, _, _ = _shoulder(r, r0, delta)
     with np.errstate(over="ignore", invalid="ignore"):

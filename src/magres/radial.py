@@ -51,18 +51,12 @@ the quotient and the quotient moves by at most 4 ulp. `eigs_lowest` returns
 these certified pairs, its vectors scaled to unit norm in r dr: every real
 fiber eigenpair, level or vector, comes from this one solver.
 
-A merged ladder (well, anharmonic, island) is a certified sector sweep. It
-solves the sectors outward from m = 0 until the levels it needs are in
-hand, then certifies every other sector of the m cap by one LDL^T
-factorization per grid: T - s positive definite puts all of the sector's
-eigenvalues above s. The shift s is the top level plus a margin of 10x the
-largest Richardson correction of the solved levels (at least the 1e-8
-dedup tolerance), which keeps the certified sectors' refined levels above
-the top as long as their own corrections stay below the margin. A sector
-whose factorization is refused is solved instead. Once n_max + 1 levels
-are in hand, a sector is solved only for the levels that either grid has
-below the current top plus margin (counted by the same factorization);
-a level does not depend on how many are solved, so the ladder is the one a
+A merged ladder (well, anharmonic, island) is a certified sector sweep
+(`_merged_ladder`). It solves the sectors outward from m = 0 until the
+levels it needs are in hand; past that, one count per sector of its
+eigenvalues below a shift on either grid (`_count_below`: the negative
+pivots of one LDL^T factorization per grid, by Sylvester inertia)
+certifies it (0) or says how many levels to solve. The ladder is the one a
 solve of every sector gives, bit for bit. A Dirichlet-truncated ladder
 whose potential ceiling fails grows its r_max by 1.5x, up to R_MAX_GROWTHS
 times.
@@ -252,8 +246,8 @@ def assemble_fiber(profile: FieldProfile, m: int, scale: float,
 @dataclass
 class Work:
     """What a fiber solve cost: coarse bisections, LDL^T factorizations of
-    shifted fibers that were used and that were refused, and solves with
-    the factors."""
+    shifted fibers (inverse-iteration shifts and level counts), the shifts
+    inverse iteration refused, and solves with the factors."""
 
     bisections: int = 0
     factorizations: int = 0
@@ -296,15 +290,6 @@ def _ldl_factors(diag: np.ndarray, off: np.ndarray, shift: float, j: int
     if not np.isfinite(d).all():
         return j + 1, None
     return negatives, ((d, e) if negatives == j else None)
-
-
-def _pd_factors(diag: np.ndarray, off: np.ndarray, shift: float):
-    """`dpttrf` factors (d, e) of T - shift for the symmetric tridiagonal
-    T = (diag, off), or None when the factorization refuses it: T - shift
-    is not positive definite or has a non-finite entry. The j = 0 case of
-    `_ldl_factors`: factors certify that every eigenvalue of T lies above
-    shift."""
-    return _ldl_factors(diag, off, shift, 0)[1]
 
 
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, rayleigh, x, mu,
@@ -498,22 +483,23 @@ def _grid_pair(profile: FieldProfile, scale: float, grid: RadialGrid, k: int,
                  for g in (grid, grid.halved()))
 
 
-def _richardson_levels(pair: tuple, m: int, k: int,
-                       below: float | None = None) -> Sector:
-    """The `Sector` of `fiber_levels` on the records of `_grid_pair`; with
-    a bound below, only as many of the k levels as either grid has below
-    it (at least one), counted by `_ldl_factors`. Each level is the one a
-    solve of all k gives."""
+def _richardson_levels(pair: tuple, m: int, k: int) -> Sector:
+    """The `Sector` of `fiber_levels` on the records of `_grid_pair`: the k
+    lowest levels of sector m, each the one a solve of more levels gives."""
     work = Work()
-    op, oph = (fiber.op(m) for fiber in pair)
-    if below is not None:
-        counts = [_ldl_factors(o.diag, o.off, below, k)[0] for o in (op, oph)]
-        work.factorizations += 2
-        k = max(1, min(k, max(counts)))
-    vals, _ = _lowest(op, k, work)
-    vals_h, _ = _lowest(oph, k, work)
+    vals, vals_h = (_lowest(fiber.op(m), k, work)[0] for fiber in pair)
     return Sector((4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0,
                   work)
+
+
+def _count_below(pair: tuple, m: int, shift: float, k: int,
+                 work: Work) -> int:
+    """The larger count of sector m's eigenvalues below shift on the two
+    records of a `_grid_pair` (`_ldl_factors`; k + 1 past k or refused):
+    0 certifies all of them above shift on both grids."""
+    work.factorizations += 2
+    return max(_ldl_factors(op.diag, op.off, shift, k)[0]
+               for op in (fiber.op(m) for fiber in pair))
 
 
 def fiber_levels(profile: FieldProfile, m: int, scale: float,
@@ -541,11 +527,9 @@ def _check_index(n_max: int) -> None:
                               f" on the N={LADDER_N} ladder grid")
 
 
-def _solve_sectors(pair: tuple, ms, k: int, below: float | None = None
-                   ) -> list:
-    """`_richardson_levels` of each sector in ms, in order, on the records
-    of one `_grid_pair`."""
-    return pmap(lambda m: _richardson_levels(pair, m, k, below), ms)
+def _solve_sectors(pair: tuple, ms, ks) -> list:
+    """`_richardson_levels` of sector ms[i] for ks[i] levels, in order."""
+    return pmap(lambda mk: _richardson_levels(pair, *mk), list(zip(ms, ks)))
 
 
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
@@ -555,7 +539,7 @@ def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
     merged ascending as (value, m, n) rows, and the Work of all sectors."""
     ms = list(m_range)
     pair = _grid_pair(profile, scale, grid, k, boundary, convention)
-    sectors = _solve_sectors(pair, ms, k)
+    sectors = _solve_sectors(pair, ms, [k] * len(ms))
     return _rows(zip(ms, sectors)), sum((sector.work for sector in sectors),
                                         Work())
 
@@ -589,12 +573,12 @@ class Ladder:
     levels: np.ndarray  # the n_max + 1 lowest distinct levels
     homes: list  # (m, k) of each level: its sector and index there
     solved: list  # sectors solved, ascending
-    certified: list  # sectors certified above shift without a solve
-    fallback: list  # sectors solved after their certificate was refused
+    certified: list  # sectors with no level below shift, not solved
+    fallback: list  # sectors past the shells solved for their count
     margin: float | None  # shift - top level; None if the sweep solved all
     shift: float | None  # every certified eigenvalue lies above it
     r_max: float  # the truncation radius the ladder was solved on
-    work: Work  # of the sweep at r_max: its solves and certificates
+    work: Work  # of the sweep at r_max: its solves and level counts
 
 
 def _distinct(solved: dict) -> tuple:
@@ -615,25 +599,20 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     the sectors of default_m_range(n_max) on RadialGrid(r_max, LADDER_N),
     with the (m, k) of each: its sector and its index there.
 
-    The sweep solves sectors (`fiber_levels`, over N and N/2) shell by
-    shell, |m| = 0, 1, 2, ..., until n_max + 1 distinct levels are in hand
-    and the lowest level of each sector of the last shell lies above the
-    top level. Every other sector of the range is certified instead: T - s
-    factors as positive definite (`_pd_factors`) on both grids at
-    s = top + margin, so all its eigenvalues on both grids lie above s. The
-    margin is to cover the Richardson correction (4 lam_N - lam_{N/2}) / 3
-    - lam_N of the certified levels: it is 10x the largest |lam_N -
-    lam_{N/2}| / 3 among the solved levels at or below the top and the
-    lowest level of each solved sector, and at least the relative 1e-8
-    within which levels count once. A sector whose certificate is refused
-    is solved, and the certificates are redone with the new top and
-    margin. Every sector of the range is thus solved or certified, with no
-    assumption of monotonicity in m. Once a top exists, a sector is solved
-    only for the levels that either grid has below top + margin: the top
-    only falls as sectors are added, so every level at or below the final
-    top is solved. A level does not depend on how many are solved, so a
-    solved sector keeps its exact values: the ladder is the one a solve of
-    all sectors of all n_max + 1 levels gives.
+    Sectors are solved (`fiber_levels`, over N and N/2) shell by shell,
+    |m| = 0, 1, 2, ..., until n_max + 1 distinct levels are in hand and
+    each sector of the last shell lies above the top level. Once a top
+    exists, `_count_below` at s = top + margin decides every sector: a
+    shell sector is solved for its levels below s (at least one), and every
+    other sector is certified by a count of 0 or solved for its count,
+    after which the rest are counted again at the new s. The margin, 10x
+    the largest |lam_N - lam_{N/2}| / 3 among the solved levels at or below
+    the top and the lowest of each solved sector (at least the relative
+    1e-8 within which levels count once), covers the Richardson correction
+    of the certified levels. No monotonicity in m is assumed. The top only
+    falls as sectors are added, so every level at or below the final top is
+    solved; a level does not depend on how many are solved, so the ladder
+    is the one a solve of all sectors of all n_max + 1 levels gives.
 
     Each ladder is certified: enough distinct levels, both edge sectors
     strictly above the returned top level and, when the far end is a
@@ -645,8 +624,7 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     ms = list(default_m_range(n_max))
     k = n_max + 1
     pair = _grid_pair(profile, scale, grid, k, boundary, convention)
-    solved = {}  # m -> Sector
-    certificates = Work()
+    solved, counts = {}, Work()  # m -> Sector; work of `_count_below`
 
     def bound():  # (top, margin) once n_max + 1 distinct levels are solved
         levels, _ = _distinct(solved)
@@ -658,23 +636,15 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
             for vals, gaps, _ in solved.values())
         return top, max(10.0 * richardson, 1e-8 * (1.0 + abs(top)))
 
-    def solve(batch):
-        top_margin = bound()
-        below = None if top_margin is None else sum(top_margin)
-        solved.update(zip(batch, _solve_sectors(pair, batch, k, below)))
-
-    def holds(m, shift):  # the certificate of sector m on both grids
-        for fiber in pair:
-            op = fiber.op(m)
-            if _pd_factors(op.diag, op.off, shift) is None:
-                certificates.refused += 1
-                return False
-            certificates.factorizations += 1
-        return True
+    def below(m, shift):  # how many of sector m's k levels lie below shift
+        return min(k, _count_below(pair, m, shift, k, counts))
 
     for shell in range(max(abs(m) for m in ms) + 1):
         batch = [m for m in ms if abs(m) == shell]
-        solve(batch)
+        top_margin = bound()
+        ks = [k if top_margin is None else max(1, below(m, sum(top_margin)))
+              for m in batch]
+        solved.update(zip(batch, _solve_sectors(pair, batch, ks)))
         levels, _ = _distinct(solved)
         if len(levels) > n_max and all(solved[m].levels.min() > levels[n_max]
                                        for m in batch):
@@ -683,20 +653,19 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     while len(solved) < len(ms):
         top, margin = bound()
         shift = top + margin
-        refused = [m for m in ms
-                   if m not in solved and not holds(m, shift)]
+        counted = {m: below(m, shift) for m in ms if m not in solved}
+        refused = [m for m in counted if counted[m]]
         if not refused:
             break
         fallback += refused
-        solve(refused)
+        solved.update(zip(refused, _solve_sectors(
+            pair, refused, [counted[m] for m in refused])))
     levels, homes = _distinct(solved)
     if len(levels) < n_max + 1:
         raise NumericalError(f"fewer than {n_max + 1} distinct levels")
     top = levels[n_max]
-    for m_edge in (ms[0], ms[-1]):
-        # a certified edge lies above shift > top by its certificate
-        if m_edge not in solved:
-            continue
+    for m_edge in (m for m in (ms[0], ms[-1]) if m in solved):
+        # a certified edge lies above shift > top: it counted none below
         lowest = solved[m_edge].levels.min()
         if lowest <= top * (1.0 + 1e-10):
             raise NumericalError(
@@ -711,7 +680,7 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
                   fallback=sorted(fallback), margin=margin, shift=shift,
                   r_max=r_max, work=sum((sector.work
                                          for sector in solved.values()),
-                                        certificates))
+                                        counts))
 
 
 def _truncated_ladder(profile: FieldProfile, scale: float, n_max: int,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import magres
 import magres.cli as cli
+import magres.quasimode as quasimode
 import magres.radial as radial
 import magres.stepband as stepband
 from magres.cli import build_parser, main
@@ -510,6 +511,25 @@ def test_quasimode_underflowing_crossover_is_input_error(c, capsys):
     assert main(["quasimode", "--tz-c", c]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "100000", "--r0", "1"],
+    ["--n", "1000000", "--r0", "1"],
+    ["--n", "1000"],
+    ["--n", "250", "--grid-n", "1000", "--r0", "2"],
+], ids=["n-1e5", "n-1e6", "n-quarter-default-N", "n-quarter-N1000"])
+def test_quasimode_level_beyond_grid_is_input_error(argv, monkeypatch,
+                                                    capsys):
+    """A level n >= N/4 exits 2 before the n-step Laguerre recurrence: L_n
+    has n sign changes, more than the grid resolves."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("an unresolved level reached the recurrence")
+    monkeypatch.setattr(quasimode, "laguerre", no_work)
+    assert main(["quasimode", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "N/4" in captured.err
+    assert "Traceback" not in captured.err
 
 
 _BIG = "1" + "0" * 400

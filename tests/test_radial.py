@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -281,35 +282,45 @@ def test_well_sweep_solves_only_the_inner_shells(monkeypatch):
     """well_levels(1.0, 0.1, 1) solves |m| <= 2 on both grids and
     certifies every other sector of the cap by one factorization per
     grid."""
-    solves, factored = [], []
-    lowest, factors = radial._lowest, radial._pd_factors
+    solves, factored, counted = [], [], {}
+    lowest, count, factor = radial._lowest, radial._count_below, radial.dpttrf
 
-    def counting_lowest(op, k, eigvals_only=False):
+    def counting_lowest(op, k, work):
         solves.append((op.m, op.grid.N))
-        return lowest(op, k, eigvals_only)
+        return lowest(op, k, work)
 
-    def counting_factors(diag, off, shift):
-        factored.append(len(diag))
-        return factors(diag, off, shift)
+    def counting_factor(d, e, *args):
+        factored.append(len(d))
+        return factor(d, e, *args)
+
+    def counting_below(pair, m, shift, k, work):  # its last count's dpttrf
+        start = len(factored)
+        below = count(pair, m, shift, k, work)
+        counted[m] = sorted(factored[start:])
+        return below
     monkeypatch.setattr(radial, "_lowest", counting_lowest)
-    monkeypatch.setattr(radial, "_pd_factors", counting_factors)
+    monkeypatch.setattr(radial, "dpttrf", counting_factor)
+    monkeypatch.setattr(radial, "_count_below", counting_below)
     ladder = radial._well_ladder(1.0, 0.1, 1)
     assert sorted(solves) == sorted((m, N) for m in range(-2, 3)
                                     for N in (1500, 3000))
     assert ladder.solved == list(range(-2, 3)) and ladder.fallback == []
     assert ladder.certified == [m for m in radial.default_m_range(1)
                                 if abs(m) > 2]
-    assert sorted(factored) == sorted([1500, 3000] * len(ladder.certified))
+    assert {m: counted[m] for m in ladder.certified} == {
+        m: [1500, 3000] for m in ladder.certified}
     # the margin covers 10x the Richardson correction and the 1e-8 dedup
     assert 1e-8 * (1 + ladder.levels[-1]) <= ladder.margin
     assert ladder.margin < 1e-4 * ladder.levels[-1]
 
 
 def test_refused_certificates_fall_back_to_solves(monkeypatch):
-    """With every shift refused, each sector is solved instead and the
-    ladder comes out the same, bit for bit."""
+    """With every count refused (k + 1: more than k levels below every
+    shift), each sector is solved instead and the ladder comes out the
+    same, bit for bit."""
     want = radial._well_ladder(1.0, 0.1, 1)
-    monkeypatch.setattr(radial, "_pd_factors", lambda diag, off, shift: None)
+    monkeypatch.setattr(radial, "_count_below",
+                        lambda pair, m, shift, k, work: k + 1)
     got = radial._well_ladder(1.0, 0.1, 1)
     assert got.levels.tolist() == want.levels.tolist()
     assert got.homes == want.homes
@@ -317,20 +328,39 @@ def test_refused_certificates_fall_back_to_solves(monkeypatch):
     assert got.solved == list(radial.default_m_range(1))
 
 
-def test_pd_factors_certify_the_spectrum():
-    """Factors exist exactly when every eigenvalue lies above the shift;
-    a non-finite entry is refused."""
+def _records(*tridiagonals):
+    """Stand-ins for the records of a `_grid_pair`: op(m) is (diag, off)
+    whatever m is."""
+    return tuple(SimpleNamespace(op=lambda m, t=t: SimpleNamespace(
+        diag=t[0], off=t[1])) for t in tridiagonals)
+
+
+def test_level_count_certifies_the_spectrum():
+    """The count below a shift is the larger number of eigenvalues below
+    it on the two grids: 0 exactly when every eigenvalue lies above the
+    shift, k + 1 past k; a non-finite entry is refused (k + 1)."""
     rng = np.random.default_rng(7)
-    diag, off = rng.uniform(1.0, 3.0, 40), rng.uniform(-1.0, 1.0, 39)
-    lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
-                             + np.diag(off, -1))
-    assert radial._pd_factors(diag, off, lam[0] - 1e-9) is not None
-    assert radial._pd_factors(diag, off, lam[0] + 1e-9) is None
-    bad = diag.copy()
-    bad[5] = math.nan
-    assert radial._pd_factors(bad, off, lam[0] - 1.0) is None
-    bad[5] = math.inf
-    assert radial._pd_factors(bad, off, lam[0] - 1.0) is None
+    pair = [(rng.uniform(1.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1))
+            for n in (40, 20)]
+    lams = [np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                               + np.diag(off, -1)) for diag, off in pair]
+    lam0 = min(lam[0] for lam in lams)
+    k, work = 3, radial.Work()
+
+    def count(shift, records=_records(*pair)):
+        return radial._count_below(records, 0, shift, k, work)
+    assert count(lam0 - 1e-9) == 0
+    assert count(lam0 + 1e-9) == 1
+    for lam in np.sort(np.concatenate(lams))[:8]:
+        for shift in (lam - 1e-9, lam + 1e-9):
+            want = max(int(np.sum(lam_grid < shift)) for lam_grid in lams)
+            assert count(shift) == min(want, k + 1), shift
+    assert work.factorizations == 2 * 18
+    for value in (math.nan, math.inf):
+        bad = pair[1][0].copy()
+        bad[5] = value
+        assert count(lam0 - 1.0, _records(pair[0], (bad, pair[1][1]))) \
+            == k + 1
 
 
 def test_truncated_ladder_grows_r_max_while_its_ceiling_fails(monkeypatch):

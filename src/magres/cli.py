@@ -204,9 +204,7 @@ def cmd_resonances(args) -> int:
             lines.append(f"{r.m},{_fmt(h)},{_fmt(args.theta1)},"
                          f"{_fmt(args.theta2)},{_fmt(r.z.real)},"
                          f"{_fmt(r.z.imag)},{_fmt(r.drift)},{grid.N}")
-        centre, radius = rs.disk
-        slices.append({"h": h, "centre": [centre.real, centre.imag],
-                       "radius": radius,
+        slices.append({"h": h, "radius": rs.radius,
                        "counts": [{"theta": theta, "m": m, "count": len(vals),
                                    **asdict(rs.work[(theta, m)])}
                                   for (theta, m), vals in rs.spectra.items()]})

@@ -21,8 +21,8 @@ Only a slice of each spectrum is computed: shift-invert Arnoldi finds the
 eigenvalues in the disk about the origin that holds everything the filter
 and the continuum diagnostics read, and the argument principle on
 det(T - z), evaluated by the O(N) continuant recurrence, certifies that
-none were missed. Arnoldi applies (T - centre)^-1 through one tridiagonal
-LU factorization (LAPACK `zgttrf`, solved by `zgttrs`).
+none were missed. Arnoldi applies T^-1 through one tridiagonal LU
+factorization (LAPACK `zgttrf`, solved by `zgttrs`).
   - Sizing. Scaling rotates the continuum and keeps its moduli, so the
     real fiber of the same sector has about as many eigenvalues below
     the radius as the scaled one has in the disk; one restarted
@@ -80,20 +80,12 @@ class ScalingProfile:
     R1: float  # deformation starts here; must lie beyond the field support
     T0: float  # fully rotated from here on
 
-    def g(self, t):
-        return smoothstep(t, self.R1, self.T0 - self.R1)[0]
-
-    def gp(self, t):
-        return smoothstep(t, self.R1, self.T0 - self.R1)[1]
-
-    def f(self, t):
+    def deform(self, t):
+        """(f(t), f'(t)) at the points t, from one evaluation of g."""
         t = np.asarray(t, dtype=float)
-        return t * np.exp(1j * self.theta * self.g(t))
-
-    def fp(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(1j * self.theta * self.g(t)) \
-            * (1.0 + 1j * self.theta * t * self.gp(t))
+        g, gp, _ = smoothstep(t, self.R1, self.T0 - self.R1)
+        turn = np.exp(1j * self.theta * g)
+        return t * turn, turn * (1.0 + 1j * self.theta * t * gp)
 
 
 @functools.lru_cache(maxsize=64)
@@ -112,7 +104,7 @@ def scaling_profile(theta: float, R1: float, T0: float) -> ScalingProfile:
         raise ValidationError("need 0 < R1 < T0, with 2 T0 finite")
     sp = ScalingProfile(theta=theta, R1=R1, T0=T0)
     t = np.linspace(1e-9, 2.0 * T0, 4096)
-    ft = sp.f(t)
+    ft, fpt = sp.deform(t)
     inner = t <= R1
     if not np.array_equal(ft[inner], t[inner].astype(complex)):
         raise NumericalError("scaling profile deforms the interior region")
@@ -123,7 +115,7 @@ def scaling_profile(theta: float, R1: float, T0: float) -> ScalingProfile:
     args = np.angle(ft)
     if np.any(args < -1e-15) or np.any(args > theta + 1e-15):
         raise NumericalError("arg f leaves [0, theta] on the check grid")
-    if np.any(np.abs(sp.fp(t)) < 1e-12):
+    if np.any(np.abs(fpt) < 1e-12):
         raise NumericalError("f' vanishes on the check grid")
     return sp
 
@@ -157,11 +149,12 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     V = real.pot.astype(complex)
     outer = t > sp.R1
     with np.errstate(over="ignore", invalid="ignore"):
-        w = (h * h) * sp.f(F) / sp.fp(F)
-        mass = sp.f(t) * sp.fp(t)
-        ft = sp.f(t[outer])
+        fF, fpF = sp.deform(F)
+        ft, fpt = sp.deform(t)
+        w = (h * h) * fF / fpF
+        mass = ft * fpt
         # as np.float64 an overflow gives inf, where a float's ** raises
-        V[outer] = np.float64(h * m - profile.alpha) ** 2 / (ft * ft)
+        V[outer] = np.float64(h * m - profile.alpha) ** 2 / (ft * ft)[outer]
         kinetic, off = face_form(w, mass, grid.dr, "dirichlet_far")
         diag = kinetic + V
     # entries whose faces and nodes all lie at or below R1 are undeformed:
@@ -237,10 +230,10 @@ def _det_phase(op: FiberOperator, z: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _first_sampling(centre: complex, radius: float, known: np.ndarray,
+def _first_sampling(radius: float, known: np.ndarray,
                     margin: float) -> np.ndarray:
     """Angles t in [0, 2 pi] of the first points on the circle
-    |z - centre| = radius, or None past CONTOUR_CAP points.
+    |z| = radius, or None past CONTOUR_CAP points.
 
     The circle is cut into CONTOUR_ARCS equal arcs. On each arc, every
     step is at most 0.25 min(d, margin) / radius, where d is the exact
@@ -249,11 +242,10 @@ def _first_sampling(centre: complex, radius: float, known: np.ndarray,
     eigenvalue, and of the margin.
     """
     ends = np.linspace(0.0, 2.0 * math.pi, CONTOUR_ARCS + 1)
-    p = known - centre
-    phi = np.angle(p) % (2.0 * math.pi)
+    phi = np.angle(known) % (2.0 * math.pi)
     on_arc = (ends[:-1] <= phi[:, None]) & (phi[:, None] <= ends[1:])
-    corner = np.abs(p[:, None] - radius * np.exp(1j * ends))
-    dist = np.where(on_arc, np.abs(np.abs(p) - radius)[:, None],
+    corner = np.abs(known[:, None] - radius * np.exp(1j * ends))
+    dist = np.where(on_arc, np.abs(np.abs(known) - radius)[:, None],
                     np.minimum(corner[:, :-1], corner[:, 1:])).min(axis=0)
     step = 0.25 * np.minimum(dist, margin) / radius
     with np.errstate(divide="ignore"):
@@ -267,26 +259,26 @@ def _first_sampling(centre: complex, radius: float, known: np.ndarray,
     return np.append(t, 2.0 * math.pi)
 
 
-def _contour_count(op: FiberOperator, centre: complex, radius: float,
+def _contour_count(op: FiberOperator, radius: float,
                    known: np.ndarray) -> tuple[int, int]:
-    """(eigenvalues of T inside |z - centre| < radius, points used), by the
-    argument principle: the winding number of det(T - z) around the circle.
+    """(eigenvalues of T inside |z| < radius, points used), by the argument
+    principle: the winding number of det(T - z) around the circle.
 
     `known` eigenvalues (those near the circle above all) set the first
     sampling (`_first_sampling`): each step is a fraction of the distance
-    to the nearest one, and no eigenvalue outside max|known - centre|
+    to the nearest one, and no eigenvalue outside max|known|
     comes nearer than that bound allows. Arcs whose phase step still
     reaches CONTOUR_STEP are bisected until none does, so the winding read
     from the steps is unambiguous. Too many points is a NumericalError.
     """
     unresolved = NumericalError(
-        f"contour count did not resolve |z - {centre:.6g}| = {radius:.6g} "
-        f"within {CONTOUR_CAP} points: eigenvalues lie on or next to it")
-    margin = float(np.abs(known - centre).max()) - radius
-    t = _first_sampling(centre, radius, known, margin)
+        f"contour count did not resolve |z| = {radius:.6g} within "
+        f"{CONTOUR_CAP} points: eigenvalues lie on or next to it")
+    margin = float(np.abs(known).max()) - radius
+    t = _first_sampling(radius, known, margin)
     if t is None:
         raise unresolved
-    phase = _det_phase(op, centre + radius * np.exp(1j * t))
+    phase = _det_phase(op, radius * np.exp(1j * t))
     while True:
         step = np.angle(np.exp(1j * np.diff(phase)))
         bad = np.abs(step) >= CONTOUR_STEP
@@ -297,7 +289,7 @@ def _contour_count(op: FiberOperator, centre: complex, radius: float,
         mid = 0.5 * (t[:-1][bad] + t[1:][bad])
         t = np.concatenate([t, mid])
         phase = np.concatenate(
-            [phase, _det_phase(op, centre + radius * np.exp(1j * mid))])
+            [phase, _det_phase(op, radius * np.exp(1j * mid))])
         order = np.argsort(t, kind="stable")
         t, phase = t[order], phase[order]
 
@@ -312,17 +304,15 @@ class SliceWork:
     contour_points: int = 0
 
 
-def _predicted_count(op: FiberOperator, centre: complex,
-                     radius: float) -> int:
+def _predicted_count(op: FiberOperator, radius: float) -> int:
     """About how many eigenvalues of the scaled fiber lie in the disk
-    |z - centre| <= radius: the eigenvalues below |centre| + radius of the
-    real fiber it continues, counted by Sylvester inertia. Scaling rotates
-    the continuum and keeps its moduli, so the count is near the disk's
-    and, as measured, not below it."""
+    |z| <= radius: the eigenvalues below radius of the real fiber it
+    continues, counted by Sylvester inertia. Scaling rotates the continuum
+    and keeps its moduli, so the count is near the disk's and, as
+    measured, not below it."""
     real = assemble_fiber(op.profile, op.m, op.scale, op.grid,
                           "dirichlet_far", "h")
-    return _ldl_factors(real.diag, real.off, abs(centre) + radius,
-                        op.grid.N)[0]
+    return _ldl_factors(real.diag, real.off, radius, op.grid.N)[0]
 
 
 def _tridiagonal_product(op: FiberOperator):
@@ -337,15 +327,15 @@ def _tridiagonal_product(op: FiberOperator):
     return matvec
 
 
-def _spectrum_slice(op: FiberOperator, centre: complex, radius: float,
-                    work: SliceWork | None = None) -> np.ndarray:
-    """Eigenvalues of the scaled fiber inside |z - centre| <= radius,
-    sorted by (Re, Im), with their count certified; `work`, when given,
-    receives the final Arnoldi k and the contour points.
+def _spectrum_slice(op: FiberOperator, radius: float
+                    ) -> tuple[np.ndarray, SliceWork]:
+    """Eigenvalues of the scaled fiber inside |z| <= radius, sorted by
+    (Re, Im), with their count certified, and what the slice cost
+    (`SliceWork`).
 
-    Shift-invert Arnoldi around the centre, on one tridiagonal LU
-    factorization of T - centre (`zgttrf`; exactly singular or not finite
-    is a NumericalError) and a fixed start vector (so reruns agree bit for
+    Shift-invert Arnoldi about the origin, on one tridiagonal LU
+    factorization of T (`zgttrf`; exactly singular or not finite is a
+    NumericalError) and a fixed start vector (so reruns agree bit for
     bit), with T itself passed as its tridiagonal product (`eigs` never
     applies a complex T in shift-invert mode, so no matrix is built);
     asks for the predicted count plus two eigenvalues (`_predicted_count`)
@@ -360,37 +350,35 @@ def _spectrum_slice(op: FiberOperator, centre: complex, radius: float,
     import scipy.sparse.linalg as spla  # slow to load, used only here
 
     n = op.grid.N
-    work = SliceWork() if work is None else work
-    *factors, info = zgttrf(op.off, op.diag - centre, op.off)
+    work = SliceWork()
+    *factors, info = zgttrf(op.off, op.diag, op.off)
     if info > 0:
         raise NumericalError(
-            f"T - {centre:.6g} is singular at N={n}: pivot {info} of its LU "
-            f"factorization is zero")
+            f"T is singular at N={n}: pivot {info} of its LU factorization "
+            f"is zero")
     if not all(np.isfinite(f).all() for f in factors[:4]):  # not ipiv
-        raise NumericalError(
-            f"T - {centre:.6g} has no finite LU factorization at N={n}")
+        raise NumericalError(f"T has no finite LU factorization at N={n}")
     opinv = spla.LinearOperator(
         (n, n), matvec=lambda b: zgttrs(*factors, b)[0], dtype=complex)
     T = spla.LinearOperator((n, n), matvec=_tridiagonal_product(op),
                             dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-    k = _predicted_count(op, centre, radius) + 2
+    k = _predicted_count(op, radius) + 2
     while k < n // 2:
         work.k = k
         try:
-            vals = spla.eigs(T, k=k, sigma=centre, OPinv=opinv, v0=v0,
+            vals = spla.eigs(T, k=k, sigma=0.0, OPinv=opinv, v0=v0,
                              return_eigenvectors=False)
         except spla.ArpackError as exc:
             raise NumericalError(
-                f"shift-invert Arnoldi failed (N={n}, k={k}, "
-                f"centre={centre:.6g}): {exc}") from exc
-        dist = np.abs(vals - centre)
+                f"shift-invert Arnoldi failed (N={n}, k={k}): {exc}") from exc
+        dist = np.abs(vals)
         if dist.max() > radius:
             break
         k *= 2
     else:
         vals = complex_spectrum(op)
-        return vals[np.abs(vals - centre) <= radius]
+        return vals[np.abs(vals) <= radius], work
     # the circle through the middle of a gap: the first sampling takes
     # about circle / min(half the gap, d_k - circle) points
     edges = np.concatenate([[radius], np.sort(dist[dist > radius])])
@@ -398,15 +386,15 @@ def _spectrum_slice(op: FiberOperator, centre: complex, radius: float,
     with np.errstate(divide="ignore"):
         cost = mids / np.minimum(0.5 * np.diff(edges), edges[-1] - mids)
     circle = mids[int(np.argmin(cost))]
-    count, work.contour_points = _contour_count(op, centre, circle, vals)
+    count, work.contour_points = _contour_count(op, circle, vals)
     found = int(np.sum(dist < circle))
     if count != found:
         raise NumericalError(
-            f"spectral slice incomplete: the contour |z - {centre:.6g}| = "
-            f"{circle:.6g} encloses {count} eigenvalues, Arnoldi found "
-            f"{found} (N={n}, m={op.m})")
+            f"spectral slice incomplete: the contour |z| = {circle:.6g} "
+            f"encloses {count} eigenvalues, Arnoldi found {found} (N={n}, "
+            f"m={op.m})")
     inside = vals[dist <= radius]
-    return inside[np.lexsort((inside.imag, inside.real))]
+    return inside[np.lexsort((inside.imag, inside.real))], work
 
 
 @dataclass(frozen=True)
@@ -471,7 +459,7 @@ class ResonanceSet:
     theta_pair: tuple[float, float] | None
     h: float | None
     spectra: dict = field(default_factory=dict, repr=False)  # (theta, m) -> eigenvalues
-    disk: tuple[complex, float] | None = None  # (centre, radius) of the spectra
+    radius: float | None = None  # spectra hold all of |z| <= radius
     work: dict = field(default_factory=dict, repr=False)  # (theta, m) -> SliceWork
 
     def __iter__(self):
@@ -570,18 +558,17 @@ def continuum_motion(spec1, spec2, radius: float, exclude=()) -> float | None:
     return worst
 
 
-def _slice_disk(window: Window, tol: float) -> tuple[complex, float]:
-    """The smallest disk that holds what the resonance filter and the
-    continuum diagnostics read: |z| <= reach, reach = 2 max|corner|, and
-    the pairing tolerance tol (1 + reach) beyond it.
-
-    It is centred at the origin. Every window corner has modulus at most
-    reach / 2, so the disk also holds the window and its tolerance.
+def _slice_radius(window: Window, tol: float) -> float:
+    """The radius of the smallest disk about the origin that holds what
+    the resonance filter and the continuum diagnostics read: |z| <= reach,
+    reach = 2 max|corner|, and the pairing tolerance tol (1 + reach)
+    beyond it. Every window corner has modulus at most reach / 2, so the
+    disk also holds the window and its tolerance.
     """
     reach = 2.0 * max(abs(complex(re, im))
                       for re in (window.re_min, window.re_max)
                       for im in (window.im_min, window.im_max))
-    return 0j, reach + tol * (1.0 + reach)
+    return reach + tol * (1.0 + reach)
 
 
 def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
@@ -595,17 +582,16 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     solve is a certified spectral slice: every eigenvalue in the disk
     about the origin that holds |z| <= 2 max|window corner| and the
     pairing tolerance beyond it, and with them the window. The slices are
-    kept on the result as `spectra`, with the disk, for continuum-motion
-    diagnostics and trend fits, and their cost (`SliceWork`) as `work`.
+    kept on the result as `spectra`, with the disk's radius, for
+    continuum-motion diagnostics and trend fits, and their cost
+    (`SliceWork`) as `work`. The filter's input checks run on an empty
+    pair before the first slice is solved.
     """
     if not math.isfinite(profile.R0):
         raise ValidationError(
             "complex scaling needs a compactly supported field (finite R0)")
     t1, t2 = float(theta_pair[0]), float(theta_pair[1])
-    if t1 == t2:
-        raise ValidationError("theta pair must contain two distinct angles")
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(TOL_RANGE)
+    filter_resonances((), (), tol, window, theta_pair=(t1, t2))
     if R1 is None:
         R1 = profile.R0 + 0.5
     if T0 is None:
@@ -616,23 +602,22 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     sp2 = scaling_profile(t2, R1, T0)
     ms = list(m_range)
     jobs = [(sp, m) for m in ms for sp in (sp1, sp2)]
-    centre, radius = _slice_disk(window, tol)
-
-    keys = [(sp.theta, m) for sp, m in jobs]
-    work = {key: SliceWork() for key in keys}
+    radius = _slice_radius(window, tol)
 
     def solve(job):
         sp, m = job
         return _spectrum_slice(assemble_scaled_fiber(profile, m, h, sp, grid),
-                               centre, radius, work[(sp.theta, m)])
+                               radius)
 
-    by_key = dict(zip(keys, pmap(solve, jobs)))
+    slices = dict(zip([(sp.theta, m) for sp, m in jobs], pmap(solve, jobs)))
+    spectra = {key: vals for key, (vals, _) in slices.items()}
     found = []
     for m in ms:
-        rs = filter_resonances(by_key[(t1, m)], by_key[(t2, m)], tol, window,
-                               theta_pair=(t1, t2), m=m, h=h)
+        rs = filter_resonances(spectra[(t1, m)], spectra[(t2, m)], tol,
+                               window, theta_pair=(t1, t2), m=m, h=h)
         found.extend(rs.resonances)
     found.sort(key=lambda r: (r.z.real, r.z.imag))
     return ResonanceSet(resonances=tuple(found), tol=tol, window=window,
-                        theta_pair=(t1, t2), h=h, spectra=by_key,
-                        disk=(centre, radius), work=work)
+                        theta_pair=(t1, t2), h=h, spectra=spectra,
+                        radius=radius,
+                        work={key: w for key, (_, w) in slices.items()})

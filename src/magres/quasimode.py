@@ -202,16 +202,11 @@ def generic_quasimode_residual(result, r0: float, delta: float,
             "model field differs on [0, r0] from the field that produced the "
             "eigenpair")
 
-    # extend well past both the cutoff and the field support; a power-of-two
-    # blowup keeps the extended spacing bit-identical to the source grid
-    target = max(2.0 * grid.r_max, r0 + 1.0)
-    if math.isfinite(profile.R0):
-        target = max(target, 2.0 * profile.R0)
-    k = 2
-    while k * grid.r_max < target:
-        k *= 2
-    n_ext = k * grid.N
-    ext = RadialGrid(k * grid.r_max, n_ext)
+    # one doubling keeps the spacing bit-identical to the source grid and
+    # suffices: the cut-off vector is zero past r0 < r_max, so every row
+    # past node N is zero on any longer extension too
+    n_ext = 2 * grid.N
+    ext = RadialGrid(2.0 * grid.r_max, n_ext)
     lam = float(result.values[index])
     op = assemble_fiber(profile, src.m, src.scale, ext,
                         boundary="dirichlet_far", convention=src.convention)

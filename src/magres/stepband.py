@@ -99,7 +99,8 @@ class _StepGrid:
     step, b_a(tau) tau, the kinetic diagonal 2/step^2 and the
     off-diagonal, all read-only, with the difference buffer of the band's
     quadratic form and the Work that its solves add to. Each scan, Newton
-    search and mu'' builds its own pair (`_grids`); none is kept."""
+    search, mu'' and band value builds its own pair (`_grids`); none is
+    kept."""
 
     def __init__(self, params: StepParams, N: int, work: Work | None = None):
         self.N, self.work = N, Work() if work is None else work
@@ -119,19 +120,16 @@ def _grids(params: StepParams, work: Work | None = None) -> tuple:
         _StepGrid(params, params.N // 2, work)
 
 
-def _ground(params: StepParams, xi: float, N: int, start=None, grid=None,
-            guess=None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Lowest eigenpair (mu, x > 0, unit l2) of h_a[xi] on the N-interval
-    grid, and its arm; start is any earlier vector on this grid and grid
-    the grid's record (built when not given). The pair is
-    `radial._inverse_iteration`'s level 0, with the band's own quadratic
-    form, from guess = (estimate, first gap), or else from the Rayleigh
-    quotient of the start and a first gap of 1e-2. (T - sigma)^-1 is
-    entrywise positive (an M-matrix), so iterates stay positive; the 1e-3
-    share of exp(-V/2) reaches wells where a start from a nearby xi
+def _ground(grid: _StepGrid, xi: float, start=None, guess=None
+            ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Lowest eigenpair (mu, x > 0, unit l2) of h_a[xi] on the grid of the
+    record, and its arm; start is any earlier vector on this grid. The
+    pair is `radial._inverse_iteration`'s level 0, with the band's own
+    quadratic form, from guess = (estimate, first gap), or else from the
+    Rayleigh quotient of the start and a first gap of 1e-2. (T - sigma)^-1
+    is entrywise positive (an M-matrix), so iterates stay positive; the
+    1e-3 share of exp(-V/2) reaches wells where a start from a nearby xi
     underflowed to zero."""
-    if grid is None:
-        grid = _StepGrid(params, N)
     arm = xi + grid.b_tau
     pot = arm * arm
     diag = grid.kinetic + pot
@@ -148,7 +146,8 @@ def _ground(params: StepParams, xi: float, N: int, start=None, grid=None,
         x = np.abs(start) + 1e-3 * x / math.sqrt(x @ x)
     mu, gap = (rayleigh(x), 1e-2) if guess is None else guess
     mu, x = _inverse_iteration(diag, grid.off, rayleigh, x, mu, gap, (),
-                               grid.work, MAX_SOLVES, f"xi = {xi} (N = {N})")
+                               grid.work, MAX_SOLVES,
+                               f"xi = {xi} (N = {grid.N})")
     return mu, x, arm
 
 
@@ -175,19 +174,17 @@ def _coarse_guess(mu_n: float, shifts: list) -> tuple | None:
         min(max(4.0 * abs(shifts[-1] - shifts[-2]), 1e-9), 1e-2)
 
 
-def _refined(params: StepParams, xi: float, start=None, grids=None,
-             history=None) -> tuple[float, float, np.ndarray]:
+def _refined(grids: tuple, xi: float, start=None, history=None
+             ) -> tuple[float, float, np.ndarray]:
     """(mu, mu') at xi, Richardson-refined over (N/2, N), and the N-grid
     vector, from which the N/2 solve starts; mu' = 2 sum arm x^2. grids
     is the pair of `_grids`; history, a scan's (N-grid levels, grid
     shifts) of the earlier points, seeds both solves and gains this
     point's."""
-    fine, coarse = grids or _grids(params)
+    fine, coarse = grids
     levels, shifts = history or ([], [])
-    mu_n, x, arm_n = _ground(params, xi, fine.N, start, fine,
-                             _fine_guess(levels))
-    mu_h, y, arm_h = _ground(params, xi, coarse.N, x[1::2], coarse,
-                             _coarse_guess(mu_n, shifts))
+    mu_n, x, arm_n = _ground(fine, xi, start, _fine_guess(levels))
+    mu_h, y, arm_h = _ground(coarse, xi, x[1::2], _coarse_guess(mu_n, shifts))
     levels.append(mu_n)
     shifts.append(mu_h - mu_n)
     d_n = (arm_n * x) @ x
@@ -215,7 +212,7 @@ def band_value(params: StepParams, xi: float) -> BandSample:
     the positive N-grid ground state of unit discrete L^2 norm."""
     if not math.isfinite(xi):
         raise ValidationError("xi must be finite")
-    mu, _, x = _refined(params, xi)
+    mu, _, x = _refined(_grids(params), xi)
     return _sample(params, xi, mu, x)
 
 
@@ -230,7 +227,7 @@ def band_table(params: StepParams, xi_values, work: Work | None = None
     grids = _grids(params, work)
     rows, x, history = [], None, ([], [])
     for xi in xi_values:
-        mu, _, x = _refined(params, float(xi), x, grids, history)
+        mu, _, x = _refined(grids, float(xi), x, history)
         rows.append((float(xi), mu))
     return rows
 
@@ -272,7 +269,7 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
     z = xs[i] + 0.5 * (m0 - m2) / (curv * dxi)
     x, prev, grids = None, None, _grids(params, work)
     for _ in range(20):
-        mu, slope, x = _refined(params, z, x, grids)
+        mu, slope, x = _refined(grids, z, x)
         if prev is not None:
             curv = (slope - prev[1]) / (z - prev[0])
         if not (curv > 0 and xs[i - 1] <= z <= xs[i + 1]):
@@ -311,7 +308,7 @@ def band_second_derivative(params: StepParams, zeta: float,
     factorizations and solves."""
     slopes, x, grids = [], None, _grids(params, work)
     for s in (-1e-3, -5e-4, 5e-4, 1e-3):
-        _, slope, x = _refined(params, zeta + s, x, grids)
+        _, slope, x = _refined(grids, zeta + s, x)
         slopes.append(slope)
     lo2, lo1, hi1, hi2 = slopes
     out = (4.0 * (hi1 - lo1) / 1e-3 - (hi2 - lo2) / 2e-3) / 3.0

@@ -213,7 +213,7 @@ def test_band_scans_once(monkeypatch, tmp_path):
     grids = []
 
     def counting(*args, **kwargs):
-        grids.append(args[2])
+        grids.append(args[0].N)
         return ground(*args, **kwargs)
     monkeypatch.setattr(stepband, "_ground", counting)
     assert main(["band", "--a", "-0.5", "--out",
@@ -341,11 +341,9 @@ def test_resonances_manifest_records_slices(disk_config, tmp_path):
     slices = manifest["diagnostics"]["slices"]
     assert [s["h"] for s in slices] == [0.25, 0.2]
     for s, h in zip(slices, (0.25, 0.2)):
-        centre = complex(*s["centre"])
-        assert centre == 0.0
+        assert "centre" not in s  # every slice disk lies about the origin
         # the disk covers |z| <= 2 max|window corner|
-        assert s["radius"] >= abs(centre) + 2.0 * abs(complex(1.5 * h,
-                                                              -0.5 * h))
+        assert s["radius"] >= 2.0 * abs(complex(1.5 * h, -0.5 * h))
         assert sorted((c["theta"], c["m"]) for c in s["counts"]) == \
             [(0.5, 0), (0.5, 1), (0.6, 0), (0.6, 1)]
         assert all(c["count"] > 0 for c in s["counts"])
@@ -378,6 +376,20 @@ def test_resonances_no_false_incomplete_slice(disk_config):
     assert main(["resonances", "--field", str(disk_config), "--h", "0.1",
                  "--grid-n", "600",
                  "--window=0.45:0.55:-0.05:-1e-12"]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--theta1", "0"],
+                                   ["--theta1", "0.1",
+                                    "--window=-0.5:0.5:-0.3:-0.01"]])
+def test_resonances_rejects_pairing_before_any_slice(disk_config, flags,
+                                                     monkeypatch):
+    """An angle outside (0, THETA_MAX], or a window that a rotated
+    continuum ray meets, exits 2 before the first slice is solved."""
+    def no_slice(*args, **kwargs):
+        raise AssertionError("a slice was solved for an unpairable input")
+    monkeypatch.setattr("magres.cscale._spectrum_slice", no_slice)
+    assert main(["resonances", "--field", str(disk_config),
+                 "--h", "0.25,0.2,0.15", *flags]) == 2
 
 
 def test_resonances_arnoldi_failure_exit(disk_config, monkeypatch):

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
-                           ScalingProfile, Window, _det_phase,
-                           _first_sampling, _predicted_count, _slice_disk,
+                           ScalingProfile, SliceWork, Window, _det_phase,
+                           _first_sampling, _predicted_count,
+                           _ray_hits_window, _slice_radius,
                            _spectrum_slice, _tridiagonal_product,
                            assemble_scaled_fiber,
                            complex_spectrum, continuum_motion,
@@ -46,13 +47,16 @@ def dense_reference(disk_profile):
 
 def test_scaling_profile_values():
     sp = scaling_profile(0.3, 2.0, 5.0)
-    assert sp.f(1.0) == 1.0 + 0.0j  # undeformed region, exact
-    assert sp.f(10.0) == pytest.approx(10.0 * cmath.exp(0.3j), rel=1e-14)
+    assert sp.deform(1.0)[0] == 1.0 + 0.0j  # undeformed region, exact
+    assert sp.deform(10.0)[0] == pytest.approx(10.0 * cmath.exp(0.3j),
+                                               rel=1e-14)
     # quintic smoothstep is exactly 1/2 at the ramp midpoint
-    assert np.angle(sp.f(3.5)) == pytest.approx(0.15, abs=1e-12)
+    assert np.angle(sp.deform(3.5)[0]) == pytest.approx(0.15, abs=1e-12)
     t = np.linspace(0.1, 10.0, 500)
-    assert np.all(sp.gp(t) >= 0.0)
-    assert np.all(np.abs(sp.fp(t)) > 0.0)
+    f, fp = sp.deform(t)
+    # arg f = theta g is non-decreasing, up to the rounding of t e^{i theta g}
+    assert np.all(np.diff(np.angle(f)) >= -1e-15)
+    assert np.all(np.abs(fp) > 0.0)
 
 
 def test_scaling_profile_validation():
@@ -307,10 +311,10 @@ def test_resolution_dichotomy(disk_profile, dense_reference):
         assemble_scaled_fiber(disk_profile, 0, 0.25, sp, RadialGrid(18.0, 600)))
     v1200 = dense_reference[0.5]
     zc = FROZEN["disk_resonance_h025_n1200"]
-    # N = 2400 needs only the point nearest zc: a certified slice holds
-    # every eigenvalue within 0.01 of it
-    v2400 = _spectrum_slice(assemble_scaled_fiber(
-        disk_profile, 0, 0.25, sp, RadialGrid(18.0, 2400)), zc, 0.01)
+    # N = 2400 needs only the point nearest zc: a certified slice of the
+    # disk |z| <= |zc| + 0.01 holds every eigenvalue within 0.01 of it
+    v2400, _ = _spectrum_slice(assemble_scaled_fiber(
+        disk_profile, 0, 0.25, sp, RadialGrid(18.0, 2400)), abs(zc) + 0.01)
     z6 = v600[np.argmin(np.abs(v600 - zc))]
     z12 = v1200[np.argmin(np.abs(v1200 - zc))]
     z24 = v2400[np.argmin(np.abs(v2400 - zc))]
@@ -352,7 +356,7 @@ def test_find_resonances_keeps_degenerate_sectors(disk_profile, monkeypatch):
     """Equal resonances from distinct sectors are distinct rows."""
     z = 0.2 - 0.05j
     monkeypatch.setattr("magres.cscale._spectrum_slice",
-                        lambda op, centre, radius, work: np.array([z]))
+                        lambda op, radius: (np.array([z]), SliceWork()))
     rs = find_resonances(disk_profile, 0.25, [0, 1], WIN,
                          theta_pair=(0.5, 0.6), grid=RadialGrid(18.0, 400),
                          R1=1.5, T0=6.0)
@@ -383,11 +387,11 @@ def test_slice_matches_dense_in_disk(disk_profile, N, theta, field, h):
     profile = disk_profile if field == "disk" else zero_profile(1.0)
     op = assemble_scaled_fiber(profile, 0, h, scaling_profile(theta, 1.5, 6.0),
                                RadialGrid(18.0, N))
-    centre, radius = _slice_disk(Window(0.5 * h, 1.5 * h, -0.5 * h, -1e-12),
-                                 PAIR_TOL)
+    radius = _slice_radius(Window(0.5 * h, 1.5 * h, -0.5 * h, -1e-12),
+                           PAIR_TOL)
     dense = complex_spectrum(op)
-    want = dense[np.abs(dense - centre) <= radius]
-    got = _spectrum_slice(op, centre, radius)
+    want = dense[np.abs(dense) <= radius]
+    got, _ = _spectrum_slice(op, radius)
     assert got.size == want.size > 0
     assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -406,10 +410,10 @@ def test_slice_count_matches_dense_above_the_ground(disk_profile, theta, h,
     op = assemble_scaled_fiber(disk_profile, 0, h,
                                scaling_profile(theta, 1.5, 6.0),
                                RadialGrid(18.0, 600))
-    centre, radius = _slice_disk(win, PAIR_TOL)
+    radius = _slice_radius(win, PAIR_TOL)
     dense = complex_spectrum(op)
-    want = dense[np.abs(dense - centre) <= radius]
-    got = _spectrum_slice(op, centre, radius)
+    want = dense[np.abs(dense) <= radius]
+    got, _ = _spectrum_slice(op, radius)
     assert got.size == want.size > 0
     corner = max(abs(complex(re, im)) for re in (win.re_min, win.re_max)
                  for im in (win.im_min, win.im_max))
@@ -428,46 +432,71 @@ _bound = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 def test_slice_disk_is_the_disk_about_the_origin(re, im, tol):
     """Over windows in Im z <= 0: the disk holds each corner with its
     pairing tolerance and all of |z| <= reach, and is never wider than the
-    window-centred disk |centre| + reach + tol (1 + reach)."""
+    window-centred disk |window centre| + reach + tol (1 + reach)."""
     (re_min, re_max), (im_min, im_max) = sorted(re), sorted(-abs(x)
                                                             for x in im)
     assume(re_min < re_max and im_min < im_max)
     win = Window(re_min, re_max, im_min, im_max)
-    centre, radius = _slice_disk(win, tol)
+    radius = _slice_radius(win, tol)
     corners = [complex(a, b) for a in (re_min, re_max)
                for b in (im_min, im_max)]
     reach = 2.0 * max(abs(c) for c in corners)
-    assert all(abs(c - centre) + tol * (1.0 + abs(c)) <= radius
-               for c in corners)
-    assert abs(centre) + reach <= radius
+    assert all(abs(c) + tol * (1.0 + abs(c)) <= radius for c in corners)
+    assert reach <= radius
     window_centre = complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max))
     assert radius <= abs(window_centre) + reach + tol * (1.0 + reach)
 
 
-@pytest.mark.parametrize("shift", [0j, 0.25 + 0.5j])
-def test_singular_shift_is_numerical_error(shift):
-    """T - shift decouples into 4 I and [[2, 1], [1, 0.5]], which is
-    exactly singular: its LU factorization has a zero pivot."""
+_side = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3),
+                 st.floats(min_value=-1e3, max_value=-1e-6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(re=st.tuples(_side, _side), im=st.tuples(_side, _side),
+       theta=st.floats(min_value=0.0, max_value=0.7, exclude_min=True))
+def test_ray_hits_window_iff_between_corner_angles(re, im, theta):
+    """A window that holds the origin meets every ray. Any other window
+    lies in Im z <= 0 and is convex, so the ray at -2 theta meets it iff
+    -2 theta lies strictly between its extreme corner angles in
+    [-pi, 0]; draws with a corner angle within 1e-9 of the ray's are
+    skipped, since rounding decides those."""
+    (re_min, re_max), (im_min, im_max) = sorted(re), sorted(-abs(x)
+                                                            for x in im)
+    assume(re_min < re_max and im_min < im_max)
+    win = Window(re_min, re_max, im_min, im_max)
+    if win.contains(0j):
+        assert _ray_hits_window(theta, win)
+        return
+    angles = [-abs(cmath.phase(complex(a, b))) for a in (re_min, re_max)
+              for b in (im_min, im_max)]
+    assume(all(abs(a + 2.0 * theta) > 1e-9 for a in angles))
+    assert _ray_hits_window(theta, win) == \
+        (min(angles) < -2.0 * theta < max(angles))
+
+
+def test_singular_shift_is_numerical_error():
+    """T decouples into 4 I and [[2, 1], [1, 0.5]], which is exactly
+    singular: its LU factorization has a zero pivot."""
     n = 64
-    diag = np.full(n, 4.0 + shift)
+    diag = np.full(n, 4.0 + 0j)
     off = np.zeros(n - 1, dtype=complex)
-    diag[-2:], off[-1] = (2.0 + shift, 0.5 + shift), 1.0
+    diag[-2:], off[-1] = (2.0, 0.5), 1.0
     op = FiberOperator(m=0, scale=1.0, convention="h",
                        boundary="dirichlet_far", grid=RadialGrid(18.0, n),
                        diag=diag, off=off, pot=np.zeros(n),
                        profile=zero_profile(1.0))
     with pytest.raises(NumericalError, match="singular"):
-        _spectrum_slice(op, shift, 1.0)
+        _spectrum_slice(op, 1.0)
 
 
 def test_slice_disk_covers_what_the_diagnostics_read():
-    centre, radius = _slice_disk(WIN, PAIR_TOL)
+    radius = _slice_radius(WIN, PAIR_TOL)
     corners = [complex(a, b) for a in (WIN.re_min, WIN.re_max)
                for b in (WIN.im_min, WIN.im_max)]
     reach = 2.0 * max(abs(c) for c in corners)
-    assert all(abs(c - centre) < radius for c in corners)
+    assert all(abs(c) < radius for c in corners)
     # the disk |z| <= reach (plus tolerance) lies inside the slice disk
-    assert abs(centre) + reach * (1.0 + PAIR_TOL) + PAIR_TOL <= radius
+    assert reach * (1.0 + PAIR_TOL) + PAIR_TOL <= radius
 
 
 def test_reference_slice_matches_dense_diagnostics(reference_run,
@@ -519,7 +548,7 @@ def test_wide_disk_falls_back_to_dense(disk_profile):
                                RadialGrid(18.0, 128))
     dense = complex_spectrum(op)
     radius = float(np.sort(np.abs(dense))[100])
-    got = _spectrum_slice(op, 0.0j, radius)
+    got, _ = _spectrum_slice(op, radius)
     want = dense[np.abs(dense) <= radius]
     assert np.array_equal(got, want)
 
@@ -538,31 +567,29 @@ def test_find_resonances_beyond_dense_cap(disk_profile):
     z = rs.resonances[0].z
     assert z == pytest.approx(FROZEN["disk_resonances"][0.25], abs=1e-4)
     assert rs.resonances[0].drift <= PAIR_TOL * (1.0 + abs(z))
-    centre, radius = rs.disk
-    assert all(np.all(np.abs(v - centre) <= radius)
-               for v in rs.spectra.values())
+    assert all(np.all(np.abs(v) <= rs.radius) for v in rs.spectra.values())
 
 
 def _cli_slice(profile, m, h, theta, N):
-    """The scaled fiber and the slice disk of `resonances` at this h."""
+    """The scaled fiber and the slice radius of `resonances` at this h."""
     op = assemble_scaled_fiber(profile, m, h, scaling_profile(theta, 1.5, 6.0),
                                RadialGrid(18.0, N))
-    return op, _slice_disk(Window(0.5 * h, 1.5 * h, -0.5 * h, -1e-12),
-                           PAIR_TOL)
+    return op, _slice_radius(Window(0.5 * h, 1.5 * h, -0.5 * h, -1e-12),
+                             PAIR_TOL)
 
 
 @pytest.mark.parametrize("field", ["disk", "zero"])
 @pytest.mark.parametrize("h", [0.3, 0.2, 0.12])
 def test_predicted_count_is_not_below_the_disk_count(disk_profile, field, h):
-    """The real fiber's count below |centre| + radius, which sizes the
-    Arnoldi run, is never below the scaled fiber's count in the disk."""
+    """The real fiber's count below the radius, which sizes the Arnoldi
+    run, is never below the scaled fiber's count in the disk."""
     profile = disk_profile if field == "disk" else zero_profile(1.0)
     for m in (0, 4, -6):
         for theta in (0.25, 0.5, 0.7):
-            op, (centre, radius) = _cli_slice(profile, m, h, theta, 256)
+            op, radius = _cli_slice(profile, m, h, theta, 256)
             dense = complex_spectrum(op)
-            inside = int(np.sum(np.abs(dense - centre) <= radius))
-            assert inside <= _predicted_count(op, centre, radius) <= inside + 8
+            inside = int(np.sum(np.abs(dense) <= radius))
+            assert inside <= _predicted_count(op, radius) <= inside + 8
 
 
 def test_low_prediction_doubles_to_the_dense_slice(disk_profile,
@@ -576,11 +603,11 @@ def test_low_prediction_doubles_to_the_dense_slice(disk_profile,
     eigs = spla.eigs
     monkeypatch.setattr(spla, "eigs", recording)
     monkeypatch.setattr("magres.cscale._predicted_count",
-                        lambda op, centre, radius: 1)
-    op, (centre, radius) = _cli_slice(disk_profile, 0, 0.25, 0.5, 400)
+                        lambda op, radius: 1)
+    op, radius = _cli_slice(disk_profile, 0, 0.25, 0.5, 400)
     dense = complex_spectrum(op)
-    want = dense[np.abs(dense - centre) <= radius]
-    got = _spectrum_slice(op, centre, radius)
+    want = dense[np.abs(dense) <= radius]
+    got, _ = _spectrum_slice(op, radius)
     assert asked[:3] == [3, 6, 12] and len(asked) >= 4
     assert got.size == want.size > 0
     assert np.max(np.abs(got - want)) <= 1e-9
@@ -590,21 +617,21 @@ def test_first_sampling_steps_obey_the_rule(disk_profile):
     """Each first step is at most 0.25 min(distance from its start to the
     nearest known eigenvalue, margin) / radius, and the points close the
     circle."""
-    op, (centre, radius) = _cli_slice(disk_profile, 0, 0.2, 0.5, 400)
+    op, _ = _cli_slice(disk_profile, 0, 0.2, 0.5, 400)
     dense = complex_spectrum(op)
-    known = dense[np.argsort(np.abs(dense - centre))[:40]]
-    dist = np.sort(np.abs(known - centre))
+    known = dense[np.argsort(np.abs(dense))[:40]]
+    dist = np.sort(np.abs(known))
     for circle in (0.5 * (dist[30] + dist[31]), 0.5 * (dist[38] + dist[39])):
         margin = dist[-1] - circle
-        t = _first_sampling(centre, circle, known, margin)
+        t = _first_sampling(circle, known, margin)
         assert t[0] == 0.0 and t[-1] == 2.0 * math.pi
-        z = centre + circle * np.exp(1j * t[:-1])
+        z = circle * np.exp(1j * t[:-1])
         near = np.abs(known[:, None] - z).min(axis=0)
         rule = 0.25 * np.minimum(near, margin) / circle
         assert np.all(np.diff(t) > 0.0)
         assert np.all(np.diff(t) <= rule * (1.0 + 1e-12))
     # an eigenvalue on the circle leaves no finite step
-    assert _first_sampling(centre, abs(known[0] - centre), known, 1.0) is None
+    assert _first_sampling(abs(known[0]), known, 1.0) is None
 
 
 @pytest.mark.parametrize("N", [64, 401, 480])

@@ -162,12 +162,13 @@ def test_seeds_need_history():
 def test_ground_from_any_start_lands_on_positive_lowest(start):
     p = StepParams(a=-0.5, N=1600)
     xi = FROZEN["step_minus05"]["zeta"]
-    step, arm = p.step, stepband._ground(p, xi, p.N)[2]
+    grid = stepband._StepGrid(p, p.N)
+    step, arm = p.step, stepband._ground(grid, xi)[2]
     vals, vecs = sla.eigh_tridiagonal(2.0 / step ** 2 + arm ** 2,
                                       np.full(p.N - 2, -1.0 / step ** 2),
                                       select="i", select_range=(0, 1))
     v = vecs[:, 1] if start == "second" else -vecs[:, 0]
-    mu, x, _ = stepband._ground(p, xi, p.N, start=v)
+    mu, x, _ = stepband._ground(grid, xi, start=v)
     assert abs(mu - vals[0]) < 1e-10 and vals[1] - vals[0] > 0.5
     assert np.all(x > 0) and np.sum(x * x) == pytest.approx(1.0)
 
@@ -184,7 +185,7 @@ def test_ground_last_shift_certifies_lowest(monkeypatch):
         return out
     monkeypatch.setattr(radial, "dpttrf", recording)
     p = StepParams(a=-0.5, N=1600)
-    mu, _, arm = stepband._ground(p, -0.66, p.N)
+    mu, _, arm = stepband._ground(stepband._StepGrid(p, p.N), -0.66)
     step = p.step
     diag = 2.0 / step ** 2 + arm ** 2
     tol = 64.0 * np.finfo(float).eps * diag.max()
@@ -211,7 +212,7 @@ def test_hellmann_feynman_slope_matches_difference(xi):
     """The Richardson-combined Hellmann-Feynman slope is the derivative of
     the Richardson-combined band value."""
     p = StepParams(a=-0.5)
-    _, slope, _ = stepband._refined(p, xi)
+    _, slope, _ = stepband._refined(stepband._grids(p), xi)
     s = 1e-4
     diff = (band_value(p, xi + s).mu - band_value(p, xi - s).mu) / (2 * s)
     assert abs(slope - diff) < 1e-6

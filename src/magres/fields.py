@@ -151,8 +151,9 @@ def _profile(pieces: tuple, R0: float, spec: FieldSpec | None) -> FieldProfile:
             if lo == 0.0:  # first piece, from zero: sum c r^{p+1} / (p+2)
                 out = sum(c * r ** (p + 1.0) / (p + 2.0) for c, p in terms)
             else:
-                out = np.where(r >= lo, (phi + _integral(r, lo, terms)) / rs,
-                               out)
+                inside = np.clip(r, lo, hi)  # no overflow off the piece
+                out = np.where(r >= lo,
+                               (phi + _integral(inside, lo, terms)) / rs, out)
             if hi < math.inf:  # a gap or the Aharonov-Bohm tail
                 out = np.where(r > hi, phi_end / rs, out)
         return out

@@ -155,6 +155,10 @@ _CONFINED = {"kind": "anharmonic", "params": {"gamma": 2}, "R0": 1.0}
 @example(config={"kind": "well_radial",  # the inverse-iteration solve
                  "params": {"b0": 3.5017051689555115e+96},  # underflows
                  "R0": 3.5017051689555115e+96})
+@example(config={"kind": "island_annular",  # r^2 - rho1^2 overflows
+                 "params": {"rho1": 1.3407807929942597e+154,  # inside r < rho1
+                            "rho2": 1.34078079299426e+154},
+                 "R0": 1.34078079299426e+154})
 @given(config=_configs)
 def test_spectrum_field_fuzz_keeps_exit_contract(config, tmp_path_factory):
     """Field configs of extreme finite numbers and booleans exit 0, 2 or 3,

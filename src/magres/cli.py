@@ -28,7 +28,7 @@ from .radial import (RadialGrid, Work, _anharmonic_ladder, _island_ladder,
                      fiber_levels, sector_sweep)
 from .stepband import StepParams, analyze_band
 from .quasimode import build_quasimode, quasimode_residual, tz_crossover, tz_window
-from .cscale import Window, find_resonances
+from .cscale import PAIR_TOL, Window, continuum_motion, find_resonances
 from .levels import ExpansionParams, compare
 
 FMT = "{:.14e}"  # 15 significant digits, locale-independent
@@ -191,7 +191,7 @@ def cmd_resonances(args) -> int:
     grid = RadialGrid(args.rmax, args.grid_n)
     lines = ["m,h,theta1,theta2,reZ,imZ,drift,gridN"]
     lowest = []  # (h, z) of the lowest resonance per h
-    slices = []  # per h: the certified spectral slice of each (theta, m)
+    slices = []  # per h: each (theta, m) slice and each sector's motion
     for h in args.h:
         if args.window is not None:
             win = args.window
@@ -204,10 +204,16 @@ def cmd_resonances(args) -> int:
             lines.append(f"{r.m},{_fmt(h)},{_fmt(args.theta1)},"
                          f"{_fmt(args.theta2)},{_fmt(r.z.real)},"
                          f"{_fmt(r.z.imag)},{_fmt(r.drift)},{grid.N}")
+        t1, t2 = rs.theta_pair
+        motion = [{"m": m, "motion": continuum_motion(
+                       rs.spectra[(t1, m)], rs.spectra[(t2, m)], rs.radius,
+                       exclude=[r.z for r in rs if r.m == m])}
+                  for m in args.m]
         slices.append({"h": h, "radius": rs.radius,
                        "counts": [{"theta": theta, "m": m, "count": len(vals),
                                    **asdict(rs.work[(theta, m)])}
-                                  for (theta, m), vals in rs.spectra.items()]})
+                                  for (theta, m), vals in rs.spectra.items()],
+                       "continuum_motion": motion})
         if len(rs):
             z0 = min(rs, key=lambda r: r.z.real).z
             lowest.append((h, z0))
@@ -380,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deformation start radius")
     p.add_argument("--t0", type=float, default=6.0,
                    help="full-rotation radius")
-    p.add_argument("--tol", type=float, default=1e-5,
+    p.add_argument("--tol", type=float, default=PAIR_TOL,
                    help="relative pairing tolerance, in (0, 1)")
     common(p, 3000, 18.0)
     p.set_defaults(func=cmd_resonances)

@@ -14,8 +14,9 @@ resonances. Genuine resonances are certified by running two angles and
 keeping eigenvalues that agree within tolerance while continuum points
 sweep past them.
 
-Up to R1 the scaled fiber is the real one, bit for bit: those entries are
-taken from the real fiber, formed in real arithmetic.
+The scaled fiber of a sector is its real fiber up to R1, bit for bit, and
+that fiber's continuation beyond (`_deform`): `find_resonances` assembles
+one real fiber per sector and deforms it for both angles.
 
 Only a slice of each spectrum is computed: shift-invert Arnoldi finds the
 eigenvalues in the disk about the origin that holds everything the filter
@@ -24,11 +25,11 @@ det(T - z), evaluated by the O(N) continuant recurrence, certifies that
 none were missed. Arnoldi applies T^-1 through one tridiagonal LU
 factorization (LAPACK `zgttrf`, solved by `zgttrs`).
   - Sizing. Scaling rotates the continuum and keeps its moduli, so the
-    real fiber of the same sector has about as many eigenvalues below
-    the radius as the scaled one has in the disk; one restarted
-    `dpttrf` counts them by Sylvester inertia. Arnoldi asks for that count
-    plus two and doubles k while all it found lie in the disk, so a low
-    count costs time, never correctness.
+    real fiber of a sector has about as many eigenvalues below the radius
+    as either scaled one has in the disk; one restarted `dpttrf` counts
+    them by Sylvester inertia, once for both angles. Arnoldi asks for that
+    count plus two and doubles k while all it found lie in the disk, so a
+    low count costs time, never correctness.
   - Certificate. The contour is a circle through the middle of a gap
     between the disk edge and the farthest eigenvalue found, the gap that
     needs the fewest points. Its first points are spaced, arc by arc, at a
@@ -92,16 +93,22 @@ class ScalingProfile:
 def scaling_profile(theta: float, R1: float, T0: float) -> ScalingProfile:
     """Validated scaling profile.
 
-    Checks on 4096 points of [0, 2 T0]: f is the identity below R1, the
-    full rotation beyond T0, 0 <= arg f <= theta, and f' never vanishes.
-    The profile is frozen, so it is checked once per (theta, R1, T0), of
-    the last 64 asked for, and reused: an h sweep checks its two angles
-    once.
+    A ramp T0 - R1 whose 1 / (T0 - R1)^2 is not a finite positive float
+    is a ValidationError, raised before any evaluation. Checks on 4096
+    points of [0, 2 T0]: f is the identity below R1, the full rotation
+    beyond T0, 0 <= arg f <= theta, and f' never vanishes. The profile is
+    frozen, so it is checked once per (theta, R1, T0), of the last 64
+    asked for, and reused: an h sweep checks its two angles once.
     """
     if not (0.0 <= theta <= THETA_MAX):
         raise ValidationError(f"theta must lie in [0, {THETA_MAX}]")
     if not (0.0 < R1 < T0 and 2.0 * T0 < math.inf):
         raise ValidationError("need 0 < R1 < T0, with 2 T0 finite")
+    width2 = (T0 - R1) * (T0 - R1)  # the ramp's S'' divides by it
+    if not (0.0 < width2 < math.inf and 1.0 / width2 < math.inf):
+        raise ValidationError(
+            f"the deformation ramp T0 - R1 = {T0 - R1:.3g} is outside float "
+            f"range: 1 / (T0 - R1)^2 is not a finite positive float")
     sp = ScalingProfile(theta=theta, R1=R1, T0=T0)
     t = np.linspace(1e-9, 2.0 * T0, 4096)
     ft, fpt = sp.deform(t)
@@ -123,9 +130,18 @@ def scaling_profile(theta: float, R1: float, T0: float) -> ScalingProfile:
 def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
                           sp: ScalingProfile, grid: RadialGrid
                           ) -> FiberOperator:
-    """Complex-scaled semiclassical fiber at angular momentum m: a
-    FiberOperator of the 'h' convention with a Dirichlet far end and
-    complex diag and off.
+    """Complex-scaled semiclassical fiber at angular momentum m: the real
+    'h' fiber with a Dirichlet far end, assembled and continued along sp
+    (`_deform`)."""
+    if not 0.0 < h < math.inf:
+        raise ValidationError("h must be positive and finite")
+    return _deform(assemble_fiber(profile, m, h, grid, "dirichlet_far", "h"),
+                   sp)
+
+
+def _deform(real: FiberOperator, sp: ScalingProfile) -> FiberOperator:
+    """The real 'h' fiber `real` continued along sp: a FiberOperator of the
+    same sector and grid with complex diag and off.
 
     Requires the deformation to start beyond the field support (the
     potential under the ramp must already be the pure AB tail) and
@@ -133,8 +149,7 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     potential, and every entry whose nodes and faces lie there, is the
     real fiber's, bit for bit.
     """
-    if not 0.0 < h < math.inf:
-        raise ValidationError("h must be positive and finite")
+    profile, grid, h, m = real.profile, real.grid, real.scale, real.m
     if not sp.R1 > profile.R0:  # also a full-plane field, R0 = inf
         raise ValidationError(
             f"deformation region starts at R1 = {sp.R1} inside the field "
@@ -143,9 +158,7 @@ def assemble_scaled_fiber(profile: FieldProfile, m: int, h: float,
     if grid.r_max < 3.0 * sp.T0 * (1.0 - 1e-12):
         raise ValidationError(
             f"r_max = {grid.r_max} is below 3 T0 = {3.0 * sp.T0}")
-    real = assemble_fiber(profile, m, h, grid, "dirichlet_far", "h")
-    t = grid.nodes
-    F = grid.faces
+    t, F = grid.nodes, grid.faces
     V = real.pot.astype(complex)
     outer = t > sp.R1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -304,17 +317,6 @@ class SliceWork:
     contour_points: int = 0
 
 
-def _predicted_count(op: FiberOperator, radius: float) -> int:
-    """About how many eigenvalues of the scaled fiber lie in the disk
-    |z| <= radius: the eigenvalues below radius of the real fiber it
-    continues, counted by Sylvester inertia. Scaling rotates the continuum
-    and keeps its moduli, so the count is near the disk's and, as
-    measured, not below it."""
-    real = assemble_fiber(op.profile, op.m, op.scale, op.grid,
-                          "dirichlet_far", "h")
-    return _ldl_factors(real.diag, real.off, radius, op.grid.N)[0]
-
-
 def _tridiagonal_product(op: FiberOperator):
     """v -> T v for the tridiagonal T = (diag, off) of the fiber; v is a
     vector or an n x 1 column."""
@@ -327,7 +329,7 @@ def _tridiagonal_product(op: FiberOperator):
     return matvec
 
 
-def _spectrum_slice(op: FiberOperator, radius: float
+def _spectrum_slice(op: FiberOperator, radius: float, count: int
                     ) -> tuple[np.ndarray, SliceWork]:
     """Eigenvalues of the scaled fiber inside |z| <= radius, sorted by
     (Re, Im), with their count certified, and what the slice cost
@@ -338,14 +340,15 @@ def _spectrum_slice(op: FiberOperator, radius: float
     NumericalError) and a fixed start vector (so reruns agree bit for
     bit), with T itself passed as its tridiagonal product (`eigs` never
     applies a complex T in shift-invert mode, so no matrix is built);
-    asks for the predicted count plus two eigenvalues (`_predicted_count`)
-    and doubles k until the k-th nearest lies outside the disk. The
-    argument principle on det(T - z) then counts the eigenvalues inside a
-    circle drawn through the middle of a gap between the disk edge and the
-    k-th distance, the gap that needs the fewest contour points; a count
-    other than Arnoldi's is a NumericalError. When k would reach N/2
-    first, the disk is too wide for slicing and the dense solve is used
-    instead.
+    asks for `count` plus two eigenvalues, where `count` is the caller's
+    estimate of how many lie in the disk (`find_resonances` counts the real
+    fiber's below the radius), and doubles k until the k-th nearest lies
+    outside the disk. The argument principle on det(T - z) then counts the
+    eigenvalues inside a circle drawn through the middle of a gap between
+    the disk edge and the k-th distance, the gap that needs the fewest
+    contour points; a count other than Arnoldi's is a NumericalError. When
+    k would reach N/2 first, the disk is too wide for slicing and the dense
+    solve is used instead.
     """
     import scipy.sparse.linalg as spla  # slow to load, used only here
 
@@ -363,7 +366,7 @@ def _spectrum_slice(op: FiberOperator, radius: float
     T = spla.LinearOperator((n, n), matvec=_tridiagonal_product(op),
                             dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-    k = _predicted_count(op, radius) + 2
+    k = count + 2
     while k < n // 2:
         work.k = k
         try:
@@ -572,44 +575,39 @@ def _slice_radius(window: Window, tol: float) -> float:
 
 
 def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
-                    theta_pair: tuple[float, float] = (0.25, 0.35),
-                    grid: RadialGrid | None = None, R1: float | None = None,
-                    T0: float | None = None, tol: float = PAIR_TOL
+                    theta_pair: tuple[float, float], grid: RadialGrid,
+                    R1: float, T0: float, tol: float = PAIR_TOL
                     ) -> ResonanceSet:
     """Theta-robust resonances over the given sectors, sorted by Re z.
 
-    Both angles share the grid and the deformation radii. Each (theta, m)
-    solve is a certified spectral slice: every eigenvalue in the disk
-    about the origin that holds |z| <= 2 max|window corner| and the
-    pairing tolerance beyond it, and with them the window. The slices are
-    kept on the result as `spectra`, with the disk's radius, for
-    continuum-motion diagnostics and trend fits, and their cost
-    (`SliceWork`) as `work`. The filter's input checks run on an empty
-    pair before the first slice is solved.
+    Both angles share the grid and the deformation radii. Each sector
+    assembles its real 'h' fiber once, counts its eigenvalues below the
+    slice radius once (LDL^T inertia) to size both slices, and deforms it
+    for both angles. Each (theta, m) solve is a certified spectral slice:
+    every eigenvalue in the disk about the origin that holds |z| <= 2
+    max|window corner| and the pairing tolerance beyond it, and with them
+    the window. The slices are kept on the result as `spectra`, with the
+    disk's radius, for continuum-motion diagnostics and trend fits, and
+    their cost (`SliceWork`) as `work`. The filter's input checks run on an
+    empty pair before the first slice is solved.
     """
     if not math.isfinite(profile.R0):
         raise ValidationError(
             "complex scaling needs a compactly supported field (finite R0)")
     t1, t2 = float(theta_pair[0]), float(theta_pair[1])
     filter_resonances((), (), tol, window, theta_pair=(t1, t2))
-    if R1 is None:
-        R1 = profile.R0 + 0.5
-    if T0 is None:
-        T0 = R1 + 4.5
-    if grid is None:
-        grid = RadialGrid(3.0 * T0, 3000)
-    sp1 = scaling_profile(t1, R1, T0)
-    sp2 = scaling_profile(t2, R1, T0)
+    sps = (scaling_profile(t1, R1, T0), scaling_profile(t2, R1, T0))
     ms = list(m_range)
-    jobs = [(sp, m) for m in ms for sp in (sp1, sp2)]
     radius = _slice_radius(window, tol)
 
-    def solve(job):
-        sp, m = job
-        return _spectrum_slice(assemble_scaled_fiber(profile, m, h, sp, grid),
-                               radius)
+    def solve(m):
+        real = assemble_fiber(profile, m, h, grid, "dirichlet_far", "h")
+        count = _ldl_factors(real.diag, real.off, radius, grid.N)[0]
+        return [_spectrum_slice(_deform(real, sp), radius, count)
+                for sp in sps]
 
-    slices = dict(zip([(sp.theta, m) for sp, m in jobs], pmap(solve, jobs)))
+    slices = {(sp.theta, m): one for m, both in zip(ms, pmap(solve, ms))
+              for sp, one in zip(sps, both)}
     spectra = {key: vals for key, (vals, _) in slices.items()}
     found = []
     for m in ms:

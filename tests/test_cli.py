@@ -351,6 +351,11 @@ def test_resonances_manifest_records_slices(disk_config, tmp_path):
         assert sorted((c["theta"], c["m"]) for c in s["counts"]) == \
             [(0.5, 0), (0.5, 1), (0.6, 0), (0.6, 1)]
         assert all(c["count"] > 0 for c in s["counts"])
+        # the smallest continuum displacement of each sector, from the
+        # slices already held: null when no point qualifies
+        assert [c["m"] for c in s["continuum_motion"]] == [0, 1]
+        for c in s["continuum_motion"]:
+            assert c["motion"] is None or c["motion"] >= 0.0
 
 
 def test_resonances_manifest_records_slice_work(disk_config, tmp_path):
@@ -774,14 +779,17 @@ def test_manifest_params_are_the_parsed_flags(anh_config, disk_config,
     ["spectrum", "--field", None, "--rmax", "1e-150", "--grid-n", "256"],
     ["resonances", "--field", None, "--h", "0.25", "--t0", "inf"],
     ["resonances", "--field", None, "--h", "0.25", "--t0", "1e308"],
+    ["resonances", "--field", None, "--h", "0.25", "--r1", "1e-300",
+     "--t0", "2e-300"],
     ["compare", "--model", "island", "--rho1", "1e-300", "--rho2", "1",
      "--b", "5,6,7"]],
     ids=["spectrum-dr", "resonances-t0-inf", "resonances-t0-1e308",
-         "compare-rho1"])
+         "resonances-ramp-1e-300", "compare-rho1"])
 def test_scale_beyond_float_range_is_input_error(argv, disk_config, capsys):
     """A grid whose 1 / (r dr^2) underflows, a deformation whose 2 T0 is
-    infinite and an island hole whose 1 / rho1^2 overflows exit 2 before
-    any arithmetic: no warning, no traceback."""
+    infinite or whose ramp 1 / (T0 - R1)^2 overflows and an island hole
+    whose 1 / rho1^2 overflows exit 2 before any arithmetic: no warning,
+    no traceback."""
     argv = [str(disk_config) if tok is None else tok for tok in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
                            ScalingProfile, SliceWork, Window, _det_phase,
-                           _first_sampling, _predicted_count,
-                           _ray_hits_window, _slice_radius,
+                           _first_sampling, _ray_hits_window, _slice_radius,
                            _spectrum_slice, _tridiagonal_product,
                            assemble_scaled_fiber,
                            complex_spectrum, continuum_motion,
@@ -20,12 +19,26 @@ from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
 from magres.errors import (AmbiguousPairingError, NumericalError,
                            ValidationError)
 from magres.fields import FieldSpec, make_profile, zero_profile
-from magres.radial import FiberOperator, RadialGrid, assemble_fiber
+from magres.radial import (FiberOperator, RadialGrid, _ldl_factors,
+                           assemble_fiber)
 
 from conftest import FROZEN
 from oracles import det_phase_per_pivot
 
 WIN = Window(0.1, 0.3, -0.12, -0.001)
+
+
+def _real_count(op, radius):
+    """The count that `find_resonances` sizes a slice of op with: the
+    eigenvalues below the radius of the real fiber that op continues."""
+    real = assemble_fiber(op.profile, op.m, op.scale, op.grid,
+                          "dirichlet_far", "h")
+    return _ldl_factors(real.diag, real.off, radius, op.grid.N)[0]
+
+
+def _slice(op, radius):
+    """The certified slice of op, sized as `find_resonances` sizes it."""
+    return _spectrum_slice(op, radius, _real_count(op, radius))
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +326,7 @@ def test_resolution_dichotomy(disk_profile, dense_reference):
     zc = FROZEN["disk_resonance_h025_n1200"]
     # N = 2400 needs only the point nearest zc: a certified slice of the
     # disk |z| <= |zc| + 0.01 holds every eigenvalue within 0.01 of it
-    v2400, _ = _spectrum_slice(assemble_scaled_fiber(
+    v2400, _ = _slice(assemble_scaled_fiber(
         disk_profile, 0, 0.25, sp, RadialGrid(18.0, 2400)), abs(zc) + 0.01)
     z6 = v600[np.argmin(np.abs(v600 - zc))]
     z12 = v1200[np.argmin(np.abs(v1200 - zc))]
@@ -356,24 +369,49 @@ def test_find_resonances_keeps_degenerate_sectors(disk_profile, monkeypatch):
     """Equal resonances from distinct sectors are distinct rows."""
     z = 0.2 - 0.05j
     monkeypatch.setattr("magres.cscale._spectrum_slice",
-                        lambda op, radius: (np.array([z]), SliceWork()))
+                        lambda op, radius, count: (np.array([z]),
+                                                   SliceWork()))
     rs = find_resonances(disk_profile, 0.25, [0, 1], WIN,
                          theta_pair=(0.5, 0.6), grid=RadialGrid(18.0, 400),
                          R1=1.5, T0=6.0)
     assert [(r.m, r.z) for r in rs.resonances] == [(0, z), (1, z)]
 
 
+def test_one_real_fiber_per_sector(disk_profile, monkeypatch):
+    """Each sector assembles its real fiber once and counts its inertia
+    once; both angles deform that fiber and share the count."""
+    calls = {"assemble": [], "count": 0}
+
+    def assembling(profile, m, *args):
+        calls["assemble"].append(m)
+        return assemble_fiber(profile, m, *args)
+
+    def counting(*args):
+        calls["count"] += 1
+        return _ldl_factors(*args)
+    monkeypatch.setattr("magres.cscale.assemble_fiber", assembling)
+    monkeypatch.setattr("magres.cscale._ldl_factors", counting)
+    rs = find_resonances(disk_profile, 0.25, [-1, 0, 1], WIN,
+                         theta_pair=(0.5, 0.6), grid=RadialGrid(18.0, 400),
+                         R1=1.5, T0=6.0)
+    assert calls == {"assemble": [-1, 0, 1], "count": 3}
+    assert sorted(rs.spectra) == [(t, m) for t in (0.5, 0.6)
+                                  for m in (-1, 0, 1)]
+
+
 def test_find_resonances_validation(disk_profile):
     anh = make_profile(FieldSpec(kind="anharmonic", params={"gamma": 2.0},
                                  R0=1.0))
     with pytest.raises(ValidationError):
-        find_resonances(anh, 0.2, [0], WIN)
+        find_resonances(anh, 0.2, [0], WIN, theta_pair=(0.5, 0.6),
+                        grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
     with pytest.raises(ValidationError):
         find_resonances(disk_profile, 0.2, [0], WIN, theta_pair=(0.3, 0.3),
                         grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
     for tol in (1.0, 1e300):  # pairs anything with anything
         with pytest.raises(ValidationError, match="pairing tolerance"):
             find_resonances(disk_profile, 0.2, [0], WIN,
+                            theta_pair=(0.5, 0.6),
                             grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0,
                             tol=tol)
 
@@ -391,7 +429,7 @@ def test_slice_matches_dense_in_disk(disk_profile, N, theta, field, h):
                            PAIR_TOL)
     dense = complex_spectrum(op)
     want = dense[np.abs(dense) <= radius]
-    got, _ = _spectrum_slice(op, radius)
+    got, _ = _slice(op, radius)
     assert got.size == want.size > 0
     assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -413,7 +451,7 @@ def test_slice_count_matches_dense_above_the_ground(disk_profile, theta, h,
     radius = _slice_radius(win, PAIR_TOL)
     dense = complex_spectrum(op)
     want = dense[np.abs(dense) <= radius]
-    got, _ = _spectrum_slice(op, radius)
+    got, _ = _slice(op, radius)
     assert got.size == want.size > 0
     corner = max(abs(complex(re, im)) for re in (win.re_min, win.re_max)
                  for im in (win.im_min, win.im_max))
@@ -486,7 +524,7 @@ def test_singular_shift_is_numerical_error():
                        diag=diag, off=off, pot=np.zeros(n),
                        profile=zero_profile(1.0))
     with pytest.raises(NumericalError, match="singular"):
-        _spectrum_slice(op, 1.0)
+        _spectrum_slice(op, 1.0, 0)
 
 
 def test_slice_disk_covers_what_the_diagnostics_read():
@@ -548,7 +586,7 @@ def test_wide_disk_falls_back_to_dense(disk_profile):
                                RadialGrid(18.0, 128))
     dense = complex_spectrum(op)
     radius = float(np.sort(np.abs(dense))[100])
-    got, _ = _spectrum_slice(op, radius)
+    got, _ = _slice(op, radius)
     want = dense[np.abs(dense) <= radius]
     assert np.array_equal(got, want)
 
@@ -581,15 +619,15 @@ def _cli_slice(profile, m, h, theta, N):
 @pytest.mark.parametrize("field", ["disk", "zero"])
 @pytest.mark.parametrize("h", [0.3, 0.2, 0.12])
 def test_predicted_count_is_not_below_the_disk_count(disk_profile, field, h):
-    """The real fiber's count below the radius, which sizes the Arnoldi
-    run, is never below the scaled fiber's count in the disk."""
+    """The real fiber's inertia count below the radius, which sizes the
+    Arnoldi run, is never below the scaled fiber's count in the disk."""
     profile = disk_profile if field == "disk" else zero_profile(1.0)
     for m in (0, 4, -6):
         for theta in (0.25, 0.5, 0.7):
             op, radius = _cli_slice(profile, m, h, theta, 256)
             dense = complex_spectrum(op)
             inside = int(np.sum(np.abs(dense) <= radius))
-            assert inside <= _predicted_count(op, radius) <= inside + 8
+            assert inside <= _real_count(op, radius) <= inside + 8
 
 
 def test_low_prediction_doubles_to_the_dense_slice(disk_profile,
@@ -602,12 +640,10 @@ def test_low_prediction_doubles_to_the_dense_slice(disk_profile,
         return eigs(A, k=k, **kwargs)
     eigs = spla.eigs
     monkeypatch.setattr(spla, "eigs", recording)
-    monkeypatch.setattr("magres.cscale._predicted_count",
-                        lambda op, radius: 1)
     op, radius = _cli_slice(disk_profile, 0, 0.25, 0.5, 400)
     dense = complex_spectrum(op)
     want = dense[np.abs(dense) <= radius]
-    got, _ = _spectrum_slice(op, radius)
+    got, _ = _spectrum_slice(op, radius, 1)
     assert asked[:3] == [3, 6, 12] and len(asked) >= 4
     assert got.size == want.size > 0
     assert np.max(np.abs(got - want)) <= 1e-9

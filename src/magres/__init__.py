@@ -26,8 +26,8 @@ from .radial import (EigenResult, FiberOperator, RadialGrid, anharmonic_levels,
                      fiber_levels, island_neumann_levels, verify_ah_decay,
                      verify_island_decay, well_levels)
 from .stepband import (BandSample, SpectralConstants, StepParams,
-                       analyze_band, band_second_derivative, band_value,
-                       minimize_band, spectral_constants)
+                       analyze_band, band_value, minimize_band,
+                       spectral_constants)
 from .quasimode import (Quasimode, TZWindow, build_quasimode,
                         generic_quasimode_residual, landau_radial, laguerre,
                         quasimode_residual, tz_crossover, tz_window)

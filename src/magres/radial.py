@@ -82,6 +82,7 @@ LADDER_N = 3000  # nodes of every ladder grid
 R_MAX_GROWTHS = 4  # 1.5x steps of a truncated ladder's r_max: at most 5.06x
 MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
 NEAR = 4  # lower levels each inverse-iteration solve is orthogonalized to
+TOL_EPS = 64.0 * np.finfo(float).eps  # certified shift gap, per max|T_ii|
 # weight of the last face: a Dirichlet value there (mirror ghost) or free
 FAR_WEIGHT = {"dirichlet_far": 2.0, "neumann_far": 0.0}
 
@@ -317,7 +318,7 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, rayleigh, x, mu,
     More than cap factorizations and solves is a NumericalError.
     """
     j = len(lower)
-    tol = 64.0 * np.finfo(float).eps * float(np.abs(diag).max())
+    tol = TOL_EPS * float(np.abs(diag).max())
     gap = max(gap, tol)
     factors, low, high = None, 0.0, math.inf  # refused: too small, too large
     for _ in range(cap):
@@ -483,23 +484,23 @@ def _grid_pair(profile: FieldProfile, scale: float, grid: RadialGrid, k: int,
                  for g in (grid, grid.halved()))
 
 
-def _richardson_levels(pair: tuple, m: int, k: int) -> Sector:
+def _richardson_levels(pair: tuple, m: int, k: int, held: dict) -> Sector:
     """The `Sector` of `fiber_levels` on the records of `_grid_pair`: the k
-    lowest levels of sector m, each the one a solve of more levels gives."""
+    lowest levels of sector m, each the one a solve of more levels gives,
+    on its fibers in held (taken out) or else on fibers built for it."""
     work = Work()
-    vals, vals_h = (_lowest(fiber.op(m), k, work)[0] for fiber in pair)
+    ops = held.pop(m, None) or (fiber.op(m) for fiber in pair)
+    vals, vals_h = (_lowest(op, k, work)[0] for op in ops)
     return Sector((4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0,
                   work)
 
 
-def _count_below(pair: tuple, m: int, shift: float, k: int,
-                 work: Work) -> int:
-    """The larger count of sector m's eigenvalues below shift on the two
-    records of a `_grid_pair` (`_ldl_factors`; k + 1 past k or refused):
-    0 certifies all of them above shift on both grids."""
+def _count_below(ops, shift: float, k: int, work: Work) -> int:
+    """The larger count of eigenvalues below shift of one sector's fibers
+    ops on the two records of a `_grid_pair` (`_ldl_factors`; k + 1 past k
+    or refused): 0 certifies all of them above shift on both grids."""
     work.factorizations += 2
-    return max(_ldl_factors(op.diag, op.off, shift, k)[0]
-               for op in (fiber.op(m) for fiber in pair))
+    return max(_ldl_factors(op.diag, op.off, shift, k)[0] for op in ops)
 
 
 def fiber_levels(profile: FieldProfile, m: int, scale: float,
@@ -512,8 +513,8 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
     is `eigs_lowest(assemble_fiber(...), k).values` bit for bit, and
     lam_{N/2} the same on grid.halved().
     """
-    return _richardson_levels(
-        _grid_pair(profile, scale, grid, k, boundary, convention), m, k).levels
+    return _richardson_levels(_grid_pair(profile, scale, grid, k, boundary,
+                                         convention), m, k, {}).levels
 
 
 def default_m_range(n_max: int) -> range:
@@ -527,9 +528,10 @@ def _check_index(n_max: int) -> None:
                               f" on the N={LADDER_N} ladder grid")
 
 
-def _solve_sectors(pair: tuple, ms, ks) -> list:
+def _solve_sectors(pair: tuple, ms, ks, held: dict) -> list:
     """`_richardson_levels` of sector ms[i] for ks[i] levels, in order."""
-    return pmap(lambda mk: _richardson_levels(pair, *mk), list(zip(ms, ks)))
+    return pmap(lambda mk: _richardson_levels(pair, *mk, held),
+                list(zip(ms, ks)))
 
 
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
@@ -539,7 +541,7 @@ def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
     merged ascending as (value, m, n) rows, and the Work of all sectors."""
     ms = list(m_range)
     pair = _grid_pair(profile, scale, grid, k, boundary, convention)
-    sectors = _solve_sectors(pair, ms, [k] * len(ms))
+    sectors = _solve_sectors(pair, ms, [k] * len(ms), {})
     return _rows(zip(ms, sectors)), sum((sector.work for sector in sectors),
                                         Work())
 
@@ -625,6 +627,7 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     k = n_max + 1
     pair = _grid_pair(profile, scale, grid, k, boundary, convention)
     solved, counts = {}, Work()  # m -> Sector; work of `_count_below`
+    held = {}  # m -> the fibers a count built, for the solve that follows
 
     def bound():  # (top, margin) once n_max + 1 distinct levels are solved
         levels, _ = _distinct(solved)
@@ -636,15 +639,22 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
             for vals, gaps, _ in solved.values())
         return top, max(10.0 * richardson, 1e-8 * (1.0 + abs(top)))
 
-    def below(m, shift):  # how many of sector m's k levels lie below shift
-        return min(k, _count_below(pair, m, shift, k, counts))
+    # how many of sector m's k levels lie below shift; its fibers stay in
+    # held for the solve that follows, which a shell sector always gets
+    # and any other sector when its count is not 0
+    def below(m, shift, shell):
+        ops = [fiber.op(m) for fiber in pair]
+        count = min(k, _count_below(ops, shift, k, counts))
+        if shell or count:
+            held[m] = ops
+        return count
 
     for shell in range(max(abs(m) for m in ms) + 1):
         batch = [m for m in ms if abs(m) == shell]
         top_margin = bound()
-        ks = [k if top_margin is None else max(1, below(m, sum(top_margin)))
-              for m in batch]
-        solved.update(zip(batch, _solve_sectors(pair, batch, ks)))
+        ks = [k if top_margin is None else
+              max(1, below(m, sum(top_margin), True)) for m in batch]
+        solved.update(zip(batch, _solve_sectors(pair, batch, ks, held)))
         levels, _ = _distinct(solved)
         if len(levels) > n_max and all(solved[m].levels.min() > levels[n_max]
                                        for m in batch):
@@ -653,13 +663,13 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     while len(solved) < len(ms):
         top, margin = bound()
         shift = top + margin
-        counted = {m: below(m, shift) for m in ms if m not in solved}
+        counted = {m: below(m, shift, False) for m in ms if m not in solved}
         refused = [m for m in counted if counted[m]]
         if not refused:
             break
         fallback += refused
         solved.update(zip(refused, _solve_sectors(
-            pair, refused, [counted[m] for m in refused])))
+            pair, refused, [counted[m] for m in refused], held)))
     levels, homes = _distinct(solved)
     if len(levels) < n_max + 1:
         raise NumericalError(f"fewer than {n_max + 1} distinct levels")

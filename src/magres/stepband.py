@@ -24,13 +24,13 @@ below the returned Rayleigh quotient mu, was factored as positive definite:
 that certifies mu as the lowest level. mu is summed in Dirichlet difference
 form, sum (dx)^2/h^2 + sum V x^2, free of the 2/h^2 cancellation that
 biases bisection by ~1e-11. The slope mu'(xi) = 2 sum (xi + b_a tau) x^2
-is the Hellmann-Feynman derivative, exact on the grid and Richardson-
-combined like mu; zeta_a is its Newton root and mu'' its difference
-quotient. A band whose end check fails at L is solved again on a line 1.5x
-longer at the same step (`analyze_band`).
+is the Hellmann-Feynman derivative, and mu'' comes from the same pair by
+second-order perturbation, both Richardson-combined like mu; zeta_a is
+the Newton root of mu' with that curvature. A band whose end check fails
+at L is solved again on a line 1.5x longer at the same step.
 
-What does not depend on xi is built once per grid: each scan, Newton
-search and mu'' builds a read-only record of the N and N/2 grids (step,
+What does not depend on xi is built once per grid: each scan and Newton
+search builds a read-only record of the N and N/2 grids (step,
 b_a(tau) tau, kinetic diagonal, off-diagonal) and adds its solves to one
 Work, which `magres band` writes to its manifest. The scan seeds each
 point from the earlier ones: the N-grid level from the quadratic
@@ -47,11 +47,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpttrs
 
 from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
-from .radial import (MAX_GRID_N, MAX_SOLVES, R_MAX_GROWTHS, Work,
-                     _inverse_iteration)
+from .radial import (MAX_GRID_N, MAX_SOLVES, R_MAX_GROWTHS, TOL_EPS, Work,
+                     _inverse_iteration, _ldl_factors)
 
 FLAT_TOL = 1e-6  # relative band variation below which minimization is ill-posed
 MAX_SCAN_STEPS = 2000  # widest band scan: a bracket of width 100
@@ -99,8 +100,7 @@ class _StepGrid:
     step, b_a(tau) tau, the kinetic diagonal 2/step^2 and the
     off-diagonal, all read-only, with the difference buffer of the band's
     quadratic form and the Work that its solves add to. Each scan, Newton
-    search, mu'' and band value builds its own pair (`_grids`); none is
-    kept."""
+    search and band value builds its own pair (`_grids`); none is kept."""
 
     def __init__(self, params: StepParams, N: int, work: Work | None = None):
         self.N, self.work = N, Work() if work is None else work
@@ -175,21 +175,53 @@ def _coarse_guess(mu_n: float, shifts: list) -> tuple | None:
 
 
 def _refined(grids: tuple, xi: float, start=None, history=None
-             ) -> tuple[float, float, np.ndarray]:
-    """(mu, mu') at xi, Richardson-refined over (N/2, N), and the N-grid
-    vector, from which the N/2 solve starts; mu' = 2 sum arm x^2. grids
-    is the pair of `_grids`; history, a scan's (N-grid levels, grid
-    shifts) of the earlier points, seeds both solves and gains this
-    point's."""
+             ) -> tuple[float, float, tuple]:
+    """(mu, mu') at xi, Richardson-refined over (N/2, N), and each grid's
+    (mu, x, arm) of `_ground`, the N grid first; mu' = 2 sum arm x^2, and
+    the N/2 solve starts from the N-grid x. grids is the pair of `_grids`;
+    history, a scan's (N-grid levels, grid shifts) of the earlier points,
+    seeds both solves and gains this point's."""
     fine, coarse = grids
     levels, shifts = history or ([], [])
-    mu_n, x, arm_n = _ground(fine, xi, start, _fine_guess(levels))
-    mu_h, y, arm_h = _ground(coarse, xi, x[1::2], _coarse_guess(mu_n, shifts))
+    mu_n, x, arm_n = solved_n = _ground(fine, xi, start, _fine_guess(levels))
+    mu_h, y, arm_h = solved_h = _ground(coarse, xi, x[1::2],
+                                        _coarse_guess(mu_n, shifts))
     levels.append(mu_n)
     shifts.append(mu_h - mu_n)
     d_n = (arm_n * x) @ x
     d_h = (arm_h * y) @ y
-    return (4.0 * mu_n - mu_h) / 3.0, float(8.0 * d_n - 2.0 * d_h) / 3.0, x
+    return (4.0 * mu_n - mu_h) / 3.0, float(8.0 * d_n - 2.0 * d_h) / 3.0, \
+        (solved_n, solved_h)
+
+
+def _curvature(grids: tuple, solved: tuple) -> float:
+    """mu''(xi), Richardson-refined over (N/2, N), from each grid's
+    (mu, x, arm) of `_refined` at xi, by second-order perturbation (Kato,
+    Perturbation Theory for Linear Operators, II.2). dT/dxi = 2 diag(arm)
+    and d^2T/dxi^2 = 2, so mu'' = 2 - 8 <f, R f>, with f = arm x and x
+    projected out, and R the reduced resolvent. R f is one solve with the
+    positive-definite factors of T - (mu - tol), tol = TOL_EPS max|T_ii|
+    as in `_inverse_iteration`; the factorization and the solve go into
+    the grid's Work. A non-positive result is an error: the minimum is
+    degenerate, or the grid too coarse."""
+    out = []
+    for grid, (mu, x, arm) in zip(grids, solved):
+        f = arm * x
+        f -= (f @ x) * x
+        diag = grid.kinetic + arm * arm
+        tol = TOL_EPS * float(diag.max())
+        factors = _ldl_factors(diag, grid.off, mu - tol, 0)[1]
+        if factors is None:  # level 0 lies in (mu - tol, mu] by `_ground`
+            raise NumericalError(f"level 0 at N = {grid.N} lies below mu - tol")
+        grid.work.factorizations += 1
+        grid.work.solves += 1
+        # f is orthogonal to x, so the solve's x component adds nothing
+        out.append(2.0 - 8.0 * float(f @ dpttrs(*factors, f)[0]))
+    curv = (4.0 * out[0] - out[1]) / 3.0
+    if not curv > 1e-6:
+        raise NumericalError(f"band curvature {curv:.3g} is not positive; "
+                             f"minimum degenerate or resolution insufficient")
+    return curv
 
 
 def _sample(params: StepParams, xi: float, mu: float, x: np.ndarray
@@ -212,8 +244,8 @@ def band_value(params: StepParams, xi: float) -> BandSample:
     the positive N-grid ground state of unit discrete L^2 norm."""
     if not math.isfinite(xi):
         raise ValidationError("xi must be finite")
-    mu, _, x = _refined(_grids(params), xi)
-    return _sample(params, xi, mu, x)
+    mu, _, solved = _refined(_grids(params), xi)
+    return _sample(params, xi, mu, solved[0][1])
 
 
 def band_table(params: StepParams, xi_values, work: Work | None = None
@@ -227,15 +259,16 @@ def band_table(params: StepParams, xi_values, work: Work | None = None
     grids = _grids(params, work)
     rows, x, history = [], None, ([], [])
     for xi in xi_values:
-        mu, _, x = _refined(grids, float(xi), x, history)
+        mu, _, solved = _refined(grids, float(xi), x, history)
         rows.append((float(xi), mu))
+        x = solved[0][1]
     return rows
 
 
 def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
-                  ) -> tuple[list, float, BandSample]:
-    """(scan rows, zeta_a, end-checked band sample at zeta_a); work gains
-    the factorizations and solves."""
+                  ) -> tuple[list, float, float, BandSample]:
+    """(scan rows, zeta_a, mu''(zeta_a), end-checked band sample at
+    zeta_a); work gains the factorizations and solves."""
     lo, hi = float(xi_bracket[0]), float(xi_bracket[1])
     span = hi - lo
     n_scan = round(span / 0.05) if math.isfinite(span / 0.05) else 0
@@ -265,58 +298,37 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
             "endpoint, widen xi_bracket")
     i = interior[0]  # Newton starts from the vertex of the scan parabola
     (m0, m1, m2), dxi = mus[i - 1:i + 2], xs[i + 1] - xs[i]
-    curv = (m0 - 2.0 * m1 + m2) / dxi ** 2
-    z = xs[i] + 0.5 * (m0 - m2) / (curv * dxi)
-    x, prev, grids = None, None, _grids(params, work)
+    z = xs[i] + 0.5 * dxi * (m0 - m2) / (m0 - 2.0 * m1 + m2)
+    x, grids = None, _grids(params, work)
     for _ in range(20):
-        mu, slope, x = _refined(grids, z, x)
-        if prev is not None:
-            curv = (slope - prev[1]) / (z - prev[0])
-        if not (curv > 0 and xs[i - 1] <= z <= xs[i + 1]):
+        if not xs[i - 1] <= z <= xs[i + 1]:
             raise NumericalError(f"Newton on the band slope left the scan "
                                  f"cell of its minimum at xi = {z:.6g}")
+        mu, slope, solved = _refined(grids, z, x)
+        x, curv = solved[0][1], _curvature(grids, solved)
         if abs(slope / curv) <= 1e-10:
             break
-        prev, z = (z, slope), z - slope / curv
+        z -= slope / curv
     if abs(slope) >= 1e-8:
         raise NumericalError(
             f"band slope {slope:.3g} at the refined minimizer exceeds 1e-8")
-    return table, z, _sample(params, z, mu, x)
+    return table, z, curv, _sample(params, z, mu, x)
 
 
 def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
                   ) -> tuple[float, float]:
     """Minimizer and minimum (zeta_a, beta_a) of the band function.
 
-    Coarse scan at step 0.05, then Newton (secant curvature after the
-    first step) on the slope mu' from the vertex of the parabola through
-    the unique interior scan minimum and its neighbours, until the step is
-    below 1e-10; the slope read at zeta must lie below 1e-8. A flat band
-    (relative variation below FLAT_TOL) and multiple scan minima are hard
-    errors: picking a candidate would corrupt every downstream constant.
+    Coarse scan at step 0.05, then Newton on the slope mu', stepping with
+    the curvature mu'' of `_curvature`, from the vertex of the parabola
+    through the unique interior scan minimum and its neighbours, until the
+    step is below 1e-10; the slope read at zeta must lie below 1e-8. A
+    flat band (relative variation below FLAT_TOL) and multiple scan minima
+    are hard errors: picking a candidate would corrupt every downstream
+    constant.
     """
-    _, zeta, sample = _band_minimum(params, xi_bracket)
+    _, zeta, _, sample = _band_minimum(params, xi_bracket)
     return zeta, sample.mu
-
-
-def band_second_derivative(params: StepParams, zeta: float,
-                           work: Work | None = None) -> float:
-    """mu_a''(zeta) by centered differences of the slope mu', Richardson-
-    combined over steps 1e-3 and 5e-4. A non-positive (or vanishing) result
-    is an error: the band minimum is non-degenerate for a in (-1, 0), so
-    the input zeta or the resolution is wrong. work, when given, gains the
-    factorizations and solves."""
-    slopes, x, grids = [], None, _grids(params, work)
-    for s in (-1e-3, -5e-4, 5e-4, 1e-3):
-        _, slope, x = _refined(grids, zeta + s, x)
-        slopes.append(slope)
-    lo2, lo1, hi1, hi2 = slopes
-    out = (4.0 * (hi1 - lo1) / 1e-3 - (hi2 - lo2) / 2e-3) / 3.0
-    if out <= 1e-6:
-        raise NumericalError(
-            f"band second derivative {out:.3g} at zeta = {zeta:.6g} is not "
-            f"positive; minimum degenerate or resolution insufficient")
-    return out
 
 
 @dataclass(frozen=True)
@@ -341,19 +353,19 @@ def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0),
     one pass.
 
     One scan feeds both the table and the minimum search inside xi_bracket
-    (see minimize_band); the Newton solve at zeta_a gives the end check,
-    beta, phi(0) and phi'(0). While the end check fails, the line grows
-    1.5x at the same step 2L/N: N rounded up to a multiple of 4, and L
-    from it. That is at most R_MAX_GROWTHS times and within MAX_GRID_N; a
-    band that holds at params keeps them. constants is None unless a lies
-    in (-1, 0). C1 = (1/3)(1 - 1/a) zeta phi(0) phi'(0) must come out
-    positive; a non-positive value is a sign-convention bug and a hard
-    error. C2 = (1/2) sqrt(mu'' C1) holds exactly by construction. work,
-    when given, gains every factorization and solve, of longer lines too.
+    (see minimize_band); the last Newton point, zeta_a, gives the end
+    check, beta, mu'', phi(0) and phi'(0). While the end check fails, the
+    line grows 1.5x at the same step 2L/N (N rounded up to a multiple of
+    4), at most R_MAX_GROWTHS times and within MAX_GRID_N; a band that
+    holds at params keeps them. constants is None unless a lies in (-1, 0).
+    C1 = (1/3)(1 - 1/a) zeta phi(0) phi'(0) must come out positive; a
+    non-positive value is a sign-convention bug and a hard error. C2 =
+    (1/2) sqrt(mu'' C1) exactly. work, when given, gains every
+    factorization and solve, of longer lines too.
     """
     for growth in range(R_MAX_GROWTHS + 1):
         try:
-            table, zeta, sample = _band_minimum(params, xi_bracket, work)
+            table, zeta, mu2, sample = _band_minimum(params, xi_bracket, work)
             break
         except TruncationError as exc:
             n = 4 * math.ceil(0.375 * params.N)  # 1.5 N, a multiple of 4
@@ -364,7 +376,6 @@ def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0),
             params = StepParams(a=params.a, L=0.5 * n * params.step, N=n)
     if not (-1.0 < params.a < 0.0):
         return table, zeta, sample.mu, None, params
-    mu2 = band_second_derivative(params, zeta, work)
     i0 = params.N // 2 - 1
     phi0 = float(sample.eigenfunction[i0])
     phi0p = float(sample.eigenfunction[i0 + 1]

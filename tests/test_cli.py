@@ -230,9 +230,10 @@ def test_band_scans_once(monkeypatch, tmp_path):
 
 def test_band_manifest_records_work(tmp_path):
     """band writes its factorizations, refused shifts and solves, summed
-    over the scan, the Newton search and mu'', as diagnostics.work; they
-    repeat exactly on a rerun. The seeded scan keeps the default run at
-    most 620 factorizations, refused ones included (699 unseeded)."""
+    over the scan and the Newton search with its curvature solves, as
+    diagnostics.work; they repeat exactly on a rerun. The seeded scan
+    keeps the default run at most 620 factorizations, refused ones
+    included (699 unseeded)."""
     works = []
     for name in ("one", "two"):
         out = tmp_path / name / "band.csv"
@@ -246,6 +247,23 @@ def test_band_manifest_records_work(tmp_path):
     assert work["bisections"] == 0
     assert 0 < work["factorizations"] + work["refused"] <= 620
     assert work["solves"] >= work["factorizations"]
+
+
+def test_band_work_counts_every_factorization(tmp_path, monkeypatch):
+    """Every dpttrf call of a band run is in its diagnostics.work, as a
+    used factorization or a refused shift (the step band's shifts count
+    no level below them, so each is one call)."""
+    factor, calls = radial.dpttrf, []
+
+    def counting(*args):
+        calls.append(1)
+        return factor(*args)
+    monkeypatch.setattr(radial, "dpttrf", counting)
+    out = tmp_path / "band.csv"
+    assert main(["band", "--a", "-0.5", "--out", str(out)]) == 0
+    manifest = out.with_name("band.csv.manifest.json")
+    work = json.loads(manifest.read_text())["diagnostics"]["work"]
+    assert work["factorizations"] + work["refused"] == len(calls)
 
 
 def test_band_bracket_governs_constants(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -293,10 +294,10 @@ def test_well_sweep_solves_only_the_inner_shells(monkeypatch):
         factored.append(len(d))
         return factor(d, e, *args)
 
-    def counting_below(pair, m, shift, k, work):  # its last count's dpttrf
+    def counting_below(ops, shift, k, work):  # its last count's dpttrf
         start = len(factored)
-        below = count(pair, m, shift, k, work)
-        counted[m] = sorted(factored[start:])
+        below = count(ops, shift, k, work)
+        counted[ops[0].m] = sorted(factored[start:])
         return below
     monkeypatch.setattr(radial, "_lowest", counting_lowest)
     monkeypatch.setattr(radial, "dpttrf", counting_factor)
@@ -320,12 +321,32 @@ def test_refused_certificates_fall_back_to_solves(monkeypatch):
     same, bit for bit."""
     want = radial._well_ladder(1.0, 0.1, 1)
     monkeypatch.setattr(radial, "_count_below",
-                        lambda pair, m, shift, k, work: k + 1)
+                        lambda ops, shift, k, work: k + 1)
     got = radial._well_ladder(1.0, 0.1, 1)
     assert got.levels.tolist() == want.levels.tolist()
     assert got.homes == want.homes
     assert got.certified == [] and got.fallback == want.certified
     assert got.solved == list(radial.default_m_range(1))
+
+
+def test_counted_sectors_are_solved_on_the_fibers_of_their_count(
+        monkeypatch):
+    """A sector that is counted and then solved (a shell sector, or a
+    fallback) builds its fiber on each of the two ladder grids once; the
+    ladder is the same bit for bit."""
+    want = radial._island_ladder(1.0, 1.5, 25.0, 5)
+    built, op = Counter(), radial._GridFiber.op
+
+    def counting_op(self, m):
+        built[m, self.grid.N] += 1
+        return op(self, m)
+    monkeypatch.setattr(radial._GridFiber, "op", counting_op)
+    got = radial._island_ladder(1.0, 1.5, 25.0, 5)
+    assert got.levels.tolist() == want.levels.tolist()
+    assert got.fallback == list(range(7, 13))
+    for m in got.solved:
+        assert built[m, radial.LADDER_N] == built[m, radial.LADDER_N // 2] \
+            == 1, m
 
 
 def _records(*tridiagonals):
@@ -348,7 +369,8 @@ def test_level_count_certifies_the_spectrum():
     k, work = 3, radial.Work()
 
     def count(shift, records=_records(*pair)):
-        return radial._count_below(records, 0, shift, k, work)
+        return radial._count_below([r.op(0) for r in records], shift, k,
+                                   work)
     assert count(lam0 - 1e-9) == 0
     assert count(lam0 + 1e-9) == 1
     for lam in np.sort(np.concatenate(lams))[:8]:

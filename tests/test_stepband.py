@@ -9,8 +9,8 @@ from magres.errors import (FlatBandError, MultipleMinimaError, NumericalError,
                            TruncationError, ValidationError)
 from magres.radial import MAX_GRID_N, Work
 from magres.stepband import (BandSample, SpectralConstants, StepParams,
-                             band_second_derivative, band_table, band_value,
-                             minimize_band, spectral_constants)
+                             band_table, band_value, minimize_band,
+                             spectral_constants)
 
 from conftest import FROZEN
 from oracles import de_gennes_constant, step_band_mu
@@ -240,20 +240,54 @@ def test_minimize_band_error_paths():
     assert issubclass(MultipleMinimaError, NumericalError)
 
 
+def _curvature_at(params, xi):
+    grids = stepband._grids(params)
+    return stepband._curvature(grids, stepband._refined(grids, xi)[2])
+
+
 def test_second_derivative():
-    p = StepParams(a=-0.5)
-    d2 = band_second_derivative(p, FROZEN["step_minus05"]["zeta"])
-    assert d2 == pytest.approx(FROZEN["step_minus05"]["mu2"], rel=1e-3)
-    with pytest.raises(NumericalError):
-        band_second_derivative(StepParams(a=1.0), 0.0)
+    c = spectral_constants(StepParams(a=-0.5))
+    assert c.mu2 == pytest.approx(FROZEN["step_minus05"]["mu2"], rel=1e-3)
+    # the flat band of a = 1 (the harmonic oscillator for every xi)
+    with pytest.raises(NumericalError, match="curvature .* is not positive"):
+        _curvature_at(StepParams(a=1.0), 0.0)
 
 
 def test_second_derivative_converged():
     """mu'' at the minimizer zeta(-0.5) = -0.664312923 lies within 1e-7 of
-    its s -> 0 limit 0.99672516. The third derivative is about 2 there, so
-    the six-digit frozen zeta would itself move mu'' by 1.5e-7."""
-    d2 = band_second_derivative(StepParams(a=-0.5), -0.664312923)
-    assert abs(d2 - 0.99672516) < 1e-7
+    0.99672516, the s -> 0 limit of the slope's difference quotients. The
+    third derivative is about 2 there, so the package's zeta, within 1e-9
+    of it, moves mu'' by at most 2e-9."""
+    c = spectral_constants(StepParams(a=-0.5))
+    assert abs(c.zeta + 0.664312923) < 1e-9
+    assert abs(c.mu2 - 0.99672516) < 1e-7
+    assert abs(_curvature_at(StepParams(a=-0.5), -0.664312923)
+               - 0.99672516) < 1e-7
+
+
+@pytest.mark.parametrize("a", [-0.5, -0.75])
+def test_curvature_matches_mrrr_second_difference(a):
+    """mu'' at the package's zeta against the MRRR oracle's band values,
+    not the package's solver: the second difference over s = 0.02 and
+    0.01, Richardson-combined (error O(s^4)), at N = 1600."""
+    c = spectral_constants(StepParams(a=a, N=1600))
+    mu0 = step_band_mu(a, c.zeta, N=1600)
+
+    def second_difference(s):
+        return (step_band_mu(a, c.zeta + s, N=1600) - 2.0 * mu0
+                + step_band_mu(a, c.zeta - s, N=1600)) / (s * s)
+    oracle = (4.0 * second_difference(0.01) - second_difference(0.02)) / 3.0
+    assert abs(c.mu2 - oracle) < 1e-7 * oracle
+
+
+def test_curvature_is_smooth_in_xi():
+    """mu'' moves by less than 1e-11 when xi moves by 2e-13 about zeta: no
+    difference quotient amplifies the eigenvector's rounding. (Centered
+    slope differences over 1e-3 and 5e-4 move by 1.6e-10 to 4.2e-10.)"""
+    p, z = StepParams(a=-0.5), -0.664312923
+    center = _curvature_at(p, z)
+    for s in (-2e-13, 2e-13):
+        assert abs(_curvature_at(p, z + s) - center) < 1e-11
 
 
 @pytest.mark.parametrize("key,params", [

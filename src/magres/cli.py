@@ -206,8 +206,7 @@ def cmd_resonances(args) -> int:
                          f"{_fmt(r.z.imag)},{_fmt(r.drift)},{grid.N}")
         t1, t2 = rs.theta_pair
         motion = [{"m": m, "motion": continuum_motion(
-                       rs.spectra[(t1, m)], rs.spectra[(t2, m)], rs.radius,
-                       exclude=[r.z for r in rs if r.m == m])}
+                       rs.spectra[(t1, m)], rs.spectra[(t2, m)], rs.radius)}
                   for m in args.m]
         slices.append({"h": h, "radius": rs.radius,
                        "counts": [{"theta": theta, "m": m, "count": len(vals),

@@ -37,9 +37,12 @@ factorization (LAPACK `zgttrf`, solved by `zgttrs`).
     found (and of the margin to the farthest); steps whose phase still
     moves by pi/4 or more are bisected. The winding number must equal the
     number of eigenvalues found inside the circle.
-The dense O(N^3) solve `complex_spectrum` is the fallback for a disk
-holding N/2 eigenvalues or more, and the small-N reference the slice is
-tested against.
+The dense O(N^3) solve `complex_spectrum` (LAPACK `zgeev`) is the
+fallback for a disk holding N/2 eigenvalues or more, and the small-N
+reference the slice is tested against. The LAPACK routines come from
+`_lapack`, which loads them without `scipy.linalg`. ARPACK's module
+`scipy.sparse.linalg` imports `scipy.linalg`, so only `find_resonances`
+pays for that import.
 """
 
 from __future__ import annotations
@@ -50,9 +53,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import zgttrf, zgttrs
 
+from ._lapack import zgeev, zgeev_lwork, zgttrf, zgttrs
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
 from .fields import FieldProfile
@@ -191,15 +193,21 @@ def complex_spectrum(op: FiberOperator) -> np.ndarray:
     n = op.grid.N
     if n > 6000:
         raise ValidationError("dense complex eigensolve capped at N = 6000")
+    if not (np.isfinite(op.diag).all() and np.isfinite(op.off).all()):
+        raise NumericalError(f"complex eigensolve of N={n}: the fiber has "
+                             f"non-finite entries")
     M = np.diag(op.diag)
     M[np.arange(n - 1), np.arange(1, n)] = op.off
     M[np.arange(1, n), np.arange(n - 1)] = op.off
-    try:
-        vals = sla.eigvals(M)
-    except Exception as exc:
-        raise NumericalError(
-            f"complex eigensolve failed (N={n}, max|entry|="
-            f"{np.abs(M).max():.3g}): {exc}") from exc
+    # LAPACK's nonsymmetric QR algorithm, eigenvalues only, in place
+    work, info = zgeev_lwork(n, compute_vl=0, compute_vr=0)
+    if not info:
+        vals, _, _, info = zgeev(M, lwork=int(work.real), compute_vl=0,
+                                 compute_vr=0, overwrite_a=1)
+    if info:
+        raise NumericalError(f"complex eigensolve failed (N={n}, "
+                             f"max|diag|={np.abs(op.diag).max():.3g}): "
+                             f"LAPACK info={info}")
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 
@@ -537,25 +545,26 @@ def filter_resonances(spec1, spec2, tol: float, window: Window,
                         theta_pair=theta_pair, h=h)
 
 
-def continuum_motion(spec1, spec2, radius: float, exclude=()) -> float | None:
-    """Smallest displacement of non-robust points under the angle change.
+def continuum_motion(spec1, spec2, radius: float) -> float | None:
+    """Smallest displacement of the continuum under the angle change.
 
-    Over eigenvalues of spec1 inside |z| <= radius with Im z < -1e-10,
-    excluding any within pairing distance of `exclude` (accepted
-    resonances), returns the minimum distance to the nearest spec2 point.
-    None when no such point exists. A healthy run has this many times the
-    pairing tolerance: the continuum sweeps while resonances stand still.
+    Over eigenvalues z of spec1 inside |z| <= radius with Im z < -1e-10,
+    takes the distance to the nearest spec2 point and returns its minimum
+    over the points that move: a point within 10 PAIR_TOL (1 + |z|) of
+    spec2 is theta-robust, a resonance whether or not the window holds
+    it, and is left out. None when no point moves. A healthy run has this
+    many times the pairing tolerance: the continuum sweeps while
+    resonances stand still.
     """
     spec1 = np.asarray(spec1, dtype=complex)
     spec2 = np.asarray(spec2, dtype=complex)
-    excl = [complex(e) for e in exclude]
     worst = None
     for z1 in spec1:
         if abs(z1) > radius or z1.imag >= -IM_FLOOR:
             continue
-        if any(abs(z1 - e) <= 10.0 * PAIR_TOL * (1.0 + abs(e)) for e in excl):
-            continue
         d = float(np.min(np.abs(spec2 - z1)))
+        if d <= 10.0 * PAIR_TOL * (1.0 + abs(z1)):
+            continue
         if worst is None or d < worst:
             worst = d
     return worst

@@ -37,9 +37,10 @@ The scheme is second order in dr; level-sweep routines refine eigenvalues by
 Richardson extrapolation over (N/2, N).
 
 Grid levels come from certified inverse iteration (`_lowest`). Level j is
-bisected on a coarse copy of the fiber (about N/16 nodes), then refined on
-the fiber itself by shifted inverse iteration (`_inverse_iteration`, which
-the step band shares). Each shift s is factored as T - s = L D L^T by
+bisected on a coarse copy of the fiber (about N/16 nodes; LAPACK `dstebz`,
+then `dstein` for the vectors), then refined on the fiber itself by
+shifted inverse iteration (`_inverse_iteration`, which the step band
+shares). Each shift s is factored as T - s = L D L^T by
 `dpttrf`, restarted past each negative pivot (`_ldl_factors`), and is used
 only if exactly j pivots are negative: by Sylvester's law of inertia s then
 lies between levels j - 1 and j. The iterate is orthogonalized against the
@@ -49,7 +50,8 @@ off that costs bisection up to 1e-8 relative where the diagonal is large.
 The iteration stops when the last shift lies within 64 eps max|T_ii| below
 the quotient and the quotient moves by at most 4 ulp. `eigs_lowest` returns
 these certified pairs, its vectors scaled to unit norm in r dr: every real
-fiber eigenpair, level or vector, comes from this one solver.
+fiber eigenpair, level or vector, comes from this one solver. Its LAPACK
+routines come from `_lapack`, which loads them without `scipy.linalg`.
 
 A merged ladder (well, anharmonic, island) is a certified sector sweep
 (`_merged_ladder`). It solves the sectors outward from m = 0 until the
@@ -69,9 +71,8 @@ from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs, dstebz, dstein
 from ._parallel import pmap
 from .errors import (DecayCheckError, NumericalError, TruncationError,
                      ValidationError)
@@ -419,14 +420,20 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
                 n_c *= 2
             coarse = op if n_c >= g.N else fine.coarse(n_c).op(op.m)
             first = max(0, lo - 2)
-            try:  # LAPACK bisection (stebz, then stein for the vectors)
-                est, vecs = sla.eigh_tridiagonal(
-                    coarse.diag, coarse.off, select="i",
-                    select_range=(first, hi + 1))
-            except ValueError as exc:  # LinAlgError subclasses it
+            # LAPACK bisection of levels first..hi + 1 (counted from 1
+            # there), in block order, then stein for the vectors
+            found, est, block, split, info = dstebz(
+                coarse.diag, coarse.off, 2, 0.0, 1.0, first + 1, hi + 2,
+                0.0, "B")
+            if not info:
+                vecs, info = dstein(coarse.diag, coarse.off, est[:found],
+                                    block, split)
+            if info:
                 raise NumericalError(
                     f"tridiagonal eigensolve failed for m={op.m}, "
-                    f"N={coarse.grid.N}: {exc}") from exc
+                    f"N={coarse.grid.N}: LAPACK info={info}")
+            order = np.argsort(est[:found])
+            est, vecs = est[order], vecs[:, order]
             work.bisections += 1
             rc, root_c = coarse.record.r, coarse.record.root
         i = j - first  # level j in est

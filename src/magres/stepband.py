@@ -47,8 +47,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
+from ._lapack import dpttrs
 from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
 from .radial import (MAX_GRID_N, MAX_SOLVES, R_MAX_GROWTHS, TOL_EPS, Work,

@@ -7,6 +7,8 @@ suite detects regressions rather than recomputing its own answers.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from magres.fields import FieldSpec, make_profile
@@ -67,3 +69,19 @@ def island_profile():
 @pytest.fixture(scope="session")
 def well_profile():
     return make_profile(FieldSpec("well_radial", {"b0": 1.0}, R0=1.0))
+
+
+@pytest.fixture()
+def anh_config(tmp_path):
+    p = tmp_path / "anh.json"
+    p.write_text(json.dumps({"kind": "anharmonic",
+                             "params": {"gamma": 2.0}, "R0": 1.0}))
+    return p
+
+
+@pytest.fixture()
+def disk_config(tmp_path):
+    p = tmp_path / "disk.json"
+    p.write_text(json.dumps({"kind": "constant_disk",
+                             "params": {"r0": 1.0}, "R0": 1.0}))
+    return p

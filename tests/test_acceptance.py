@@ -111,7 +111,7 @@ def test_criterion_04_resonance_existence_and_sign(lifetime_sweep):
         bound = PAIR_TOL * (1.0 + abs(r.z))
         assert r.drift <= bound
         motion = continuum_motion(rs.spectra[(0.5, 0)], rs.spectra[(0.6, 0)],
-                                  2.0 * h, exclude=[r.z])
+                                  2.0 * h)
         assert motion is not None
         assert motion >= 10.0 * bound
         assert elapsed < 300.0

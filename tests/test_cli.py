@@ -26,22 +26,6 @@ from magres.radial import MAX_GRID_N
 from conftest import FROZEN
 
 
-@pytest.fixture()
-def anh_config(tmp_path):
-    p = tmp_path / "anh.json"
-    p.write_text(json.dumps({"kind": "anharmonic",
-                             "params": {"gamma": 2.0}, "R0": 1.0}))
-    return p
-
-
-@pytest.fixture()
-def disk_config(tmp_path):
-    p = tmp_path / "disk.json"
-    p.write_text(json.dumps({"kind": "constant_disk",
-                             "params": {"r0": 1.0}, "R0": 1.0}))
-    return p
-
-
 def test_parser_rejects_malformed_arguments(disk_config):
     parser = build_parser()
     for argv in (["spectrum", "--field", "x.json", "--grid-n", "0"],

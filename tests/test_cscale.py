@@ -278,7 +278,7 @@ def test_filter_arg_cutoff():
 def test_continuum_motion_synthetic():
     s1 = [0.30 - 0.10j, 0.20 - 0.05j, 0.40 - 1e-12j, 5.0 - 1.0j]
     s2 = [0.305 - 0.10j, 0.20 - 0.05j]
-    d = continuum_motion(s1, s2, 1.0, exclude=[0.20 - 0.05j])
+    d = continuum_motion(s1, s2, 1.0)
     assert d == pytest.approx(0.005)
     assert continuum_motion([0.2 - 1e-12j], s2, 1.0) is None
 
@@ -299,8 +299,7 @@ def test_reference_continuum_sweeps(reference_run):
     resonance drifts under the same angle change."""
     r = reference_run.resonances[0]
     motion = continuum_motion(reference_run.spectra[(0.5, 0)],
-                              reference_run.spectra[(0.6, 0)],
-                              0.5, exclude=[r.z])
+                              reference_run.spectra[(0.6, 0)], 0.5)
     assert motion >= 10.0 * PAIR_TOL * (1.0 + abs(r.z))
 
 
@@ -547,10 +546,8 @@ def test_reference_slice_matches_dense_diagnostics(reference_run,
                               h=0.25)
     assert [x.z for x in dense] == pytest.approx([r.z], abs=1e-10)
     motion = continuum_motion(reference_run.spectra[(0.5, 0)],
-                              reference_run.spectra[(0.6, 0)], 0.5,
-                              exclude=[r.z])
-    want = continuum_motion(dense_reference[0.5], dense_reference[0.6], 0.5,
-                            exclude=[r.z])
+                              reference_run.spectra[(0.6, 0)], 0.5)
+    want = continuum_motion(dense_reference[0.5], dense_reference[0.6], 0.5)
     assert motion == pytest.approx(want, abs=1e-9)
 
 

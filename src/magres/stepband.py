@@ -268,7 +268,9 @@ def band_table(params: StepParams, xi_values, work: Work | None = None
 def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
                   ) -> tuple[list, float, float, BandSample]:
     """(scan rows, zeta_a, mu''(zeta_a), end-checked band sample at
-    zeta_a); work gains the factorizations and solves."""
+    zeta_a); work gains the factorizations and solves. zeta_a takes the
+    last Newton step -mu'/mu'' without a solve, so mu'' and the sample are
+    the last solve's (its mu exceeds beta_a by mu'' step^2 / 2 < 1e-20)."""
     lo, hi = float(xi_bracket[0]), float(xi_bracket[1])
     span = hi - lo
     n_scan = round(span / 0.05) if math.isfinite(span / 0.05) else 0
@@ -306,9 +308,9 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
                                  f"cell of its minimum at xi = {z:.6g}")
         mu, slope, solved = _refined(grids, z, x)
         x, curv = solved[0][1], _curvature(grids, solved)
+        z -= slope / curv
         if abs(slope / curv) <= 1e-10:
             break
-        z -= slope / curv
     if abs(slope) >= 1e-8:
         raise NumericalError(
             f"band slope {slope:.3g} at the refined minimizer exceeds 1e-8")
@@ -317,18 +319,18 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
 
 def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
                   ) -> tuple[float, float]:
-    """Minimizer and minimum (zeta_a, beta_a) of the band function.
+    """Minimizer and minimum (zeta_a, beta_a) of the band function, by
+    `analyze_band`, so a line too short for the end check grows.
 
     Coarse scan at step 0.05, then Newton on the slope mu', stepping with
     the curvature mu'' of `_curvature`, from the vertex of the parabola
     through the unique interior scan minimum and its neighbours, until the
-    step is below 1e-10; the slope read at zeta must lie below 1e-8. A
-    flat band (relative variation below FLAT_TOL) and multiple scan minima
-    are hard errors: picking a candidate would corrupt every downstream
-    constant.
+    step is below 1e-10, which is taken too; the last slope read must lie
+    below 1e-8. A flat band (relative variation below FLAT_TOL) and
+    multiple scan minima are hard errors: picking a candidate would
+    corrupt every downstream constant.
     """
-    _, zeta, _, sample = _band_minimum(params, xi_bracket)
-    return zeta, sample.mu
+    return analyze_band(params, xi_bracket)[1:3]
 
 
 @dataclass(frozen=True)
@@ -353,8 +355,8 @@ def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0),
     one pass.
 
     One scan feeds both the table and the minimum search inside xi_bracket
-    (see minimize_band); the last Newton point, zeta_a, gives the end
-    check, beta, mu'', phi(0) and phi'(0). While the end check fails, the
+    (see minimize_band); zeta_a gives the end check, and the last Newton
+    solve beta, mu'', phi(0) and phi'(0). While the end check fails, the
     line grows 1.5x at the same step 2L/N (N rounded up to a multiple of
     4), at most R_MAX_GROWTHS times and within MAX_GRID_N; a band that
     holds at params keeps them. constants is None unless a lies in (-1, 0).

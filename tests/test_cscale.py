@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
@@ -80,15 +80,33 @@ def test_scaling_profile_validation():
     assert scaling_profile(0.0, 2.0, 5.0).theta == 0.0  # degenerate identity
 
 
-def test_sweep_checks_each_scaling_profile_once(disk_profile):
-    """Profiles are frozen and memoized: an h sweep over one angle pair
-    checks two profiles, not two per h."""
-    scaling_profile.cache_clear()
-    for h in (0.25, 0.2, 0.15):
-        find_resonances(disk_profile, h, [0], WIN, theta_pair=(0.5, 0.6),
-                        grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
-    info = scaling_profile.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(min_value=0.0, max_value=0.7),
+       R1=st.floats(min_value=1e-300, max_value=1e150),
+       width=st.floats(min_value=7e-155, max_value=1e150))
+@example(theta=0.7, R1=1e-154, width=7.5e-155)  # 1 / width^2 near overflow
+@example(theta=0.7, R1=1e-9, width=1e150)  # T0 = 1e150
+@example(theta=0.5, R1=1.5, width=4.5)  # the CLI's profile
+def test_scaling_profile_is_its_closed_form(theta, R1, width):
+    """What a validated profile holds without any check of its own, on
+    4096 points of [1e-9, 2 T0]: f is t exactly up to R1, the full
+    rotation t e^{i theta} from T0 on, 0 <= arg f <= theta, and
+    |f'| >= 1, each up to rounding."""
+    T0 = R1 + width
+    assume(T0 <= 1e150)
+    try:
+        sp = scaling_profile(theta, R1, T0)
+    except ValidationError:
+        reject()  # the ramp T0 - R1 rounded outside float range
+    t = np.linspace(1e-9, 2.0 * T0, 4096)
+    f, fp = sp.deform(t)
+    inner, outer = t <= R1, t >= T0
+    assert np.array_equal(f[inner], t[inner].astype(complex))
+    rotated = t[outer] * cmath.exp(1j * theta)
+    assert np.all(np.abs(f[outer] - rotated) <= 1e-14 * t[outer])
+    assert np.all(np.angle(f) >= -1e-15)
+    assert np.all(np.angle(f) <= theta + 1e-15)
+    assert np.all(np.abs(fp) >= 1.0 - 1e-15)
 
 
 def test_tridiagonal_product_is_the_fiber(disk_profile):
@@ -150,8 +168,9 @@ def test_scaled_fiber_is_the_real_fiber_inside_r1(disk_profile, m):
 def test_assemble_guards(disk_profile):
     sp = scaling_profile(0.3, 1.5, 6.0)
     grid = RadialGrid(18.0, 600)
-    with pytest.raises(ValidationError):
-        assemble_scaled_fiber(disk_profile, 0, 0.0, sp, grid)
+    for h in (0.0, -0.2, math.inf, math.nan):  # refused by assemble_fiber
+        with pytest.raises(ValidationError):
+            assemble_scaled_fiber(disk_profile, 0, h, sp, grid)
     anh = make_profile(FieldSpec(kind="anharmonic", params={"gamma": 2.0},
                                  R0=1.0))
     with pytest.raises(ValidationError):
@@ -491,11 +510,16 @@ _side = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3),
 @settings(max_examples=300, deadline=None)
 @given(re=st.tuples(_side, _side), im=st.tuples(_side, _side),
        theta=st.floats(min_value=0.0, max_value=0.7, exclude_min=True))
+@example(re=(0.125, 0.375), im=(0.125, 1e-12), theta=0.5)  # CLI default
+@example(re=(0.125, 0.375), im=(0.125, 1e-12), theta=0.6)  # at h = 0.25
+@example(re=(0.0, 1.0), im=(7.49, 1.0), theta=math.pi / 8)  # 1 - i on the ray
 def test_ray_hits_window_iff_between_corner_angles(re, im, theta):
     """A window that holds the origin meets every ray. Any other window
-    lies in Im z <= 0 and is convex, so the ray at -2 theta meets it iff
-    -2 theta lies strictly between its extreme corner angles in
-    [-pi, 0]; draws with a corner angle within 1e-9 of the ray's are
+    and the ray e^{-2 i theta}[0, inf) lie in Im z <= 0, so the whole line
+    along u = e^{-2 i theta} meets the window only on the ray: it does iff
+    the corners' cross products Re(u) Im(c) - Im(u) Re(c) do not all share
+    one strict sign. A corner exactly on the ray counts as meeting it;
+    draws with a corner angle within 1e-9 of the ray's are otherwise
     skipped, since rounding decides those."""
     (re_min, re_max), (im_min, im_max) = sorted(re), sorted(-abs(x)
                                                             for x in im)
@@ -504,11 +528,17 @@ def test_ray_hits_window_iff_between_corner_angles(re, im, theta):
     if win.contains(0j):
         assert _ray_hits_window(theta, win)
         return
-    angles = [-abs(cmath.phase(complex(a, b))) for a in (re_min, re_max)
-              for b in (im_min, im_max)]
-    assume(all(abs(a + 2.0 * theta) > 1e-9 for a in angles))
+    corners = [complex(a, b) for a in (re_min, re_max)
+               for b in (im_min, im_max)]
+    gaps = [abs(-abs(cmath.phase(c)) + 2.0 * theta) for c in corners]
+    if min(gaps) == 0.0:
+        assert _ray_hits_window(theta, win)
+        return
+    assume(min(gaps) > 1e-9)
+    u = cmath.exp(-2j * theta)
+    cross = [u.real * c.imag - u.imag * c.real for c in corners]
     assert _ray_hits_window(theta, win) == \
-        (min(angles) < -2.0 * theta < max(angles))
+        (not (all(x > 0 for x in cross) or all(x < 0 for x in cross)))
 
 
 def test_singular_shift_is_numerical_error():

@@ -240,6 +240,26 @@ def test_minimize_band_error_paths():
     assert issubclass(MultipleMinimaError, NumericalError)
 
 
+def test_minimize_band_grows_the_line():
+    """At a = -0.25 the default L = 12 fails the end check; minimize_band
+    grows the line as analyze_band does (to L = 18) and returns its
+    (zeta, beta)."""
+    zeta, beta = minimize_band(StepParams(a=-0.25))
+    assert zeta == pytest.approx(FROZEN["step_minus025"]["zeta"], abs=1e-5)
+    assert beta == pytest.approx(FROZEN["step_minus025"]["beta"], abs=1e-6)
+
+
+@pytest.mark.parametrize("a", [-0.25, -0.5])
+def test_zeta_is_the_root_of_the_slope(a):
+    """One more Newton step from the returned zeta moves it by less than
+    1e-12. From the last Newton point itself that step is 1.2e-12 at
+    a = -0.25 and 3.3e-13 at a = -0.5."""
+    _, zeta, _, _, params = stepband.analyze_band(StepParams(a=a))
+    grids = stepband._grids(params)
+    _, slope, solved = stepband._refined(grids, zeta)
+    assert abs(slope / stepband._curvature(grids, solved)) < 1e-12
+
+
 def _curvature_at(params, xi):
     grids = stepband._grids(params)
     return stepband._curvature(grids, stepband._refined(grids, xi)[2])

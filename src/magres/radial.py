@@ -47,11 +47,12 @@ lies between levels j - 1 and j. The iterate is orthogonalized against the
 levels below, and its Rayleigh quotient is summed face by face from the
 face weights and the potential, free of the cancellation between diag and
 off that costs bisection up to 1e-8 relative where the diagonal is large.
-The iteration stops when the last shift lies within 64 eps max|T_ii| below
-the quotient and the quotient moves by at most 4 ulp. `eigs_lowest` returns
-these certified pairs, its vectors scaled to unit norm in r dr: every real
-fiber eigenpair, level or vector, comes from this one solver. Its LAPACK
-routines come from `_lapack`, which loads them without `scipy.linalg`.
+The iteration stops when the quotient moves by at most 4 ulp and the last
+accepted shift lies within 64 eps max|T_ii|, plus those 4 ulp, below it.
+`eigs_lowest` returns these certified pairs, its vectors scaled to unit
+norm in r dr: every real fiber eigenpair, level or vector, comes from this
+one solver. Its LAPACK routines come from `_lapack`, which loads them
+without `scipy.linalg`.
 
 A merged ladder (well, anharmonic, island) is a certified sector sweep
 (`_merged_ladder`). It solves the sectors outward from m = 0 until the
@@ -310,21 +311,25 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, rayleigh, x, mu,
     `_ldl_factors` finds exactly j eigenvalues below it. A shift with more
     quadruples the gap and one with fewer quarters it, until one of each
     is known; the gap then bisects between them on a log scale, which ends
-    in the window while mu lies above level j - 1. Once mu moves by less
-    than gap/8, the gap shrinks to twice that move, down to tol = 64 eps
-    max|T_ii|. mu is returned when the last shift lay within tol below it
-    and mu moved by at most 4 ulp (of tol at least, where mu is 0). The
-    certificate puts level j in (mu - tol, mu] up to the rounding of the
-    quotient: a poor estimate costs factorizations, never a wrong level.
-    More than cap factorizations and solves is a NumericalError.
+    in the window while mu lies above level j - 1. The first gap is at
+    least tol/2, tol = 64 eps max|T_ii|. While the accepted shift lies
+    more than tol below mu, a mu that moves by less than gap/8 shrinks the
+    gap to twice that move, down to tol, and the shift is factored again.
+    mu is returned when it moved by at most 4 ulp (of tol at least, where
+    mu is 0) and the accepted shift lies within tol, plus those 4 ulp,
+    below the returned mu. The certificate puts level j in [mu - tol, mu]
+    up to the rounding of the quotient: a poor estimate costs
+    factorizations, never a wrong level. More than cap factorizations and
+    solves is a NumericalError.
     """
     j = len(lower)
     tol = TOL_EPS * float(np.abs(diag).max())
-    gap = max(gap, tol)
+    gap = max(gap, 0.5 * tol)
     factors, low, high = None, 0.0, math.inf  # refused: too small, too large
     for _ in range(cap):
         if factors is None:
-            count, factors = _ldl_factors(diag, off, mu - gap, j)
+            shift = mu - gap
+            count, factors = _ldl_factors(diag, off, shift, j)
             if factors is None:
                 work.refused += 1
                 if count > j:
@@ -348,9 +353,10 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, rayleigh, x, mu,
         work.solves += 1
         prev, mu = mu, rayleigh(x)
         move = abs(mu - prev)
-        if gap <= tol and move <= 4.0 * np.spacing(max(abs(mu), tol)):
+        rounding = 4.0 * np.spacing(max(abs(mu), tol))
+        if move <= rounding and mu - shift <= tol + rounding:
             return mu, x
-        if 8.0 * move < gap:
+        if 8.0 * move < gap and mu - shift > tol:
             gap, factors = max(tol, 2.0 * move), None
     raise NumericalError(f"inverse iteration at {what} did not converge "
                          f"in {cap} steps")

@@ -19,26 +19,29 @@ phi'(0) are direct grid reads. Eigenvalues are refined by Richardson
 extrapolation over (N/2, N); the scheme is second order.
 
 Grid eigenpairs come from the radial fibers' certified inverse iteration
-(`radial._inverse_iteration`, level 0), whose last shift, 64 eps max|T_ii|
-below the returned Rayleigh quotient mu, was factored as positive definite:
-that certifies mu as the lowest level. mu is summed in Dirichlet difference
-form, sum (dx)^2/h^2 + sum V x^2, free of the 2/h^2 cancellation that
-biases bisection by ~1e-11. The slope mu'(xi) = 2 sum (xi + b_a tau) x^2
-is the Hellmann-Feynman derivative, and mu'' comes from the same pair by
-second-order perturbation, both Richardson-combined like mu; zeta_a is
-the Newton root of mu' with that curvature. A band whose end check fails
+(`radial._inverse_iteration`, level 0), whose last shift, within 64 eps
+max|T_ii| (plus 4 ulp) below the returned Rayleigh quotient mu, was
+factored as positive definite: that certifies mu as the lowest level. mu
+is summed in Dirichlet difference form, sum (dx)^2/h^2 + sum V x^2, free
+of the 2/h^2 cancellation that biases bisection by ~1e-11. The slope
+mu'(xi) = 2 sum (xi + b_a tau) x^2 is the Hellmann-Feynman derivative,
+and mu'' comes from the same pair by second-order perturbation, both
+Richardson-combined like mu; zeta_a is the Newton root of mu' with that
+curvature. A band whose end check fails
 at L is solved again on a line 1.5x longer at the same step.
 
 What does not depend on xi is built once per grid: each scan and Newton
 search builds a read-only record of the N and N/2 grids (step,
 b_a(tau) tau, kinetic diagonal, off-diagonal) and adds its solves to one
-Work, which `magres band` writes to its manifest. The scan seeds each
-point from the earlier ones: the N-grid level from the quadratic
-extrapolation of the last three, the N/2-grid level from this point's
-N-grid level plus the last grid shift, each with a first gap sized by
-how well that guess did at the last point. The certificate is the same
-for any seed, so a poor one costs refused factorizations, never a wrong
-level.
+Work, which `magres band` writes to its manifest. The scan predicts each
+point's level on each grid from the earlier points' levels and
+Hellmann-Feynman slopes on that grid: the degree-9 Hermite extrapolation
+through the last five. Where the last prediction missed by less than
+tol/2, the first shift lies tol/2 below the prediction, and its one
+factorization both drives the solve and certifies the level (factor,
+solve, solve); elsewhere the first gap is 4x the last miss. The
+certificate is the same for any prediction, so a poor one costs refused
+factorizations, never a wrong level.
 """
 
 from __future__ import annotations
@@ -151,73 +154,109 @@ def _ground(grid: _StepGrid, xi: float, start=None, guess=None
     return mu, x, arm
 
 
-def _fine_guess(levels: list) -> tuple | None:
-    """(estimate, first gap) of the next scan point's N-grid level from the
-    earlier points' levels: their quadratic extrapolation, and 4x the miss
-    of the same extrapolation at the last point, kept within [1e-8, 1e-2].
-    None with fewer than four levels."""
-    if len(levels) < 4:
+# Degree-9 Hermite extrapolation to the next of equally spaced points from
+# the last five, oldest first: weights on the levels mu, and on the slopes
+# mu' times the step
+_LEVEL_WEIGHTS = (131.0 / 6.0, 575.0 / 3.0, 100.0, -700.0 / 3.0, -475.0 / 6.0)
+_SLOPE_WEIGHTS = (5.0, 100.0, 300.0, 200.0, 25.0)
+
+
+def _predicted(points: list, step: float) -> float | None:
+    """The level at the scan point step past the last of points, one
+    grid's (mu, mu') of the earlier points, oldest first: the degree-9
+    Hermite extrapolation through the last five, exact for equal steps.
+    None with fewer than five points."""
+    if len(points) < 5:
         return None
-    m4, m3, m2, m1 = levels[-4:]
-    miss = m1 - (3.0 * (m2 - m3) + m4)
-    return 3.0 * (m1 - m2) + m3, min(max(4.0 * abs(miss), 1e-8), 1e-2)
+    return sum(w * mu + v * step * slope for w, v, (mu, slope)
+               in zip(_LEVEL_WEIGHTS, _SLOPE_WEIGHTS, points[-5:]))
 
 
-def _coarse_guess(mu_n: float, shifts: list) -> tuple | None:
-    """(estimate, first gap) of a scan point's N/2-grid level from its
-    N-grid level mu_n and the earlier points' grid shifts mu_{N/2} - mu_N:
-    mu_n plus the last shift, and 4x the last change of the shift, kept
-    within [1e-9, 1e-2]. None with fewer than two shifts."""
-    if len(shifts) < 2:
-        return None
-    return mu_n + shifts[-1], \
-        min(max(4.0 * abs(shifts[-1] - shifts[-2]), 1e-9), 1e-2)
+class _Track:
+    """One grid's record of a scan: the last point's xi, each point's
+    (mu, mu'), and the first gap for the next point. That gap is tol/2
+    (tol of `_inverse_iteration`) where the last prediction missed by less
+    than tol/2, so that one factorization both drives the solve and
+    certifies the level; 4x the last miss, at most 1e-2, elsewhere; 1e-2
+    before the first prediction."""
+
+    def __init__(self):
+        self.xi, self.points, self.gap = None, [], 1e-2
+
+    def guess(self, xi: float) -> tuple | None:
+        """(estimate, first gap) of the level at xi, or None."""
+        level = (None if self.xi is None
+                 else _predicted(self.points, xi - self.xi))
+        return None if level is None else (level, self.gap)
+
+    def add(self, grid: _StepGrid, xi: float, guess, solved: tuple,
+            slope: float) -> None:
+        """Record the point at xi, solved from guess to (mu, x, arm)."""
+        mu, _, arm = solved
+        if guess is not None:
+            miss = abs(mu - guess[0])
+            tol = TOL_EPS * (grid.kinetic + float((arm * arm).max()))
+            self.gap = 0.5 * tol if miss < 0.5 * tol else min(4.0 * miss,
+                                                                1e-2)
+        self.xi = xi
+        self.points.append((mu, slope))
 
 
-def _refined(grids: tuple, xi: float, start=None, history=None
+def _refined(grids: tuple, xi: float, start=None, tracks=None
              ) -> tuple[float, float, tuple]:
     """(mu, mu') at xi, Richardson-refined over (N/2, N), and each grid's
     (mu, x, arm) of `_ground`, the N grid first; mu' = 2 sum arm x^2, and
     the N/2 solve starts from the N-grid x. grids is the pair of `_grids`;
-    history, a scan's (N-grid levels, grid shifts) of the earlier points,
-    seeds both solves and gains this point's."""
-    fine, coarse = grids
-    levels, shifts = history or ([], [])
-    mu_n, x, arm_n = solved_n = _ground(fine, xi, start, _fine_guess(levels))
-    mu_h, y, arm_h = solved_h = _ground(coarse, xi, x[1::2],
-                                        _coarse_guess(mu_n, shifts))
-    levels.append(mu_n)
-    shifts.append(mu_h - mu_n)
-    d_n = (arm_n * x) @ x
-    d_h = (arm_h * y) @ y
-    return (4.0 * mu_n - mu_h) / 3.0, float(8.0 * d_n - 2.0 * d_h) / 3.0, \
-        (solved_n, solved_h)
+    tracks, a scan's `_Track` of each grid, seeds both solves and gains
+    this point."""
+    solved, slopes = [], []
+    for grid, track in zip(grids, tracks or (None, None)):
+        guess = None if track is None else track.guess(xi)
+        mu, x, arm = out = _ground(grid, xi, start, guess)
+        slope = 2.0 * float((arm * x) @ x)
+        if track is not None:
+            track.add(grid, xi, guess, out, slope)
+        solved.append(out)
+        slopes.append(slope)
+        start = x[1::2]
+    (mu_n, _, _), (mu_h, _, _) = solved
+    return (4.0 * mu_n - mu_h) / 3.0, (4.0 * slopes[0] - slopes[1]) / 3.0, \
+        tuple(solved)
+
+
+def _grid_curvature(grid: _StepGrid, mu: float, x: np.ndarray,
+                    arm: np.ndarray) -> float:
+    """mu''(xi) on the grid of the record from its (mu, x, arm) of
+    `_ground` at xi, by second-order perturbation (Kato, Perturbation
+    Theory for Linear Operators, II.2). dT/dxi = 2 diag(arm) and
+    d^2T/dxi^2 = 2, so mu'' = 2 - 8 <f, R(mu) f>, with f = arm x and x
+    projected out, and R the reduced resolvent. g = R(mu - tol) f is one
+    solve with the positive-definite factors of T - (mu - tol), tol =
+    TOL_EPS max|T_ii| as in `_inverse_iteration`, and R(mu) f = g + tol R g
+    to first order, so <f, R(mu) f> = <f, g> + tol <g, g>. The
+    factorization and the solve go into the grid's Work."""
+    f = arm * x
+    f -= (f @ x) * x
+    diag = grid.kinetic + arm * arm
+    tol = TOL_EPS * float(diag.max())
+    factors = _ldl_factors(diag, grid.off, mu - tol, 0)[1]
+    if factors is None:  # level 0 lies in [mu - tol, mu] by `_ground`
+        raise NumericalError(f"level 0 at N = {grid.N} lies below mu - tol")
+    grid.work.factorizations += 1
+    grid.work.solves += 1
+    # f is orthogonal to x, so the solve's x component adds nothing
+    g = dpttrs(*factors, f)[0]
+    return 2.0 - 8.0 * float(f @ g + tol * (g @ g))
 
 
 def _curvature(grids: tuple, solved: tuple) -> float:
-    """mu''(xi), Richardson-refined over (N/2, N), from each grid's
-    (mu, x, arm) of `_refined` at xi, by second-order perturbation (Kato,
-    Perturbation Theory for Linear Operators, II.2). dT/dxi = 2 diag(arm)
-    and d^2T/dxi^2 = 2, so mu'' = 2 - 8 <f, R f>, with f = arm x and x
-    projected out, and R the reduced resolvent. R f is one solve with the
-    positive-definite factors of T - (mu - tol), tol = TOL_EPS max|T_ii|
-    as in `_inverse_iteration`; the factorization and the solve go into
-    the grid's Work. A non-positive result is an error: the minimum is
-    degenerate, or the grid too coarse."""
-    out = []
-    for grid, (mu, x, arm) in zip(grids, solved):
-        f = arm * x
-        f -= (f @ x) * x
-        diag = grid.kinetic + arm * arm
-        tol = TOL_EPS * float(diag.max())
-        factors = _ldl_factors(diag, grid.off, mu - tol, 0)[1]
-        if factors is None:  # level 0 lies in (mu - tol, mu] by `_ground`
-            raise NumericalError(f"level 0 at N = {grid.N} lies below mu - tol")
-        grid.work.factorizations += 1
-        grid.work.solves += 1
-        # f is orthogonal to x, so the solve's x component adds nothing
-        out.append(2.0 - 8.0 * float(f @ dpttrs(*factors, f)[0]))
-    curv = (4.0 * out[0] - out[1]) / 3.0
+    """mu''(xi), Richardson-refined over (N/2, N), of `_grid_curvature` on
+    each grid from its (mu, x, arm) of `_refined` at xi. A non-positive
+    result is an error: the minimum is degenerate, or the grid too
+    coarse."""
+    fine, coarse = (_grid_curvature(grid, *out)
+                    for grid, out in zip(grids, solved))
+    curv = (4.0 * fine - coarse) / 3.0
     if not curv > 1e-6:
         raise NumericalError(f"band curvature {curv:.3g} is not positive; "
                              f"minimum degenerate or resolution insufficient")
@@ -251,15 +290,16 @@ def band_value(params: StepParams, xi: float) -> BandSample:
 def band_table(params: StepParams, xi_values, work: Work | None = None
                ) -> list[tuple[float, float]]:
     """(xi, mu) rows over xi_values; raw refined values, no end checks.
-    Each point's solve starts from the previous point's ground state and
-    is seeded by the earlier points' levels (`_fine_guess`,
-    `_coarse_guess`, which take the points as equally spaced; other
-    spacings cost factorizations, not accuracy). work, when given, gains
-    the scan's factorizations and solves."""
+    Each point's solve starts from the previous point's ground state and,
+    on each grid, from the level `_predicted` from the earlier points'
+    levels and Hellmann-Feynman slopes (exact weights for equally spaced
+    points; other spacings cost factorizations, not accuracy), with a
+    first gap sized by how well the last prediction did (`_Track`). work,
+    when given, gains the scan's factorizations and solves."""
     grids = _grids(params, work)
-    rows, x, history = [], None, ([], [])
+    rows, x, tracks = [], None, (_Track(), _Track())
     for xi in xi_values:
-        mu, _, solved = _refined(grids, float(xi), x, history)
+        mu, _, solved = _refined(grids, float(xi), x, tracks)
         rows.append((float(xi), mu))
         x = solved[0][1]
     return rows

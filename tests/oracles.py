@@ -5,12 +5,13 @@ Bessel zeros come from a power series plus bisection (not scipy.special),
 the half-line band oracle uses a node-centered ghost-point scheme (not the
 package's staggered face scheme), the step band reference keeps the
 package's grid but solves it with LAPACK's MRRR routine instead of the
-package's inverse iteration, the radial fiber reference keeps the
-package's grid and float64 potential but assembles the matrix in long
-double and solves it by Sturm multisection, normalization checks go through
-adaptive quadrature of the closed-form integrand, the island references
-come from a matched boundary-layer model (Robin disk plus the parabolic
-cylinder profile), not from any radial solve, and the phase of
+package's inverse iteration (its curvature sums over every dense
+eigenpair, not one reduced-resolvent solve), the radial fiber reference
+keeps the package's grid and float64 potential but assembles the matrix
+in long double and solves it by Sturm multisection, normalization checks
+go through adaptive quadrature of the closed-form integrand, the island
+references come from a matched boundary-layer model (Robin disk plus the
+parabolic cylinder profile), not from any radial solve, and the phase of
 det(T - z) sums the angle of every continuant pivot in long double (the
 package multiplies the pivots in blocks in float64).
 """
@@ -105,6 +106,28 @@ def step_band_mu(a: float, xi: float, L: float = 12.0, N: int = 4800
             lapack_driver="stemr")[0])
 
     return (4.0 * plain(N) - plain(N // 2)) / 3.0
+
+
+def step_band_curvature(a: float, xi: float, L: float = 12.0, N: int = 1600
+                        ) -> float:
+    """mu''(xi) of the lowest eigenvalue of the package's vertex grid
+    operator for -u'' + (xi + b(t) t)^2 u (as in step_band_mu, one grid,
+    not Richardson refined) by the sum over states of second-order
+    perturbation: with dT/dxi = 2 diag(arm) and d^2T/dxi^2 = 2,
+
+        mu'' = 2 - 8 sum_{k > 0} <v_k, arm v_0>^2 / (lam_k - lam_0),
+
+    every eigenpair from LAPACK's dense tridiagonal solver, not from the
+    package's factor-and-solve of the reduced resolvent. The full
+    eigenvector matrix takes 8 N^2 bytes (20 MB at N = 1600).
+    """
+    h = 2.0 * L / N
+    t = -L + h * np.arange(1, N)
+    arm = xi + np.where(t > 0, 1.0, a) * t
+    vals, vecs = sla.eigh_tridiagonal(2.0 / h ** 2 + arm ** 2,
+                                      np.full(N - 2, -1.0 / h ** 2))
+    overlap = vecs[:, 1:].T @ (arm * vecs[:, 0])
+    return 2.0 - 8.0 * float(np.sum(overlap ** 2 / (vals[1:] - vals[0])))
 
 
 def _sturm_counts(diag, off2, shifts):

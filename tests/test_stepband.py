@@ -13,7 +13,7 @@ from magres.stepband import (BandSample, SpectralConstants, StepParams,
                              spectral_constants)
 
 from conftest import FROZEN
-from oracles import de_gennes_constant, step_band_mu
+from oracles import de_gennes_constant, step_band_curvature, step_band_mu
 
 
 def test_params_validation():
@@ -126,17 +126,18 @@ def test_seeded_scan_matches_oracle_across_the_well_change():
 
 @pytest.mark.parametrize("wrong", [1.0, -1.0])
 def test_wrong_seed_costs_factorizations_not_rows(monkeypatch, wrong):
-    """Seeds off by one in either direction (both grids) give the same rows
-    within 1e-13: a poor seed costs refused or extra factorizations."""
+    """Predictions off by one in either direction (both grids) give the
+    same rows within 1e-13: a poor prediction costs refused or extra
+    factorizations."""
     p = StepParams(a=-0.5, N=1600)
     xs = [-2.0 + 0.05 * i for i in range(41)]
     seeded = Work()
     rows = band_table(p, xs, seeded)
-    for name in ("_fine_guess", "_coarse_guess"):
-        def off(*args, guess=getattr(stepband, name)):
-            g = guess(*args)
-            return None if g is None else (g[0] + wrong, g[1])
-        monkeypatch.setattr(stepband, name, off)
+
+    def off(*args, predicted=stepband._predicted):
+        level = predicted(*args)
+        return None if level is None else level + wrong
+    monkeypatch.setattr(stepband, "_predicted", off)
     poor = Work()
     wrong_rows = band_table(p, xs, poor)
     assert [xi for xi, _ in wrong_rows] == xs
@@ -147,15 +148,21 @@ def test_wrong_seed_costs_factorizations_not_rows(monkeypatch, wrong):
 
 
 def test_seeds_need_history():
-    """Too few earlier points: no seed, the solve starts from the Rayleigh
-    quotient; the gaps stay within their bounds."""
-    assert stepband._fine_guess([1.0, 2.0, 3.0]) is None
-    assert stepband._coarse_guess(1.0, [0.1]) is None
-    assert stepband._fine_guess([1.0, 2.0, 3.0, 4.0]) == (5.0, 1e-8)
-    assert stepband._fine_guess([0.0, 0.0, 0.0, 1.0]) == (3.0, 1e-2)
-    assert stepband._coarse_guess(1.0, [0.5, 0.5]) == (1.5, 1e-9)
-    est, gap = stepband._coarse_guess(1.0, [0.5, 0.5 + 1e-6])
-    assert est == 1.0 + (0.5 + 1e-6) and gap == pytest.approx(4e-6)
+    """Fewer than five earlier points: no prediction, the solve starts
+    from the Rayleigh quotient. The weights sum to 1 and reproduce a
+    degree-9 polynomial, values and slopes, to rounding."""
+    assert stepband._predicted([(1.0, 0.0)] * 4, 0.05) is None
+    assert sum(stepband._LEVEL_WEIGHTS) == pytest.approx(1.0, abs=1e-13)
+    rng = np.random.default_rng(7)
+    for step in (0.05, 1.0):
+        for _ in range(5):
+            poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 10))
+            slope = poly.deriv()
+            ts = step * np.arange(-5, 0)
+            points = [(poly(t), slope(t)) for t in ts]
+            scale = max(abs(poly(t)) + step * abs(slope(t)) for t in ts)
+            assert abs(stepband._predicted(points, step) - poly(0.0)) \
+                < 1e-12 * scale
 
 
 @pytest.mark.parametrize("start", ["second", "minus_lowest"])
@@ -173,25 +180,59 @@ def test_ground_from_any_start_lands_on_positive_lowest(start):
     assert np.all(x > 0) and np.sum(x * x) == pytest.approx(1.0)
 
 
-def test_ground_last_shift_certifies_lowest(monkeypatch):
-    """The last factored shift was positive definite and lies within
-    64 eps max|T_ii| below the returned Rayleigh quotient, so no level of
-    the grid operator lies below mu - tol."""
-    factor, shifted = radial.dpttrf, []
+def _recorded_shifts(monkeypatch) -> list:
+    """Every shift `_inverse_iteration` factors, as (shift, accepted)."""
+    ldl, shifts = radial._ldl_factors, []
 
-    def recording(d, e):
-        out = factor(d, e)
-        shifted.append((d, out[2]))
+    def recording(diag, off, shift, j):
+        out = ldl(diag, off, shift, j)
+        shifts.append((shift, out[1] is not None))
         return out
-    monkeypatch.setattr(radial, "dpttrf", recording)
+    monkeypatch.setattr(radial, "_ldl_factors", recording)
+    return shifts
+
+
+def _tol(grid, arm):
+    return 64.0 * np.finfo(float).eps * float(np.max(grid.kinetic + arm ** 2))
+
+
+def test_ground_last_shift_certifies_lowest(monkeypatch):
+    """At every point of a seeded scan, on both grids, the last factored
+    shift was positive definite and lies within 64 eps max|T_ii| (plus 4
+    ulp of rounding) below the returned Rayleigh quotient, so no level of
+    the grid operator lies below mu - tol."""
+    shifts, ends = _recorded_shifts(monkeypatch), []
+    ground = stepband._ground
+
+    def recording(grid, xi, *args):
+        mu, x, arm = out = ground(grid, xi, *args)
+        ends.append((mu, _tol(grid, arm), shifts[-1]))
+        return out
+    monkeypatch.setattr(stepband, "_ground", recording)
+    band_table(StepParams(a=-0.5, N=1600),
+               [-4.0 + 0.05 * i for i in range(101)])
+    assert len(ends) == 202
+    for mu, tol, (shift, accepted) in ends:
+        assert accepted
+        assert 0.0 < mu - shift <= tol + 4.0 * np.spacing(mu)
+
+
+@pytest.mark.parametrize("below", [0.5, 0.9])
+def test_ground_certifies_a_guess_below_the_level(monkeypatch, below):
+    """A guess below the level by 0.5 or 0.9 tol, with a first gap of tol,
+    puts the first shift 1.5 or 1.9 tol below the level: the solve must
+    factor a closer shift before it returns, not take that one as the
+    certificate."""
     p = StepParams(a=-0.5, N=1600)
-    mu, _, arm = stepband._ground(stepband._StepGrid(p, p.N), -0.66)
-    step = p.step
-    diag = 2.0 / step ** 2 + arm ** 2
-    tol = 64.0 * np.finfo(float).eps * diag.max()
-    d, info = shifted[-1]
-    assert info == 0
-    assert 0.0 < mu - (diag[0] - d[0]) <= 1.01 * tol
+    grid = stepband._StepGrid(p, p.N)
+    level, _, arm = stepband._ground(grid, -0.66)
+    tol = _tol(grid, arm)
+    shifts = _recorded_shifts(monkeypatch)
+    mu, _, _ = stepband._ground(grid, -0.66,
+                                guess=(level - below * tol, tol))
+    assert abs(mu - level) <= 4.0 * np.spacing(level)
+    shift, accepted = shifts[-1]
+    assert accepted and 0.0 < mu - shift <= tol + 4.0 * np.spacing(mu)
 
 
 @pytest.mark.parametrize("force", ["iteration_cap", "refused_shifts"])
@@ -298,6 +339,20 @@ def test_curvature_matches_mrrr_second_difference(a):
                 + step_band_mu(a, c.zeta - s, N=1600)) / (s * s)
     oracle = (4.0 * second_difference(0.01) - second_difference(0.02)) / 3.0
     assert abs(c.mu2 - oracle) < 1e-7 * oracle
+
+
+@pytest.mark.parametrize("N", [800, 1600])
+def test_grid_curvature_matches_sum_over_states(N):
+    """One grid's mu'' at zeta(-0.5) against the dense sum over states on
+    the same grid, within 2e-11 relative. Applying R at mu - tol without
+    the tol <g, g> term read 2.8e-11 high at N = 800 and 1.06e-10 at
+    N = 1600."""
+    p = StepParams(a=-0.5, N=N)
+    zeta = FROZEN["step_minus05"]["zeta"]
+    grid = stepband._StepGrid(p, N)
+    curv = stepband._grid_curvature(grid, *stepband._ground(grid, zeta))
+    oracle = step_band_curvature(-0.5, zeta, N=N)
+    assert abs(curv - oracle) < 2e-11 * oracle
 
 
 def test_curvature_is_smooth_in_xi():

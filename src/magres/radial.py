@@ -47,8 +47,11 @@ lies between levels j - 1 and j. The iterate is orthogonalized against the
 levels below, and its Rayleigh quotient is summed face by face from the
 face weights and the potential, free of the cancellation between diag and
 off that costs bisection up to 1e-8 relative where the diagonal is large.
-The iteration stops when the quotient moves by at most 4 ulp and the last
-accepted shift lies within 64 eps max|T_ii|, plus those 4 ulp, below it.
+The solves are not normalized: the quotient of each is taken with the
+|y|^2 that the check for a lost iterate computes, and the vector is
+normalized once, on return. The iteration stops when the quotient moves by
+at most 4 ulp and the last accepted shift lies within tol = 64 eps
+max|T_ii|, plus those 4 ulp, below it; tol is computed once per fiber.
 `eigs_lowest` returns these certified pairs, its vectors scaled to unit
 norm in r dr: every real fiber eigenpair, level or vector, comes from this
 one solver. Its LAPACK routines come from `_lapack`, which loads them
@@ -85,6 +88,8 @@ R_MAX_GROWTHS = 4  # 1.5x steps of a truncated ladder's r_max: at most 5.06x
 MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
 NEAR = 4  # lower levels each inverse-iteration solve is orthogonalized to
 TOL_EPS = 64.0 * np.finfo(float).eps  # certified shift gap, per max|T_ii|
+SETTLED = 1000.0  # first solve's mu - shift, in tol, that settles mu
+RESCALE = 1e200  # |y|^2 (or its inverse) past which a solve is rescaled
 # weight of the last face: a Dirichlet value there (mirror ghost) or free
 FAR_WEIGHT = {"dirichlet_far": 2.0, "neumann_far": 0.0}
 
@@ -271,7 +276,7 @@ def _ldl_factors(diag: np.ndarray, off: np.ndarray, shift: float, j: int
     inertia T then has exactly j eigenvalues below shift. Counting stops
     past j; a zero or non-finite pivot refuses the shift, counted as j + 1
     (the shift must come down)."""
-    d, e, info = dpttrf(diag - shift, off)
+    d, e, info = dpttrf(diag - shift, off, 1)  # in place on the difference
     negatives, start, last = 0, 0, len(d) - 1
     while info:
         i = start + info - 1  # dpttrf stopped at pivot d[i] <= 0
@@ -290,58 +295,87 @@ def _ldl_factors(diag: np.ndarray, off: np.ndarray, shift: float, j: int
             info = 0 if d[last] > 0.0 else 1
         else:  # in place on the trailing views (overwrite_d, overwrite_e)
             info = dpttrf(d[start:], e[start:], 1, 1)[2]
-    if not np.isfinite(d).all():
+    # one reduction: a NaN or +inf pivot shows in the max, and a -inf one
+    # only among the negative pivots
+    top = float(d.max()) - (float(d.min()) if negatives else 0.0)
+    if not math.isfinite(top):
         return j + 1, None
     return negatives, ((d, e) if negatives == j else None)
 
 
-def _inverse_iteration(diag: np.ndarray, off: np.ndarray, rayleigh, x, mu,
-                       gap: float, lower, work: Work, cap: int,
-                       what: str) -> tuple:
-    """(mu, x): eigenpair j of T = (diag, off) by shifted inverse
-    iteration, x unit l2. lower holds the unit eigenvectors of levels
-    0..j-1 as its j rows (an empty sequence for j = 0). Each solve is
-    orthogonalized against the nearest NEAR of them: a shift between
-    levels j - 1 and j can amplify only the levels just below j, and it
-    damps the others.
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
+                       rayleigh, x, mu, gap: float, lower, work: Work,
+                       cap: int, what: str) -> tuple:
+    """(mu, x, shift, factors): eigenpair j of T = (diag, off) by shifted
+    inverse iteration, x unit l2, with the last accepted shift and its
+    `_ldl_factors`. tol = TOL_EPS max|T_ii| comes from the caller, once per
+    operator. lower holds the unit eigenvectors of levels 0..j-1 as its j
+    rows (an empty sequence for j = 0). Each solve is orthogonalized
+    against the nearest NEAR of them: a shift between levels j - 1 and j
+    can amplify only the levels just below j, and it damps the others.
 
-    x is a start vector (orthogonal to lower) and mu an estimate of the
-    level, above level j - 1; rayleigh(x) sums the Rayleigh quotient from
-    the operator's own quadratic form. Each shift mu - gap is used only if
-    `_ldl_factors` finds exactly j eigenvalues below it. A shift with more
-    quadruples the gap and one with fewer quarters it, until one of each
-    is known; the gap then bisects between them on a log scale, which ends
-    in the window while mu lies above level j - 1. The first gap is at
-    least tol/2, tol = 64 eps max|T_ii|. While the accepted shift lies
-    more than tol below mu, a mu that moves by less than gap/8 shrinks the
-    gap to twice that move, down to tol, and the shift is factored again.
-    mu is returned when it moved by at most 4 ulp (of tol at least, where
-    mu is 0) and the accepted shift lies within tol, plus those 4 ulp,
-    below the returned mu. The certificate puts level j in [mu - tol, mu]
-    up to the rounding of the quotient: a poor estimate costs
-    factorizations, never a wrong level. More than cap factorizations and
-    solves is a NumericalError.
+    x is a start vector of any norm, orthogonal to lower (the first solve
+    overwrites it), and mu an estimate of the level, above level j - 1;
+    rayleigh(y, y @ y) sums the Rayleigh quotient of y from the operator's
+    own quadratic form. The solves stay unnormalized: the quotient takes
+    the y @ y of the check for a lost iterate, x is normalized once, on
+    return, and an iterate whose |y|^2 leaves [1/RESCALE, RESCALE] is
+    scaled by a power of 2, which changes no digit.
+
+    Each shift mu - gap is used only if `_ldl_factors` finds exactly j
+    eigenvalues below it. A shift with more quadruples the gap and one
+    with fewer quarters it, until one of each is known; the gap then
+    bisects between them on a log scale, which ends in the window while mu
+    lies above level j - 1. Once a shift was accepted, level j lies
+    between the highest accepted shift and the lowest one with more below
+    it, and a shift at or past the latter bisects that bracket instead (mu
+    lags the level while the start holds little of its vector). The first
+    gap is at least tol/2.
+
+    While the accepted shift lies more than tol below mu, it is factored
+    again: tol/2 below mu once mu has settled, because the first solve on
+    the shift left mu within SETTLED tol of it or because its moves shrink
+    by a ratio r that leaves mu within tol/4 of the level (Aitken: move r /
+    (1 - r)); else, from the second solve on the shift, twice the move
+    below mu, down to tol, when mu moved by less than gap/8. The first move
+    counts from the start's quotient where the first gap exceeds SETTLED
+    tol, and not at all otherwise: a move from an estimate says nothing of
+    convergence. mu is returned when it moved by at most 4 ulp (of tol at
+    least, where mu is 0) and the accepted shift lies within tol, plus
+    those 4 ulp, below the returned mu. The certificate puts level j in
+    [mu - tol, mu] up to the rounding of the quotient: a poor estimate
+    costs factorizations, never a wrong level. More than cap
+    factorizations and solves is a NumericalError.
     """
     j = len(lower)
-    tol = TOL_EPS * float(np.abs(diag).max())
     gap = max(gap, 0.5 * tol)
+    counted = gap > SETTLED * tol  # whether the next move counts
+    prev, last = rayleigh(x, x @ x) if counted else mu, None
     factors, low, high = None, 0.0, math.inf  # refused: too small, too large
+    floor, ceiling = -math.inf, math.inf  # level j lies between them
     for _ in range(cap):
         if factors is None:
             shift = mu - gap
+            if shift >= ceiling:  # mu lags level j: bisect its bracket
+                shift = 0.5 * (floor + ceiling)
+                gap = mu - shift
             count, factors = _ldl_factors(diag, off, shift, j)
             if factors is None:
                 work.refused += 1
                 if count > j:
-                    low = gap
+                    low, ceiling = gap, shift
                 else:
                     high = gap
-                gap = (4.0 * gap if high == math.inf else 0.25 * gap
-                       if low == 0.0 else math.sqrt(low * high))
+                if count > j and floor > -math.inf:
+                    gap = mu - 0.5 * (floor + ceiling)
+                else:
+                    gap = (4.0 * gap if high == math.inf else 0.25 * gap
+                           if low == 0.0 else math.sqrt(low * high))
                 continue
             work.factorizations += 1
-            low, high = 0.0, math.inf
-        y, _ = dpttrs(*factors, x)
+            low, high, first = 0.0, math.inf, True
+            floor = max(floor, shift)
+        y, _ = dpttrs(*factors, x, 1)  # in place on x
         if j:
             near = lower[-NEAR:]
             y -= near.T @ (near @ y)
@@ -349,23 +383,31 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, rayleigh, x, mu,
         if not 0.0 < norm2 < math.inf:
             raise NumericalError(f"inverse iteration at {what} lost its "
                                  f"iterate: the solve gave |y|^2 = {norm2:.3g}")
-        x = y / math.sqrt(norm2)
         work.solves += 1
-        prev, mu = mu, rayleigh(x)
-        move = abs(mu - prev)
+        mu = rayleigh(y, norm2)
+        move, prev = abs(mu - prev), mu
         rounding = 4.0 * np.spacing(max(abs(mu), tol))
         if move <= rounding and mu - shift <= tol + rounding:
-            return mu, x
-        if 8.0 * move < gap and mu - shift > tol:
-            gap, factors = max(tol, 2.0 * move), None
+            return mu, y / math.sqrt(norm2), shift, factors
+        if mu - shift > tol:
+            ratio = move / last if last else math.inf
+            if (first and mu - shift <= SETTLED * tol or ratio < 1.0
+                    and move * ratio <= 0.25 * tol * (1.0 - ratio)):
+                gap, factors = 0.5 * tol, None
+            elif not first and 8.0 * move < gap:
+                gap, factors = max(tol, 2.0 * move), None
+        first, last, counted = False, move if counted else None, True
+        if not 1.0 / RESCALE < norm2 < RESCALE:
+            y *= math.ldexp(1.0, -(math.frexp(norm2)[1] // 2))
+        x = y
     raise NumericalError(f"inverse iteration at {what} did not converge "
                          f"in {cap} steps")
 
 
 def _rayleigh(op: FiberOperator):
-    """v -> the Rayleigh quotient of the fiber at v, summed in face
-    difference form from the face weights and the potential, not from
-    (diag, off): with s = v / sqrt(r),
+    """(v, v @ v) -> the Rayleigh quotient q(v) / (v @ v) of the fiber,
+    summed in face difference form from the face weights and the
+    potential, not from (diag, off): with s = v / sqrt(r),
 
         q(v) = sum_faces w_i (s_i - s_{i-1})^2 / dr^2 + sum_j V_j v_j^2,
 
@@ -375,11 +417,11 @@ def _rayleigh(op: FiberOperator):
     n, w, root, pot = op.grid.N, op.record.weights, op.record.root, op.pot
     s, ds = np.empty(n), np.empty(n)
 
-    def rayleigh(v: np.ndarray) -> float:
+    def rayleigh(v: np.ndarray, norm2: float) -> float:
         np.divide(v, root, out=s)
         np.subtract(s[1:], s[:-1], out=ds[:-1])
         ds[-1] = s[-1]
-        return float((w @ (ds * ds) + (pot * v) @ v) / (v @ v))
+        return float((w @ (ds * ds) + (pot * v) @ v) / norm2)
     return rayleigh
 
 
@@ -417,6 +459,7 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
             f"potential overflowed")
     g, fine = op.grid, op.record
     rayleigh, hi = _rayleigh(op), -1
+    tol = TOL_EPS * float(np.abs(op.diag).max())
     values, basis = np.empty(k), np.empty((k, g.N))
     for j in range(k):
         if j > hi:
@@ -449,12 +492,12 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
         x = np.interp(fine.r, rc, vecs[:, i] / root_c) * fine.root
         if j:
             x -= basis[:j].T @ (basis[:j] @ x)
-        x /= math.sqrt(x @ x)
-        if j and not mu > values[j - 1]:
-            mu = rayleigh(x)
-        values[j], basis[j] = _inverse_iteration(
-            op.diag, op.off, rayleigh, x, mu, 1e-2 * (est[i + 1] - est[i]),
-            basis[:j], work, MAX_SOLVES, f"level {j} of m={op.m}, N={g.N}")
+            if not mu > values[j - 1]:
+                mu = rayleigh(x, x @ x)
+        values[j], basis[j], _, _ = _inverse_iteration(
+            op.diag, op.off, tol, rayleigh, x, mu,
+            1e-2 * (est[i + 1] - est[i]), basis[:j], work, MAX_SOLVES,
+            f"level {j} of m={op.m}, N={g.N}")
     return values, basis
 
 

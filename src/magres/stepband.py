@@ -25,29 +25,39 @@ factored as positive definite: that certifies mu as the lowest level. mu
 is summed in Dirichlet difference form, sum (dx)^2/h^2 + sum V x^2, free
 of the 2/h^2 cancellation that biases bisection by ~1e-11. The slope
 mu'(xi) = 2 sum (xi + b_a tau) x^2 is the Hellmann-Feynman derivative,
-and mu'' comes from the same pair by second-order perturbation, both
-Richardson-combined like mu; zeta_a is the Newton root of mu' with that
-curvature. A band whose end check fails
-at L is solved again on a line 1.5x longer at the same step.
+summed from the squares of the last quotient, and mu'' comes from the same
+pair by second-order perturbation, one solve with the factors of the
+certifying shift; both are Richardson-combined like mu, and zeta_a is the
+Newton root of mu' with that curvature. A band whose end check fails at L
+is solved again on a line 1.5x longer at the same step.
 
-What does not depend on xi is built once per grid: each scan and Newton
-search builds a read-only record of the N and N/2 grids (step,
-b_a(tau) tau, kinetic diagonal, off-diagonal) and adds its solves to one
-Work, which `magres band` writes to its manifest. The scan predicts each
-point's level on each grid from the earlier points' levels and
-Hellmann-Feynman slopes on that grid: the degree-9 Hermite extrapolation
-through the last five. Where the last prediction missed by less than
-tol/2, the first shift lies tol/2 below the prediction, and its one
-factorization both drives the solve and certifies the level (factor,
-solve, solve); elsewhere the first gap is 4x the last miss. The
-certificate is the same for any prediction, so a poor one costs refused
-factorizations, never a wrong level.
+What does not depend on xi is built once per grid: each band value, and
+each scan with the Newton search that follows it, builds a read-only
+record of the N and N/2 grids (step, b_a(tau) tau, kinetic diagonal,
+off-diagonal) and adds its solves to one Work, which `magres band` writes
+to its manifest. Every point but a scan's first is predicted on each grid.
+A scan point's level is the Hermite extrapolation through the levels and
+Hellmann-Feynman slopes of the last n <= 5 earlier points on that grid
+(degree 2n - 1); a miss past WELL_MISS, where the ground state changed
+wells, ends that history, and the next point starts from the Rayleigh
+quotient. Newton starts from the vector of the scan's lowest row: its first
+point is interpolated from the scan points about the minimum, each later
+one stepped from the last point's mu, mu' and mu''. Where the last
+prediction missed by less than tol/2, the first shift lies tol/2 below the
+prediction, and its one factorization both drives the solve and certifies
+the level (factor, solve, solve); elsewhere the first gap is 4x the last
+miss. Each solve starts from an earlier vector plus a constant positive
+share: (T - sigma)^-1 is an M-matrix, so iterates stay positive, and the
+share reaches wells where that vector underflowed. The certificate is the
+same for any prediction, so a poor one costs factorizations, never a wrong
+level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +65,7 @@ from ._lapack import dpttrs
 from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
 from .radial import (MAX_GRID_N, MAX_SOLVES, R_MAX_GROWTHS, TOL_EPS, Work,
-                     _inverse_iteration, _ldl_factors)
+                     _inverse_iteration)
 
 FLAT_TOL = 1e-6  # relative band variation below which minimization is ill-posed
 MAX_SCAN_STEPS = 2000  # widest band scan: a bracket of width 100
@@ -101,9 +111,11 @@ class BandSample:
 class _StepGrid:
     """The xi-independent half of h_a[xi] on the N-interval grid: the
     step, b_a(tau) tau, the kinetic diagonal 2/step^2 and the
-    off-diagonal, all read-only, with the difference buffer of the band's
-    quadratic form and the Work that its solves add to. Each scan, Newton
-    search and band value builds its own pair (`_grids`); none is kept."""
+    off-diagonal, all read-only, with the buffers of the band's quadratic
+    form (differences across the N cells, squares at the N - 1 nodes), the
+    start share and the Work that its solves add to. Each band value, and
+    each scan with its Newton search, builds its own pair (`_grids`);
+    none is kept."""
 
     def __init__(self, params: StepParams, N: int, work: Work | None = None):
         self.N, self.work = N, Work() if work is None else work
@@ -114,7 +126,8 @@ class _StepGrid:
         self.b_tau = np.where(tau > 0, 1.0, params.a) * tau
         self.off = np.full(N - 2, -1.0 / self.step2)
         self.b_tau.flags.writeable = self.off.flags.writeable = False
-        self.dv = np.empty(N)  # differences across the N cells
+        self.dv, self.sq = np.empty(N), np.empty(N - 1)
+        self.share = 1e-3 / math.sqrt(N - 1)  # 1e-3 of a unit start, in l2
 
 
 def _grids(params: StepParams, work: Work | None = None) -> tuple:
@@ -123,144 +136,164 @@ def _grids(params: StepParams, work: Work | None = None) -> tuple:
         _StepGrid(params, params.N // 2, work)
 
 
-def _ground(grid: _StepGrid, xi: float, start=None, guess=None
-            ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Lowest eigenpair (mu, x > 0, unit l2) of h_a[xi] on the grid of the
-    record, and its arm; start is any earlier vector on this grid. The
-    pair is `radial._inverse_iteration`'s level 0, with the band's own
-    quadratic form, from guess = (estimate, first gap), or else from the
-    Rayleigh quotient of the start and a first gap of 1e-2. (T - sigma)^-1
-    is entrywise positive (an M-matrix), so iterates stay positive; the
-    1e-3 share of exp(-V/2) reaches wells where a start from a nearby xi
-    underflowed to zero."""
+class _Pair(NamedTuple):
+    """One grid's lowest eigenpair of h_a[xi], from `_ground`."""
+
+    mu: float
+    x: np.ndarray  # unit l2, positive
+    arm: np.ndarray  # xi + b_a(tau) tau
+    slope: float  # Hellmann-Feynman mu' = 2 sum arm x^2
+    tol: float  # TOL_EPS max|T_ii| of the operator
+    shift: float  # the certifying shift, within tol + 4 ulp below mu
+    factors: tuple  # its positive-definite `_ldl_factors`
+
+
+def _ground(grid: _StepGrid, xi: float, start=None, guess=None) -> _Pair:
+    """Lowest eigenpair of h_a[xi] on the grid of the record; start is any
+    earlier vector on this grid. The pair is `radial._inverse_iteration`'s
+    level 0, with the band's own quadratic form, from guess = (estimate,
+    first gap), or else from the Rayleigh quotient of the start and a
+    first gap of 1e-2. (T - sigma)^-1 is entrywise positive (an M-matrix),
+    so iterates stay positive, and a start from an earlier point gets the
+    constant positive share of the record: it reaches wells where that
+    vector underflowed to zero. The slope reuses the squares of the last
+    quotient."""
     arm = xi + grid.b_tau
     pot = arm * arm
     diag = grid.kinetic + pot
-    dv, step2 = grid.dv, grid.step2
+    tol = TOL_EPS * float(diag.max())
+    dv, sq, step2, norm2 = grid.dv, grid.sq, grid.step2, 1.0
 
-    def rayleigh(v: np.ndarray) -> float:
+    def rayleigh(v: np.ndarray, v2: float) -> float:
+        nonlocal norm2
         dv[0] = v[0]
         np.subtract(v[1:], v[:-1], out=dv[1:-1])
         dv[-1] = -v[-1]
-        return float((dv @ dv / step2 + pot @ (v * v)) / (v @ v))
+        np.multiply(v, v, out=sq)
+        norm2 = v2
+        return float((dv @ dv / step2 + pot @ sq) / v2)
 
-    x = np.exp(-0.5 * (pot - pot.min()))
-    if start is not None:
-        x = np.abs(start) + 1e-3 * x / math.sqrt(x @ x)
-    mu, gap = (rayleigh(x), 1e-2) if guess is None else guess
-    mu, x = _inverse_iteration(diag, grid.off, rayleigh, x, mu, gap, (),
-                               grid.work, MAX_SOLVES,
-                               f"xi = {xi} (N = {grid.N})")
-    return mu, x, arm
+    if start is None:
+        x = np.exp(-0.5 * (pot - pot.min()))
+    else:
+        x = np.abs(start)
+        x += grid.share
+    mu, gap = (rayleigh(x, x @ x), 1e-2) if guess is None else guess
+    mu, x, shift, factors = _inverse_iteration(
+        diag, grid.off, tol, rayleigh, x, mu, gap, (), grid.work, MAX_SOLVES,
+        f"xi = {xi} (N = {grid.N})")
+    return _Pair(mu, x, arm, 2.0 * float(arm @ sq) / norm2, tol, shift,
+                 factors)
 
 
-# Degree-9 Hermite extrapolation to the next of equally spaced points from
-# the last five, oldest first: weights on the levels mu, and on the slopes
-# mu' times the step
-_LEVEL_WEIGHTS = (131.0 / 6.0, 575.0 / 3.0, 100.0, -700.0 / 3.0, -475.0 / 6.0)
-_SLOPE_WEIGHTS = (5.0, 100.0, 300.0, 200.0, 25.0)
+# Hermite extrapolation of degree 2n - 1 to the next of equally spaced
+# points from the last n, oldest first, n = 1..5: weights on the levels
+# mu, and on the slopes mu' times the step
+_WEIGHTS = (
+    ((1.0,), (1.0,)),
+    ((5.0, -4.0), (2.0, 4.0)),
+    ((10.0, 9.0, -18.0), (3.0, 18.0, 9.0)),
+    ((47.0 / 3.0, 64.0, -36.0, -128.0 / 3.0), (4.0, 48.0, 72.0, 16.0)),
+    ((131.0 / 6.0, 575.0 / 3.0, 100.0, -700.0 / 3.0, -475.0 / 6.0),
+     (5.0, 100.0, 300.0, 200.0, 25.0)),
+)
+WELL_MISS = 1e-3  # a miss past which the ground state changed wells
 
 
 def _predicted(points: list, step: float) -> float | None:
     """The level at the scan point step past the last of points, one
-    grid's (mu, mu') of the earlier points, oldest first: the degree-9
-    Hermite extrapolation through the last five, exact for equal steps.
-    None with fewer than five points."""
-    if len(points) < 5:
+    grid's (mu, mu') of the earlier points, oldest first: the Hermite
+    extrapolation through the last five, or through all of fewer, exact
+    for equal steps. None without points."""
+    if not points:
         return None
+    levels, slopes = _WEIGHTS[min(len(points), 5) - 1]
     return sum(w * mu + v * step * slope for w, v, (mu, slope)
-               in zip(_LEVEL_WEIGHTS, _SLOPE_WEIGHTS, points[-5:]))
+               in zip(levels, slopes, points[-5:]))
 
 
 class _Track:
     """One grid's record of a scan: the last point's xi, each point's
-    (mu, mu'), and the first gap for the next point. That gap is tol/2
-    (tol of `_inverse_iteration`) where the last prediction missed by less
-    than tol/2, so that one factorization both drives the solve and
-    certifies the level; 4x the last miss, at most 1e-2, elsewhere; 1e-2
-    before the first prediction."""
+    (mu, mu'), the first point of the history that predicts the next, and
+    the first gap for the next point. That gap is tol/2 (tol of
+    `_inverse_iteration`) where the last prediction missed by less than
+    tol/2, so that one factorization both drives the solve and certifies
+    the level; 4x the last miss, at most 1e-2, elsewhere; 1e-2 before the
+    first prediction. A prediction from two or more points that misses by
+    more than WELL_MISS means the ground state changed wells (one point
+    predicts only to mu'' step^2 / 2, about 1e-3 at the scan step): the
+    history ends, and the next point starts from the Rayleigh quotient."""
 
     def __init__(self):
-        self.xi, self.points, self.gap = None, [], 1e-2
+        self.xi, self.points, self.since, self.gap = None, [], 0, 1e-2
 
     def guess(self, xi: float) -> tuple | None:
         """(estimate, first gap) of the level at xi, or None."""
         level = (None if self.xi is None
-                 else _predicted(self.points, xi - self.xi))
+                 else _predicted(self.points[self.since:], xi - self.xi))
         return None if level is None else (level, self.gap)
 
-    def add(self, grid: _StepGrid, xi: float, guess, solved: tuple,
-            slope: float) -> None:
-        """Record the point at xi, solved from guess to (mu, x, arm)."""
-        mu, _, arm = solved
-        if guess is not None:
-            miss = abs(mu - guess[0])
-            tol = TOL_EPS * (grid.kinetic + float((arm * arm).max()))
-            self.gap = 0.5 * tol if miss < 0.5 * tol else min(4.0 * miss,
-                                                                1e-2)
+    def add(self, xi: float, guess, pair: _Pair) -> None:
+        """Record the point at xi, solved from guess to pair."""
+        history = len(self.points) - self.since  # points guess came from
         self.xi = xi
-        self.points.append((mu, slope))
+        self.points.append((pair.mu, pair.slope))
+        if guess is None:
+            return
+        miss = abs(pair.mu - guess[0])
+        if miss > WELL_MISS and history > 1:
+            self.since, self.gap = len(self.points), 1e-2
+        else:
+            self.gap = (0.5 * pair.tol if miss < 0.5 * pair.tol
+                        else min(4.0 * miss, 1e-2))
 
 
-def _refined(grids: tuple, xi: float, start=None, tracks=None
+def _refined(grids: tuple, xi: float, start=None, guesses=(None, None)
              ) -> tuple[float, float, tuple]:
     """(mu, mu') at xi, Richardson-refined over (N/2, N), and each grid's
-    (mu, x, arm) of `_ground`, the N grid first; mu' = 2 sum arm x^2, and
-    the N/2 solve starts from the N-grid x. grids is the pair of `_grids`;
-    tracks, a scan's `_Track` of each grid, seeds both solves and gains
-    this point."""
-    solved, slopes = [], []
-    for grid, track in zip(grids, tracks or (None, None)):
-        guess = None if track is None else track.guess(xi)
-        mu, x, arm = out = _ground(grid, xi, start, guess)
-        slope = 2.0 * float((arm * x) @ x)
-        if track is not None:
-            track.add(grid, xi, guess, out, slope)
-        solved.append(out)
-        slopes.append(slope)
-        start = x[1::2]
-    (mu_n, _, _), (mu_h, _, _) = solved
-    return (4.0 * mu_n - mu_h) / 3.0, (4.0 * slopes[0] - slopes[1]) / 3.0, \
-        tuple(solved)
+    `_Pair`, the N grid first; the N/2 solve starts from the N-grid x.
+    grids is the pair of `_grids`, guesses each grid's guess of
+    `_ground`."""
+    solved = []
+    for grid, guess in zip(grids, guesses):
+        solved.append(_ground(grid, xi, start, guess))
+        start = solved[-1].x[1::2]
+    fine, coarse = solved
+    return (4.0 * fine.mu - coarse.mu) / 3.0, \
+        (4.0 * fine.slope - coarse.slope) / 3.0, tuple(solved)
 
 
-def _grid_curvature(grid: _StepGrid, mu: float, x: np.ndarray,
-                    arm: np.ndarray) -> float:
-    """mu''(xi) on the grid of the record from its (mu, x, arm) of
-    `_ground` at xi, by second-order perturbation (Kato, Perturbation
-    Theory for Linear Operators, II.2). dT/dxi = 2 diag(arm) and
-    d^2T/dxi^2 = 2, so mu'' = 2 - 8 <f, R(mu) f>, with f = arm x and x
-    projected out, and R the reduced resolvent. g = R(mu - tol) f is one
-    solve with the positive-definite factors of T - (mu - tol), tol =
-    TOL_EPS max|T_ii| as in `_inverse_iteration`, and R(mu) f = g + tol R g
-    to first order, so <f, R(mu) f> = <f, g> + tol <g, g>. The
-    factorization and the solve go into the grid's Work."""
-    f = arm * x
+def _grid_curvature(grid: _StepGrid, pair: _Pair) -> float:
+    """mu''(xi) on the grid of the record from its `_Pair` at xi, by
+    second-order perturbation (Kato, Perturbation Theory for Linear
+    Operators, II.2). dT/dxi = 2 diag(arm) and d^2T/dxi^2 = 2, so mu'' =
+    2 - 8 <f, R(mu) f>, with f = arm x and x projected out, and R the
+    reduced resolvent. g = R(sigma) f is one solve with the pair's
+    positive-definite factors of T - sigma, its certifying shift sigma
+    within tol (plus 4 ulp) below mu, and R(mu) f = g + (mu - sigma) R g
+    to first order, so <f, R(mu) f> = <f, g> + (mu - sigma) <g, g>. The
+    solve goes into the grid's Work."""
+    x = pair.x
+    f = pair.arm * x
     f -= (f @ x) * x
-    diag = grid.kinetic + arm * arm
-    tol = TOL_EPS * float(diag.max())
-    factors = _ldl_factors(diag, grid.off, mu - tol, 0)[1]
-    if factors is None:  # level 0 lies in [mu - tol, mu] by `_ground`
-        raise NumericalError(f"level 0 at N = {grid.N} lies below mu - tol")
-    grid.work.factorizations += 1
     grid.work.solves += 1
     # f is orthogonal to x, so the solve's x component adds nothing
-    g = dpttrs(*factors, f)[0]
-    return 2.0 - 8.0 * float(f @ g + tol * (g @ g))
+    g = dpttrs(*pair.factors, f)[0]
+    return 2.0 - 8.0 * float(f @ g + (pair.mu - pair.shift) * (g @ g))
 
 
-def _curvature(grids: tuple, solved: tuple) -> float:
-    """mu''(xi), Richardson-refined over (N/2, N), of `_grid_curvature` on
-    each grid from its (mu, x, arm) of `_refined` at xi. A non-positive
-    result is an error: the minimum is degenerate, or the grid too
-    coarse."""
-    fine, coarse = (_grid_curvature(grid, *out)
-                    for grid, out in zip(grids, solved))
+def _curvature(grids: tuple, solved: tuple) -> tuple[float, tuple]:
+    """(mu''(xi), each grid's mu''): `_grid_curvature` on each grid from
+    its `_Pair` of `_refined` at xi, and their Richardson combination over
+    (N/2, N). A non-positive result is an error: the minimum is
+    degenerate, or the grid too coarse."""
+    fine, coarse = each = tuple(_grid_curvature(grid, pair)
+                                for grid, pair in zip(grids, solved))
     curv = (4.0 * fine - coarse) / 3.0
     if not curv > 1e-6:
         raise NumericalError(f"band curvature {curv:.3g} is not positive; "
                              f"minimum degenerate or resolution insufficient")
-    return curv
+    return curv, each
 
 
 def _sample(params: StepParams, xi: float, mu: float, x: np.ndarray
@@ -284,33 +317,69 @@ def band_value(params: StepParams, xi: float) -> BandSample:
     if not math.isfinite(xi):
         raise ValidationError("xi must be finite")
     mu, _, solved = _refined(_grids(params), xi)
-    return _sample(params, xi, mu, solved[0][1])
+    return _sample(params, xi, mu, solved[0].x)
+
+
+def _scan(grids: tuple, xi_values) -> tuple[list, tuple, np.ndarray]:
+    """(rows, tracks, x) of a scan on the records of `_grids`: the (xi, mu)
+    rows of `band_table`, each grid's `_Track`, and the N-grid vector of
+    the lowest row."""
+    rows, x, tracks, lowest = [], None, (_Track(), _Track()), (math.inf,)
+    for xi in map(float, xi_values):
+        guesses = [track.guess(xi) for track in tracks]
+        mu, _, solved = _refined(grids, xi, x, guesses)
+        for track, guess, pair in zip(tracks, guesses, solved):
+            track.add(xi, guess, pair)
+        rows.append((xi, mu))
+        x = solved[0].x
+        if mu < lowest[0]:
+            lowest = mu, x
+    return rows, tracks, lowest[-1]
 
 
 def band_table(params: StepParams, xi_values, work: Work | None = None
                ) -> list[tuple[float, float]]:
     """(xi, mu) rows over xi_values; raw refined values, no end checks.
     Each point's solve starts from the previous point's ground state and,
-    on each grid, from the level `_predicted` from the earlier points'
-    levels and Hellmann-Feynman slopes (exact weights for equally spaced
-    points; other spacings cost factorizations, not accuracy), with a
-    first gap sized by how well the last prediction did (`_Track`). work,
-    when given, gains the scan's factorizations and solves."""
-    grids = _grids(params, work)
-    rows, x, tracks = [], None, (_Track(), _Track())
-    for xi in xi_values:
-        mu, _, solved = _refined(grids, float(xi), x, tracks)
-        rows.append((float(xi), mu))
-        x = solved[0][1]
-    return rows
+    on each grid, from the level `_predicted` from the levels and
+    Hellmann-Feynman slopes of up to five earlier points (exact weights
+    for equally spaced points; other spacings cost factorizations, not
+    accuracy), with a first gap sized by how well the last prediction did
+    (`_Track`). work, when given, gains the scan's factorizations and
+    solves."""
+    return _scan(_grids(params, work), xi_values)[0]
+
+
+def _hermite(nodes, points, t: float) -> float:
+    """The value at t of the polynomial of degree 2n - 1 through one
+    grid's (mu, mu') points at the n distinct nodes: Newton's divided
+    differences on the doubled nodes."""
+    z = [node for node in nodes for _ in (0, 1)]
+    column = [mu for mu, _ in points for _ in (0, 1)]
+    coefs = [column[0]]
+    for k in range(1, len(z)):
+        column = [points[i // 2][1] if z[i + k] == z[i] else
+                  (column[i + 1] - column[i]) / (z[i + k] - z[i])
+                  for i in range(len(column) - 1)]
+        coefs.append(column[0])
+    value = coefs[-1]
+    for k in range(len(z) - 2, -1, -1):
+        value = value * (t - z[k]) + coefs[k]
+    return value
 
 
 def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
                   ) -> tuple[list, float, float, BandSample]:
     """(scan rows, zeta_a, mu''(zeta_a), end-checked band sample at
-    zeta_a); work gains the factorizations and solves. zeta_a takes the
-    last Newton step -mu'/mu'' without a solve, so mu'' and the sample are
-    the last solve's (its mu exceeds beta_a by mu'' step^2 / 2 < 1e-20)."""
+    zeta_a); work gains the factorizations and solves. Newton runs on the
+    scan's grid records and starts from its lowest row's vector. Each
+    grid's level at the first Newton point is the `_hermite`
+    interpolation through the scan's (mu, mu') at the three points about
+    the minimum; at each later point, the Taylor step from the last
+    point's mu, mu' and mu''. Its first shift lies tol/2 below that.
+    zeta_a takes the last Newton step -mu'/mu'' without a solve, so mu''
+    and the sample are the last solve's (its mu exceeds beta_a by mu''
+    step^2 / 2 < 1e-20)."""
     lo, hi = float(xi_bracket[0]), float(xi_bracket[1])
     span = hi - lo
     n_scan = round(span / 0.05) if math.isfinite(span / 0.05) else 0
@@ -318,9 +387,9 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
         raise ValidationError(
             f"xi_bracket must be a finite increasing interval of 2 to "
             f"{MAX_SCAN_STEPS} scan steps of 0.05")
-    table = band_table(params,
-                       [lo + span * i / n_scan for i in range(n_scan + 1)],
-                       work)
+    grids = _grids(params, work)
+    table, tracks, x = _scan(
+        grids, [lo + span * i / n_scan for i in range(n_scan + 1)])
     xs = [xi for xi, _ in table]
     mus = np.array([mu for _, mu in table])
     mu_span = mus.max() - mus.min()
@@ -341,15 +410,19 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
     i = interior[0]  # Newton starts from the vertex of the scan parabola
     (m0, m1, m2), dxi = mus[i - 1:i + 2], xs[i + 1] - xs[i]
     z = xs[i] + 0.5 * dxi * (m0 - m2) / (m0 - 2.0 * m1 + m2)
-    x, grids = None, _grids(params, work)
+    guesses = [(_hermite(xs[i - 1:i + 2], track.points[i - 1:i + 2], z), 0.0)
+               for track in tracks]
     for _ in range(20):
         if not xs[i - 1] <= z <= xs[i + 1]:
             raise NumericalError(f"Newton on the band slope left the scan "
                                  f"cell of its minimum at xi = {z:.6g}")
-        mu, slope, solved = _refined(grids, z, x)
-        x, curv = solved[0][1], _curvature(grids, solved)
-        z -= slope / curv
-        if abs(slope / curv) <= 1e-10:
+        mu, slope, solved = _refined(grids, z, x, guesses)
+        curv, each = _curvature(grids, solved)
+        step = -slope / curv
+        guesses = [(pair.mu + step * (pair.slope + 0.5 * step * c), 0.0)
+                   for pair, c in zip(solved, each)]
+        x, z = solved[0].x, z + step
+        if abs(step) <= 1e-10:
             break
     if abs(slope) >= 1e-8:
         raise NumericalError(

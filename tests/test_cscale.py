@@ -513,14 +513,18 @@ _side = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3),
 @example(re=(0.125, 0.375), im=(0.125, 1e-12), theta=0.5)  # CLI default
 @example(re=(0.125, 0.375), im=(0.125, 1e-12), theta=0.6)  # at h = 0.25
 @example(re=(0.0, 1.0), im=(7.49, 1.0), theta=math.pi / 8)  # 1 - i on the ray
+# -2 theta rounds to 0: the window touches the negative real axis, where
+# the subnormal Im u leaves cross products of 0, but lies behind the ray
+@example(re=(-1.0, -0.25), im=(0.0, 1.0), theta=5e-324)
 def test_ray_hits_window_iff_between_corner_angles(re, im, theta):
-    """A window that holds the origin meets every ray. Any other window
-    and the ray e^{-2 i theta}[0, inf) lie in Im z <= 0, so the whole line
-    along u = e^{-2 i theta} meets the window only on the ray: it does iff
-    the corners' cross products Re(u) Im(c) - Im(u) Re(c) do not all share
-    one strict sign. A corner exactly on the ray counts as meeting it;
-    draws with a corner angle within 1e-9 of the ray's are otherwise
-    skipped, since rounding decides those."""
+    """A window that holds the origin meets every ray. The ray
+    e^{-2 i theta}[0, inf) meets any other window iff the line along u =
+    e^{-2 i theta} meets it, that is the corners' cross products Re(u)
+    Im(c) - Im(u) Re(c) do not all share one strict sign, and some corner
+    lies on the ray's side of the origin, Re(conj(u) c) >= 0. A corner
+    exactly on the ray counts as meeting it; draws with a corner angle
+    within 1e-9 of the ray's are otherwise skipped, since rounding decides
+    those."""
     (re_min, re_max), (im_min, im_max) = sorted(re), sorted(-abs(x)
                                                             for x in im)
     assume(re_min < re_max and im_min < im_max)
@@ -537,8 +541,9 @@ def test_ray_hits_window_iff_between_corner_angles(re, im, theta):
     assume(min(gaps) > 1e-9)
     u = cmath.exp(-2j * theta)
     cross = [u.real * c.imag - u.imag * c.real for c in corners]
-    assert _ray_hits_window(theta, win) == \
-        (not (all(x > 0 for x in cross) or all(x < 0 for x in cross)))
+    ahead = any((u.conjugate() * c).real >= 0 for c in corners)
+    assert _ray_hits_window(theta, win) == (ahead and not (
+        all(x > 0 for x in cross) or all(x < 0 for x in cross)))
 
 
 def test_singular_shift_is_numerical_error():

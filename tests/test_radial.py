@@ -534,6 +534,21 @@ def test_lowest_certifies_each_level(monkeypatch, well_profile):
     assert work.solves >= work.factorizations
 
 
+def test_lowest_returns_unit_vectors_and_rescaling_changes_no_digit(
+        monkeypatch, well_profile):
+    """The ladder's solves stay unnormalized too and each vector comes back
+    unit l2; rescaling every solve by a power of 2 (RESCALE forced to 1)
+    returns the same levels and vectors, bit for bit."""
+    op = assemble_fiber(well_profile, 1, 0.05, RadialGrid(3.0, 1500),
+                        convention="h")
+    vals, basis = radial._lowest(op, 4, radial.Work())
+    assert np.all(np.abs(np.einsum("ij,ij->i", basis, basis) - 1.0) < 1e-15)
+    monkeypatch.setattr(radial, "RESCALE", 1.0)
+    forced_vals, forced_basis = radial._lowest(op, 4, radial.Work())
+    assert np.array_equal(forced_vals, vals)
+    assert np.array_equal(forced_basis, basis)
+
+
 def _one_off_fiber(profile, m, scale, grid, boundary, convention):
     """(diag, off, V) of the fiber formed in one pass, without a grid
     record: a(r), the potential and the face-weighted stencil."""

@@ -124,6 +124,19 @@ def test_seeded_scan_matches_oracle_across_the_well_change():
         assert abs(mu - step_band_mu(-0.25, xi, N=1600)) < 1e-12
 
 
+def test_well_change_ends_the_scan_history():
+    """At a = -0.25 the ground state leaves the Landau well at xi = -3.15,
+    where the prediction from the old well's levels misses by 0.06: each
+    grid's history restarts after that point, so the next points do not
+    extrapolate the old well. The 101-point scan at N = 1600 refuses 50
+    shifts (88 when the old well's history kept predicting)."""
+    p, work = StepParams(a=-0.25, N=1600), Work()
+    xs = [-4.0 + 0.05 * i for i in range(101)]
+    _, tracks, _ = stepband._scan(stepband._grids(p, work), xs)
+    assert [track.since for track in tracks] == [18, 18]  # after -3.15
+    assert work.refused <= 60
+
+
 @pytest.mark.parametrize("wrong", [1.0, -1.0])
 def test_wrong_seed_costs_factorizations_not_rows(monkeypatch, wrong):
     """Predictions off by one in either direction (both grids) give the
@@ -148,21 +161,29 @@ def test_wrong_seed_costs_factorizations_not_rows(monkeypatch, wrong):
 
 
 def test_seeds_need_history():
-    """Fewer than five earlier points: no prediction, the solve starts
-    from the Rayleigh quotient. The weights sum to 1 and reproduce a
-    degree-9 polynomial, values and slopes, to rounding."""
-    assert stepband._predicted([(1.0, 0.0)] * 4, 0.05) is None
-    assert sum(stepband._LEVEL_WEIGHTS) == pytest.approx(1.0, abs=1e-13)
+    """No earlier point: no prediction, the solve starts from the Rayleigh
+    quotient. For n = 1..5 earlier points the weights sum to 1 and
+    reproduce random polynomials of degree 2n - 1, values and slopes, to
+    rounding; more points than five use the last five."""
+    assert stepband._predicted([], 0.05) is None
     rng = np.random.default_rng(7)
-    for step in (0.05, 1.0):
-        for _ in range(5):
-            poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 10))
-            slope = poly.deriv()
-            ts = step * np.arange(-5, 0)
-            points = [(poly(t), slope(t)) for t in ts]
-            scale = max(abs(poly(t)) + step * abs(slope(t)) for t in ts)
-            assert abs(stepband._predicted(points, step) - poly(0.0)) \
-                < 1e-12 * scale
+    for n in range(1, 6):
+        levels, _ = stepband._WEIGHTS[n - 1]
+        assert sum(levels) == pytest.approx(1.0, abs=1e-13)
+        for step in (0.05, 1.0):
+            for _ in range(5):
+                poly = np.polynomial.Polynomial(
+                    rng.uniform(-1.0, 1.0, 2 * n))
+                slope = poly.deriv()
+                ts = step * np.arange(-n, 0)
+                points = [(poly(t), slope(t)) for t in ts]
+                scale = max(abs(poly(t)) + step * abs(slope(t)) for t in ts)
+                assert abs(stepband._predicted(points, step) - poly(0.0)) \
+                    < 1e-12 * scale
+                if n == 5:  # older points do not enter
+                    older = [(1e3, -1e3)] * 2 + points
+                    assert stepband._predicted(older, step) \
+                        == stepband._predicted(points, step)
 
 
 @pytest.mark.parametrize("start", ["second", "minus_lowest"])
@@ -170,12 +191,13 @@ def test_ground_from_any_start_lands_on_positive_lowest(start):
     p = StepParams(a=-0.5, N=1600)
     xi = FROZEN["step_minus05"]["zeta"]
     grid = stepband._StepGrid(p, p.N)
-    step, arm = p.step, stepband._ground(grid, xi)[2]
+    step, arm = p.step, stepband._ground(grid, xi).arm
     vals, vecs = sla.eigh_tridiagonal(2.0 / step ** 2 + arm ** 2,
                                       np.full(p.N - 2, -1.0 / step ** 2),
                                       select="i", select_range=(0, 1))
     v = vecs[:, 1] if start == "second" else -vecs[:, 0]
-    mu, x, _ = stepband._ground(grid, xi, start=v)
+    pair = stepband._ground(grid, xi, start=v)
+    mu, x = pair.mu, pair.x
     assert abs(mu - vals[0]) < 1e-10 and vals[1] - vals[0] > 0.5
     assert np.all(x > 0) and np.sum(x * x) == pytest.approx(1.0)
 
@@ -205,8 +227,8 @@ def test_ground_last_shift_certifies_lowest(monkeypatch):
     ground = stepband._ground
 
     def recording(grid, xi, *args):
-        mu, x, arm = out = ground(grid, xi, *args)
-        ends.append((mu, _tol(grid, arm), shifts[-1]))
+        out = ground(grid, xi, *args)
+        ends.append((out.mu, _tol(grid, out.arm), shifts[-1]))
         return out
     monkeypatch.setattr(stepband, "_ground", recording)
     band_table(StepParams(a=-0.5, N=1600),
@@ -225,14 +247,63 @@ def test_ground_certifies_a_guess_below_the_level(monkeypatch, below):
     certificate."""
     p = StepParams(a=-0.5, N=1600)
     grid = stepband._StepGrid(p, p.N)
-    level, _, arm = stepband._ground(grid, -0.66)
-    tol = _tol(grid, arm)
+    solved = stepband._ground(grid, -0.66)
+    level, tol = solved.mu, _tol(grid, solved.arm)
     shifts = _recorded_shifts(monkeypatch)
-    mu, _, _ = stepband._ground(grid, -0.66,
-                                guess=(level - below * tol, tol))
+    mu = stepband._ground(grid, -0.66, guess=(level - below * tol, tol)).mu
     assert abs(mu - level) <= 4.0 * np.spacing(level)
     shift, accepted = shifts[-1]
     assert accepted and 0.0 < mu - shift <= tol + 4.0 * np.spacing(mu)
+
+
+def test_ground_returns_unit_vector_and_rescaling_changes_no_digit(
+        monkeypatch):
+    """The solves stay unnormalized and x comes back unit l2. Rescaling
+    every solve by a power of 2 (RESCALE forced to 1, as if each iterate
+    grew past the threshold) returns the same certified pair and the same
+    scan, bit for bit."""
+    p = StepParams(a=-0.5, N=1600)
+    xs = [-2.0 + 0.05 * i for i in range(41)]
+    grid = stepband._StepGrid(p, p.N)
+    free, rows = stepband._ground(grid, -0.66), band_table(p, xs)
+    assert abs(free.x @ free.x - 1.0) < 4e-16 and np.all(free.x > 0)
+    monkeypatch.setattr(radial, "RESCALE", 1.0)
+    forced = stepband._ground(grid, -0.66)
+    assert (forced.mu, forced.shift, forced.slope) == \
+        (free.mu, free.shift, free.slope)
+    assert np.array_equal(forced.x, free.x)
+    assert band_table(p, xs) == rows
+
+
+@pytest.mark.parametrize("a", [-0.5, -1.0])
+def test_predicted_points_cost_at_most_two_factorizations(monkeypatch, a):
+    """Every band point but the scan's first has a prediction on each
+    grid: scan points 2 to 6 from the Hermite extrapolation through the 1
+    to 5 points before them, the first Newton point from the scan points
+    about the minimum, each later one from the last Newton point's mu, mu'
+    and mu''. Each of those five scan points costs at most 2
+    factorizations per grid, refused shifts included, and their ten solves
+    (both grids) take at most 30 solves together (40 unseeded); each
+    Newton point costs one factorization and at most 2 solves per grid (2
+    and 3 or 4 unseeded). The first scan point starts from the Rayleigh
+    quotient of a Gaussian."""
+    calls, ground = [], stepband._ground
+
+    def counting(grid, xi, *args):
+        work = grid.work
+        before = work.factorizations + work.refused, work.solves
+        out = ground(grid, xi, *args)
+        calls.append((xi, grid.N, work.factorizations + work.refused
+                      - before[0], work.solves - before[1]))
+        return out
+    monkeypatch.setattr(stepband, "_ground", counting)
+    table = stepband.analyze_band(StepParams(a=a))[0]
+    early, newton = calls[2:12], calls[2 * len(table):]
+    assert all(factored <= 2 for _, _, factored, _ in early), early
+    assert sum(solves for *_, solves in early) <= 30, early
+    assert len(newton) >= 4 and len(newton) % 2 == 0
+    assert all(factored == 1 and solves <= 2
+               for _, _, factored, solves in newton), newton
 
 
 @pytest.mark.parametrize("force", ["iteration_cap", "refused_shifts"])
@@ -241,7 +312,7 @@ def test_ground_non_convergence_is_numerical_error(monkeypatch, tmp_path,
     if force == "iteration_cap":
         monkeypatch.setattr(stepband, "MAX_SOLVES", 2)
     else:
-        monkeypatch.setattr(radial, "dpttrf", lambda d, e: (d, e, 1))
+        monkeypatch.setattr(radial, "dpttrf", lambda d, e, *flags: (d, e, 1))
     with pytest.raises(NumericalError, match="did not converge"):
         band_value(StepParams(a=-0.5), -0.66)
     assert main(["band", "--a", "-0.5", "--grid-n", "64",
@@ -298,12 +369,12 @@ def test_zeta_is_the_root_of_the_slope(a):
     _, zeta, _, _, params = stepband.analyze_band(StepParams(a=a))
     grids = stepband._grids(params)
     _, slope, solved = stepband._refined(grids, zeta)
-    assert abs(slope / stepband._curvature(grids, solved)) < 1e-12
+    assert abs(slope / stepband._curvature(grids, solved)[0]) < 1e-12
 
 
 def _curvature_at(params, xi):
     grids = stepband._grids(params)
-    return stepband._curvature(grids, stepband._refined(grids, xi)[2])
+    return stepband._curvature(grids, stepband._refined(grids, xi)[2])[0]
 
 
 def test_second_derivative():
@@ -344,15 +415,15 @@ def test_curvature_matches_mrrr_second_difference(a):
 @pytest.mark.parametrize("N", [800, 1600])
 def test_grid_curvature_matches_sum_over_states(N):
     """One grid's mu'' at zeta(-0.5) against the dense sum over states on
-    the same grid, within 2e-11 relative. Applying R at mu - tol without
-    the tol <g, g> term read 2.8e-11 high at N = 800 and 1.06e-10 at
-    N = 1600."""
+    the same grid, within 2e-12 relative (3.6e-13 and 4.7e-13 read).
+    Applying R at the certifying shift sigma without the (mu - sigma)
+    <g, g> term reads 1.3e-11 high at N = 800 and 5.3e-11 at N = 1600."""
     p = StepParams(a=-0.5, N=N)
     zeta = FROZEN["step_minus05"]["zeta"]
     grid = stepband._StepGrid(p, N)
-    curv = stepband._grid_curvature(grid, *stepband._ground(grid, zeta))
+    curv = stepband._grid_curvature(grid, stepband._ground(grid, zeta))
     oracle = step_band_curvature(-0.5, zeta, N=N)
-    assert abs(curv - oracle) < 2e-11 * oracle
+    assert abs(curv - oracle) < 2e-12 * oracle
 
 
 def test_curvature_is_smooth_in_xi():

@@ -38,23 +38,24 @@ Richardson extrapolation over (N/2, N).
 
 Grid levels come from certified inverse iteration (`_lowest`). Level j is
 bisected on a coarse copy of the fiber (about N/16 nodes; LAPACK `dstebz`,
-then `dstein` for the vectors), then refined on the fiber itself by
-shifted inverse iteration (`_inverse_iteration`, which the step band
-shares). Each shift s is factored as T - s = L D L^T by
-`dpttrf`, restarted past each negative pivot (`_ldl_factors`), and is used
-only if exactly j pivots are negative: by Sylvester's law of inertia s then
-lies between levels j - 1 and j. The iterate is orthogonalized against the
-levels below, and its Rayleigh quotient is summed face by face from the
-face weights and the potential, free of the cancellation between diag and
-off that costs bisection up to 1e-8 relative where the diagonal is large.
-The solves are not normalized: the quotient of each is taken with the
-|y|^2 that the check for a lost iterate computes, and the vector is
-normalized once, on return. The iteration stops when the quotient moves by
-at most 4 ulp and the last accepted shift lies within tol = 64 eps
-max|T_ii|, plus those 4 ulp, below it; tol is computed once per fiber.
-`eigs_lowest` returns these certified pairs, its vectors scaled to unit
-norm in r dr: every real fiber eigenpair, level or vector, comes from this
-one solver. Its LAPACK routines come from `_lapack`, which loads them
+then `dstein` for the vectors), then refined on the fiber itself by shifted
+inverse iteration (`_inverse_iteration`, which the step band shares). Each
+shift s is factored as T - s = L D L^T by `dpttrf`, restarted past each
+negative pivot (`_ldl_factors`), and is used only if exactly j pivots are
+negative: by Sylvester's law of inertia s then lies between levels j - 1
+and j. Every shift factored narrows one bracket of level j, and a shift
+outside it gives way to the bracket's log-midpoint. The iterate is
+orthogonalized against the levels below, and its Rayleigh quotient is
+summed face by face from the face weights and the potential, free of the
+cancellation between diag and off that costs bisection up to 1e-8 relative
+where the diagonal is large. The solves are not normalized: the quotient of
+each is taken with the |y|^2 that the check for a lost iterate computes,
+and the vector is normalized once, on return. The iteration stops when the
+quotient moves by at most 4 ulp and the last accepted shift lies within
+tol = 64 eps max|T_ii|, plus those 4 ulp, below it; tol is computed once
+per fiber. `eigs_lowest` returns these certified pairs, its vectors scaled to
+unit norm in r dr: every real fiber eigenpair, level or vector, comes from
+this one solver. Its LAPACK routines come from `_lapack`, which loads them
 without `scipy.linalg`.
 
 A merged ladder (well, anharmonic, island) is a certified sector sweep
@@ -85,10 +86,10 @@ from .fields import FieldProfile, make_profile, zero_profile, FieldSpec
 MAX_GRID_N = 10 ** 6  # largest grid of any solver (radial and step band)
 LADDER_N = 3000  # nodes of every ladder grid
 R_MAX_GROWTHS = 4  # 1.5x steps of a truncated ladder's r_max: at most 5.06x
-MAX_SOLVES = 100  # cap on factorizations plus solves per eigenpair
+MAX_SOLVES = 100  # cap on solves plus refused shifts per eigenpair
 NEAR = 4  # lower levels each inverse-iteration solve is orthogonalized to
 TOL_EPS = 64.0 * np.finfo(float).eps  # certified shift gap, per max|T_ii|
-SETTLED = 1000.0  # first solve's mu - shift, in tol, that settles mu
+SETTLED = 1e4  # a solve's mu - shift, in tol, that settles mu
 RESCALE = 1e200  # |y|^2 (or its inverse) past which a solve is rescaled
 # weight of the last face: a Dirichlet value there (mirror ghost) or free
 FAR_WEIGHT = {"dirichlet_far": 2.0, "neumann_far": 0.0}
@@ -305,7 +306,7 @@ def _ldl_factors(diag: np.ndarray, off: np.ndarray, shift: float, j: int
 
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
                        rayleigh, x, mu, gap: float, lower, work: Work,
-                       cap: int, what: str) -> tuple:
+                       what: str) -> tuple:
     """(mu, x, shift, factors): eigenpair j of T = (diag, off) by shifted
     inverse iteration, x unit l2, with the last accepted shift and its
     `_ldl_factors`. tol = TOL_EPS max|T_ii| comes from the caller, once per
@@ -315,66 +316,66 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
     can amplify only the levels just below j, and it damps the others.
 
     x is a start vector of any norm, orthogonal to lower (the first solve
-    overwrites it), and mu an estimate of the level, above level j - 1;
-    rayleigh(y, y @ y) sums the Rayleigh quotient of y from the operator's
-    own quadratic form. The solves stay unnormalized: the quotient takes
-    the y @ y of the check for a lost iterate, x is normalized once, on
-    return, and an iterate whose |y|^2 leaves [1/RESCALE, RESCALE] is
-    scaled by a power of 2, which changes no digit.
+    overwrites it), and mu an estimate of the level; rayleigh(y, y @ y)
+    sums the Rayleigh quotient of y from the operator's own quadratic
+    form. The solves stay unnormalized: the quotient takes the y @ y of
+    the check for a lost iterate, x is normalized once, on return, and an
+    iterate whose |y|^2 leaves [1/RESCALE, RESCALE] is scaled by a power
+    of 2, which changes no digit.
 
-    Each shift mu - gap is used only if `_ldl_factors` finds exactly j
-    eigenvalues below it. A shift with more quadruples the gap and one
-    with fewer quarters it, until one of each is known; the gap then
-    bisects between them on a log scale, which ends in the window while mu
-    lies above level j - 1. Once a shift was accepted, level j lies
-    between the highest accepted shift and the lowest one with more below
-    it, and a shift at or past the latter bisects that bracket instead (mu
-    lags the level while the start holds little of its vector). The first
-    gap is at least tol/2.
+    A shift is used only if `_ldl_factors` finds exactly j eigenvalues
+    below it, and each shift factored narrows one bracket [lo, hi) of
+    level j: lo is the highest shift known to have at most j below it, hi
+    the lowest known to have more. The next shift is mu - gap (gap at
+    least tol/2) while that lies inside; else lo for gap = inf, from a
+    caller with no estimate of the gap; else the log-midpoint of the
+    distances of lo and hi below mu, the nearer at least tol/2, as a
+    product of roots (|T_ii| may lie near the float range). lo starts at
+    the Gershgorin floor min T_ii - 2 max|T_i,i+1|, computed only once a
+    shift leaves the bracket. A refused shift with fewer than j below it
+    shows mu or the gap reaching below level j - 1: mu becomes the start's
+    quotient where that is higher.
 
     While the accepted shift lies more than tol below mu, it is factored
-    again: tol/2 below mu once mu has settled, because the first solve on
-    the shift left mu within SETTLED tol of it or because its moves shrink
-    by a ratio r that leaves mu within tol/4 of the level (Aitken: move r /
-    (1 - r)); else, from the second solve on the shift, twice the move
-    below mu, down to tol, when mu moved by less than gap/8. The first move
+    again: tol/2 below mu once mu has settled, because a solve left mu
+    within SETTLED tol of the shift or because its moves shrink by a ratio
+    r that leaves mu within tol/4 of the level (Aitken: move r / (1 - r));
+    else, from the second solve on the shift, twice the move below mu, down
+    to tol, when mu moved by less than 1/8 of mu - shift. The first move
     counts from the start's quotient where the first gap exceeds SETTLED
     tol, and not at all otherwise: a move from an estimate says nothing of
     convergence. mu is returned when it moved by at most 4 ulp (of tol at
     least, where mu is 0) and the accepted shift lies within tol, plus
     those 4 ulp, below the returned mu. The certificate puts level j in
     [mu - tol, mu] up to the rounding of the quotient: a poor estimate
-    costs factorizations, never a wrong level. More than cap
-    factorizations and solves is a NumericalError.
+    costs factorizations, never a wrong level. More than MAX_SOLVES solves
+    and refused shifts together is a NumericalError.
     """
     j = len(lower)
     gap = max(gap, 0.5 * tol)
     counted = gap > SETTLED * tol  # whether the next move counts
     prev, last = rayleigh(x, x @ x) if counted else mu, None
-    factors, low, high = None, 0.0, math.inf  # refused: too small, too large
-    floor, ceiling = -math.inf, math.inf  # level j lies between them
-    for _ in range(cap):
+    factors, lo, hi = None, -math.inf, math.inf  # level j lies in [lo, hi)
+    for _ in range(MAX_SOLVES):
         if factors is None:
             shift = mu - gap
-            if shift >= ceiling:  # mu lags level j: bisect its bracket
-                shift = 0.5 * (floor + ceiling)
+            if not lo < shift < hi:
+                if lo == -math.inf:  # the Gershgorin floor
+                    lo = float(diag.min()) - 2.0 * float(
+                        np.abs(off).max(initial=0.0))
+                shift = lo if gap == math.inf else mu - math.sqrt(
+                    mu - lo) * math.sqrt(max(mu - hi, 0.5 * tol))
                 gap = mu - shift
             count, factors = _ldl_factors(diag, off, shift, j)
             if factors is None:
                 work.refused += 1
                 if count > j:
-                    low, ceiling = gap, shift
-                else:
-                    high = gap
-                if count > j and floor > -math.inf:
-                    gap = mu - 0.5 * (floor + ceiling)
-                else:
-                    gap = (4.0 * gap if high == math.inf else 0.25 * gap
-                           if low == 0.0 else math.sqrt(low * high))
+                    hi = shift
+                else:  # below level j - 1
+                    lo, mu = shift, max(mu, rayleigh(x, x @ x))
                 continue
             work.factorizations += 1
-            low, high, first = 0.0, math.inf, True
-            floor = max(floor, shift)
+            lo, first = shift, True
         y, _ = dpttrs(*factors, x, 1)  # in place on x
         if j:
             near = lower[-NEAR:]
@@ -391,17 +392,17 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
             return mu, y / math.sqrt(norm2), shift, factors
         if mu - shift > tol:
             ratio = move / last if last else math.inf
-            if (first and mu - shift <= SETTLED * tol or ratio < 1.0
+            if (mu - shift <= SETTLED * tol or ratio < 1.0
                     and move * ratio <= 0.25 * tol * (1.0 - ratio)):
                 gap, factors = 0.5 * tol, None
-            elif not first and 8.0 * move < gap:
+            elif not first and 8.0 * move < mu - shift:
                 gap, factors = max(tol, 2.0 * move), None
         first, last, counted = False, move if counted else None, True
         if not 1.0 / RESCALE < norm2 < RESCALE:
             y *= math.ldexp(1.0, -(math.frexp(norm2)[1] // 2))
         x = y
     raise NumericalError(f"inverse iteration at {what} did not converge "
-                         f"in {cap} steps")
+                         f"in {MAX_SOLVES} steps")
 
 
 def _rayleigh(op: FiberOperator):
@@ -448,10 +449,10 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
     refines the level on the fiber itself from the coarse eigenvector
     interpolated onto the grid, with a first gap of 1% of the coarse
     spacing above it. The estimate is coarse level j moved by the grid
-    shift of the two levels below, extrapolated (the start's Rayleigh
-    quotient where that is not above level j - 1). Each level thus depends
-    on the fiber and j alone, whatever k is. Non-finite entries (an
-    overflowed potential) are a NumericalError.
+    shift of the two levels below, extrapolated (`_inverse_iteration`
+    replaces one below level j - 1). Each level thus depends on the fiber
+    and j alone, whatever k is. Non-finite entries (an overflowed
+    potential) are a NumericalError.
     """
     if not (np.isfinite(op.diag).all() and np.isfinite(op.off).all()):
         raise NumericalError(
@@ -492,11 +493,9 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
         x = np.interp(fine.r, rc, vecs[:, i] / root_c) * fine.root
         if j:
             x -= basis[:j].T @ (basis[:j] @ x)
-            if not mu > values[j - 1]:
-                mu = rayleigh(x, x @ x)
         values[j], basis[j], _, _ = _inverse_iteration(
             op.diag, op.off, tol, rayleigh, x, mu,
-            1e-2 * (est[i + 1] - est[i]), basis[:j], work, MAX_SOLVES,
+            1e-2 * (est[i + 1] - est[i]), basis[:j], work,
             f"level {j} of m={op.m}, N={g.N}")
     return values, basis
 

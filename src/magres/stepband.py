@@ -35,22 +35,22 @@ What does not depend on xi is built once per grid: each band value, and
 each scan with the Newton search that follows it, builds a read-only
 record of the N and N/2 grids (step, b_a(tau) tau, kinetic diagonal,
 off-diagonal) and adds its solves to one Work, which `magres band` writes
-to its manifest. Every point but a scan's first is predicted on each grid.
-A scan point's level is the Hermite extrapolation through the levels and
-Hellmann-Feynman slopes of the last n <= 5 earlier points on that grid
-(degree 2n - 1); a miss past WELL_MISS, where the ground state changed
-wells, ends that history, and the next point starts from the Rayleigh
-quotient. Newton starts from the vector of the scan's lowest row: its first
-point is interpolated from the scan points about the minimum, each later
-one stepped from the last point's mu, mu' and mu''. Where the last
-prediction missed by less than tol/2, the first shift lies tol/2 below the
-prediction, and its one factorization both drives the solve and certifies
-the level (factor, solve, solve); elsewhere the first gap is 4x the last
-miss. Each solve starts from an earlier vector plus a constant positive
-share: (T - sigma)^-1 is an M-matrix, so iterates stay positive, and the
-share reaches wells where that vector underflowed. The certificate is the
-same for any prediction, so a poor one costs factorizations, never a wrong
-level.
+to its manifest. A scan point's level is the Hermite extrapolation
+through the levels and Hellmann-Feynman slopes of the last n <= 5 earlier
+points on that grid (degree 2n - 1); a miss past WELL_MISS, where the
+ground state changed wells, ends that history, and the next point, like a
+scan's first, starts from the Rayleigh quotient with its first shift at
+the Gershgorin floor, min(pot). Newton starts from the vector of the
+scan's lowest row: its first point is interpolated from the scan points
+about the minimum, each later one stepped from the last point's mu, mu'
+and mu''. Where the last prediction missed by less than tol/2, the first
+shift lies tol/2 below the prediction, and its one factorization both
+drives the solve and certifies the level (factor, solve, solve);
+elsewhere the first gap is 4x the last miss. Each solve starts from an
+earlier vector plus a constant positive share: (T - sigma)^-1 is an
+M-matrix, so iterates stay positive, and the share reaches wells where
+that vector underflowed. The certificate is the same for any prediction,
+so a poor one costs factorizations, never a wrong level.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import numpy as np
 from ._lapack import dpttrs
 from .errors import (FlatBandError, MultipleMinimaError, NumericalError,
                      TruncationError, ValidationError)
-from .radial import (MAX_GRID_N, MAX_SOLVES, R_MAX_GROWTHS, TOL_EPS, Work,
+from .radial import (MAX_GRID_N, R_MAX_GROWTHS, TOL_EPS, Work,
                      _inverse_iteration)
 
 FLAT_TOL = 1e-6  # relative band variation below which minimization is ill-posed
@@ -153,8 +153,9 @@ def _ground(grid: _StepGrid, xi: float, start=None, guess=None) -> _Pair:
     earlier vector on this grid. The pair is `radial._inverse_iteration`'s
     level 0, with the band's own quadratic form, from guess = (estimate,
     first gap), or else from the Rayleigh quotient of the start and a
-    first gap of 1e-2. (T - sigma)^-1 is entrywise positive (an M-matrix),
-    so iterates stay positive, and a start from an earlier point gets the
+    first shift at the Gershgorin floor (gap inf), min(pot) up to
+    rounding. (T - sigma)^-1 is entrywise positive (an M-matrix), so
+    iterates stay positive, and a start from an earlier point gets the
     constant positive share of the record: it reaches wells where that
     vector underflowed to zero. The slope reuses the squares of the last
     quotient."""
@@ -178,9 +179,9 @@ def _ground(grid: _StepGrid, xi: float, start=None, guess=None) -> _Pair:
     else:
         x = np.abs(start)
         x += grid.share
-    mu, gap = (rayleigh(x, x @ x), 1e-2) if guess is None else guess
+    mu, gap = (rayleigh(x, x @ x), math.inf) if guess is None else guess
     mu, x, shift, factors = _inverse_iteration(
-        diag, grid.off, tol, rayleigh, x, mu, gap, (), grid.work, MAX_SOLVES,
+        diag, grid.off, tol, rayleigh, x, mu, gap, (), grid.work,
         f"xi = {xi} (N = {grid.N})")
     return _Pair(mu, x, arm, 2.0 * float(arm @ sq) / norm2, tol, shift,
                  factors)
@@ -222,7 +223,7 @@ class _Track:
     first prediction. A prediction from two or more points that misses by
     more than WELL_MISS means the ground state changed wells (one point
     predicts only to mu'' step^2 / 2, about 1e-3 at the scan step): the
-    history ends, and the next point starts from the Rayleigh quotient."""
+    history ends, and the next point has no prediction."""
 
     def __init__(self):
         self.xi, self.points, self.since, self.gap = None, [], 0, 1e-2
@@ -242,10 +243,9 @@ class _Track:
             return
         miss = abs(pair.mu - guess[0])
         if miss > WELL_MISS and history > 1:
-            self.since, self.gap = len(self.points), 1e-2
-        else:
-            self.gap = (0.5 * pair.tol if miss < 0.5 * pair.tol
-                        else min(4.0 * miss, 1e-2))
+            self.since = len(self.points)
+        self.gap = (0.5 * pair.tol if miss < 0.5 * pair.tol
+                    else min(4.0 * miss, 1e-2))
 
 
 def _refined(grids: tuple, xi: float, start=None, guesses=(None, None)

@@ -1,10 +1,12 @@
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dpttrs
 
 import magres.radial as radial
@@ -18,7 +20,7 @@ from magres.radial import (MAX_GRID_N, RadialGrid, anharmonic_levels,
                            verify_ah_decay, verify_island_decay, well_levels)
 
 from conftest import FROZEN
-from oracles import (bessel_j_zero, fiber_levels_longdouble,
+from oracles import (_sturm_counts, bessel_j_zero, fiber_levels_longdouble,
                      richardson_order)
 
 
@@ -532,6 +534,76 @@ def test_lowest_certifies_each_level(monkeypatch, well_profile):
     assert work.factorizations == sum(ok for _, _, ok in factored)
     assert work.refused == sum(not ok for _, _, ok in factored)
     assert work.solves >= work.factorizations
+
+
+@settings(max_examples=80, deadline=None)
+@example(n=40, seed=1, scale=1e190, level=0.5, estimate="below", gap=1.0,
+         twin=False)  # |T_ii| near 1e192: products of distances overflow
+@example(n=2, seed=0, scale=1.0, level=0.5, estimate="on", gap=math.inf,
+         twin=False)  # j = 1 from the floor, which has none below it
+@example(n=2, seed=0, scale=1e-3, level=0.0, estimate="below", gap=0.0,
+         twin=True)  # mu converges slowly onto a pair from far below
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       level=st.floats(0.0, 1.0, exclude_max=True),
+       estimate=st.sampled_from(["on", "below", "cluster"]),
+       gap=st.sampled_from([0.0, 1e-12, 1e-3, 1.0, math.inf]),
+       twin=st.booleans())
+def test_inverse_iteration_certifies_level_j(n, seed, scale, level, estimate,
+                                              gap, twin):
+    """On random symmetric tridiagonals T = W + diag(V), W the weighted
+    difference form and V >= 0, level j from any start orthogonal to the
+    levels below: exactly j eigenvalues lie below the last shift (long
+    double Sturm counts), and level j in [mu - tol, mu] up to 4 ulp and
+    the eps max|T_ii| by which the form's quotient misses the rounded
+    diagonal. The estimates are adversarial: on level j, below level j - 1
+    (below the spectrum for j = 0) or inside a cluster of two weakly
+    coupled copies of one matrix (twin), with any first gap. Near the
+    float range the search must stay finite and raise no warning; the
+    solve may lose its iterate there (a NumericalError, exit 3)."""
+    rng = np.random.default_rng(seed)
+    w, pot = rng.uniform(0.5, 1.5, n - 1), rng.uniform(0.0, 10.0, n)
+    if twin:  # near-degenerate pairs: two copies coupled by 1e-6
+        w, pot = np.concatenate([w, [1e-6], w]), np.concatenate([pot, pot])
+    w, pot = scale * w, scale * pot
+    faces = np.concatenate([[0.0], w, [0.0]])
+    diag, off = pot + faces[:-1] + faces[1:], -w
+    lam, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                               + np.diag(off, -1))
+    size, tol = len(diag), radial.TOL_EPS * float(np.abs(diag).max())
+    # a level within 1e3 tol of the one below has no certifying shift
+    resolved = np.flatnonzero(np.diff(lam, prepend=-np.inf) > 1e3 * tol)
+    j = int(resolved[int(level * len(resolved))])
+    lower = np.ascontiguousarray(vecs[:, :j].T)
+    x = rng.normal(size=size)
+    x -= lower.T @ (lower @ x)
+    mu = {"on": lam[j],
+          "below": lam[max(j - 1, 0)] - 1e-2 * (lam[-1] - lam[0] + scale),
+          "cluster": 0.5 * (lam[j] + lam[min(j + 1, size - 1)])}[estimate]
+
+    def rayleigh(v, v2):
+        dv = np.diff(v)
+        return float(w @ (dv * dv) + (pot * v) @ v) / v2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warns, then exits 1
+        try:
+            mu, v, shift, _ = radial._inverse_iteration(
+                diag, off, tol, rayleigh, x, mu, gap * scale, lower,
+                radial.Work(), "a random tridiagonal")
+        except NumericalError as exc:
+            # near the float range a solve's |y|^2 underflows: exit 3
+            assert scale > 1e100 and "lost its iterate" in str(exc)
+            return
+    # 4 ulp, and the form's quotient misses the rounded diag by eps |T_ii|
+    slack = 4.0 * np.spacing(max(abs(mu), tol)) + tol / 64.0
+    ld = np.longdouble
+    below = _sturm_counts(diag.astype(ld), off.astype(ld) ** 2,
+                          np.array([shift, mu - tol - slack, mu + slack],
+                                   dtype=ld))
+    assert below[0] == j
+    assert below[1] <= j < below[2]
+    assert abs(v @ v - 1.0) < 1e-14
 
 
 def test_lowest_returns_unit_vectors_and_rescaling_changes_no_digit(

@@ -128,13 +128,15 @@ def test_well_change_ends_the_scan_history():
     """At a = -0.25 the ground state leaves the Landau well at xi = -3.15,
     where the prediction from the old well's levels misses by 0.06: each
     grid's history restarts after that point, so the next points do not
-    extrapolate the old well. The 101-point scan at N = 1600 refuses 50
-    shifts (88 when the old well's history kept predicting)."""
+    extrapolate the old well. The 101-point scan at N = 1600 refuses 14
+    shifts: a refused shift narrows the solver's bracket, whose next
+    shift is a log-midpoint (50 when the gap quadrupled from tol/2 after
+    each refusal, 88 when the old well's history also kept predicting)."""
     p, work = StepParams(a=-0.25, N=1600), Work()
     xs = [-4.0 + 0.05 * i for i in range(101)]
     _, tracks, _ = stepband._scan(stepband._grids(p, work), xs)
     assert [track.since for track in tracks] == [18, 18]  # after -3.15
-    assert work.refused <= 60
+    assert work.refused <= 14
 
 
 @pytest.mark.parametrize("wrong", [1.0, -1.0])
@@ -285,19 +287,24 @@ def test_predicted_points_cost_at_most_two_factorizations(monkeypatch, a):
     factorizations per grid, refused shifts included, and their ten solves
     (both grids) take at most 30 solves together (40 unseeded); each
     Newton point costs one factorization and at most 2 solves per grid (2
-    and 3 or 4 unseeded). The first scan point starts from the Rayleigh
-    quotient of a Gaussian."""
-    calls, ground = [], stepband._ground
+    and 3 or 4 unseeded). The first scan point has no prediction: it
+    starts from the Rayleigh quotient of a Gaussian and its first shift at
+    the Gershgorin floor, and refuses no shift on either grid (4 on N =
+    4800 at a = -0.5 with a first gap of 1e-2)."""
+    calls, refusals, ground = [], [], stepband._ground
 
     def counting(grid, xi, *args):
         work = grid.work
         before = work.factorizations + work.refused, work.solves
+        refused = work.refused
         out = ground(grid, xi, *args)
         calls.append((xi, grid.N, work.factorizations + work.refused
                       - before[0], work.solves - before[1]))
+        refusals.append(work.refused - refused)
         return out
     monkeypatch.setattr(stepband, "_ground", counting)
     table = stepband.analyze_band(StepParams(a=a))[0]
+    assert refusals[:2] == [0, 0], calls[:2]
     early, newton = calls[2:12], calls[2 * len(table):]
     assert all(factored <= 2 for _, _, factored, _ in early), early
     assert sum(solves for *_, solves in early) <= 30, early
@@ -310,7 +317,7 @@ def test_predicted_points_cost_at_most_two_factorizations(monkeypatch, a):
 def test_ground_non_convergence_is_numerical_error(monkeypatch, tmp_path,
                                                    force):
     if force == "iteration_cap":
-        monkeypatch.setattr(stepband, "MAX_SOLVES", 2)
+        monkeypatch.setattr(radial, "MAX_SOLVES", 2)
     else:
         monkeypatch.setattr(radial, "dpttrf", lambda d, e, *flags: (d, e, 1))
     with pytest.raises(NumericalError, match="did not converge"):

@@ -195,8 +195,13 @@ def cmd_resonances(args) -> int:
     for h in args.h:
         if args.window is not None:
             win = args.window
-        else:
+        elif -0.5 * h < -1e-12:
             win = Window(0.5 * h, 1.5 * h, -0.5 * h, -1e-12)
+        else:
+            raise ValidationError(
+                f"the default window [0.5h, 1.5h] x [-0.5h, -1e-12] is "
+                f"empty at h = {h:g} (it is for h <= 2e-12); give one with "
+                f"--window")
         rs = find_resonances(profile, h, args.m, win,
                              theta_pair=(args.theta1, args.theta2),
                              grid=grid, R1=args.r1, T0=args.t0, tol=args.tol)

@@ -30,13 +30,13 @@ factorization (LAPACK `zgttrf`, solved by `zgttrs`).
     them by Sylvester inertia, once for both angles. Arnoldi asks for that
     count plus two and doubles k while all it found lie in the disk, so a
     low count costs time, never correctness.
-  - Certificate. The contour is a circle through the middle of a gap
-    between the disk edge and the farthest eigenvalue found, the gap that
-    needs the fewest points. Its first points are spaced, arc by arc, at a
-    quarter of the exact distance from the arc to the nearest eigenvalue
-    found (and of the margin to the farthest); steps whose phase still
-    moves by pi/4 or more are bisected. The winding number must equal the
-    number of eigenvalues found inside the circle.
+  - Certificate. The contour is a circle halfway from the disk edge to
+    the nearest eigenvalue found beyond it. The phases of the eigenvalues
+    found are subtracted from arg det(T - z), so the winding number counts
+    only those Arnoldi missed inside the circle, and it must be 0. Any
+    missed eigenvalue lies beyond the farthest one found, so the first
+    points are equally spaced at most an eighth of that margin apart;
+    steps whose phase still moves by pi/4 or more are bisected.
 The dense O(N^3) solve `complex_spectrum` (LAPACK `zgeev`) is the
 fallback for a disk holding N/2 eigenvalues or more, and the small-N
 reference the slice is tested against. The LAPACK routines come from
@@ -195,8 +195,7 @@ def complex_spectrum(op: FiberOperator) -> np.ndarray:
 
 
 CONTOUR_STEP = math.pi / 4  # largest phase step of det(T - z) between points
-CONTOUR_CAP = 4096  # contour points before the count is given up
-CONTOUR_ARCS = 64  # arcs of the first sampling, each sampled uniformly
+CONTOUR_CAP = 8192  # contour points before the count is given up
 DET_BLOCK = 8  # pivots multiplied together per phase read
 
 
@@ -233,57 +232,39 @@ def _det_phase(op: FiberOperator, z: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _first_sampling(radius: float, known: np.ndarray,
-                    margin: float) -> np.ndarray:
-    """Angles t in [0, 2 pi] of the first points on the circle
-    |z| = radius, or None past CONTOUR_CAP points.
-
-    The circle is cut into CONTOUR_ARCS equal arcs. On each arc, every
-    step is at most 0.25 min(d, margin) / radius, where d is the exact
-    smallest distance from a known eigenvalue to the arc, so each step is
-    at most a quarter of the distance from its start to the nearest known
-    eigenvalue, and of the margin.
-    """
-    ends = np.linspace(0.0, 2.0 * math.pi, CONTOUR_ARCS + 1)
-    phi = np.angle(known) % (2.0 * math.pi)
-    on_arc = (ends[:-1] <= phi[:, None]) & (phi[:, None] <= ends[1:])
-    corner = np.abs(known[:, None] - radius * np.exp(1j * ends))
-    dist = np.where(on_arc, np.abs(np.abs(known) - radius)[:, None],
-                    np.minimum(corner[:, :-1], corner[:, 1:])).min(axis=0)
-    step = 0.25 * np.minimum(dist, margin) / radius
-    with np.errstate(divide="ignore"):
-        counts = np.ceil(np.diff(ends) / step)
-    if not counts.sum() < CONTOUR_CAP:  # also a zero step
-        return None
-    counts = counts.astype(int)
-    arc = np.repeat(np.arange(CONTOUR_ARCS), counts)  # arc of each point
-    index = np.arange(counts.sum()) - (np.cumsum(counts) - counts)[arc]
-    t = ends[arc] + index * (np.diff(ends) / counts)[arc]
-    return np.append(t, 2.0 * math.pi)
-
-
 def _contour_count(op: FiberOperator, radius: float,
                    known: np.ndarray) -> tuple[int, int]:
-    """(eigenvalues of T inside |z| < radius, points used), by the argument
-    principle: the winding number of det(T - z) around the circle.
+    """(eigenvalues of T inside |z| < radius less the `known` values
+    inside, points used): the winding number of det(T - z) / prod(known -
+    z) around the circle, by the argument principle.
 
-    `known` eigenvalues (those near the circle above all) set the first
-    sampling (`_first_sampling`): each step is a fraction of the distance
-    to the nearest one, and no eigenvalue outside max|known|
-    comes nearer than that bound allows. Arcs whose phase step still
-    reaches CONTOUR_STEP are bisected until none does, so the winding read
-    from the steps is unambiguous. Too many points is a NumericalError.
+    When `known` holds the eigenvalues nearest the origin, as Arnoldi's
+    do, every one it misses lies beyond max|known|, so the first points
+    are equally spaced at most an eighth of that margin, and CONTOUR_STEP
+    of angle, apart. Steps whose phase still moves by CONTOUR_STEP or more
+    are bisected until none does. Past CONTOUR_CAP points, a NumericalError.
     """
+    margin = float(np.abs(known).max()) - radius
+    steps = 16.0 * math.pi * radius / margin if margin > 0 else math.inf
     unresolved = NumericalError(
         f"contour count did not resolve |z| = {radius:.6g} within "
-        f"{CONTOUR_CAP} points: eigenvalues lie on or next to it")
-    margin = float(np.abs(known).max()) - radius
-    t = _first_sampling(radius, known, margin)
-    if t is None:
+        f"{CONTOUR_CAP} points: its first sampling asks for "
+        f"{np.ceil(steps):.0f}, at steps of an eighth of the margin "
+        f"{margin:.3g} to the farthest eigenvalue found")
+    if not steps < CONTOUR_CAP:
         raise unresolved
-    phase = _det_phase(op, radius * np.exp(1j * t))
+
+    def phase(t):
+        z = radius * np.exp(1j * t)
+        out = _det_phase(op, z)
+        for value in known:  # one at a time: memory stays O(points)
+            out -= np.angle(value - z)
+        return out
+
+    t = np.linspace(0.0, 2.0 * math.pi, max(math.ceil(steps), 8) + 1)
+    phases = phase(t)
     while True:
-        step = np.angle(np.exp(1j * np.diff(phase)))
+        step = np.angle(np.exp(1j * np.diff(phases)))
         bad = np.abs(step) >= CONTOUR_STEP
         if not bad.any():
             return int(round(float(step.sum()) / (2.0 * math.pi))), t.size
@@ -291,10 +272,9 @@ def _contour_count(op: FiberOperator, radius: float,
             raise unresolved
         mid = 0.5 * (t[:-1][bad] + t[1:][bad])
         t = np.concatenate([t, mid])
-        phase = np.concatenate(
-            [phase, _det_phase(op, radius * np.exp(1j * mid))])
+        phases = np.concatenate([phases, phase(mid)])
         order = np.argsort(t, kind="stable")
-        t, phase = t[order], phase[order]
+        t, phases = t[order], phases[order]
 
 
 @dataclass
@@ -333,12 +313,12 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
     asks for `count` plus two eigenvalues, where `count` is the caller's
     estimate of how many lie in the disk (`find_resonances` counts the real
     fiber's below the radius), and doubles k until the k-th nearest lies
-    outside the disk. The argument principle on det(T - z) then counts the
-    eigenvalues inside a circle drawn through the middle of a gap between
-    the disk edge and the k-th distance, the gap that needs the fewest
-    contour points; a count other than Arnoldi's is a NumericalError. When
-    k would reach N/2 first, the disk is too wide for slicing and the dense
-    solve is used instead.
+    outside the disk. The argument principle on det(T - z), with the
+    phases of the k values divided out (`_contour_count`), then counts the
+    eigenvalues that Arnoldi missed inside a circle halfway from the disk
+    edge to the nearest value beyond it; any but 0 is a NumericalError.
+    When k would reach N/2 first, the disk is too wide for slicing and the
+    dense solve is used instead.
     """
     import scipy.sparse.linalg as spla  # slow to load, used only here
 
@@ -372,20 +352,15 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
     else:
         vals = complex_spectrum(op)
         return vals[np.abs(vals) <= radius], work
-    # the circle through the middle of a gap: the first sampling takes
-    # about circle / min(half the gap, d_k - circle) points
-    edges = np.concatenate([[radius], np.sort(dist[dist > radius])])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    with np.errstate(divide="ignore"):
-        cost = mids / np.minimum(0.5 * np.diff(edges), edges[-1] - mids)
-    circle = mids[int(np.argmin(cost))]
-    count, work.contour_points = _contour_count(op, circle, vals)
-    found = int(np.sum(dist < circle))
-    if count != found:
+    # halfway from the disk edge to the nearest eigenvalue beyond it
+    circle = 0.5 * (radius + float(dist[dist > radius].min()))
+    missed, work.contour_points = _contour_count(op, circle, vals)
+    if missed:
+        found = int(np.sum(dist < circle))
         raise NumericalError(
             f"spectral slice incomplete: the contour |z| = {circle:.6g} "
-            f"encloses {count} eigenvalues, Arnoldi found {found} (N={n}, "
-            f"m={op.m})")
+            f"encloses {found + missed} eigenvalues, Arnoldi found {found} "
+            f"(N={n}, m={op.m})")
     inside = vals[dist <= radius]
     return inside[np.lexsort((inside.imag, inside.real))], work
 

@@ -285,13 +285,13 @@ def _grid_curvature(grid: _StepGrid, pair: _Pair) -> float:
 def _curvature(grids: tuple, solved: tuple) -> tuple[float, tuple]:
     """(mu''(xi), each grid's mu''): `_grid_curvature` on each grid from
     its `_Pair` of `_refined` at xi, and their Richardson combination over
-    (N/2, N). A non-positive result is an error: the minimum is
+    (N/2, N). A result not above 1e-6 is an error: the minimum is
     degenerate, or the grid too coarse."""
     fine, coarse = each = tuple(_grid_curvature(grid, pair)
                                 for grid, pair in zip(grids, solved))
     curv = (4.0 * fine - coarse) / 3.0
     if not curv > 1e-6:
-        raise NumericalError(f"band curvature {curv:.3g} is not positive; "
+        raise NumericalError(f"band curvature {curv:.3g} is not above 1e-6; "
                              f"minimum degenerate or resolution insufficient")
     return curv, each
 
@@ -320,21 +320,26 @@ def band_value(params: StepParams, xi: float) -> BandSample:
     return _sample(params, xi, mu, solved[0].x)
 
 
-def _scan(grids: tuple, xi_values) -> tuple[list, tuple, np.ndarray]:
-    """(rows, tracks, x) of a scan on the records of `_grids`: the (xi, mu)
-    rows of `band_table`, each grid's `_Track`, and the N-grid vector of
-    the lowest row."""
-    rows, x, tracks, lowest = [], None, (_Track(), _Track()), (math.inf,)
+def _scan(grids: tuple, xi_values) -> tuple[list, list, tuple, np.ndarray]:
+    """(rows, errors, tracks, x) of a scan on the records of `_grids`: the
+    (xi, mu) rows of `band_table`, each row's certified error, each grid's
+    `_Track`, and the N-grid vector of the lowest row. A grid's mu lies
+    within its `_Pair.tol` above that grid's level, so a row, (4 mu_N -
+    mu_N/2) / 3, lies within (4 tol_N + tol_N/2) / 3 of its refined
+    level."""
+    rows, errors, x = [], [], None
+    tracks, lowest = (_Track(), _Track()), (math.inf,)
     for xi in map(float, xi_values):
         guesses = [track.guess(xi) for track in tracks]
         mu, _, solved = _refined(grids, xi, x, guesses)
         for track, guess, pair in zip(tracks, guesses, solved):
             track.add(xi, guess, pair)
         rows.append((xi, mu))
+        errors.append((4.0 * solved[0].tol + solved[1].tol) / 3.0)
         x = solved[0].x
         if mu < lowest[0]:
             lowest = mu, x
-    return rows, tracks, lowest[-1]
+    return rows, errors, tracks, lowest[-1]
 
 
 def band_table(params: StepParams, xi_values, work: Work | None = None
@@ -388,7 +393,7 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
             f"xi_bracket must be a finite increasing interval of 2 to "
             f"{MAX_SCAN_STEPS} scan steps of 0.05")
     grids = _grids(params, work)
-    table, tracks, x = _scan(
+    table, errors, tracks, x = _scan(
         grids, [lo + span * i / n_scan for i in range(n_scan + 1)])
     xs = [xi for xi, _ in table]
     mus = np.array([mu for _, mu in table])
@@ -397,13 +402,21 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
         raise FlatBandError(
             f"band is flat within tolerance over [{lo}, {hi}] "
             f"(variation {mu_span:.3g}); minimizer is ill-posed")
+    # a minimum lies below both neighbours by more than the rows' errors
+    upper, lower = mus + errors, mus - errors
     interior = [i for i in range(1, n_scan)
-                if mus[i] < mus[i - 1] and mus[i] < mus[i + 1]]
+                if upper[i] < lower[i - 1] and upper[i] < lower[i + 1]]
     if len(interior) > 1:
         cands = ", ".join(f"xi={xs[i]:.4g} (mu={mus[i]:.8g})" for i in interior)
         raise MultipleMinimaError(
             f"multiple local minima in the scan: {cands}")
     if not interior:
+        i = int(np.argmin(mus))
+        if 0 < i < n_scan:
+            raise NumericalError(
+                f"the scan minimum at xi = {xs[i]:.4g} lies below its "
+                f"neighbours by no more than the rows' certified error "
+                f"({errors[i]:.3g}); minimum too shallow for this grid")
         raise ValidationError(
             "no interior minimum in the bracket; the scan minimum sits at an "
             "endpoint, widen xi_bracket")
@@ -439,9 +452,11 @@ def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
     the curvature mu'' of `_curvature`, from the vertex of the parabola
     through the unique interior scan minimum and its neighbours, until the
     step is below 1e-10, which is taken too; the last slope read must lie
-    below 1e-8. A flat band (relative variation below FLAT_TOL) and
-    multiple scan minima are hard errors: picking a candidate would
-    corrupt every downstream constant.
+    below 1e-8. A scan minimum is a row below both neighbours by more than
+    the rows' certified errors (`_scan`), so a plateau's rounding makes
+    none. A flat band (relative variation below FLAT_TOL), multiple scan
+    minima, and an interior lowest row that is no such minimum are hard
+    errors: picking a candidate would corrupt every downstream constant.
     """
     return analyze_band(params, xi_bracket)[1:3]
 

@@ -262,6 +262,31 @@ def test_band_bracket_governs_constants(tmp_path):
     assert c["C1"] == pytest.approx(c1, rel=1e-14, abs=0.0)
 
 
+def test_band_plateau_rounding_is_no_minimum(tmp_path):
+    """At a = -0.1 the line grows to L = 40.5, N = 16200, and the scan's
+    plateau at |a| dips by 1e-17 at xi = -1.95, against certified row
+    errors near 1e-9: only the minimum at xi = -0.55 counts."""
+    out = tmp_path / "band.csv"
+    assert main(["band", "--a", "-0.1", "--out", str(out)]) == 0
+    c = json.loads((tmp_path / "band.csv.constants.json").read_text())
+    assert (c["L"], c["N"]) == (40.5, 16200)
+    assert c["beta"] == pytest.approx(0.0992270, abs=1e-7)
+    assert c["zeta"] == pytest.approx(-0.566051, abs=1e-6)
+    assert c["C1"] == pytest.approx(0.00868, abs=1e-5)
+
+
+@pytest.mark.parametrize("a, message", [
+    ("-0.05", "end potential"),
+    ("-0.02", "lies below its neighbours by no more than the rows' "
+              "certified error")])
+def test_band_unresolved_small_field_is_numerical(a, message, capsys):
+    """Closer to a = 0 the band fails numerically (exit 3), never as a
+    bracket to widen: at -0.05 the grown line's end check, at -0.02 an
+    interior scan minimum below the certificate's resolution."""
+    assert main(["band", "--a", a]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_band_note_outside_interface_range(tmp_path):
     """a = -1 has no C1/C2; the sidecar says why, naming the range."""
     out = tmp_path / "band.csv"
@@ -323,6 +348,37 @@ def test_resonances_files_and_fit(disk_config, tmp_path):
     r2 = float(fit.split("r2=")[1])
     assert slope < 0.0
     assert r2 >= 0.95
+
+
+def test_resonances_readme_bytes(disk_config, capsys):
+    """The README resonances example, byte for byte as the certified
+    slices give it."""
+    assert main(["resonances", "--field", str(disk_config),
+                 "--h", "0.25,0.2,0.15", "--grid-n", "3000"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "m,h,theta1,theta2,reZ,imZ,drift,gridN",
+        "0,2.50000000000000e-01,5.00000000000000e-01,6.00000000000000e-01,"
+        "1.93454555700236e-01,-6.09975468158866e-02,4.62893189297286e-09,"
+        "3000",
+        "0,2.00000000000000e-01,5.00000000000000e-01,6.00000000000000e-01,"
+        "1.70396862880313e-01,-2.73534545691119e-02,1.57733495202172e-09,"
+        "3000",
+        "0,1.50000000000000e-01,5.00000000000000e-01,6.00000000000000e-01,"
+        "1.38968606890627e-01,-6.82734265443925e-03,3.28252780148651e-10,"
+        "3000",
+        "# fit_points=3 logim_vs_invh_slope=-8.22388589186638e-01 "
+        "r2=9.99901724397977e-01"]
+
+
+@pytest.mark.parametrize("h", ["1e-13", "2e-12"])
+def test_resonances_tiny_h_needs_a_window(h, disk_config, capsys):
+    """For h <= 2e-12 the default window [0.5h, 1.5h] x [-0.5h, -1e-12] is
+    empty: a usage error that names --window, before any slice."""
+    assert main(["resonances", "--field", str(disk_config), "--h", h,
+                 "--grid-n", "480"]) == 2
+    err = capsys.readouterr().err
+    assert "default window" in err and "h <= 2e-12" in err
+    assert "--window" in err
 
 
 def test_resonances_replay_is_byte_identical(disk_config, tmp_path):

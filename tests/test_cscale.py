@@ -8,9 +8,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from magres import cscale
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
                            ScalingProfile, SliceWork, Window, _det_phase,
-                           _first_sampling, _ray_hits_window, _slice_radius,
+                           _contour_count, _ray_hits_window, _slice_radius,
                            _spectrum_slice, _tridiagonal_product,
                            assemble_scaled_fiber,
                            complex_spectrum, continuum_motion,
@@ -681,25 +682,77 @@ def test_low_prediction_doubles_to_the_dense_slice(disk_profile,
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
-def test_first_sampling_steps_obey_the_rule(disk_profile):
-    """Each first step is at most 0.25 min(distance from its start to the
-    nearest known eigenvalue, margin) / radius, and the points close the
-    circle."""
+def _known_nearest(disk_profile, k=40):
+    """The h = 0.2, m = 0 fiber at N = 400 and its k eigenvalues nearest
+    the origin, by distance, with those distances."""
     op, _ = _cli_slice(disk_profile, 0, 0.2, 0.5, 400)
     dense = complex_spectrum(op)
-    known = dense[np.argsort(np.abs(dense))[:40]]
-    dist = np.sort(np.abs(known))
-    for circle in (0.5 * (dist[30] + dist[31]), 0.5 * (dist[38] + dist[39])):
+    known = dense[np.argsort(np.abs(dense))[:k]]
+    return op, known, np.abs(known)
+
+
+def test_first_sampling_steps_obey_the_rule(disk_profile, monkeypatch):
+    """The first points close the circle in equal steps of at most an
+    eighth of the margin to the farthest known eigenvalue, and of pi/4 in
+    angle; a margin of 0 leaves no finite step."""
+    op, known, dist = _known_nearest(disk_profile)
+    firsts = []
+
+    def recording(op, z):
+        firsts.append(z)
+        return det_phase(op, z)
+    det_phase = cscale._det_phase
+    monkeypatch.setattr(cscale, "_det_phase", recording)
+    for i in (5, 30, 38):
+        firsts.clear()
+        circle = 0.5 * (dist[i] + dist[i + 1])
         margin = dist[-1] - circle
-        t = _first_sampling(circle, known, margin)
-        assert t[0] == 0.0 and t[-1] == 2.0 * math.pi
-        z = circle * np.exp(1j * t[:-1])
-        near = np.abs(known[:, None] - z).min(axis=0)
-        rule = 0.25 * np.minimum(near, margin) / circle
-        assert np.all(np.diff(t) > 0.0)
-        assert np.all(np.diff(t) <= rule * (1.0 + 1e-12))
-    # an eigenvalue on the circle leaves no finite step
-    assert _first_sampling(abs(known[0]), known, 1.0) is None
+        assert _contour_count(op, circle, known)[0] == 0
+        z = firsts[0]
+        assert z[0] == circle and abs(z[-1] - circle) <= 1e-15 * circle
+        steps = np.abs(np.diff(z))
+        assert np.ptp(steps) <= 1e-12 * circle
+        assert steps.max() <= min(margin / 8.0, 2.0 * circle
+                                  * math.sin(math.pi / 8.0)) * (1.0 + 1e-12)
+        assert z.size == max(math.ceil(16.0 * math.pi * circle / margin),
+                             8) + 1
+    with pytest.raises(NumericalError,
+                       match="first sampling asks for inf, at steps of an "
+                             "eighth of the margin 0 "):
+        _contour_count(op, float(dist[-1]), known)
+
+
+@pytest.mark.parametrize("i", [5, 30, 38])
+def test_contour_count_reads_the_eigenvalues_known_misses(disk_profile, i):
+    """The winding counts the eigenvalues inside the circle that the known
+    values miss: none when all are known, one when the last inside is
+    dropped, none when the first outside is dropped (its steps are
+    bisected)."""
+    op, known, dist = _known_nearest(disk_profile)
+    circle = 0.5 * (dist[i] + dist[i + 1])
+    assert _contour_count(op, circle, known)[0] == 0
+    assert _contour_count(op, circle, np.delete(known, i))[0] == 1
+    if i + 1 < dist.size - 1:  # the farthest value sets the margin
+        points = _contour_count(op, circle, known)[1]
+        missed, more = _contour_count(op, circle, np.delete(known, i + 1))
+        assert missed == 0 and more > points
+
+
+def test_contour_count_past_the_cap_is_numerical_error(disk_profile,
+                                                        monkeypatch):
+    """A count whose bisection would pass CONTOUR_CAP gives up, and says
+    how many points its first sampling asked for, and the margin."""
+    op, known, dist = _known_nearest(disk_profile)
+    circle = 0.5 * (dist[30] + dist[31])
+    margin = dist[-1] - circle
+    first = math.ceil(16.0 * math.pi * circle / margin)
+    assert _contour_count(op, circle, known)[1] > first + 1  # it bisects
+    monkeypatch.setattr(cscale, "CONTOUR_CAP", first + 2)
+    with pytest.raises(NumericalError,
+                       match=f"within {first + 2} points: its first sampling "
+                             f"asks for {first}, at steps of an eighth of "
+                             f"the margin {margin:.3g} "):
+        _contour_count(op, circle, known)
 
 
 @pytest.mark.parametrize("N", [64, 401, 480])

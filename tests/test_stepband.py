@@ -134,7 +134,7 @@ def test_well_change_ends_the_scan_history():
     each refusal, 88 when the old well's history also kept predicting)."""
     p, work = StepParams(a=-0.25, N=1600), Work()
     xs = [-4.0 + 0.05 * i for i in range(101)]
-    _, tracks, _ = stepband._scan(stepband._grids(p, work), xs)
+    _, _, tracks, _ = stepband._scan(stepband._grids(p, work), xs)
     assert [track.since for track in tracks] == [18, 18]  # after -3.15
     assert work.refused <= 14
 
@@ -359,6 +359,30 @@ def test_minimize_band_error_paths():
     assert issubclass(MultipleMinimaError, NumericalError)
 
 
+def _stubbed_scan(monkeypatch, mus, error=1e-9):
+    """`_band_minimum` over the bracket (-0.2, 0) on a stubbed scan whose
+    rows are mus, each with the given certified error."""
+    xs = [-0.2 + 0.05 * i for i in range(len(mus))]
+    monkeypatch.setattr(stepband, "_scan", lambda grids, xi_values: (
+        list(zip(xs, mus)), [error] * len(mus), None, None))
+    return stepband._band_minimum(StepParams(a=-0.5, N=64), (-0.2, 0.0))
+
+
+def test_scan_minima_are_resolved_by_the_rows_errors(monkeypatch):
+    """Two rows below their neighbours by more than the certified errors
+    are multiple minima; a plateau's rounding is none, so an interior
+    lowest row that no error resolves is a numerical failure, and an
+    endpoint one a bracket to widen."""
+    with pytest.raises(MultipleMinimaError, match="xi=-0.15 .* xi=-0.05 "):
+        _stubbed_scan(monkeypatch, [1.0, 0.5, 1.0, 0.5, 1.0])
+    with pytest.raises(NumericalError, match="xi = -0.15 lies below its "
+                       "neighbours by no more than the rows' certified "
+                       "error [(]1e-09[)]"):
+        _stubbed_scan(monkeypatch, [1.0, 0.5, 0.5 + 1e-17, 0.5 - 1e-17, 1.0])
+    with pytest.raises(ValidationError, match="widen xi_bracket"):
+        _stubbed_scan(monkeypatch, [1.0, 1.0 - 1e-17, 1.0, 1.0 - 1e-17, 0.5])
+
+
 def test_minimize_band_grows_the_line():
     """At a = -0.25 the default L = 12 fails the end check; minimize_band
     grows the line as analyze_band does (to L = 18) and returns its
@@ -388,7 +412,7 @@ def test_second_derivative():
     c = spectral_constants(StepParams(a=-0.5))
     assert c.mu2 == pytest.approx(FROZEN["step_minus05"]["mu2"], rel=1e-3)
     # the flat band of a = 1 (the harmonic oscillator for every xi)
-    with pytest.raises(NumericalError, match="curvature .* is not positive"):
+    with pytest.raises(NumericalError, match="curvature .* is not above 1e-6"):
         _curvature_at(StepParams(a=1.0), 0.0)
 
 

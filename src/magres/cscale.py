@@ -39,10 +39,10 @@ factorization (LAPACK `zgttrf`, solved by `zgttrs`).
     steps whose phase still moves by pi/4 or more are bisected.
 The dense O(N^3) solve `complex_spectrum` (LAPACK `zgeev`) is the
 fallback for a disk holding N/2 eigenvalues or more, and the small-N
-reference the slice is tested against. The LAPACK routines come from
-`_lapack`, which loads them without `scipy.linalg`. ARPACK's module
-`scipy.sparse.linalg` imports `scipy.linalg`, so only `find_resonances`
-pays for that import.
+reference the slice is tested against. The LAPACK and ARPACK routines
+come from `_lapack`, which loads their SciPy extensions alone, without
+the linear-algebra packages around them; `_arnoldi` runs ARPACK's
+reverse-communication loop, as SciPy's `eigs` would.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import zgeev, zgeev_lwork, zgttrf, zgttrs
+from ._lapack import (zgeev, zgeev_lwork, zgttrf, zgttrs, znaupd_wrap,
+                      zneupd_wrap)
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
 from .fields import FieldProfile
@@ -280,23 +281,65 @@ def _contour_count(op: FiberOperator, radius: float,
 @dataclass
 class SliceWork:
     """What a spectral slice cost: the k of its last Arnoldi run (0 when
-    none ran) and the points of its contour count (0 when the dense solve
-    answered)."""
+    none ran), the points of its contour count (0 when the dense solve
+    answered) and the `zgttrs` solves its Arnoldi runs asked for."""
 
     k: int = 0
     contour_points: int = 0
+    solves: int = 0
 
 
-def _tridiagonal_product(op: FiberOperator):
-    """v -> T v for the tridiagonal T = (diag, off) of the fiber; v is a
-    vector or an n x 1 column."""
-    def matvec(v):
-        v = np.ravel(v)
-        out = op.diag * v
-        out[:-1] += op.off * v[1:]
-        out[1:] += op.off * v[:-1]
-        return out
-    return matvec
+ARPACK_STATE = (  # the keys of the state dict that `znaupd_wrap` updates
+    "tol getv0_rnorm0 aitr_betaj aitr_rnorm1 aitr_wnorm aup2_rnorm ido which "
+    "bmat info iter maxiter mode n nconv ncv nev np shift getv0_first "
+    "getv0_iter getv0_itry getv0_orth aitr_iter aitr_j aitr_orth1 aitr_orth2 "
+    "aitr_restart aitr_step3 aitr_step4 aitr_ierr aup2_initv aup2_iter "
+    "aup2_getv0 aup2_cnorm aup2_kplusp aup2_nev aup2_nev0 aup2_np0 "
+    "aup2_numcnv aup2_update aup2_ushift").split()
+
+
+def _arnoldi(factors, n: int, k: int, v0: np.ndarray
+             ) -> tuple[np.ndarray, int]:
+    """At most k eigenvalues of T nearest the origin, by ARPACK's
+    shift-invert Arnoldi, and the `zgttrs` solves it asked for.
+
+    The loop of SciPy's `eigs(T, k, sigma=0, OPinv=T^-1, v0=v0,
+    return_eigenvectors=False)` for a complex T (mode 3, 'LM', ncv =
+    min(max(2k + 1, 20), n), tol 0, maxiter 10 n): the same routines on
+    the same inputs, so the same values bit for bit. A restart vector
+    (ido 4) is drawn by SciPy's formula from a fixed seed. Any other
+    request, and a non-zero info (1: maxiter reached), is a NumericalError.
+    """
+    ncv = min(max(2 * k + 1, 20), n)
+    state = dict.fromkeys(ARPACK_STATE, 0)  # which 0 is 'LM', bmat 0 is 'I'
+    state.update(info=1, maxiter=10 * n, mode=3, n=n, ncv=ncv, nev=k,
+                 shift=1)  # info 1: start from resid
+    resid, v = v0.copy(), np.zeros((n, ncv), complex)
+    ipntr, workd = np.zeros(14, np.int32), np.zeros(3 * n, complex)
+    workl, rwork = np.zeros(3 * ncv * (ncv + 2), complex), np.zeros(ncv)
+    rng = np.random.default_rng(0)
+    failed = f"shift-invert Arnoldi failed (N={n}, k={k}): ARPACK"
+    solves = 0
+    while state["ido"] != 99:  # 99: done
+        znaupd_wrap(state, resid, v, ipntr, workd, workl, rwork)
+        ido = state["ido"]
+        if ido in (1, 5):  # y = T^-1 x, with x at ipntr[2] (B x) or ipntr[0]
+            x, y = ipntr[2 if ido == 1 else 0], ipntr[1]
+            workd[y:y + n] = zgttrs(*factors, workd[x:x + n])[0]
+            solves += 1
+        elif ido == 4:
+            resid[:] = rng.uniform(-1.0, 1.0, (n, 2)).view(complex).ravel()
+        elif ido != 99:
+            raise NumericalError(f"{failed} znaupd asked for ido={ido}")
+    if state["info"]:
+        raise NumericalError(f"{failed} znaupd info={state['info']}")
+    d, z = np.zeros(k, complex), np.zeros((n, k), complex, order="F")
+    zneupd_wrap(state, 0, 0, np.zeros(ncv, np.int32), d, z, 0.0,
+                np.zeros(3 * ncv, complex), resid, v, ipntr, workd, workl,
+                rwork)
+    if state["info"]:
+        raise NumericalError(f"{failed} zneupd info={state['info']}")
+    return d[:state["nconv"]], solves
 
 
 def _spectrum_slice(op: FiberOperator, radius: float, count: int
@@ -308,20 +351,18 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
     Shift-invert Arnoldi about the origin, on one tridiagonal LU
     factorization of T (`zgttrf`; exactly singular or not finite is a
     NumericalError) and a fixed start vector (so reruns agree bit for
-    bit), with T itself passed as its tridiagonal product (`eigs` never
-    applies a complex T in shift-invert mode, so no matrix is built);
-    asks for `count` plus two eigenvalues, where `count` is the caller's
-    estimate of how many lie in the disk (`find_resonances` counts the real
-    fiber's below the radius), and doubles k until the k-th nearest lies
-    outside the disk. The argument principle on det(T - z), with the
-    phases of the k values divided out (`_contour_count`), then counts the
-    eigenvalues that Arnoldi missed inside a circle halfway from the disk
-    edge to the nearest value beyond it; any but 0 is a NumericalError.
+    bit), run by `_arnoldi` (in shift-invert mode ARPACK applies only
+    T^-1, so no product with T is formed); asks for `count` plus two
+    eigenvalues, where `count` is the caller's estimate of how many lie in
+    the disk (`find_resonances` counts the real fiber's below the radius),
+    and doubles k until the k-th nearest lies outside the disk. The
+    argument principle on det(T - z), with the phases of the k values
+    divided out (`_contour_count`), then counts the eigenvalues that
+    Arnoldi missed inside a circle halfway from the disk edge to the
+    nearest value beyond it; any but 0 is a NumericalError.
     When k would reach N/2 first, the disk is too wide for slicing and the
     dense solve is used instead.
     """
-    import scipy.sparse.linalg as spla  # slow to load, used only here
-
     n = op.grid.N
     work = SliceWork()
     *factors, info = zgttrf(op.off, op.diag, op.off)
@@ -331,20 +372,12 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
             f"is zero")
     if not all(np.isfinite(f).all() for f in factors[:4]):  # not ipiv
         raise NumericalError(f"T has no finite LU factorization at N={n}")
-    opinv = spla.LinearOperator(
-        (n, n), matvec=lambda b: zgttrs(*factors, b)[0], dtype=complex)
-    T = spla.LinearOperator((n, n), matvec=_tridiagonal_product(op),
-                            dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
     k = count + 2
     while k < n // 2:
         work.k = k
-        try:
-            vals = spla.eigs(T, k=k, sigma=0.0, OPinv=opinv, v0=v0,
-                             return_eigenvectors=False)
-        except spla.ArpackError as exc:
-            raise NumericalError(
-                f"shift-invert Arnoldi failed (N={n}, k={k}): {exc}") from exc
+        vals, solves = _arnoldi(factors, n, k, v0)
+        work.solves += solves
         dist = np.abs(vals)
         if dist.max() > radius:
             break

@@ -10,7 +10,6 @@ import warnings
 from pathlib import Path
 
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -419,8 +418,9 @@ def test_resonances_manifest_records_slices(disk_config, tmp_path):
 
 
 def test_resonances_manifest_records_slice_work(disk_config, tmp_path):
-    """Each slice's final Arnoldi k and contour points sit next to its
-    count, repeat exactly on a rerun and leave the CSV bytes alone."""
+    """Each slice's final Arnoldi k, contour points and Arnoldi solves sit
+    next to its count, repeat exactly on a rerun and leave the CSV bytes
+    alone."""
     records = []
     for run in ("one", "two"):
         out = tmp_path / run / "res.csv"
@@ -433,8 +433,10 @@ def test_resonances_manifest_records_slice_work(disk_config, tmp_path):
     assert records[0] == records[1]
     for s in records[0][1]["slices"]:
         for c in s["counts"]:
-            assert set(c) == {"theta", "m", "count", "k", "contour_points"}
+            assert set(c) == {"theta", "m", "count", "k", "contour_points",
+                              "solves"}
             assert c["k"] > c["count"] > 0 and c["contour_points"] > 0
+            assert c["solves"] > 2 * c["k"]  # the first basis has 2k + 1
 
 
 def test_resonances_no_false_incomplete_slice(disk_config):
@@ -462,9 +464,9 @@ def test_resonances_rejects_pairing_before_any_slice(disk_config, flags,
 
 
 def test_resonances_arnoldi_failure_exit(disk_config, monkeypatch):
-    def stalled(A, k, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", [], [])
-    monkeypatch.setattr(spla, "eigs", stalled)
+    def stalled(state, *args):  # maxiter reached
+        state.update(ido=99, info=1)
+    monkeypatch.setattr("magres.cscale.znaupd_wrap", stalled)
     assert main(["resonances", "--field", str(disk_config), "--h", "0.25",
                  "--grid-n", "480"]) == 3
 
@@ -1012,6 +1014,23 @@ def test_band_loads_no_sparse_or_special_functions(tmp_path):
     src = str(Path(magres.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_resonances_loads_no_sparse(disk_config, tmp_path):
+    """`resonances` drives ARPACK without `scipy.sparse`."""
+    argv = ["resonances", "--field", str(disk_config), "--h", "0.25",
+            "--grid-n", "480", "--out", str(tmp_path / "r.csv")]
+    code = ("import sys\n"
+            "import magres.cli\n"
+            f"assert magres.cli.main({argv!r}) == 0\n"
+            "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg') "
+            "if m in sys.modules])\n")
+    src = str(Path(magres.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -9,11 +9,11 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from magres import cscale
+from magres.cli import main
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
                            ScalingProfile, SliceWork, Window, _det_phase,
                            _contour_count, _ray_hits_window, _slice_radius,
-                           _spectrum_slice, _tridiagonal_product,
-                           assemble_scaled_fiber,
+                           _arnoldi, _spectrum_slice, assemble_scaled_fiber,
                            complex_spectrum, continuum_motion,
                            filter_resonances, find_resonances,
                            scaling_profile)
@@ -108,23 +108,6 @@ def test_scaling_profile_is_its_closed_form(theta, R1, width):
     assert np.all(np.angle(f) >= -1e-15)
     assert np.all(np.angle(f) <= theta + 1e-15)
     assert np.all(np.abs(fp) >= 1.0 - 1e-15)
-
-
-def test_tridiagonal_product_is_the_fiber(disk_profile):
-    """The operator that Arnoldi is handed multiplies by the scaled fiber,
-    for a vector and for a column."""
-    n = 64
-    op = assemble_scaled_fiber(disk_profile, 1, 0.25,
-                               scaling_profile(0.5, 1.5, 6.0),
-                               RadialGrid(18.0, n))
-    dense = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    want = dense @ v
-    times = _tridiagonal_product(op)
-    for got in (times(v), times(v[:, None])):
-        assert got.shape == (n,)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_theta_zero_matches_real_fiber(disk_profile):
@@ -587,29 +570,110 @@ def test_reference_slice_matches_dense_diagnostics(reference_run,
     assert motion == pytest.approx(want, abs=1e-9)
 
 
-def _nearest_dropped(eigs):
-    def dropping(A, k, sigma, **kwargs):
-        vals = eigs(A, k=k, sigma=sigma, **kwargs)
-        return np.delete(vals, np.argmin(np.abs(vals - sigma)))
+def _nearest_dropped(arnoldi):
+    def dropping(factors, n, k, v0):
+        vals, solves = arnoldi(factors, n, k, v0)
+        return np.delete(vals, np.argmin(np.abs(vals))), solves
     return dropping
 
 
 def test_slice_missing_eigenvalue_is_numerical_error(disk_profile,
                                                      monkeypatch):
-    monkeypatch.setattr(spla, "eigs", _nearest_dropped(spla.eigs))
+    monkeypatch.setattr(cscale, "_arnoldi", _nearest_dropped(_arnoldi))
     with pytest.raises(NumericalError, match="incomplete"):
         find_resonances(disk_profile, 0.25, [0], WIN, theta_pair=(0.5, 0.6),
                         grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
 
 
+def _znaupd_answering(*replies):
+    """A stub of `znaupd_wrap` that sets (ido, info) from `replies` in turn
+    and records the resid it is handed at each call."""
+    seen = []
+
+    def znaupd(state, resid, *work):
+        seen.append(resid.copy())
+        state["ido"], state["info"] = replies[len(seen) - 1]
+    return znaupd, seen
+
+
 def test_slice_no_convergence_is_numerical_error(disk_profile, monkeypatch):
-    def stalled(A, k, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.array([]),
-                                       np.array([]))
-    monkeypatch.setattr(spla, "eigs", stalled)
+    monkeypatch.setattr(cscale, "znaupd_wrap", _znaupd_answering((99, 1))[0])
     with pytest.raises(NumericalError, match="Arnoldi"):
         find_resonances(disk_profile, 0.25, [0], WIN, theta_pair=(0.5, 0.6),
                         grid=RadialGrid(18.0, 400), R1=1.5, T0=6.0)
+
+
+@pytest.mark.parametrize("reply, neupd_info, failure", [
+    ((99, 1), 0, "znaupd info=1"),  # maxiter reached
+    ((99, -9), 0, "znaupd info=-9"),
+    ((2, 0), 0, "znaupd asked for ido=2"),
+    ((3, 0), 0, "znaupd asked for ido=3"),
+    ((99, 0), -14, "zneupd info=-14"),
+])
+def test_every_arpack_outcome_has_an_exit_code(reply, neupd_info, failure,
+                                               monkeypatch, disk_config):
+    """A non-zero info from either routine, and a request `_arnoldi` does
+    not serve, is a NumericalError naming N, k and the code: `resonances`
+    exits 3."""
+    def zneupd(state, *args):
+        state["info"] = neupd_info
+    monkeypatch.setattr(cscale, "znaupd_wrap",
+                        lambda state, *args: state.update(
+                            ido=reply[0], info=reply[1]))
+    monkeypatch.setattr(cscale, "zneupd_wrap", zneupd)
+    with pytest.raises(NumericalError,
+                       match=rf"N=64, k=5\): ARPACK {failure}$"):
+        _arnoldi(None, 64, 5, np.ones(64, complex))
+    assert main(["resonances", "--field", str(disk_config), "--h", "0.25",
+                 "--grid-n", "480"]) == 3
+
+
+def test_arnoldi_restart_vectors_are_seeded(monkeypatch):
+    """A request for a random restart vector (ido 4) is served by SciPy's
+    formula, complex and uniform on (-1, 1), from a fixed seed, so reruns
+    agree bit for bit."""
+    n, v0 = 64, np.arange(64, dtype=complex)
+    rng = np.random.default_rng(0)
+    want = [v0] + [rng.uniform(-1.0, 1.0, (n, 2)).view(complex).ravel()
+                   for _ in range(2)]
+    monkeypatch.setattr(cscale, "zneupd_wrap", lambda state, *args: None)
+    for _ in range(2):
+        znaupd, seen = _znaupd_answering((4, 0), (4, 0), (99, 0))
+        monkeypatch.setattr(cscale, "znaupd_wrap", znaupd)
+        vals, solves = _arnoldi(None, n, 3, v0)
+        assert vals.size == 0 and solves == 0
+        assert len(seen) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+
+
+@pytest.mark.parametrize("h, theta, n", [
+    *((h, theta, 480) for h in (0.25, 0.2, 0.15) for theta in (0.5, 0.6)),
+    (0.25, 0.5, 8000)])
+def test_arnoldi_is_eigs(disk_profile, h, theta, n):
+    """`_arnoldi` returns exactly what `scipy.sparse.linalg.eigs` returns
+    for the same k, v0 and LU, and counts the solves `eigs` makes: on the
+    six slices of the seed-0 benchmark sweep, and on the N = 8000 fiber
+    past the dense cap. `eigs` is handed a T that fails the test if
+    applied."""
+    op, radius = _cli_slice(disk_profile, 0, h, theta, n)
+    if n == 8000:  # as `test_find_resonances_beyond_dense_cap` slices it
+        radius = _slice_radius(WIN, PAIR_TOL)
+    *factors, _ = cscale.zgttrf(op.off, op.diag, op.off)
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    k = _real_count(op, radius) + 2
+    T = spla.LinearOperator((n, n), dtype=complex,
+                            matvec=lambda v: pytest.fail("eigs applied T"))
+    applied = []
+
+    def solve(b):
+        applied.append(1)
+        return cscale.zgttrs(*factors, b)[0]
+    opinv = spla.LinearOperator((n, n), dtype=complex, matvec=solve)
+    want = spla.eigs(T, k=k, sigma=0.0, OPinv=opinv, v0=v0,
+                     return_eigenvectors=False)
+    got, solves = _arnoldi(factors, n, k, v0)
+    assert np.array_equal(got, want)
+    assert solves == len(applied) > 2 * k  # the first basis has 2k + 1
 
 
 def test_wide_disk_falls_back_to_dense(disk_profile):
@@ -668,11 +732,10 @@ def test_low_prediction_doubles_to_the_dense_slice(disk_profile,
     """A prediction far too low costs Arnoldi runs, not correctness."""
     asked = []
 
-    def recording(A, k, **kwargs):
+    def recording(factors, n, k, v0):
         asked.append(k)
-        return eigs(A, k=k, **kwargs)
-    eigs = spla.eigs
-    monkeypatch.setattr(spla, "eigs", recording)
+        return _arnoldi(factors, n, k, v0)
+    monkeypatch.setattr(cscale, "_arnoldi", recording)
     op, radius = _cli_slice(disk_profile, 0, 0.25, 0.5, 400)
     dense = complex_spectrum(op)
     want = dense[np.abs(dense) <= radius]

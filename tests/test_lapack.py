@@ -1,6 +1,6 @@
-"""The LAPACK loader: one set of routine objects whichever import route
-loads them, the public fallback, the import budget of the commands, and
-the exit-code contract of the routines' failures."""
+"""The LAPACK and ARPACK loader: one set of routine objects whichever
+import route loads them, the package-import fallback, the import budget
+of the commands, and the exit-code contract of the routines' failures."""
 
 import importlib
 import json
@@ -25,7 +25,13 @@ from magres.radial import RadialGrid, assemble_fiber, eigs_lowest
 
 ROUTINES = ("dpttrf", "dpttrs", "dstebz", "dstein", "zgttrf", "zgttrs",
             "zgeev", "zgeev_lwork")
+ARPACK_ROUTINES = ("znaupd_wrap", "zneupd_wrap")
 SRC = str(Path(magres.__file__).resolve().parents[1])
+# run first in a process, this makes both file loads of `_lapack` fail
+FAILED_LOAD = ("import importlib.util\n"
+               "find_spec = importlib.util.find_spec\n"
+               "importlib.util.find_spec = lambda name, *a: (\n"
+               "    None if name == 'scipy' else find_spec(name, *a))\n")
 
 
 def _python(code: str, cwd: Path) -> str:
@@ -71,10 +77,7 @@ def test_band_through_the_fallback_writes_the_same_bytes(tmp_path):
     """A process whose `_flapack` load fails runs `band` on
     `scipy.linalg.lapack` and writes the same CSV and sidecar."""
     argv = ["band", "--a", "-0.5", "--grid-n", "400", "--out", "band.csv"]
-    code = ("import importlib.util, sys\n"
-            "find_spec = importlib.util.find_spec\n"
-            "importlib.util.find_spec = lambda name, *a: (\n"
-            "    None if name == 'scipy' else find_spec(name, *a))\n"
+    code = (FAILED_LOAD +
             "import magres.cli, magres._lapack as L, scipy.linalg.lapack\n"
             "assert L._lib is scipy.linalg.lapack\n"
             f"print(magres.cli.main({argv!r}))")
@@ -86,16 +89,70 @@ def test_band_through_the_fallback_writes_the_same_bytes(tmp_path):
             (tmp_path / name).read_bytes()
 
 
+def test_arpack_routines_are_the_sparse_packages_routines(tmp_path):
+    """Loaded before `scipy.sparse.linalg` or after it, `_arpacklib` is
+    one module and every routine one object."""
+    from scipy.sparse.linalg._eigen.arpack import arpack
+    assert _lapack._arpack is arpack._arpacklib
+    assert all(getattr(_lapack, n) is getattr(arpack._arpacklib, n)
+               for n in ARPACK_ROUTINES)
+    before = ("import sys\n"
+              "import magres._lapack as L\n"
+              "assert 'scipy.sparse' not in sys.modules\n"
+              "assert L._arpack is sys.modules[L.ARPACK]\n"
+              "from scipy.sparse.linalg._eigen.arpack import arpack\n")
+    after = ("from scipy.sparse.linalg._eigen.arpack import arpack\n"
+             "import magres._lapack as L\n")
+    for code in (before, after):
+        code += ("print(all(getattr(L, n) is getattr(arpack._arpacklib, n) "
+                 f"for n in {ARPACK_ROUTINES}))")
+        assert _python(code, tmp_path) == "True"
+
+
+def test_failed_arpack_load_falls_back_to_the_package_import(tmp_path):
+    code = (FAILED_LOAD +
+            "import sys\n"
+            "import magres._lapack as L\n"
+            "assert 'scipy.sparse.linalg' in sys.modules\n"
+            "from scipy.sparse.linalg._eigen.arpack import _arpacklib\n"
+            "print(L._arpack is _arpacklib and all(getattr(L, n) is "
+            f"getattr(_arpacklib, n) for n in {ARPACK_ROUTINES}))")
+    assert _python(code, tmp_path) == "True"
+
+
+def test_resonances_through_the_fallback_writes_the_same_bytes(
+        tmp_path, disk_config):
+    """A process whose extension loads fail runs `resonances` through the
+    package imports and writes the same CSV and diagnostics."""
+    argv = ["resonances", "--field", str(disk_config), "--h", "0.25",
+            "--grid-n", "480", "--out", "r.csv"]
+    code = (FAILED_LOAD +
+            "import sys, magres.cli\n"
+            "assert 'scipy.sparse.linalg' in sys.modules\n"
+            f"print(magres.cli.main({argv!r}))")
+    (tmp_path / "fallback").mkdir()
+    assert _python(code, tmp_path / "fallback") == "0"
+    assert main(argv[:-1] + [str(tmp_path / "r.csv")]) == 0
+    assert (tmp_path / "fallback" / "r.csv").read_bytes() == \
+        (tmp_path / "r.csv").read_bytes()
+    manifests = [json.loads((d / "r.csv.manifest.json").read_text())
+                 for d in (tmp_path / "fallback", tmp_path)]
+    assert manifests[0]["diagnostics"] == manifests[1]["diagnostics"]
+
+
 @pytest.mark.parametrize("argv", [
     ["band", "--a", "-0.5", "--grid-n", "400"],
     ["compare", "--model", "well", "--h", "0.1,0.05,0.025"],
     ["spectrum", "--field", "FIELD", "--b", "4", "--m=-3:3", "--levels",
      "2"],
     ["quasimode", "--b", "16", "--tz-c", "0.2"],
+    ["resonances", "--field", "DISK", "--h", "0.25", "--grid-n", "480"],
 ], ids=lambda argv: argv[0])
-def test_commands_leave_scipy_linalg_unloaded(argv, anh_config, tmp_path):
-    """Only `resonances` loads `scipy.linalg`, through ARPACK."""
-    argv = [str(anh_config) if a == "FIELD" else a for a in argv]
+def test_commands_leave_scipy_linalg_unloaded(argv, anh_config, disk_config,
+                                              tmp_path):
+    """No command loads `scipy.linalg`."""
+    fields = {"FIELD": str(anh_config), "DISK": str(disk_config)}
+    argv = [fields.get(a, a) for a in argv]
     code = ("import sys\n"
             "import magres.cli\n"
             f"assert magres.cli.main({argv + ['--out', 'out.csv']!r}) == 0\n"

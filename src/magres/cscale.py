@@ -19,17 +19,18 @@ that fiber's continuation beyond (`_deform`): `find_resonances` assembles
 one real fiber per sector and deforms it for both angles.
 
 Only a slice of each spectrum is computed: shift-invert Arnoldi finds the
-eigenvalues in the disk about the origin that holds everything the filter
-and the continuum diagnostics read, and the argument principle on
-det(T - z), evaluated by the O(N) continuant recurrence, certifies that
-none were missed. Arnoldi applies T^-1 through one tridiagonal LU
-factorization (LAPACK `zgttrf`, solved by `zgttrs`).
+eigenvalues in the smallest disk about the origin that holds the window and
+its pairing tolerance, which is everything the filter reads, and the
+argument principle on det(T - z), evaluated by the O(N) continuant
+recurrence, certifies that none were missed. Arnoldi applies T^-1 through
+one tridiagonal LU factorization (LAPACK `zgttrf`, solved by `zgttrs`).
   - Sizing. Scaling rotates the continuum and keeps its moduli, so the
     real fiber of a sector has about as many eigenvalues below the radius
     as either scaled one has in the disk; one restarted `dpttrf` counts
-    them by Sylvester inertia, once for both angles. Arnoldi asks for that
-    count plus two and doubles k while all it found lie in the disk, so a
-    low count costs time, never correctness.
+    them by Sylvester inertia below COUNT_REACH times the radius, once for
+    both angles. Arnoldi asks for that count plus two and doubles k while
+    all it found lie in the disk, so a low count costs time, never
+    correctness.
   - Certificate. The contour is a circle halfway from the disk edge to
     the nearest eigenvalue found beyond it. The phases of the eigenvalues
     found are subtracted from arg det(T - z), so the winding number counts
@@ -354,7 +355,8 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
     bit), run by `_arnoldi` (in shift-invert mode ARPACK applies only
     T^-1, so no product with T is formed); asks for `count` plus two
     eigenvalues, where `count` is the caller's estimate of how many lie in
-    the disk (`find_resonances` counts the real fiber's below the radius),
+    the disk (`find_resonances` counts the real fiber's below COUNT_REACH
+    times the radius),
     and doubles k until the k-th nearest lies outside the disk. The
     argument principle on det(T - z), with the phases of the k values
     divided out (`_contour_count`), then counts the eigenvalues that
@@ -532,6 +534,8 @@ def continuum_motion(spec1, spec2, radius: float) -> float | None:
     """Smallest displacement of the continuum under the angle change.
 
     Over eigenvalues z of spec1 inside |z| <= radius with Im z < -1e-10,
+    for which both spectra must be complete in that disk (the `resonances`
+    manifest reads the slice disk of `find_resonances`, the window's),
     takes the distance to the nearest spec2 point and returns its minimum
     over the points that move: a point within 10 PAIR_TOL (1 + |z|) of
     spec2 is theta-robust, a resonance whether or not the window holds
@@ -554,16 +558,27 @@ def continuum_motion(spec1, spec2, radius: float) -> float | None:
 
 
 def _slice_radius(window: Window, tol: float) -> float:
-    """The radius of the smallest disk about the origin that holds what
-    the resonance filter and the continuum diagnostics read: |z| <= reach,
-    reach = 2 max|corner|, and the pairing tolerance tol (1 + reach)
-    beyond it. Every window corner has modulus at most reach / 2, so the
-    disk also holds the window and its tolerance.
+    """The radius c + tol (1 + c), c = max|window corner|: the smallest disk
+    about the origin that holds the window dilated by its pairing
+    tolerance, which is everything the resonance filter reads. A window
+    point z has |z| <= c, and its partner lies within tol (1 + |z|) of it.
     """
-    reach = 2.0 * max(abs(complex(re, im))
-                      for re in (window.re_min, window.re_max)
-                      for im in (window.im_min, window.im_max))
-    return reach + tol * (1.0 + reach)
+    c = max(abs(complex(re, im))
+            for re in (window.re_min, window.re_max)
+            for im in (window.im_min, window.im_max))
+    return c + tol * (1.0 + c)
+
+
+# The real fiber is counted below this multiple of the slice radius. A
+# scaled continuum point can lie just inside the disk while its real level
+# lies just outside (h = 0.2, m = 0, theta = 0.5, N = 256: |z| = 0.3158 <
+# 0.3162 < 0.3174), and a count one short leaves Arnoldi one value beyond
+# the disk, whose small margin costs the contour (829 points, not 265, at
+# h = 0.2, theta = 0.6, N = 480). Over 480 sectors (disk and zero field,
+# h 0.1-0.3, m in {0, +-1, 4, -6}, theta in {0.25, 0.5, 0.6, 0.7}, N 256
+# and 480) the count below the radius was one short in 11; below 1.02
+# radius it was never short, and at most 1 above the dense count.
+COUNT_REACH = 1.02
 
 
 def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
@@ -573,15 +588,16 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     """Theta-robust resonances over the given sectors, sorted by Re z.
 
     Both angles share the grid and the deformation radii. Each sector
-    assembles its real 'h' fiber once, counts its eigenvalues below the
-    slice radius once (LDL^T inertia) to size both slices, and deforms it
-    for both angles. Each (theta, m) solve is a certified spectral slice:
-    every eigenvalue in the disk about the origin that holds |z| <= 2
-    max|window corner| and the pairing tolerance beyond it, and with them
-    the window. The slices are kept on the result as `spectra`, with the
-    disk's radius, for continuum-motion diagnostics and trend fits, and
-    their cost (`SliceWork`) as `work`. The filter's input checks run on an
-    empty pair before the first slice is solved.
+    assembles its real 'h' fiber once, counts its eigenvalues below
+    COUNT_REACH times the slice radius once (LDL^T inertia) to size both
+    slices, and deforms it for both angles. Each (theta, m) solve is a
+    certified spectral slice: every eigenvalue in the smallest disk about
+    the origin that holds the window and its pairing tolerance
+    (`_slice_radius`). The slices are kept on the result as `spectra`,
+    with the disk's radius, for continuum-motion diagnostics over that
+    disk and for trend fits, and their cost (`SliceWork`) as `work`. The
+    filter's input checks run on an empty pair before the first slice is
+    solved.
     """
     if not math.isfinite(profile.R0):
         raise ValidationError(
@@ -594,7 +610,8 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
 
     def solve(m):
         real = assemble_fiber(profile, m, h, grid, "dirichlet_far", "h")
-        count = _ldl_factors(real.diag, real.off, radius, grid.N)[0]
+        count = _ldl_factors(real.diag, real.off, COUNT_REACH * radius,
+                             grid.N)[0]
         return [_spectrum_slice(_deform(real, sp), radius, count)
                 for sp in sps]
 

@@ -11,7 +11,9 @@ import json
 
 import pytest
 
+from magres.cscale import COUNT_REACH, _spectrum_slice
 from magres.fields import FieldSpec, make_profile
+from magres.radial import _ldl_factors, assemble_fiber
 
 
 FROZEN = {
@@ -48,6 +50,22 @@ FROZEN = {
     # weighted anharmonic tail integral, gamma=2, c0=0.05 (N=3000, r_max=12)
     "ah_decay_integral": 6.0456679981,
 }
+
+
+def slice_count(op, radius):
+    """The count that `find_resonances` sizes a slice of op with: the
+    eigenvalues of the real fiber that op continues below COUNT_REACH
+    times the radius."""
+    real = assemble_fiber(op.profile, op.m, op.scale, op.grid,
+                          "dirichlet_far", "h")
+    return _ldl_factors(real.diag, real.off, COUNT_REACH * radius,
+                        op.grid.N)[0]
+
+
+def certified_slice(op, radius):
+    """The certified slice |z| <= radius of op, sized as `find_resonances`
+    sizes it, and its `SliceWork`."""
+    return _spectrum_slice(op, radius, slice_count(op, radius))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from magres.cli import main
-from magres.cscale import PAIR_TOL, Window, continuum_motion, find_resonances
+from magres.cscale import (PAIR_TOL, Window, assemble_scaled_fiber,
+                           continuum_motion, find_resonances,
+                           scaling_profile)
 from magres.errors import FlatBandError
 from magres.fields import FieldSpec, make_profile
 from magres.quasimode import build_quasimode, quasimode_residual, tz_crossover, \
@@ -26,6 +28,7 @@ from magres.radial import (RadialGrid, anharmonic_levels, assemble_fiber,
                            verify_island_decay, well_levels)
 from magres.stepband import StepParams, minimize_band, spectral_constants
 
+from conftest import certified_slice
 from oracles import (bessel_j_zero, de_gennes_constant, island_decay_limit,
                      island_decay_prediction, island_layer_kappa,
                      robin_disk_level)
@@ -50,6 +53,15 @@ def lifetime_sweep(disk_profile):
                              R1=1.5, T0=6.0)
         runs[h] = (rs, time.monotonic() - t0)
     return runs
+
+
+def wide_slices(disk_profile, h):
+    """Certified slices |z| <= 2h of the lifetime sweep's fibers at h, for
+    both angles."""
+    grid = RadialGrid(18.0, 3000)
+    return [certified_slice(assemble_scaled_fiber(
+                disk_profile, 0, h, scaling_profile(theta, 1.5, 6.0), grid),
+                2.0 * h)[0] for theta in (0.5, 0.6)]
 
 
 def test_criterion_01_landau_levels_exact():
@@ -100,7 +112,8 @@ def test_criterion_03_step_band_constants():
     assert time.monotonic() - t0 < 120.0
 
 
-def test_criterion_04_resonance_existence_and_sign(lifetime_sweep):
+def test_criterion_04_resonance_existence_and_sign(lifetime_sweep,
+                                                    disk_profile):
     """Each h yields exactly one robust decaying resonance near Re = h,
     certified against a continuum that moves two decades more."""
     for h, (rs, elapsed) in lifetime_sweep.items():
@@ -110,8 +123,8 @@ def test_criterion_04_resonance_existence_and_sign(lifetime_sweep):
         assert r.z.imag < 0.0
         bound = PAIR_TOL * (1.0 + abs(r.z))
         assert r.drift <= bound
-        motion = continuum_motion(rs.spectra[(0.5, 0)], rs.spectra[(0.6, 0)],
-                                  2.0 * h)
+        # over |z| <= 2h, wider than the run's own disk (the window's)
+        motion = continuum_motion(*wide_slices(disk_profile, h), 2.0 * h)
         assert motion is not None
         assert motion >= 10.0 * bound
         assert elapsed < 300.0

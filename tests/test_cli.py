@@ -19,6 +19,7 @@ import magres.quasimode as quasimode
 import magres.radial as radial
 import magres.stepband as stepband
 from magres.cli import build_parser, main
+from magres.cscale import PAIR_TOL
 from magres.errors import TruncationError
 from magres.radial import MAX_GRID_N
 
@@ -357,15 +358,15 @@ def test_resonances_readme_bytes(disk_config, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "m,h,theta1,theta2,reZ,imZ,drift,gridN",
         "0,2.50000000000000e-01,5.00000000000000e-01,6.00000000000000e-01,"
-        "1.93454555700236e-01,-6.09975468158866e-02,4.62893189297286e-09,"
+        "1.93454555700235e-01,-6.09975468158859e-02,4.62893230411068e-09,"
         "3000",
         "0,2.00000000000000e-01,5.00000000000000e-01,6.00000000000000e-01,"
-        "1.70396862880313e-01,-2.73534545691119e-02,1.57733495202172e-09,"
+        "1.70396862880314e-01,-2.73534545691121e-02,1.57733421631919e-09,"
         "3000",
         "0,1.50000000000000e-01,5.00000000000000e-01,6.00000000000000e-01,"
-        "1.38968606890627e-01,-6.82734265443925e-03,3.28252780148651e-10,"
+        "1.38968606890627e-01,-6.82734265443934e-03,3.28252987240376e-10,"
         "3000",
-        "# fit_points=3 logim_vs_invh_slope=-8.22388589186638e-01 "
+        "# fit_points=3 logim_vs_invh_slope=-8.22388589186629e-01 "
         "r2=9.99901724397977e-01"]
 
 
@@ -405,8 +406,9 @@ def test_resonances_manifest_records_slices(disk_config, tmp_path):
     assert [s["h"] for s in slices] == [0.25, 0.2]
     for s, h in zip(slices, (0.25, 0.2)):
         assert "centre" not in s  # every slice disk lies about the origin
-        # the disk covers |z| <= 2 max|window corner|
-        assert s["radius"] >= 2.0 * abs(complex(1.5 * h, -0.5 * h))
+        # the disk holds the window and its pairing tolerance, no more
+        corner = abs(complex(1.5 * h, -0.5 * h))
+        assert s["radius"] == corner + PAIR_TOL * (1.0 + corner)
         assert sorted((c["theta"], c["m"]) for c in s["counts"]) == \
             [(0.5, 0), (0.5, 1), (0.6, 0), (0.6, 1)]
         assert all(c["count"] > 0 for c in s["counts"])

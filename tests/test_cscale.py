@@ -23,23 +23,10 @@ from magres.fields import FieldSpec, make_profile, zero_profile
 from magres.radial import (FiberOperator, RadialGrid, _ldl_factors,
                            assemble_fiber)
 
-from conftest import FROZEN
+from conftest import FROZEN, certified_slice, slice_count
 from oracles import det_phase_per_pivot
 
 WIN = Window(0.1, 0.3, -0.12, -0.001)
-
-
-def _real_count(op, radius):
-    """The count that `find_resonances` sizes a slice of op with: the
-    eigenvalues below the radius of the real fiber that op continues."""
-    real = assemble_fiber(op.profile, op.m, op.scale, op.grid,
-                          "dirichlet_far", "h")
-    return _ldl_factors(real.diag, real.off, radius, op.grid.N)[0]
-
-
-def _slice(op, radius):
-    """The certified slice of op, sized as `find_resonances` sizes it."""
-    return _spectrum_slice(op, radius, _real_count(op, radius))
 
 
 @pytest.fixture(scope="module")
@@ -297,12 +284,16 @@ def test_reference_resonance(reference_run):
     assert set(reference_run.spectra) == {(0.5, 0), (0.6, 0)}
 
 
-def test_reference_continuum_sweeps(reference_run):
+def test_reference_continuum_sweeps(disk_profile, reference_run):
     """Continuum points move two orders of magnitude more than the accepted
-    resonance drifts under the same angle change."""
+    resonance drifts under the same angle change, over |z| <= 0.5: read
+    from certified slices of that disk on the run's fibers, since the run
+    keeps only the window's disk."""
     r = reference_run.resonances[0]
-    motion = continuum_motion(reference_run.spectra[(0.5, 0)],
-                              reference_run.spectra[(0.6, 0)], 0.5)
+    wide = [certified_slice(assemble_scaled_fiber(
+                disk_profile, 0, 0.25, scaling_profile(theta, 1.5, 6.0),
+                RadialGrid(18.0, 1200)), 0.5)[0] for theta in (0.5, 0.6)]
+    motion = continuum_motion(*wide, 0.5)
     assert motion >= 10.0 * PAIR_TOL * (1.0 + abs(r.z))
 
 
@@ -328,7 +319,7 @@ def test_resolution_dichotomy(disk_profile, dense_reference):
     zc = FROZEN["disk_resonance_h025_n1200"]
     # N = 2400 needs only the point nearest zc: a certified slice of the
     # disk |z| <= |zc| + 0.01 holds every eigenvalue within 0.01 of it
-    v2400, _ = _slice(assemble_scaled_fiber(
+    v2400, _ = certified_slice(assemble_scaled_fiber(
         disk_profile, 0, 0.25, sp, RadialGrid(18.0, 2400)), abs(zc) + 0.01)
     z6 = v600[np.argmin(np.abs(v600 - zc))]
     z12 = v1200[np.argmin(np.abs(v1200 - zc))]
@@ -431,7 +422,7 @@ def test_slice_matches_dense_in_disk(disk_profile, N, theta, field, h):
                            PAIR_TOL)
     dense = complex_spectrum(op)
     want = dense[np.abs(dense) <= radius]
-    got, _ = _slice(op, radius)
+    got, _ = certified_slice(op, radius)
     assert got.size == want.size > 0
     assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -443,9 +434,10 @@ def test_slice_count_matches_dense_above_the_ground(disk_profile, theta, h,
                                                     lo):
     """Windows [lo h, (lo + 1) h] above the lowest Landau level: the
     certified count is the dense count, and the values agree where the
-    window and the filter read them, |z| <= max|corner|. Farther out the
-    rotated continuum of the two solvers differs by up to 6.2e-7; within
-    that modulus by at most 3.1e-9 here (and at N = 400)."""
+    window and the filter read them, |z| <= max|corner|: by at most 3.1e-9
+    here (7.8e-10 at N = 400). Farther out the rotated continuum of the
+    two solvers can differ by far more: by up to 6.2e-7 within twice that
+    modulus."""
     win = Window(lo * h, (lo + 1.0) * h, -0.5 * h, -1e-12)
     op = assemble_scaled_fiber(disk_profile, 0, h,
                                scaling_profile(theta, 1.5, 6.0),
@@ -453,7 +445,7 @@ def test_slice_count_matches_dense_above_the_ground(disk_profile, theta, h,
     radius = _slice_radius(win, PAIR_TOL)
     dense = complex_spectrum(op)
     want = dense[np.abs(dense) <= radius]
-    got, _ = _slice(op, radius)
+    got, _ = certified_slice(op, radius)
     assert got.size == want.size > 0
     corner = max(abs(complex(re, im)) for re in (win.re_min, win.re_max)
                  for im in (win.im_min, win.im_max))
@@ -470,9 +462,10 @@ _bound = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 @given(re=st.tuples(_bound, _bound), im=st.tuples(_bound, _bound),
        tol=st.floats(min_value=1e-12, max_value=0.5))
 def test_slice_disk_is_the_disk_about_the_origin(re, im, tol):
-    """Over windows in Im z <= 0: the disk holds each corner with its
-    pairing tolerance and all of |z| <= reach, and is never wider than the
-    window-centred disk |window centre| + reach + tol (1 + reach)."""
+    """Over windows in Im z <= 0: the radius is c + tol (1 + c), c =
+    max|corner|, so the disk holds each corner with its pairing tolerance,
+    and is never wider than |window centre| + half its diagonal, plus that
+    tolerance."""
     (re_min, re_max), (im_min, im_max) = sorted(re), sorted(-abs(x)
                                                             for x in im)
     assume(re_min < re_max and im_min < im_max)
@@ -480,11 +473,13 @@ def test_slice_disk_is_the_disk_about_the_origin(re, im, tol):
     radius = _slice_radius(win, tol)
     corners = [complex(a, b) for a in (re_min, re_max)
                for b in (im_min, im_max)]
-    reach = 2.0 * max(abs(c) for c in corners)
-    assert all(abs(c) + tol * (1.0 + abs(c)) <= radius for c in corners)
-    assert reach <= radius
+    c = max(abs(z) for z in corners)
+    assert radius == c + tol * (1.0 + c)
+    assert all(abs(z) + tol * (1.0 + abs(z)) <= radius for z in corners)
     window_centre = complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max))
-    assert radius <= abs(window_centre) + reach + tol * (1.0 + reach)
+    half_diagonal = 0.5 * abs(complex(re_max - re_min, im_max - im_min))
+    assert radius <= ((abs(window_centre) + half_diagonal) * (1.0 + 1e-15)
+                      + tol * (1.0 + c))
 
 
 _side = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3),
@@ -546,27 +541,30 @@ def test_singular_shift_is_numerical_error():
 
 
 def test_slice_disk_covers_what_the_diagnostics_read():
+    """The filter reads the window and its pairing tolerance, and the slice
+    disk is exactly the smallest disk about the origin that holds them."""
     radius = _slice_radius(WIN, PAIR_TOL)
     corners = [complex(a, b) for a in (WIN.re_min, WIN.re_max)
                for b in (WIN.im_min, WIN.im_max)]
-    reach = 2.0 * max(abs(c) for c in corners)
-    assert all(abs(c) < radius for c in corners)
-    # the disk |z| <= reach (plus tolerance) lies inside the slice disk
-    assert reach * (1.0 + PAIR_TOL) + PAIR_TOL <= radius
+    c = max(abs(z) for z in corners)
+    assert all(abs(z) < radius for z in corners)
+    assert radius == c + PAIR_TOL * (1.0 + c)
 
 
 def test_reference_slice_matches_dense_diagnostics(reference_run,
                                                    dense_reference):
     """Filter and continuum motion read the same points from the slice as
-    from the full dense spectra."""
+    from the full dense spectra, over the slice disk."""
     r = reference_run.resonances[0]
     dense = filter_resonances(dense_reference[0.5], dense_reference[0.6],
                               PAIR_TOL, WIN, theta_pair=(0.5, 0.6), m=0,
                               h=0.25)
     assert [x.z for x in dense] == pytest.approx([r.z], abs=1e-10)
+    radius = reference_run.radius
     motion = continuum_motion(reference_run.spectra[(0.5, 0)],
-                              reference_run.spectra[(0.6, 0)], 0.5)
-    want = continuum_motion(dense_reference[0.5], dense_reference[0.6], 0.5)
+                              reference_run.spectra[(0.6, 0)], radius)
+    want = continuum_motion(dense_reference[0.5], dense_reference[0.6],
+                            radius)
     assert motion == pytest.approx(want, abs=1e-9)
 
 
@@ -660,7 +658,7 @@ def test_arnoldi_is_eigs(disk_profile, h, theta, n):
         radius = _slice_radius(WIN, PAIR_TOL)
     *factors, _ = cscale.zgttrf(op.off, op.diag, op.off)
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-    k = _real_count(op, radius) + 2
+    k = slice_count(op, radius) + 2
     T = spla.LinearOperator((n, n), dtype=complex,
                             matvec=lambda v: pytest.fail("eigs applied T"))
     applied = []
@@ -683,7 +681,7 @@ def test_wide_disk_falls_back_to_dense(disk_profile):
                                RadialGrid(18.0, 128))
     dense = complex_spectrum(op)
     radius = float(np.sort(np.abs(dense))[100])
-    got, _ = _slice(op, radius)
+    got, _ = certified_slice(op, radius)
     want = dense[np.abs(dense) <= radius]
     assert np.array_equal(got, want)
 
@@ -724,7 +722,7 @@ def test_predicted_count_is_not_below_the_disk_count(disk_profile, field, h):
             op, radius = _cli_slice(profile, m, h, theta, 256)
             dense = complex_spectrum(op)
             inside = int(np.sum(np.abs(dense) <= radius))
-            assert inside <= _real_count(op, radius) <= inside + 8
+            assert inside <= slice_count(op, radius) <= inside + 8
 
 
 def test_low_prediction_doubles_to_the_dense_slice(disk_profile,

@@ -225,13 +225,16 @@ def test_non_finite_dense_matrix_is_a_numerical_error(disk_profile):
 def test_robust_points_outside_the_window_are_not_continuum(disk_config,
                                                             tmp_path):
     """On the disk at N = 600 and h = 0.2, sector m = -1 holds the
-    theta-robust point 0.5895 - 0.1659i outside the window; it moves by
-    1.8e-7, and the continuum by 1.2e-3."""
+    theta-robust point 0.5895 - 0.1659i; it moves by 1.8e-7, and the
+    continuum by 1.2e-3. The window [0.62, 0.7] x [-0.2, -1e-12] leaves
+    the point out, and its slice disk (radius 0.728) holds it."""
     out = tmp_path / "r.csv"
     assert main(["resonances", "--field", str(disk_config), "--h", "0.2",
-                 "--grid-n", "600", "--m=-1:-1", "--out", str(out)]) == 0
+                 "--grid-n", "600", "--m=-1:-1",
+                 "--window=0.62:0.7:-0.2:-1e-12", "--out", str(out)]) == 0
     manifest = json.loads(out.with_name("r.csv.manifest.json").read_text())
     (s,) = manifest["diagnostics"]["slices"]
+    assert s["radius"] > abs(0.5895 - 0.1659j)
     (c,) = s["continuum_motion"]
     assert c["m"] == -1
     assert c["motion"] >= 10.0 * PAIR_TOL * (1.0 + s["radius"])

@@ -59,14 +59,14 @@ this one solver. Its LAPACK routines come from `_lapack`, which loads them
 without `scipy.linalg`.
 
 A merged ladder (well, anharmonic, island) is a certified sector sweep
-(`_merged_ladder`). It solves the sectors outward from m = 0 until the
-levels it needs are in hand; past that, one count per sector of its
-eigenvalues below a shift on either grid (`_count_below`: the negative
-pivots of one LDL^T factorization per grid, by Sylvester inertia)
-certifies it (0) or says how many levels to solve. The ladder is the one a
-solve of every sector gives, bit for bit. A Dirichlet-truncated ladder
-whose potential ceiling fails grows its r_max by 1.5x, up to R_MAX_GROWTHS
-times.
+(`_merged_ladder`). Once the levels it needs are in hand, one count per
+sector of its eigenvalues below a shift on either grid (`_count_below`:
+the negative pivots of one LDL^T factorization per grid, by Sylvester
+inertia) says how many levels to solve, and 0 certifies the sector. The
+sweep runs outward from m = 0 until a shell counts 0, then over the
+sectors not yet solved. The ladder is the one a solve of every sector
+gives, bit for bit. A Dirichlet-truncated ladder whose potential ceiling
+fails grows its r_max by 1.5x, up to R_MAX_GROWTHS times.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ MAX_SOLVES = 100  # cap on solves plus refused shifts per eigenpair
 NEAR = 4  # lower levels each inverse-iteration solve is orthogonalized to
 TOL_EPS = 64.0 * np.finfo(float).eps  # certified shift gap, per max|T_ii|
 SETTLED = 1e4  # a solve's mu - shift, in tol, that settles mu
-RESCALE = 1e200  # |y|^2 (or its inverse) past which a solve is rescaled
+RESCALE = 1e200  # a solve's |y|^2 (or its inverse) past which x is rescaled
 # weight of the last face: a Dirichlet value there (mirror ghost) or free
 FAR_WEIGHT = {"dirichlet_far": 2.0, "neumann_far": 0.0}
 
@@ -319,9 +319,11 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
     overwrites it), and mu an estimate of the level; rayleigh(y, y @ y)
     sums the Rayleigh quotient of y from the operator's own quadratic
     form. The solves stay unnormalized: the quotient takes the y @ y of
-    the check for a lost iterate, x is normalized once, on return, and an
-    iterate whose |y|^2 leaves [1/RESCALE, RESCALE] is scaled by a power
-    of 2, which changes no digit.
+    the check for a lost iterate, and x is normalized once, on return.
+    Before each solve x is scaled by a power of 2, which changes no digit,
+    whenever |x|^2 / (mu - shift)^2, about the solve's |y|^2, would leave
+    [1/RESCALE, RESCALE]: a solve within tol of the level scales |y| by
+    about 1/tol, which leaves the float range where |T_ii| nears it.
 
     A shift is used only if `_ldl_factors` finds exactly j eigenvalues
     below it, and each shift factored narrows one bracket [lo, hi) of
@@ -354,7 +356,8 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
     j = len(lower)
     gap = max(gap, 0.5 * tol)
     counted = gap > SETTLED * tol  # whether the next move counts
-    prev, last = rayleigh(x, x @ x) if counted else mu, None
+    norm2 = x @ x
+    prev, last = rayleigh(x, norm2) if counted else mu, None
     factors, lo, hi = None, -math.inf, math.inf  # level j lies in [lo, hi)
     for _ in range(MAX_SOLVES):
         if factors is None:
@@ -372,10 +375,15 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
                 if count > j:
                     hi = shift
                 else:  # below level j - 1
-                    lo, mu = shift, max(mu, rayleigh(x, x @ x))
+                    lo, mu = shift, max(mu, rayleigh(x, norm2))
                 continue
             work.factorizations += 1
             lo, first = shift, True
+        # the solve's |y|^2 is about |x|^2 / (mu - shift)^2; exponents are
+        # compared, as (mu - shift)^2 RESCALE may overflow
+        e = math.frexp(norm2)[1] - 2 * math.frexp(mu - shift)[1]
+        if abs(e) >= math.frexp(RESCALE)[1]:
+            x *= math.ldexp(1.0, -(e // 2))
         y, _ = dpttrs(*factors, x, 1)  # in place on x
         if j:
             near = lower[-NEAR:]
@@ -398,8 +406,6 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
             elif not first and 8.0 * move < mu - shift:
                 gap, factors = max(tol, 2.0 * move), None
         first, last, counted = False, move if counted else None, True
-        if not 1.0 / RESCALE < norm2 < RESCALE:
-            y *= math.ldexp(1.0, -(math.frexp(norm2)[1] // 2))
         x = y
     raise NumericalError(f"inverse iteration at {what} did not converge "
                          f"in {MAX_SOLVES} steps")
@@ -539,23 +545,23 @@ def _grid_pair(profile: FieldProfile, scale: float, grid: RadialGrid, k: int,
                  for g in (grid, grid.halved()))
 
 
-def _richardson_levels(pair: tuple, m: int, k: int, held: dict) -> Sector:
+def _richardson_levels(pair: tuple, m: int, k: int) -> Sector:
     """The `Sector` of `fiber_levels` on the records of `_grid_pair`: the k
-    lowest levels of sector m, each the one a solve of more levels gives,
-    on its fibers in held (taken out) or else on fibers built for it."""
+    lowest levels of sector m, each the one a solve of more levels gives."""
     work = Work()
-    ops = held.pop(m, None) or (fiber.op(m) for fiber in pair)
-    vals, vals_h = (_lowest(op, k, work)[0] for op in ops)
+    vals, vals_h = (_lowest(fiber.op(m), k, work)[0] for fiber in pair)
     return Sector((4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0,
                   work)
 
 
-def _count_below(ops, shift: float, k: int, work: Work) -> int:
-    """The larger count of eigenvalues below shift of one sector's fibers
-    ops on the two records of a `_grid_pair` (`_ldl_factors`; k + 1 past k
-    or refused): 0 certifies all of them above shift on both grids."""
+def _count_below(pair: tuple, m: int, shift: float, k: int,
+                 work: Work) -> int:
+    """The larger count of sector m's eigenvalues below shift on the two
+    records of a `_grid_pair` (`_ldl_factors`; k + 1 past k or refused):
+    0 certifies all of them above shift on both grids."""
     work.factorizations += 2
-    return max(_ldl_factors(op.diag, op.off, shift, k)[0] for op in ops)
+    return max(_ldl_factors(op.diag, op.off, shift, k)[0]
+               for op in (fiber.op(m) for fiber in pair))
 
 
 def fiber_levels(profile: FieldProfile, m: int, scale: float,
@@ -569,7 +575,7 @@ def fiber_levels(profile: FieldProfile, m: int, scale: float,
     lam_{N/2} the same on grid.halved().
     """
     return _richardson_levels(_grid_pair(profile, scale, grid, k, boundary,
-                                         convention), m, k, {}).levels
+                                         convention), m, k).levels
 
 
 def default_m_range(n_max: int) -> range:
@@ -583,10 +589,9 @@ def _check_index(n_max: int) -> None:
                               f" on the N={LADDER_N} ladder grid")
 
 
-def _solve_sectors(pair: tuple, ms, ks, held: dict) -> list:
+def _solve_sectors(pair: tuple, ms, ks) -> list:
     """`_richardson_levels` of sector ms[i] for ks[i] levels, in order."""
-    return pmap(lambda mk: _richardson_levels(pair, *mk, held),
-                list(zip(ms, ks)))
+    return pmap(lambda mk: _richardson_levels(pair, *mk), list(zip(ms, ks)))
 
 
 def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
@@ -596,7 +601,7 @@ def sector_sweep(profile: FieldProfile, scale: float, m_range, grid: RadialGrid,
     merged ascending as (value, m, n) rows, and the Work of all sectors."""
     ms = list(m_range)
     pair = _grid_pair(profile, scale, grid, k, boundary, convention)
-    sectors = _solve_sectors(pair, ms, [k] * len(ms), {})
+    sectors = _solve_sectors(pair, ms, [k] * len(ms))
     return _rows(zip(ms, sectors)), sum((sector.work for sector in sectors),
                                         Work())
 
@@ -625,14 +630,15 @@ def check_ceiling(profile: FieldProfile, scale: float, ms, grid: RadialGrid,
 
 @dataclass(frozen=True, eq=False)
 class Ladder:
-    """A merged ladder and how its sweep certified it."""
+    """A merged ladder and how its sweep certified it: every sector of the
+    cap is solved, or certified by a count of 0 below shift."""
 
     levels: np.ndarray  # the n_max + 1 lowest distinct levels
     homes: list  # (m, k) of each level: its sector and index there
     solved: list  # sectors solved, ascending
     certified: list  # sectors with no level below shift, not solved
-    fallback: list  # sectors past the shells solved for their count
-    margin: float | None  # shift - top level; None if the sweep solved all
+    fallback: list  # sectors solved after the outward sweep stopped
+    margin: float | None  # shift - top; None if the outward sweep solved all
     shift: float | None  # every certified eigenvalue lies above it
     r_max: float  # the truncation radius the ladder was solved on
     work: Work  # of the sweep at r_max: its solves and level counts
@@ -656,13 +662,14 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     the sectors of default_m_range(n_max) on RadialGrid(r_max, LADDER_N),
     with the (m, k) of each: its sector and its index there.
 
-    Sectors are solved (`fiber_levels`, over N and N/2) shell by shell,
-    |m| = 0, 1, 2, ..., until n_max + 1 distinct levels are in hand and
-    each sector of the last shell lies above the top level. Once a top
-    exists, `_count_below` at s = top + margin decides every sector: a
-    shell sector is solved for its levels below s (at least one), and every
-    other sector is certified by a count of 0 or solved for its count,
-    after which the rest are counted again at the new s. The margin, 10x
+    One step decides a batch of sectors. Until n_max + 1 distinct levels
+    are in hand it solves each (`fiber_levels`, over N and N/2) for all
+    n_max + 1 levels; after, `_count_below` at s = top + margin counts each
+    one's levels below s, and it is solved for that many, at most n_max +
+    1: a count of 0 certifies it. The step runs shell by shell, |m| = 0,
+    1, 2, ..., until every sector of a shell counts 0, and then over the
+    sectors not yet solved, at the new s each time, until none counts
+    above 0 (those solved there are the `fallback`). The margin, 10x
     the largest |lam_N - lam_{N/2}| / 3 among the solved levels at or below
     the top and the lowest of each solved sector (at least the relative
     1e-8 within which levels count once), covers the Richardson correction
@@ -682,7 +689,6 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     k = n_max + 1
     pair = _grid_pair(profile, scale, grid, k, boundary, convention)
     solved, counts = {}, Work()  # m -> Sector; work of `_count_below`
-    held = {}  # m -> the fibers a count built, for the solve that follows
 
     def bound():  # (top, margin) once n_max + 1 distinct levels are solved
         levels, _ = _distinct(solved)
@@ -694,37 +700,27 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
             for vals, gaps, _ in solved.values())
         return top, max(10.0 * richardson, 1e-8 * (1.0 + abs(top)))
 
-    # how many of sector m's k levels lie below shift; its fibers stay in
-    # held for the solve that follows, which a shell sector always gets
-    # and any other sector when its count is not 0
-    def below(m, shift, shell):
-        ops = [fiber.op(m) for fiber in pair]
-        count = min(k, _count_below(ops, shift, k, counts))
-        if shell or count:
-            held[m] = ops
-        return count
+    def solve(batch, top_margin):
+        """Solve each sector of batch for its levels below top + margin,
+        all k before a top exists; the sectors solved."""
+        ks = [k if top_margin is None else min(k, _count_below(
+            pair, m, sum(top_margin), k, counts)) for m in batch]
+        batch = [m for m, n in zip(batch, ks) if n]
+        solved.update(zip(batch, _solve_sectors(pair, batch,
+                                                [n for n in ks if n])))
+        return batch
 
-    for shell in range(max(abs(m) for m in ms) + 1):
-        batch = [m for m in ms if abs(m) == shell]
-        top_margin = bound()
-        ks = [k if top_margin is None else
-              max(1, below(m, sum(top_margin), True)) for m in batch]
-        solved.update(zip(batch, _solve_sectors(pair, batch, ks, held)))
-        levels, _ = _distinct(solved)
-        if len(levels) > n_max and all(solved[m].levels.min() > levels[n_max]
-                                       for m in batch):
+    for shell in range(ms[-1] + 1):
+        if not solve([m for m in ms if abs(m) == shell], bound()):
             break
     fallback, margin, shift = [], None, None
     while len(solved) < len(ms):
         top, margin = bound()
         shift = top + margin
-        counted = {m: below(m, shift, False) for m in ms if m not in solved}
-        refused = [m for m in counted if counted[m]]
+        refused = solve([m for m in ms if m not in solved], (top, margin))
         if not refused:
             break
         fallback += refused
-        solved.update(zip(refused, _solve_sectors(
-            pair, refused, [counted[m] for m in refused], held)))
     levels, homes = _distinct(solved)
     if len(levels) < n_max + 1:
         raise NumericalError(f"fewer than {n_max + 1} distinct levels")

@@ -662,6 +662,34 @@ def test_compare_well_cli(tmp_path):
     assert 4.0 <= diffs[1] / diffs[2] <= 16.0
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    """Every command of the README's `magres` block, its `\\` continuations
+    joined, exits 0 in a fresh directory that holds the README's two field
+    files, and writes its CSV and manifest. Each subcommand has one."""
+    text = README.read_text()
+    fields = {"anh.json": "anharmonic", "disk.json": "constant_disk"}
+    for name, kind in fields.items():
+        body = next(b for b in text.split("```json\n")[1:]
+                    if f'"kind": "{kind}"' in b).split("```")[0]
+        (tmp_path / name).write_text(body)
+    block = next(b for b in text.split("```sh\n")[1:]
+                 if "\nmagres " in b).split("```")[0]
+    commands = [line.split()[1:] for line in
+                block.replace("\\\n", " ").splitlines()
+                if line.startswith("magres ")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert out.is_file() and out.with_name(
+            out.name + ".manifest.json").is_file(), argv
+    assert sorted(argv[0] for argv in commands) == [
+        "band", "compare", "quasimode", "resonances", "spectrum"]
+
+
 def test_compare_well_readme_bytes(capsys):
     """The README well sweep, byte for byte as the solve of every sector of
     the cap gives it with levels refined by certified inverse iteration."""

@@ -21,10 +21,10 @@ from .errors import (AmbiguousPairingError, DecayCheckError, FlatBandError,
                      TruncationError, ValidationError)
 from .fields import (FieldProfile, FieldSpec, load_spec, make_profile,
                      parse_spec, zero_profile)
-from .radial import (EigenResult, FiberOperator, RadialGrid, anharmonic_levels,
-                     assemble_fiber, dirichlet_disk_levels, eigs_lowest,
-                     fiber_levels, island_neumann_levels, verify_ah_decay,
-                     verify_island_decay, well_levels)
+from .radial import (EigenResult, FiberOperator, Ladder, RadialGrid,
+                     anharmonic_levels, assemble_fiber, dirichlet_disk_levels,
+                     eigs_lowest, fiber_levels, island_neumann_levels,
+                     verify_ah_decay, verify_island_decay, well_levels)
 from .stepband import (BandSample, SpectralConstants, StepParams,
                        analyze_band, band_value, minimize_band,
                        spectral_constants)

@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile, spec_config
-from .radial import (RadialGrid, Work, _anharmonic_ladder, _island_ladder,
-                     _well_ladder, check_ceiling, dirichlet_disk_levels,
-                     fiber_levels, sector_sweep)
+from .radial import (RadialGrid, Work, anharmonic_levels, check_ceiling,
+                     dirichlet_disk_levels, fiber_levels,
+                     island_neumann_levels, sector_sweep, well_levels)
 from .stepband import StepParams, analyze_band
 from .quasimode import build_quasimode, quasimode_residual, tz_crossover, tz_window
 from .cscale import PAIR_TOL, Window, continuum_motion, find_resonances
@@ -276,7 +276,7 @@ def _compare_pairs(args) -> tuple:
             extras, (m, k), ladders = {}, (0, args.n), []
             kind, params, R0 = "constant_disk", {"r0": args.rmax}, args.rmax
         else:  # level n of sector m and index k there is Lambda_n
-            ladder = _anharmonic_ladder(args.gamma, args.n)
+            ladder = anharmonic_levels(args.gamma, args.n)
             extras = {"gamma": args.gamma, "lambdas": tuple(ladder.levels)}
             m, k = ladder.homes[args.n]
             ladders = [_ladder_record("gamma", args.gamma, ladder)]
@@ -289,7 +289,7 @@ def _compare_pairs(args) -> tuple:
     pairs, ladders = [], []
     if args.model == "well":
         for h in args.h:
-            ladder = _well_ladder(args.b0, h, args.n)
+            ladder = well_levels(args.b0, h, args.n)
             pairs.append((ExpansionParams(model="well", n=args.n, h=h,
                                           b0=args.b0, detH=1.0, trSqrtH=2.0),
                           ladder.levels[args.n]))
@@ -298,7 +298,7 @@ def _compare_pairs(args) -> tuple:
     ells = tuple(float(x) for x in dirichlet_disk_levels(args.rho1, args.n))
     for b in args.b:
         h = 1.0 / b
-        ladder = _island_ladder(args.rho1, args.rho2, b, args.n)
+        ladder = island_neumann_levels(args.rho1, args.rho2, b, args.n)
         pairs.append((ExpansionParams(model="island", n=args.n, h=h,
                                       ells=ells),
                       float(ladder.levels[args.n]) * h * h))

@@ -64,9 +64,13 @@ sector of its eigenvalues below a shift on either grid (`_count_below`:
 the negative pivots of one LDL^T factorization per grid, by Sylvester
 inertia) says how many levels to solve, and 0 certifies the sector. The
 sweep runs outward from m = 0 until a shell counts 0, then over the
-sectors not yet solved. The ladder is the one a solve of every sector
-gives, bit for bit. A Dirichlet-truncated ladder whose potential ceiling
-fails grows its r_max by 1.5x, up to R_MAX_GROWTHS times.
+sectors not yet solved; each sector is counted at most once per shift.
+The ladder is the one a solve of every sector gives, bit for bit. A
+Dirichlet-truncated ladder whose potential ceiling fails grows its r_max
+by 1.5x, up to R_MAX_GROWTHS times. The public ladder functions
+(`anharmonic_levels`, `well_levels`, `island_neumann_levels`) return that
+`Ladder`: its levels, the (m, k) home of each, and how the sweep certified
+them.
 """
 
 from __future__ import annotations
@@ -669,7 +673,10 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     1: a count of 0 certifies it. The step runs shell by shell, |m| = 0,
     1, 2, ..., until every sector of a shell counts 0, and then over the
     sectors not yet solved, at the new s each time, until none counts
-    above 0 (those solved there are the `fallback`). The margin, 10x
+    above 0 (those solved there are the `fallback`). On the grid pair a
+    count depends only on (m, s), so a sector that counted 0 at s is not
+    counted again at that s: the first step over the sectors not yet
+    solved skips the shell that stopped the outward sweep. The margin, 10x
     the largest |lam_N - lam_{N/2}| / 3 among the solved levels at or below
     the top and the lowest of each solved sector (at least the relative
     1e-8 within which levels count once), covers the Richardson correction
@@ -689,6 +696,7 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     k = n_max + 1
     pair = _grid_pair(profile, scale, grid, k, boundary, convention)
     solved, counts = {}, Work()  # m -> Sector; work of `_count_below`
+    zero_at = {}  # m -> the shift at which sector m last counted 0
 
     def bound():  # (top, margin) once n_max + 1 distinct levels are solved
         levels, _ = _distinct(solved)
@@ -703,8 +711,11 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     def solve(batch, top_margin):
         """Solve each sector of batch for its levels below top + margin,
         all k before a top exists; the sectors solved."""
-        ks = [k if top_margin is None else min(k, _count_below(
-            pair, m, sum(top_margin), k, counts)) for m in batch]
+        shift = None if top_margin is None else sum(top_margin)
+        ks = [k if shift is None else 0 if zero_at.get(m) == shift
+              else min(k, _count_below(pair, m, shift, k, counts))
+              for m in batch]
+        zero_at.update((m, shift) for m, n in zip(batch, ks) if not n)
         batch = [m for m, n in zip(batch, ks) if n]
         solved.update(zip(batch, _solve_sectors(pair, batch,
                                                 [n for n in ks if n])))
@@ -761,23 +772,21 @@ def _truncated_ladder(profile: FieldProfile, scale: float, n_max: int,
             r_max *= 1.5
 
 
-def _anharmonic_ladder(gamma: float, n_max: int) -> Ladder:
-    """`anharmonic_levels` with the (m, k) home of each level."""
+def anharmonic_levels(gamma: float, n_max: int) -> Ladder:
+    """The `Ladder` of the anharmonic Landau levels: distinct low
+    eigenvalues of the b=1 full-plane operator with field |x|^gamma,
+    merged over sectors, on the ladder grid truncated at r_max = 12 (grown
+    while its ceiling fails). Its `.levels` are the levels."""
     if gamma <= 0:
         raise ValidationError("gamma must be > 0")
     profile = make_profile(FieldSpec("anharmonic", {"gamma": gamma}, R0=1.0))
     return _truncated_ladder(profile, 1.0, n_max, 12.0)
 
 
-def anharmonic_levels(gamma: float, n_max: int) -> np.ndarray:
-    """Anharmonic Landau levels: distinct low eigenvalues of the b=1
-    full-plane operator with field |x|^gamma, merged over sectors, on the
-    ladder grid truncated at r_max = 12 (grown while its ceiling fails)."""
-    return _anharmonic_ladder(gamma, n_max).levels
-
-
-def _well_ladder(b0: float, h: float, n_max: int) -> Ladder:
-    """`well_levels` with the record of its sweep."""
+def well_levels(b0: float, h: float, n_max: int) -> Ladder:
+    """The `Ladder` of the distinct low eigenvalues of the semiclassical
+    operator for B(r) = b0 + r^2, merged over sectors, on the ladder grid
+    truncated at r_max = 3 (grown while its ceiling fails)."""
     if b0 <= 0:
         raise ValidationError("b0 must be > 0")
     if h <= 0:
@@ -786,15 +795,19 @@ def _well_ladder(b0: float, h: float, n_max: int) -> Ladder:
     return _truncated_ladder(profile, h, n_max, 3.0, convention="h")
 
 
-def well_levels(b0: float, h: float, n_max: int) -> np.ndarray:
-    """Distinct low eigenvalues of the semiclassical operator for
-    B(r) = b0 + r^2, merged over sectors, on the ladder grid truncated at
-    r_max = 3 (grown while its ceiling fails)."""
-    return _well_ladder(b0, h, n_max).levels
+def island_neumann_levels(rho1: float, rho2: float, b: float,
+                          n_max: int) -> Ladder:
+    """The `Ladder` of the strictly increasing eigenvalues of the magnetic
+    Neumann Laplacian on the disk of radius rho2 with field 1 on [rho1,
+    rho2] and 0 inside, on the ladder grid ending at the wall rho2.
 
-
-def _island_ladder(rho1: float, rho2: float, b: float, n_max: int) -> Ladder:
-    """`island_neumann_levels` with the record of its sweep."""
+    As b grows the levels approach the Dirichlet disk levels j^2 / rho1^2
+    only at the rate b^{-1/2}: the hole mode leaks into an annulus layer of
+    width b^{-1/2}, which acts on the hole as the Robin condition
+    u'(rho1) = -c sqrt(b) u(rho1), c = 2 Gamma(3/4) / Gamma(1/4). The
+    lowest level sits a relative 2 / (c sqrt(b) rho1) below j01^2 / rho1^2
+    to first order; at b = 100, rho1 = 1 the gap is 24.6%.
+    """
     if not (0 < rho1 < rho2):
         raise ValidationError("need 0 < rho1 < rho2")
     if b < 0:
@@ -807,22 +820,6 @@ def _island_ladder(rho1: float, rho2: float, b: float, n_max: int) -> Ladder:
             FieldSpec("island_annular", {"rho1": rho1, "rho2": rho2}, R0=rho2))
         scale = b
     return _merged_ladder(profile, scale, n_max, rho2, boundary="neumann_far")
-
-
-def island_neumann_levels(rho1: float, rho2: float, b: float,
-                          n_max: int) -> np.ndarray:
-    """Strictly increasing eigenvalues of the magnetic Neumann Laplacian on
-    the disk of radius rho2 with field 1 on [rho1, rho2] and 0 inside, on
-    the ladder grid ending at the wall rho2.
-
-    As b grows the levels approach the Dirichlet disk levels j^2 / rho1^2
-    only at the rate b^{-1/2}: the hole mode leaks into an annulus layer of
-    width b^{-1/2}, which acts on the hole as the Robin condition
-    u'(rho1) = -c sqrt(b) u(rho1), c = 2 Gamma(3/4) / Gamma(1/4). The
-    lowest level sits a relative 2 / (c sqrt(b) rho1) below j01^2 / rho1^2
-    to first order; at b = 100, rho1 = 1 the gap is 24.6%.
-    """
-    return _island_ladder(rho1, rho2, b, n_max).levels
 
 
 def jn_zeros(nu: int, count: int) -> np.ndarray:

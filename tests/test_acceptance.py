@@ -81,12 +81,12 @@ def test_criterion_01_landau_levels_exact():
 def test_criterion_02_anharmonic_scaling_law(anharmonic_profile):
     """gamma=2 lowest level scales as b^(1/2); gamma->0 limit is Landau."""
     t0 = time.monotonic()
-    lam1 = anharmonic_levels(2.0, 0)[0]
+    lam1 = anharmonic_levels(2.0, 0).levels[0]
     grid = RadialGrid(12.0, 3000)
     lam4 = min(fiber_levels(anharmonic_profile, m, 4.0, grid, 1)[0]
                for m in range(-3, 4))
     assert abs(lam4 - 2.0 * lam1) <= 1e-5
-    assert abs(anharmonic_levels(1e-3, 0)[0] - 1.0) <= 1e-2
+    assert abs(anharmonic_levels(1e-3, 0).levels[0] - 1.0) <= 1e-2
     assert time.monotonic() - t0 < 30.0
 
 
@@ -170,7 +170,7 @@ def test_criterion_06_quasimode_residual_law():
 def test_criterion_07_well_expansion_order():
     """Radial well ground state matches h + 4h^2 to third order."""
     t0 = time.monotonic()
-    diffs = [abs(well_levels(1.0, h, 0)[0] - (h + 4.0 * h * h))
+    diffs = [abs(well_levels(1.0, h, 0).levels[0] - (h + 4.0 * h * h))
              for h in (0.1, 0.05, 0.025)]
     for lo, hi in zip(diffs[1:], diffs[:-1]):
         assert 4.0 <= hi / lo <= 16.0
@@ -186,7 +186,7 @@ def test_criterion_08a_island_level_accuracy():
     leaves a gap of about 2 / (kappa rho1) (25% at b = 100) to j01^2. The
     Robin disk eigenvalue is the two-term reference."""
     target = robin_disk_level(island_layer_kappa(100.0), 1.0)
-    lvl = island_neumann_levels(1.0, 1.5, 100.0, 0)[0]
+    lvl = island_neumann_levels(1.0, 1.5, 100.0, 0).levels[0]
     assert abs(lvl - target) <= 0.01 * target
 
 
@@ -194,7 +194,7 @@ def test_criterion_08b_island_error_decreasing():
     """The island-to-disk gap closes monotonically as b grows."""
     t0 = time.monotonic()
     target = bessel_j_zero(0, 1) ** 2
-    errs = [abs(island_neumann_levels(1.0, 1.5, b, 0)[0] - target)
+    errs = [abs(island_neumann_levels(1.0, 1.5, b, 0).levels[0] - target)
             for b in (50.0, 100.0, 200.0)]
     assert errs[0] > errs[1] > errs[2]
     assert time.monotonic() - t0 < 60.0

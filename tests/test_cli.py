@@ -690,6 +690,14 @@ def test_readme_examples_run(tmp_path, monkeypatch):
         "band", "compare", "quasimode", "resonances", "spectrum"]
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's `python` block runs in-process: it prints one gamma = 2
+    ladder and one N = 1200 resonance."""
+    block = README.read_text().split("```python\n")[1].split("```")[0]
+    exec(compile(block, str(README), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_compare_well_readme_bytes(capsys):
     """The README well sweep, byte for byte as the solve of every sector of
     the cap gives it with levels refined by certified inverse iteration."""
@@ -754,8 +762,8 @@ def test_compare_manifest_records_each_ladder_sweep(argv, tmp_path, capsys):
 def test_compare_argument_rules(monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("an input error reached a solve")
-    for name in ("fiber_levels", "_anharmonic_ladder", "_well_ladder",
-                 "_island_ladder", "dirichlet_disk_levels"):
+    for name in ("fiber_levels", "anharmonic_levels", "well_levels",
+                 "island_neumann_levels", "dirichlet_disk_levels"):
         monkeypatch.setattr(cli, name, no_solve)
     well, island = "--h=0.1,0.05,0.025", "--b=25,50,100"
     for argv in (["--model", "step", well],

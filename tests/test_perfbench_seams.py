@@ -59,3 +59,19 @@ def test_benchmark_seams_wrap_and_restore(monkeypatch):
     after = _attributes()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_benchmark_trace_sees_each_ladder(monkeypatch):
+    """The tracer wraps the public ladder functions, and `compare` calls
+    them: a traced well comparison over three h records three
+    `radial.ladder` spans."""
+    spans = _load("spans", monkeypatch)
+    from magres import cli
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["compare", "--model", "well",
+                         "--h", "0.1,0.05,0.025"]) == 0
+    finally:
+        tracer.uninstall()
+    assert [s.name for s in tracer.spans].count("radial.ladder") == 3

@@ -178,7 +178,7 @@ def test_level_index_is_bounded_before_any_work(monkeypatch):
 
 
 def test_anharmonic_ladder_frozen():
-    got = anharmonic_levels(2.0, 4)
+    got = anharmonic_levels(2.0, 4).levels
     assert np.allclose(got, FROZEN["anharmonic_gamma2_ladder"], atol=1e-7)
     assert np.all(np.diff(got) > 0)
 
@@ -214,7 +214,7 @@ def test_well_levels_m_edge_guard(monkeypatch):
 
 def test_well_levels_frozen():
     for h, e0 in FROZEN["well_e0"].items():
-        got = well_levels(1.0, h, 1)
+        got = well_levels(1.0, h, 1).levels
         assert got[0] == pytest.approx(e0, abs=1e-9)
         assert got[1] == pytest.approx(FROZEN["well_e1"][h], abs=1e-9)
 
@@ -247,15 +247,15 @@ def _assert_full_cap(case, well_profile, island_profile):
     is solved or certified, never both."""
     model, x, n = case
     if model == "well":
-        ladder = radial._well_ladder(1.0, x, n)
+        ladder = well_levels(1.0, x, n)
         want = _full_cap_ladder(well_profile, x, n, ladder.r_max,
                                 convention="h")
     elif model == "anharmonic":
-        ladder = radial._anharmonic_ladder(x, n)
+        ladder = anharmonic_levels(x, n)
         profile = make_profile(FieldSpec("anharmonic", {"gamma": x}, R0=1.0))
         want = _full_cap_ladder(profile, 1.0, n, ladder.r_max)
     else:
-        ladder = radial._island_ladder(1.0, 1.5, x, n)
+        ladder = island_neumann_levels(1.0, 1.5, x, n)
         profile = zero_profile(R0=1.5) if x == 0.0 else island_profile
         want = _full_cap_ladder(profile, x or 1.0, n, 1.5, "neumann_far")
     assert ladder.levels.tolist() == want[0]
@@ -300,7 +300,7 @@ def test_island_sweep_solves_past_a_non_monotone_gap():
     levels 4 and 5 live in m = 10 and m = 9. The outward sweep stops at
     |m| = 4 with a top level of 16.5, the certificates of m = 7..12 are
     refused at that shift, and those sectors are solved."""
-    ladder = radial._island_ladder(1.0, 1.5, 25.0, 5)
+    ladder = island_neumann_levels(1.0, 1.5, 25.0, 5)
     assert ladder.homes[4:] == [(10, 0), (9, 0)]
     assert ladder.fallback == list(range(7, 13))
     assert {5, 6, 13} <= set(ladder.certified)
@@ -329,7 +329,7 @@ def test_well_sweep_solves_only_the_inner_shells(monkeypatch):
     monkeypatch.setattr(radial, "_lowest", counting_lowest)
     monkeypatch.setattr(radial, "dpttrf", counting_factor)
     monkeypatch.setattr(radial, "_count_below", counting_below)
-    ladder = radial._well_ladder(1.0, 0.1, 1)
+    ladder = well_levels(1.0, 0.1, 1)
     assert sorted(solves) == sorted((m, N) for m in range(-1, 2)
                                     for N in (1500, 3000))
     assert ladder.solved == list(range(-1, 2)) and ladder.fallback == []
@@ -342,14 +342,37 @@ def test_well_sweep_solves_only_the_inner_shells(monkeypatch):
     assert ladder.margin < 1e-4 * ladder.levels[-1]
 
 
+def test_each_sector_is_counted_once_per_shift(monkeypatch):
+    """On a ladder's grid pair a count depends only on (m, shift), so no
+    ladder of a seed-0 benchmark pass counts a sector twice at one shift:
+    the sectors of the shell that stopped the outward sweep are not
+    counted again at its shift."""
+    count, counted = radial._count_below, []
+
+    def recording(pair, m, shift, k, work):
+        counted.append((m, shift))
+        return count(pair, m, shift, k, work)
+    monkeypatch.setattr(radial, "_count_below", recording)
+    ladders = [*((well_levels, (1.0, h, n)) for n in (0, 1)
+                 for h in (0.1, 0.05, 0.025)),
+               (anharmonic_levels, (2.0, 1)),
+               *((island_neumann_levels, (1.0, 1.5, b, 0))
+                 for b in (25.0, 50.0, 100.0, 200.0))]
+    for ladder, args in ladders:
+        counted.clear()
+        ladder(*args)
+        assert counted and len(set(counted)) == len(counted), (
+            ladder.__name__, args)
+
+
 def test_refused_certificates_fall_back_to_solves(monkeypatch):
     """With every count refused (k + 1: more than k levels below every
     shift), no shell counts 0, so the outward sweep solves every sector
     and the ladder comes out the same, bit for bit."""
-    want = radial._well_ladder(1.0, 0.1, 1)
+    want = well_levels(1.0, 0.1, 1)
     monkeypatch.setattr(radial, "_count_below",
                         lambda pair, m, shift, k, work: k + 1)
-    got = radial._well_ladder(1.0, 0.1, 1)
+    got = well_levels(1.0, 0.1, 1)
     assert got.levels.tolist() == want.levels.tolist()
     assert got.homes == want.homes
     assert got.certified == [] and got.fallback == []
@@ -395,8 +418,8 @@ def test_truncated_ladder_grows_r_max_while_its_ceiling_fails(monkeypatch):
     """A well ladder whose r_max = 3 ceiling fails is solved again at 1.5x
     the radius; one that holds keeps r_max = 3. Past R_MAX_GROWTHS steps
     the truncation error stands and names the radius reached."""
-    assert radial._well_ladder(1.0, 0.1, 0).r_max == 3.0
-    grown = radial._well_ladder(1.0, 2.0, 0)
+    assert well_levels(1.0, 0.1, 0).r_max == 3.0
+    grown = well_levels(1.0, 2.0, 0)
     assert grown.r_max == 4.5
     assert grown.levels[0] > 2.0  # above the magnetic bound b0 h
     radii = []
@@ -406,19 +429,19 @@ def test_truncated_ladder_grows_r_max_while_its_ceiling_fails(monkeypatch):
         raise TruncationError("ceiling below the top level")
     monkeypatch.setattr(radial, "check_ceiling", failing)
     with pytest.raises(TruncationError, match=r"up to r_max = 15.1875"):
-        radial._well_ladder(1.0, 0.1, 0)
+        well_levels(1.0, 0.1, 0)
     assert radii == [3.0 * 1.5 ** i for i in range(radial.R_MAX_GROWTHS + 1)]
 
 
 def test_island_levels_frozen():
     for b, ref in FROZEN["island_lowest"].items():
-        got = island_neumann_levels(1.0, 1.5, b, 0)
+        got = island_neumann_levels(1.0, 1.5, b, 0).levels
         assert got[0] == pytest.approx(ref, abs=2e-6)
 
 
 def test_island_zero_field_and_input_guard():
     # b = 0: Neumann disk Laplacian, lowest eigenvalue 0 (constants)
-    got = island_neumann_levels(1.0, 1.5, 0.0, 0)
+    got = island_neumann_levels(1.0, 1.5, 0.0, 0).levels
     assert abs(got[0]) < 1e-8
     with pytest.raises(ValidationError):
         island_neumann_levels(1.5, 1.0, 25.0, 0)

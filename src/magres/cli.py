@@ -190,7 +190,7 @@ def cmd_resonances(args) -> int:
     profile = make_profile(spec)
     grid = RadialGrid(args.rmax, args.grid_n)
     lines = ["m,h,theta1,theta2,reZ,imZ,drift,gridN"]
-    lowest = []  # (h, z) of the lowest resonance per h
+    branches = {}  # m -> (h, z) of sector m's lowest resonance, per h
     slices = []  # per h: each (theta, m) slice and each sector's motion
     for h in args.h:
         if args.window is not None:
@@ -218,18 +218,24 @@ def cmd_resonances(args) -> int:
                                    **asdict(rs.work[(theta, m)])}
                                   for (theta, m), vals in rs.spectra.items()],
                        "continuum_motion": motion})
-        if len(rs):
-            z0 = min(rs, key=lambda r: r.z.real).z
-            lowest.append((h, z0))
-    if len(lowest) >= 3:
-        x = np.array([1.0 / h for h, _ in lowest])
-        y = np.array([math.log(abs(z.imag)) for _, z in lowest])
+        for m in args.m:
+            found = [r for r in rs if r.m == m]
+            if found:
+                branches.setdefault(m, []).append(
+                    (h, min(found, key=lambda r: r.z.real).z))
+    # one fit per branch: the sectors of a run hold different branches
+    for m, branch in sorted(branches.items()):
+        if len(branch) < 3:
+            continue
+        x = np.array([1.0 / h for h, _ in branch])
+        y = np.array([math.log(abs(z.imag)) for _, z in branch])
         slope, intercept = np.polyfit(x, y, 1)
         resid = y - (slope * x + intercept)
         ss_tot = float(np.sum((y - y.mean()) ** 2))
         r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot else 1.0
-        lines.append(f"# fit_points={len(lowest)} logim_vs_invh_slope="
-                     f"{_fmt(slope)} r2={_fmt(r2)}")
+        sector = f"m={m} " if len(args.m) > 1 else ""
+        lines.append(f"# fit_points={len(branch)} {sector}logim_vs_invh_"
+                     f"slope={_fmt(slope)} r2={_fmt(r2)}")
     _emit(args, "resonances", lines,
           _params(args, field_spec=spec_config(spec)),
           diagnostics={"slices": slices})

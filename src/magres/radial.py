@@ -31,15 +31,20 @@ all read-only; sector m then adds its V to the kinetic diagonal
 assembly, so every entry is the same bit for bit. A sweep builds the
 records of its N and N/2 grids once and solves and certifies every sector
 on them; the coarse copies that `_lowest` bisects are kept on their parent
-record. Records live as long as the sweep that built them.
+record, shared by the two grids. Records live as long as the sweep that
+built them.
 
 The scheme is second order in dr; level-sweep routines refine eigenvalues by
 Richardson extrapolation over (N/2, N).
 
 Grid levels come from certified inverse iteration (`_lowest`). Level j is
-bisected on a coarse copy of the fiber (about N/16 nodes; LAPACK `dstebz`,
-then `dstein` for the vectors), then refined on the fiber itself by shifted
-inverse iteration (`_inverse_iteration`, which the step band shares). Each
+bisected on a coarse copy of the fiber (LAPACK `dstebz`, then `dstein` for
+the vectors), then refined on the fiber itself by shifted inverse
+iteration (`_inverse_iteration`, which the step band shares). The copy's
+size depends on its block of levels alone: 64 nodes, doubled until it
+holds 4 per level of the block and two more; a grid no larger bisects
+itself. So the N and N/2 grids of a sweep share one copy per block, and
+one bisection of it per block and sector serves both. Each
 shift s is factored as T - s = L D L^T by `dpttrf`, restarted past each
 negative pivot (`_ldl_factors`), and is used only if exactly j pivots are
 negative: by Sylvester's law of inertia s then lies between levels j - 1
@@ -63,6 +68,9 @@ A merged ladder (well, anharmonic, island) is a certified sector sweep
 sector of its eigenvalues below a shift on either grid (`_count_below`:
 the negative pivots of one LDL^T factorization per grid, by Sylvester
 inertia) says how many levels to solve, and 0 certifies the sector. The
+face form's kinetic part is positive semidefinite, so no eigenvalue lies
+below min V: a sector whose potential floor lies above the shift by tol
+on both grids counts 0 with no factorization. The
 sweep runs outward from m = 0 until a shell counts 0, then over the
 sectors not yet solved; each sector is counted at most once per shift.
 The ladder is the one a solve of every sector gives, bit for bit. A
@@ -202,10 +210,12 @@ class _GridFiber:
     grid, boundary, convention): the nodes r and sqrt(r), a(r), the
     kinetic diagonal and the off-diagonal of `face_form`, and the face
     weights of `_rayleigh`, all read-only. `op(m)` adds sector m's
-    potential. Coarse copies (`coarse`) are built once and kept here."""
+    potential. Coarse copies (`coarse`) are built once and kept in the
+    dict `copies`, which the two grids of a `_grid_pair` share. A record
+    keeps the blocks of the last sector `_bisection` bisected on it."""
 
     def __init__(self, profile: FieldProfile, scale: float, grid: RadialGrid,
-                 boundary: str, convention: str):
+                 boundary: str, convention: str, copies: dict | None = None):
         if not (scale > 0 and math.isfinite(scale)):
             raise ValidationError("scale must be > 0")
         if convention not in ("b", "h"):
@@ -223,7 +233,8 @@ class _GridFiber:
         for array in shared:
             array.flags.writeable = False
         self.r, self.root, self.a, self.kinetic, self.off, self.weights = shared
-        self._coarse = {}  # N -> the coarse copy's record
+        self._copies = {} if copies is None else copies  # N -> record
+        self._bisected = None, {}  # (m, {(first, last): (values, vectors)})
 
     def op(self, m: int) -> FiberOperator:
         """The fiber of sector m: diag = kinetic + V_m."""
@@ -237,11 +248,11 @@ class _GridFiber:
 
     def coarse(self, N: int) -> "_GridFiber":
         """The record of the same fiber on N nodes over the same r_max."""
-        if N not in self._coarse:
-            self._coarse[N] = _GridFiber(
+        if N not in self._copies:
+            self._copies[N] = _GridFiber(
                 self.profile, self.scale, RadialGrid(self.grid.r_max, N),
                 self.boundary, self.convention)
-        return self._coarse[N]
+        return self._copies[N]
 
 
 def assemble_fiber(profile: FieldProfile, m: int, scale: float,
@@ -258,9 +269,11 @@ def assemble_fiber(profile: FieldProfile, m: int, scale: float,
 
 @dataclass
 class Work:
-    """What a fiber solve cost: coarse bisections, LDL^T factorizations of
-    shifted fibers (inverse-iteration shifts and level counts), the shifts
-    inverse iteration refused, and solves with the factors."""
+    """What a fiber solve cost: coarse bisections (one per block of levels
+    and sector, shared by the grids of a pair), LDL^T factorizations of
+    shifted fibers (inverse-iteration shifts and level counts; a count
+    the potential floor certifies takes none), the shifts inverse
+    iteration refused, and solves with the factors."""
 
     bisections: int = 0
     factorizations: int = 0
@@ -447,14 +460,44 @@ def _coarse_block(j: int, N: int) -> tuple:
     return lo, min(max(lo, 2 * lo - 1), N - 2)
 
 
+def _bisection(op: FiberOperator, first: int, last: int, work: Work
+               ) -> tuple:
+    """(values, vectors): levels first..last of the fiber, ascending, by
+    LAPACK bisection (`dstebz`, in block order) and `dstein`, the vectors
+    unit l2 as columns. The fiber's record keeps the blocks of the last
+    sector bisected on it, so the two grids of a pair, which share their
+    coarse copies, bisect each block of a sector once."""
+    record = op.record
+    held, blocks = record._bisected
+    if held != op.m:
+        blocks = {}
+        record._bisected = op.m, blocks
+    if (first, last) not in blocks:
+        # levels are counted from 1 there
+        found, est, block, split, info = dstebz(
+            op.diag, op.off, 2, 0.0, 1.0, first + 1, last + 1, 0.0, "B")
+        if not info:
+            vecs, info = dstein(op.diag, op.off, est[:found], block, split)
+        if info:
+            raise NumericalError(
+                f"tridiagonal eigensolve failed for m={op.m}, "
+                f"N={op.grid.N}: LAPACK info={info}")
+        order = np.argsort(est[:found])
+        blocks[first, last] = est[order], vecs[:, order]
+        work.bisections += 1
+    return blocks[first, last]
+
+
 def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
     """(values, basis): the k lowest eigenpairs of the fiber, the vectors
     unit l2 as the rows of basis, with their cost added to work.
 
-    Level j starts from a bisection, shared by its `_coarse_block` lo..hi,
-    of levels lo - 2..hi + 1 of a coarse copy of the fiber: same field,
-    m, scale, r_max and boundary, on N/16 nodes (at least 64), doubled
-    until it has 4(hi + 2). Coarse levels lie below the fine ones by a
+    Level j starts from a `_bisection`, shared by its `_coarse_block`
+    lo..hi, of levels lo - 2..hi + 1 of a coarse copy of the fiber: same
+    field, m, scale, r_max and boundary, on 64 nodes doubled until it has
+    4(hi + 2), or the fiber itself where that is no smaller. The copy
+    depends on the block alone, not on N, so the two grids of a pair
+    share it and its bisection. Coarse levels lie below the fine ones by a
     share of their spacing that grows smoothly with j. `_inverse_iteration`
     refines the level on the fiber itself from the coarse eigenvector
     interpolated onto the grid, with a first gap of 1% of the coarse
@@ -475,26 +518,12 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
     for j in range(k):
         if j > hi:
             lo, hi = _coarse_block(j, g.N)
-            n_c = max(64, g.N // 16)
-            while n_c < min(4 * (hi + 2), g.N):
+            n_c = 64
+            while n_c < 4 * (hi + 2):
                 n_c *= 2
             coarse = op if n_c >= g.N else fine.coarse(n_c).op(op.m)
             first = max(0, lo - 2)
-            # LAPACK bisection of levels first..hi + 1 (counted from 1
-            # there), in block order, then stein for the vectors
-            found, est, block, split, info = dstebz(
-                coarse.diag, coarse.off, 2, 0.0, 1.0, first + 1, hi + 2,
-                0.0, "B")
-            if not info:
-                vecs, info = dstein(coarse.diag, coarse.off, est[:found],
-                                    block, split)
-            if info:
-                raise NumericalError(
-                    f"tridiagonal eigensolve failed for m={op.m}, "
-                    f"N={coarse.grid.N}: LAPACK info={info}")
-            order = np.argsort(est[:found])
-            est, vecs = est[order], vecs[:, order]
-            work.bisections += 1
+            est, vecs = _bisection(coarse, first, hi + 1, work)
             rc, root_c = coarse.record.r, coarse.record.root
         i = j - first  # level j in est
         drift = values[first:j] - est[:i]
@@ -541,17 +570,22 @@ class Sector(NamedTuple):
 def _grid_pair(profile: FieldProfile, scale: float, grid: RadialGrid, k: int,
                boundary: str, convention: str) -> tuple:
     """The `_GridFiber` records of grid and of its N/2 grid, on which k
-    levels per sector are Richardson-refined."""
+    levels per sector are Richardson-refined. The two share their coarse
+    copies."""
     if not 1 <= k < grid.N // 2:
         raise ValidationError(
             f"need 1 <= k < {grid.N // 2} on an N={grid.N} grid")
-    return tuple(_GridFiber(profile, scale, g, boundary, convention)
-                 for g in (grid, grid.halved()))
+    fine = _GridFiber(profile, scale, grid, boundary, convention)
+    return fine, _GridFiber(profile, scale, grid.halved(), boundary,
+                            convention, fine._copies)
 
 
 def _richardson_levels(pair: tuple, m: int, k: int) -> Sector:
     """The `Sector` of `fiber_levels` on the records of `_grid_pair`: the k
-    lowest levels of sector m, each the one a solve of more levels gives."""
+    lowest levels of sector m, each the one a solve of more levels gives.
+    The N/2 grid reuses the coarse bisections of the N grid wherever its
+    coarse copy and block are the same, so each block of levels is
+    bisected once for both grids."""
     work = Work()
     vals, vals_h = (_lowest(fiber.op(m), k, work)[0] for fiber in pair)
     return Sector((4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0,
@@ -562,10 +596,19 @@ def _count_below(pair: tuple, m: int, shift: float, k: int,
                  work: Work) -> int:
     """The larger count of sector m's eigenvalues below shift on the two
     records of a `_grid_pair` (`_ldl_factors`; k + 1 past k or refused):
-    0 certifies all of them above shift on both grids."""
+    0 certifies all of them above shift on both grids.
+
+    The face form's kinetic part is positive semidefinite for either far
+    end, so no eigenvalue lies below min V. Where min V exceeds shift by
+    the grid's tol = TOL_EPS max|T_ii| on both grids, the sector counts 0
+    with no factorization; a non-finite entry makes tol non-finite and
+    leaves the count to `_ldl_factors`, which refuses it."""
+    ops = [fiber.op(m) for fiber in pair]
+    if all(float(op.pot.min()) - shift
+           > TOL_EPS * float(np.abs(op.diag).max()) for op in ops):
+        return 0
     work.factorizations += 2
-    return max(_ldl_factors(op.diag, op.off, shift, k)[0]
-               for op in (fiber.op(m) for fiber in pair))
+    return max(_ldl_factors(op.diag, op.off, shift, k)[0] for op in ops)
 
 
 def fiber_levels(profile: FieldProfile, m: int, scale: float,
@@ -669,8 +712,10 @@ def _merged_ladder(profile: FieldProfile, scale: float, n_max: int,
     One step decides a batch of sectors. Until n_max + 1 distinct levels
     are in hand it solves each (`fiber_levels`, over N and N/2) for all
     n_max + 1 levels; after, `_count_below` at s = top + margin counts each
-    one's levels below s, and it is solved for that many, at most n_max +
-    1: a count of 0 certifies it. The step runs shell by shell, |m| = 0,
+    one's levels below s (none, unfactored, where its potential floor lies
+    above s on both grids), and it is solved for that many, at most n_max +
+    1: a count of 0 certifies it. Each block of levels of a sector solved
+    is bisected once, for both grids. The step runs shell by shell, |m| = 0,
     1, 2, ..., until every sector of a shell counts 0, and then over the
     sectors not yet solved, at the new s each time, until none counts
     above 0 (those solved there are the `fallback`). On the grid pair a

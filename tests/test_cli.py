@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -370,6 +371,54 @@ def test_resonances_readme_bytes(disk_config, capsys):
         "r2=9.99901724397977e-01"]
 
 
+def test_resonances_fits_each_sector_on_its_own_branch(disk_config, capsys):
+    """Over m = 0:1 the unit disk also holds an m = 1 resonance at h =
+    0.15, below the m = 0 one in Re z. The fit reads each sector's own
+    branch: one line for m = 0, the README run's slope and r2 with m=0
+    inserted, and none for m = 1, which has one h."""
+    argv = ["resonances", "--field", str(disk_config),
+            "--h", "0.25,0.2,0.15", "--grid-n", "3000"]
+    assert main(argv) == 0
+    single = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--m=0:1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert sorted(row[0] for row in rows) == ["0", "0", "0", "1"]
+    low = min(rows[2:], key=lambda row: float(row[4]))
+    assert low[0] == "1" and float(low[1]) == 0.15
+    assert lines[-1] == single[-1].replace("=3 ", "=3 m=0 ")
+
+
+def test_resonances_fit_lines_ascend_in_m(disk_config, capsys, monkeypatch):
+    """A sector with three or more h values gets its own fit line, in
+    ascending m; one with fewer gets none, and no line mixes sectors."""
+    from magres.cscale import Resonance, ResonanceSet, SliceWork
+
+    def branches(profile, h, ms, win, theta_pair, **kwargs):
+        zs = {2: complex(h, -math.exp(-1.0 / h)),
+              -1: complex(2.0 * h, -math.exp(-2.0 / h))}
+        if h == 0.1:
+            zs[0] = complex(0.5 * h, -0.01)
+        found = tuple(Resonance(z, m, h, theta_pair, 0.0)
+                      for m, z in sorted(zs.items()))
+        empty = np.zeros(0, dtype=complex)
+        return ResonanceSet(
+            found, 1e-5, win, theta_pair, h,
+            spectra={(t, m): empty for t in theta_pair for m in ms},
+            radius=1.0, work={(t, m): SliceWork() for t in theta_pair
+                              for m in ms})
+    monkeypatch.setattr(cli, "find_resonances", branches)
+    assert main(["resonances", "--field", str(disk_config), "--m=-1:2",
+                 "--h", "0.2,0.1,0.05"]) == 0
+    fits = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("#")]
+    assert [fit.split()[:2] for fit in fits] == [
+        ["#", "fit_points=3"]] * 2
+    assert [fit.split()[2] for fit in fits] == ["m=-1", "m=2"]
+    slopes = [float(fit.split("slope=")[1].split()[0]) for fit in fits]
+    assert slopes == pytest.approx([-2.0, -1.0], rel=1e-12)
+
+
 @pytest.mark.parametrize("h", ["1e-13", "2e-12"])
 def test_resonances_tiny_h_needs_a_window(h, disk_config, capsys):
     """For h <= 2e-12 the default window [0.5h, 1.5h] x [-0.5h, -1e-12] is
@@ -711,7 +760,7 @@ def test_compare_well_readme_bytes(capsys):
         "5.44353875595482e-02,-5.56461244045185e-03,4.45168995236148e+01,"
         "2.07815351731524e+00",
         "well,0,2.50000000000000e-02,2.75000000000000e-02,"
-        "2.61700024329651e-02,-1.32999756703489e-03,8.51198442902328e+01,"
+        "2.61700024329651e-02,-1.32999756703488e-03,8.51198442902325e+01,"
         "2.07815351731524e+00"]
 
 
@@ -1105,8 +1154,8 @@ def test_band_grows_L_while_its_end_check_fails(monkeypatch, tmp_path):
 
 def test_manifests_record_the_eigensolver_work(anh_config, tmp_path):
     """compare records, per ladder, the coarse bisections (one per block
-    of levels and grid), factorizations and solves; spectrum records the
-    same totals."""
+    of levels and sector, shared by both grids), factorizations and
+    solves; spectrum records the same totals."""
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--model", "well", "--n", "1",
                  "--h", "0.1,0.05,0.025", "--out", str(out)]) == 0
@@ -1114,7 +1163,7 @@ def test_manifests_record_the_eigensolver_work(anh_config, tmp_path):
                       )["diagnostics"]
     assert [w["h"] for w in diag["work"]] == [0.1, 0.05, 0.025]
     for sweep, work in zip(diag["ladders"], diag["work"]):
-        assert work["bisections"] >= 2 * len(sweep["solved"])
+        assert work["bisections"] >= len(sweep["solved"])
         # each certified sector is one factorization per grid
         assert work["factorizations"] >= 2 * len(sweep["certified"])
         assert work["solves"] >= 2 * 2 * len(sweep["solved"])
@@ -1126,8 +1175,27 @@ def test_manifests_record_the_eigensolver_work(anh_config, tmp_path):
                       )["diagnostics"]["work"]
     assert set(work) == {"bisections", "factorizations", "refused",
                          "solves"}
-    assert work["bisections"] == 3 * 2 * 2
+    assert work["bisections"] == 3 * 2
     assert work["solves"] >= work["factorizations"] - work["refused"] >= 12
+
+
+@pytest.mark.parametrize("flags", [
+    ["--levels", "200", "--grid-n", "4000"],
+    ["--m=-3:3", "--levels", "2", "--grid-n", "100000"]],
+    ids=["200-levels", "N-100000"])
+def test_spectrum_stress_runs_exit_0(flags, anh_config, tmp_path):
+    """Many levels, whose coarse copies grow to 1024 nodes, and a large
+    grid, whose copies stay at 64: both solve, each block bisected once
+    for the two grids."""
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--field", str(anh_config), *flags,
+                 "--out", str(out)]) == 0
+    work = json.loads((tmp_path / "spec.csv.manifest.json").read_text()
+                      )["diagnostics"]["work"]
+    sectors = 7 if "--m=-3:3" in flags else 1
+    levels = int(flags[flags.index("--levels") + 1])
+    blocks = len({radial._coarse_block(j, 2000) for j in range(levels)})
+    assert work["bisections"] == sectors * blocks
 
 
 @pytest.mark.parametrize("argv", [

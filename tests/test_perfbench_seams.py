@@ -4,10 +4,12 @@
 wraps named `magres` attributes (`TRACED`, `_parallel.pmap`, the profile
 factories, `cscale.filter_resonances`, `cli._emit`). A rename or deletion
 of any of them breaks the benchmark, not the package, so it is checked
-here. Both files are loaded by path and only read.
+here, and so is the exact solver work of a seed-0 `ladder_sweep` pass
+(`perfbench/workloads.py`). The files are loaded by path and only read.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -75,3 +77,39 @@ def test_benchmark_trace_sees_each_ladder(monkeypatch):
     finally:
         tracer.uninstall()
     assert [s.name for s in tracer.spans].count("radial.ladder") == 3
+
+
+# diagnostics.work of each seed-0 ladder_sweep command, summed over its
+# ladders: (bisections, factorizations, refused, solves)
+LADDER_SWEEP_WORK = {
+    "spectrum": (14, 56, 0, 112),
+    "compare-landau": (0, 0, 0, 0),
+    "compare-well-n0": (3, 60, 0, 24),
+    "compare-well-n1": (12, 114, 0, 96),
+    "compare-anharmonic": (4, 38, 0, 32),
+    "compare-island": (4, 92, 0, 31),
+}
+
+
+def test_ladder_sweep_work_is_pinned(monkeypatch, tmp_path):
+    """Solver work repeats exactly, so the seed-0 ladder_sweep pass's
+    manifest work, summed per command, is pinned: any change in
+    bisections, factorizations, refused shifts or solves shows here
+    without the benchmark. quasimode writes no work."""
+    workloads = _load("workloads", monkeypatch)
+    from magres.cli import main
+    workload = workloads.build("ladder_sweep", 0, tmp_path / "in")
+    workloads.write_inputs(workload, tmp_path / "in")
+    got = {}
+    for command in workload.commands:
+        out = tmp_path / (command.label + ".csv")
+        assert main([*command.argv, "--out", str(out)]) == 0
+        diagnostics = json.loads(out.with_name(
+            out.name + ".manifest.json").read_text()).get("diagnostics")
+        if diagnostics is not None:
+            works = diagnostics["work"]
+            works = [works] if isinstance(works, dict) else works
+            got[command.label] = tuple(
+                sum(work[key] for work in works) for key in
+                ("bisections", "factorizations", "refused", "solves"))
+    assert got == LADDER_SWEEP_WORK

@@ -308,8 +308,9 @@ def test_island_sweep_solves_past_a_non_monotone_gap():
 
 def test_well_sweep_solves_only_the_inner_shells(monkeypatch):
     """well_levels(1.0, 0.1, 1) solves |m| <= 1 on both grids and
-    certifies every other sector of the cap by one factorization per
-    grid."""
+    certifies every other sector of the cap: m < -1, whose potential
+    floor lies above the shift, with no factorization, and m > 1, whose
+    well reaches down near 0, by one factorization per grid."""
     solves, factored, counted = [], [], {}
     lowest, count, factor = radial._lowest, radial._count_below, radial.dpttrf
 
@@ -336,7 +337,7 @@ def test_well_sweep_solves_only_the_inner_shells(monkeypatch):
     assert ladder.certified == [m for m in radial.default_m_range(1)
                                 if abs(m) > 1]
     assert {m: counted[m] for m in ladder.certified} == {
-        m: [1500, 3000] for m in ladder.certified}
+        m: [] if m < 0 else [1500, 3000] for m in ladder.certified}
     # the margin covers 10x the Richardson correction and the 1e-8 dedup
     assert 1e-8 * (1 + ladder.levels[-1]) <= ladder.margin
     assert ladder.margin < 1e-4 * ladder.levels[-1]
@@ -365,6 +366,75 @@ def test_each_sector_is_counted_once_per_shift(monkeypatch):
             ladder.__name__, args)
 
 
+def test_well_ladder_bisects_each_block_once_per_sector(monkeypatch):
+    """well_levels(1.0, 0.1, 1) runs one `dstebz` per block of levels and
+    solved sector, on the 64-node coarse copy that both grids share: the
+    N/2 grid reuses the N grid's bisections, so the count does not double
+    for the two grids."""
+    bisected, solved = [], {}
+    dstebz, richardson = radial.dstebz, radial._richardson_levels
+
+    def counting(diag, *args):
+        bisected.append(len(diag))
+        return dstebz(diag, *args)
+
+    def recording(pair, m, k):
+        solved[m] = k
+        return richardson(pair, m, k)
+    monkeypatch.setattr(radial, "dstebz", counting)
+    monkeypatch.setattr(radial, "_richardson_levels", recording)
+    ladder = well_levels(1.0, 0.1, 1)
+    assert sorted(solved) == ladder.solved
+    blocks = sum(len({radial._coarse_block(j, radial.LADDER_N)
+                      for j in range(k)}) for k in solved.values())
+    assert len(bisected) == blocks == ladder.work.bisections
+    assert set(bisected) == {64}
+
+
+FLOOR_FIELDS = {  # spec, r_max, convention
+    "well": (FieldSpec("well_radial", {"b0": 1.0}, R0=1.0), 3.0, "h"),
+    "anharmonic": (FieldSpec("anharmonic", {"gamma": 2.0}, R0=1.0), 12.0,
+                   "b"),
+    "island": (FieldSpec("island_annular", {"rho1": 1.0, "rho2": 1.5},
+                         R0=1.5), 1.5, "b"),
+    "zero": (None, 1.5, "b")}
+
+
+@settings(max_examples=60, deadline=None)
+@example(field="zero", m=0, scale=1.0, N=128, boundary="neumann_far",
+         below=1.0)  # one tol below min V = 0, the constant mode's level
+@example(field="zero", m=0, scale=1.0, N=128, boundary="neumann_far",
+         below=1.5)
+@given(field=st.sampled_from(sorted(FLOOR_FIELDS)),
+       m=st.integers(-20, 20), scale=st.floats(-2.0, 2.0).map(
+           lambda e: 10.0 ** e), N=st.integers(64, 800),
+       boundary=st.sampled_from(["dirichlet_far", "neumann_far"]),
+       below=st.floats(-4.0, 4.0))
+def test_potential_floor_certifies_only_empty_sectors(field, m, scale, N,
+                                                      boundary, below):
+    """Wherever `_count_below` certifies a sector by its potential floor,
+    with no factorization, `_ldl_factors` finds no eigenvalue below the
+    shift on either grid: random sectors of the well, anharmonic, island
+    and zero fields, any scale, grids of N and max(64, N/2) nodes and
+    shifts within 4 tol of min V."""
+    spec, r_max, convention = FLOOR_FIELDS[field]
+    profile = zero_profile(R0=r_max) if spec is None else make_profile(spec)
+    pair = tuple(radial._GridFiber(profile, scale, RadialGrid(r_max, n),
+                                   boundary, convention)
+                 for n in (N, max(64, N // 2)))
+    ops = [record.op(m) for record in pair]
+    tol = max(radial.TOL_EPS * float(np.abs(op.diag).max()) for op in ops)
+    shift = min(float(op.pot.min()) for op in ops) - below * tol
+    work = radial.Work()
+    count = radial._count_below(pair, m, shift, 1, work)
+    if not work.factorizations:  # certified by the floor
+        assert count == 0 and below > 0.0
+        for op in ops:
+            assert radial._ldl_factors(op.diag, op.off, shift, 0)[0] == 0
+    else:
+        assert work.factorizations == 2
+
+
 def test_refused_certificates_fall_back_to_solves(monkeypatch):
     """With every count refused (k + 1: more than k levels below every
     shift), no shell counts 0, so the outward sweep solves every sector
@@ -381,15 +451,21 @@ def test_refused_certificates_fall_back_to_solves(monkeypatch):
 
 def _records(*tridiagonals):
     """Stand-ins for the records of a `_grid_pair`: op(m) is (diag, off)
-    whatever m is."""
-    return tuple(SimpleNamespace(op=lambda m, t=t: SimpleNamespace(
-        diag=t[0], off=t[1])) for t in tridiagonals)
+    whatever m is, with the potential diag - |off| on either side of each
+    node, so that T - diag(pot) is diagonally dominant and positive
+    semidefinite, as the fiber's kinetic part is."""
+    def op(diag, off):
+        reach = np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
+        return SimpleNamespace(diag=diag, off=off, pot=diag - reach)
+    return tuple(SimpleNamespace(op=lambda m, t=t: op(*t))
+                 for t in tridiagonals)
 
 
 def test_level_count_certifies_the_spectrum():
     """The count below a shift is the larger number of eigenvalues below
     it on the two grids: 0 exactly when every eigenvalue lies above the
-    shift, k + 1 past k; a non-finite entry is refused (k + 1)."""
+    shift, k + 1 past k; a non-finite entry is refused (k + 1). A shift
+    below the potential floor of both grids counts 0 unfactored."""
     rng = np.random.default_rng(7)
     pair = [(rng.uniform(1.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1))
             for n in (40, 20)]
@@ -406,6 +482,9 @@ def test_level_count_certifies_the_spectrum():
         for shift in (lam - 1e-9, lam + 1e-9):
             want = max(int(np.sum(lam_grid < shift)) for lam_grid in lams)
             assert count(shift) == min(want, k + 1), shift
+    assert work.factorizations == 2 * 18
+    floor = min(record.op(0).pot.min() for record in _records(*pair))
+    assert floor < lam0 and count(floor - 1e-3) == 0
     assert work.factorizations == 2 * 18
     for value in (math.nan, math.inf):
         bad = pair[1][0].copy()
@@ -684,8 +763,9 @@ def test_fiber_from_its_grid_record_is_the_one_off_fiber(N):
 
 def test_well_ladder_evaluates_the_field_once_per_grid(monkeypatch):
     """well_levels(1.0, 0.1, 1) evaluates a(r) once on each grid it solves
-    or certifies on: the two ladder grids and the coarse copy of each,
-    shared by all sectors, plus the ceiling check's node at r_max."""
+    or certifies on: the two ladder grids and the 64-node coarse copy that
+    both share, shared by all sectors, plus the ceiling check's node at
+    r_max."""
     calls = []
 
     def counting_profile(spec):
@@ -702,7 +782,7 @@ def test_well_ladder_evaluates_the_field_once_per_grid(monkeypatch):
     assert len(grids) == len(set(grids))
     N = radial.LADDER_N
     assert sorted(size for size, _ in grids) == sorted(
-        [N, N // 2, N // 16, N // 32])
+        [N, N // 2, 64])
     assert len(calls) == len(grids) + 1
 
 

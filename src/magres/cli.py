@@ -24,8 +24,8 @@ from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile, spec_config
 from .radial import (RadialGrid, Work, anharmonic_levels, check_ceiling,
-                     dirichlet_disk_levels, fiber_levels,
-                     island_neumann_levels, sector_sweep, well_levels)
+                     dirichlet_disk_levels, island_neumann_levels,
+                     sector_sweep, well_levels)
 from .stepband import StepParams, analyze_band
 from .quasimode import build_quasimode, quasimode_residual, tz_crossover, tz_window
 from .cscale import PAIR_TOL, Window, continuum_motion, find_resonances
@@ -274,8 +274,9 @@ def _ladder_record(key: str, value: float, ladder) -> tuple:
 
 
 def _compare_pairs(args) -> tuple:
-    """(expansion params, direct value) per sweep value of the model, and
-    the diagnostics of each ladder solved for them."""
+    """(expansion params, direct value) per sweep value of the model, the
+    diagnostics of each ladder solved for them, and the work of each
+    direct sector solve (`sector_sweep` of one sector, per h)."""
     if args.model in ("landau", "anharmonic"):
         grid = RadialGrid(args.rmax, args.grid_n)
         if args.model == "landau":
@@ -288,10 +289,15 @@ def _compare_pairs(args) -> tuple:
             ladders = [_ladder_record("gamma", args.gamma, ladder)]
             kind, params, R0 = "anharmonic", {"gamma": args.gamma}, 1.0
         profile = make_profile(FieldSpec(kind, params, R0=R0))
-        return [(ExpansionParams(model=args.model, n=args.n, h=h, **extras),
-                 fiber_levels(profile, m, h, grid, k=k + 1,
-                              convention="h")[k])
-                for h in args.h], ladders
+        pairs, works = [], []
+        for h in args.h:
+            rows, work = sector_sweep(profile, h, [m], grid, k + 1,
+                                      convention="h")
+            pairs.append((ExpansionParams(model=args.model, n=args.n, h=h,
+                                          **extras),
+                          next(lam for lam, _, n in rows if n == k)))
+            works.append({"h": h, **asdict(work)})
+        return pairs, ladders, works
     pairs, ladders = [], []
     if args.model == "well":
         for h in args.h:
@@ -300,7 +306,7 @@ def _compare_pairs(args) -> tuple:
                                           b0=args.b0, detH=1.0, trSqrtH=2.0),
                           ladder.levels[args.n]))
             ladders.append(_ladder_record("h", h, ladder))
-        return pairs, ladders
+        return pairs, ladders, []
     ells = tuple(float(x) for x in dirichlet_disk_levels(args.rho1, args.n))
     for b in args.b:
         h = 1.0 / b
@@ -309,7 +315,7 @@ def _compare_pairs(args) -> tuple:
                                       ells=ells),
                       float(ladder.levels[args.n]) * h * h))
         ladders.append(_ladder_record("b", b, ladder))
-    return pairs, ladders
+    return pairs, ladders, []
 
 
 def cmd_compare(args) -> int:
@@ -333,11 +339,11 @@ def cmd_compare(args) -> int:
     if len(set(sweep)) < 3 or not all(0.0 < x < math.inf for x in sweep):
         raise ValidationError(f"{flag} needs at least three distinct "
                               f"values, each positive and finite")
-    pairs, records = _compare_pairs(args)
+    pairs, records, direct = _compare_pairs(args)
     report = compare(pairs)
     _emit(args, "compare", list(report.csv_lines()), _params(args),
           diagnostics={"ladders": [sweep for sweep, _ in records],
-                       "work": [work for _, work in records]})
+                       "work": [work for _, work in records] + direct})
     return 0
 
 

@@ -15,8 +15,9 @@ keeping eigenvalues that agree within tolerance while continuum points
 sweep past them.
 
 The scaled fiber of a sector is its real fiber up to R1, bit for bit, and
-that fiber's continuation beyond (`_deform`): `find_resonances` assembles
-one real fiber per sector and deforms it for both angles.
+that fiber's continuation beyond (`_deform`): `find_resonances` builds one
+real-fiber record (`radial._GridFiber`) per call, takes each sector's real
+fiber from it and deforms that for both angles.
 
 Only a slice of each spectrum is computed: shift-invert Arnoldi finds the
 eigenvalues in the smallest disk about the origin that holds the window and
@@ -38,12 +39,13 @@ one tridiagonal LU factorization (LAPACK `zgttrf`, solved by `zgttrs`).
     missed eigenvalue lies beyond the farthest one found, so the first
     points are equally spaced at most an eighth of that margin apart;
     steps whose phase still moves by pi/4 or more are bisected.
-The dense O(N^3) solve `complex_spectrum` (LAPACK `zgeev`) is the
-fallback for a disk holding N/2 eigenvalues or more, and the small-N
-reference the slice is tested against. The LAPACK and ARPACK routines
-come from `_lapack`, which loads their SciPy extensions alone, without
-the linear-algebra packages around them; `_arnoldi` runs ARPACK's
-reverse-communication loop, as SciPy's `eigs` would.
+Every slice runs this one algorithm, at O(N) per Arnoldi step and contour
+point; a disk too wide for it, where Arnoldi's k would reach N/2, is a
+NumericalError. The dense O(N^3) solve `complex_spectrum` (LAPACK `zgeev`)
+is the small-N reference the slice is tested against. The LAPACK and
+ARPACK routines come from `_lapack`, which loads their SciPy extensions
+alone, without the linear-algebra packages around them; `_arnoldi` runs
+ARPACK's reverse-communication loop, as SciPy's `eigs` would.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from ._lapack import (zgeev, zgeev_lwork, zgttrf, zgttrs, znaupd_wrap,
 from ._parallel import pmap
 from .errors import AmbiguousPairingError, NumericalError, ValidationError
 from .fields import FieldProfile
-from .radial import (FiberOperator, RadialGrid, _ldl_factors, assemble_fiber,
-                     face_form, smoothstep)
+from .radial import (FiberOperator, RadialGrid, _GridFiber, _ldl_factors,
+                     assemble_fiber, face_form, smoothstep)
 
 THETA_MAX = 0.7  # largest scaling angle admitted (conditioning degrades beyond)
 IM_FLOOR = 1e-10  # |Im z| below this is a continuum/threshold artifact
@@ -170,9 +172,9 @@ def _deform(real: FiberOperator, sp: ScalingProfile) -> FiberOperator:
 def complex_spectrum(op: FiberOperator) -> np.ndarray:
     """All eigenvalues of the scaled fiber, sorted by (Re, Im).
 
-    A dense O(N^3) solve, capped at N = 6000. `find_resonances` does not
-    call it except as the fallback of `_spectrum_slice`; it is the
-    small-N reference that the slice is tested against.
+    A dense O(N^3) solve, capped at N = 6000. `find_resonances` never
+    calls it; it is the small-N reference that the slice is tested
+    against.
     """
     n = op.grid.N
     if n > 6000:
@@ -281,9 +283,9 @@ def _contour_count(op: FiberOperator, radius: float,
 
 @dataclass
 class SliceWork:
-    """What a spectral slice cost: the k of its last Arnoldi run (0 when
-    none ran), the points of its contour count (0 when the dense solve
-    answered) and the `zgttrs` solves its Arnoldi runs asked for."""
+    """What a spectral slice cost: the k of its last Arnoldi run, the
+    points of its contour count and the `zgttrs` solves its Arnoldi runs
+    asked for."""
 
     k: int = 0
     contour_points: int = 0
@@ -326,7 +328,8 @@ def _arnoldi(factors, n: int, k: int, v0: np.ndarray
         ido = state["ido"]
         if ido in (1, 5):  # y = T^-1 x, with x at ipntr[2] (B x) or ipntr[0]
             x, y = ipntr[2 if ido == 1 else 0], ipntr[1]
-            workd[y:y + n] = zgttrs(*factors, workd[x:x + n])[0]
+            workd[y:y + n] = workd[x:x + n]
+            zgttrs(*factors, workd[y:y + n], overwrite_b=1)  # in place
             solves += 1
         elif ido == 4:
             resid[:] = rng.uniform(-1.0, 1.0, (n, 2)).view(complex).ravel()
@@ -361,9 +364,8 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
     argument principle on det(T - z), with the phases of the k values
     divided out (`_contour_count`), then counts the eigenvalues that
     Arnoldi missed inside a circle halfway from the disk edge to the
-    nearest value beyond it; any but 0 is a NumericalError.
-    When k would reach N/2 first, the disk is too wide for slicing and the
-    dense solve is used instead.
+    nearest value beyond it; any but 0 is a NumericalError. When k would
+    reach N/2 first, the disk is too wide for slicing: a NumericalError.
     """
     n = op.grid.N
     work = SliceWork()
@@ -385,8 +387,10 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
             break
         k *= 2
     else:
-        vals = complex_spectrum(op)
-        return vals[np.abs(vals) <= radius], work
+        raise NumericalError(
+            f"spectral slice too wide: the disk |z| <= {radius:.6g} holds "
+            f"so many eigenvalues that Arnoldi's k would reach N/2 = "
+            f"{n // 2} (N={n}, m={op.m}); narrow --window or raise --grid-n")
     # halfway from the disk edge to the nearest eigenvalue beyond it
     circle = 0.5 * (radius + float(dist[dist > radius].min()))
     missed, work.contour_points = _contour_count(op, circle, vals)
@@ -587,17 +591,18 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
                     ) -> ResonanceSet:
     """Theta-robust resonances over the given sectors, sorted by Re z.
 
-    Both angles share the grid and the deformation radii. Each sector
-    assembles its real 'h' fiber once, counts its eigenvalues below
-    COUNT_REACH times the slice radius once (LDL^T inertia) to size both
-    slices, and deforms it for both angles. Each (theta, m) solve is a
-    certified spectral slice: every eigenvalue in the smallest disk about
-    the origin that holds the window and its pairing tolerance
-    (`_slice_radius`). The slices are kept on the result as `spectra`,
-    with the disk's radius, for continuum-motion diagnostics over that
-    disk and for trend fits, and their cost (`SliceWork`) as `work`. The
-    filter's input checks run on an empty pair before the first slice is
-    solved.
+    Both angles share the grid and the deformation radii. One real 'h'
+    fiber record (`_GridFiber`, which validates h before any slice runs)
+    serves every sector: each takes its real fiber from it, counts its
+    eigenvalues below COUNT_REACH times the slice radius once (LDL^T
+    inertia) to size both slices, and deforms it for both angles. Each
+    (theta, m) solve is a certified spectral slice: every eigenvalue in
+    the smallest disk about the origin that holds the window and its
+    pairing tolerance (`_slice_radius`). The slices are kept on the
+    result as `spectra`, with the disk's radius, for continuum-motion
+    diagnostics over that disk and for trend fits, and their cost
+    (`SliceWork`) as `work`. The filter's input checks run on an empty
+    pair before the first slice is solved.
     """
     if not math.isfinite(profile.R0):
         raise ValidationError(
@@ -607,9 +612,10 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     sps = (scaling_profile(t1, R1, T0), scaling_profile(t2, R1, T0))
     ms = list(m_range)
     radius = _slice_radius(window, tol)
+    record = _GridFiber(profile, h, grid, "dirichlet_far", "h")
 
     def solve(m):
-        real = assemble_fiber(profile, m, h, grid, "dirichlet_far", "h")
+        real = record.op(m)
         count = _ldl_factors(real.diag, real.off, COUNT_REACH * radius,
                              grid.N)[0]
         return [_spectrum_slice(_deform(real, sp), radius, count)

@@ -31,8 +31,9 @@ all read-only; sector m then adds its V to the kinetic diagonal
 assembly, so every entry is the same bit for bit. A sweep builds the
 records of its N and N/2 grids once and solves and certifies every sector
 on them; the coarse copies that `_lowest` bisects are kept on their parent
-record, shared by the two grids. Records live as long as the sweep that
-built them.
+record, shared by the two grids, and a sector's bisections of them in one
+dict that both its grids are given. Records hold no per-sector state and
+live as long as the sweep, or the `find_resonances` call, that built them.
 
 The scheme is second order in dr; level-sweep routines refine eigenvalues by
 Richardson extrapolation over (N/2, N).
@@ -84,7 +85,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -211,8 +212,7 @@ class _GridFiber:
     kinetic diagonal and the off-diagonal of `face_form`, and the face
     weights of `_rayleigh`, all read-only. `op(m)` adds sector m's
     potential. Coarse copies (`coarse`) are built once and kept in the
-    dict `copies`, which the two grids of a `_grid_pair` share. A record
-    keeps the blocks of the last sector `_bisection` bisected on it."""
+    dict `copies`, which the two grids of a `_grid_pair` share."""
 
     def __init__(self, profile: FieldProfile, scale: float, grid: RadialGrid,
                  boundary: str, convention: str, copies: dict | None = None):
@@ -234,7 +234,6 @@ class _GridFiber:
             array.flags.writeable = False
         self.r, self.root, self.a, self.kinetic, self.off, self.weights = shared
         self._copies = {} if copies is None else copies  # N -> record
-        self._bisected = None, {}  # (m, {(first, last): (values, vectors)})
 
     def op(self, m: int) -> FiberOperator:
         """The fiber of sector m: diag = kinetic + V_m."""
@@ -281,7 +280,9 @@ class Work:
     solves: int = 0
 
     def __add__(self, other: "Work") -> "Work":
-        return Work(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        return Work(self.bisections + other.bisections,
+                    self.factorizations + other.factorizations,
+                    self.refused + other.refused, self.solves + other.solves)
 
 
 def _ldl_factors(diag: np.ndarray, off: np.ndarray, shift: float, j: int
@@ -412,8 +413,9 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, tol: float,
         work.solves += 1
         mu = rayleigh(y, norm2)
         move, prev = abs(mu - prev), mu
-        rounding = 4.0 * np.spacing(max(abs(mu), tol))
-        if move <= rounding and mu - shift <= tol + rounding:
+        rounding = 4.0 * math.ulp(max(abs(mu), tol))
+        # an overflowed quotient, whose rounding is inf, never settles
+        if move <= rounding < math.inf and mu - shift <= tol + rounding:
             return mu, y / math.sqrt(norm2), shift, factors
         if mu - shift > tol:
             ratio = move / last if last else math.inf
@@ -460,35 +462,23 @@ def _coarse_block(j: int, N: int) -> tuple:
     return lo, min(max(lo, 2 * lo - 1), N - 2)
 
 
-def _bisection(op: FiberOperator, first: int, last: int, work: Work
-               ) -> tuple:
+def _bisection(op: FiberOperator, first: int, last: int) -> tuple:
     """(values, vectors): levels first..last of the fiber, ascending, by
     LAPACK bisection (`dstebz`, in block order) and `dstein`, the vectors
-    unit l2 as columns. The fiber's record keeps the blocks of the last
-    sector bisected on it, so the two grids of a pair, which share their
-    coarse copies, bisect each block of a sector once."""
-    record = op.record
-    held, blocks = record._bisected
-    if held != op.m:
-        blocks = {}
-        record._bisected = op.m, blocks
-    if (first, last) not in blocks:
-        # levels are counted from 1 there
-        found, est, block, split, info = dstebz(
-            op.diag, op.off, 2, 0.0, 1.0, first + 1, last + 1, 0.0, "B")
-        if not info:
-            vecs, info = dstein(op.diag, op.off, est[:found], block, split)
-        if info:
-            raise NumericalError(
-                f"tridiagonal eigensolve failed for m={op.m}, "
-                f"N={op.grid.N}: LAPACK info={info}")
-        order = np.argsort(est[:found])
-        blocks[first, last] = est[order], vecs[:, order]
-        work.bisections += 1
-    return blocks[first, last]
+    unit l2 as columns."""
+    # levels are counted from 1 there
+    found, est, block, split, info = dstebz(
+        op.diag, op.off, 2, 0.0, 1.0, first + 1, last + 1, 0.0, "B")
+    if not info:
+        vecs, info = dstein(op.diag, op.off, est[:found], block, split)
+    if info:
+        raise NumericalError(f"tridiagonal eigensolve failed for m={op.m}, "
+                             f"N={op.grid.N}: LAPACK info={info}")
+    order = np.argsort(est[:found])
+    return est[order], vecs[:, order]
 
 
-def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
+def _lowest(op: FiberOperator, k: int, work: Work, bisected: dict) -> tuple:
     """(values, basis): the k lowest eigenpairs of the fiber, the vectors
     unit l2 as the rows of basis, with their cost added to work.
 
@@ -497,15 +487,16 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
     field, m, scale, r_max and boundary, on 64 nodes doubled until it has
     4(hi + 2), or the fiber itself where that is no smaller. The copy
     depends on the block alone, not on N, so the two grids of a pair
-    share it and its bisection. Coarse levels lie below the fine ones by a
-    share of their spacing that grows smoothly with j. `_inverse_iteration`
-    refines the level on the fiber itself from the coarse eigenvector
-    interpolated onto the grid, with a first gap of 1% of the coarse
-    spacing above it. The estimate is coarse level j moved by the grid
-    shift of the two levels below, extrapolated (`_inverse_iteration`
-    replaces one below level j - 1). Each level thus depends on the fiber
-    and j alone, whatever k is. Non-finite entries (an overflowed
-    potential) are a NumericalError.
+    share it and its bisection: `bisected` maps (copy N, first, last) to
+    it, and a caller passes one dict to both grids of a sector. Coarse
+    levels lie below the fine ones by a share of their spacing that grows
+    smoothly with j. `_inverse_iteration` refines the level on the fiber
+    itself from the coarse eigenvector interpolated onto the grid, with a
+    first gap of 1% of the coarse spacing above it. The estimate is coarse
+    level j moved by the grid shift of the two levels below, extrapolated
+    (`_inverse_iteration` replaces one below level j - 1). Each level thus
+    depends on the fiber and j alone, whatever k is. Non-finite entries (an
+    overflowed potential) are a NumericalError.
     """
     if not (np.isfinite(op.diag).all() and np.isfinite(op.off).all()):
         raise NumericalError(
@@ -523,7 +514,11 @@ def _lowest(op: FiberOperator, k: int, work: Work) -> tuple:
                 n_c *= 2
             coarse = op if n_c >= g.N else fine.coarse(n_c).op(op.m)
             first = max(0, lo - 2)
-            est, vecs = _bisection(coarse, first, hi + 1, work)
+            key = coarse.grid.N, first, hi + 1
+            if key not in bisected:
+                bisected[key] = _bisection(coarse, first, hi + 1)
+                work.bisections += 1
+            est, vecs = bisected[key]
             rc, root_c = coarse.record.r, coarse.record.root
         i = j - first  # level j in est
         drift = values[first:j] - est[:i]
@@ -548,7 +543,7 @@ def eigs_lowest(op: FiberOperator, k: int) -> EigenResult:
                               "fiber has no grid record")
     if not (1 <= k < op.grid.N):
         raise ValidationError("need 1 <= k < N")
-    vals, basis = _lowest(op, k, Work())
+    vals, basis = _lowest(op, k, Work(), {})
     u = basis.T / np.sqrt(op.grid.nodes * op.grid.dr)[:, None]
     # deterministic sign: largest-magnitude component positive
     for j in range(u.shape[1]):
@@ -583,11 +578,12 @@ def _grid_pair(profile: FieldProfile, scale: float, grid: RadialGrid, k: int,
 def _richardson_levels(pair: tuple, m: int, k: int) -> Sector:
     """The `Sector` of `fiber_levels` on the records of `_grid_pair`: the k
     lowest levels of sector m, each the one a solve of more levels gives.
-    The N/2 grid reuses the coarse bisections of the N grid wherever its
-    coarse copy and block are the same, so each block of levels is
-    bisected once for both grids."""
-    work = Work()
-    vals, vals_h = (_lowest(fiber.op(m), k, work)[0] for fiber in pair)
+    Both grids share one dict of coarse bisections, so the N/2 grid reuses
+    those of the N grid wherever its coarse copy and block are the same:
+    each block of levels is bisected once for both grids."""
+    work, bisected = Work(), {}
+    vals, vals_h = (_lowest(fiber.op(m), k, work, bisected)[0]
+                    for fiber in pair)
     return Sector((4.0 * vals - vals_h) / 3.0, np.abs(vals - vals_h) / 3.0,
                   work)
 

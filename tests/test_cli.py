@@ -811,7 +811,7 @@ def test_compare_manifest_records_each_ladder_sweep(argv, tmp_path, capsys):
 def test_compare_argument_rules(monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("an input error reached a solve")
-    for name in ("fiber_levels", "anharmonic_levels", "well_levels",
+    for name in ("sector_sweep", "anharmonic_levels", "well_levels",
                  "island_neumann_levels", "dirichlet_disk_levels"):
         monkeypatch.setattr(cli, name, no_solve)
     well, island = "--h=0.1,0.05,0.025", "--b=25,50,100"

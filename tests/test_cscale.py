@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from magres import cscale
+from magres import cscale, radial
 from magres.cli import main
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
                            ScalingProfile, SliceWork, Window, _det_phase,
@@ -371,25 +371,40 @@ def test_find_resonances_keeps_degenerate_sectors(disk_profile, monkeypatch):
 
 
 def test_one_real_fiber_per_sector(disk_profile, monkeypatch):
-    """Each sector assembles its real fiber once and counts its inertia
-    once; both angles deform that fiber and share the count."""
-    calls = {"assemble": [], "count": 0}
+    """One call builds one real-fiber grid record (`_GridFiber`) for all
+    its sectors, not one per sector; each sector takes its real fiber from
+    it once, the one `assemble_fiber` gives bit for bit, and counts its
+    inertia once; both angles deform that fiber and share the count."""
+    calls = {"records": 0, "assemble": [], "count": 0}
+    init, op = radial._GridFiber.__init__, radial._GridFiber.op
+    fibers = []
 
-    def assembling(profile, m, *args):
+    def building(record, *args):
+        calls["records"] += 1
+        init(record, *args)
+
+    def assembling(record, m):
         calls["assemble"].append(m)
-        return assemble_fiber(profile, m, *args)
+        fibers.append(op(record, m))
+        return fibers[-1]
 
     def counting(*args):
         calls["count"] += 1
         return _ldl_factors(*args)
-    monkeypatch.setattr("magres.cscale.assemble_fiber", assembling)
+    monkeypatch.setattr(radial._GridFiber, "__init__", building)
+    monkeypatch.setattr(radial._GridFiber, "op", assembling)
     monkeypatch.setattr("magres.cscale._ldl_factors", counting)
-    rs = find_resonances(disk_profile, 0.25, [-1, 0, 1], WIN,
-                         theta_pair=(0.5, 0.6), grid=RadialGrid(18.0, 400),
-                         R1=1.5, T0=6.0)
-    assert calls == {"assemble": [-1, 0, 1], "count": 3}
-    assert sorted(rs.spectra) == [(t, m) for t in (0.5, 0.6)
-                                  for m in (-1, 0, 1)]
+    ms, grid = [-2, -1, 0, 1, 2], RadialGrid(18.0, 400)
+    rs = find_resonances(disk_profile, 0.25, ms, WIN, theta_pair=(0.5, 0.6),
+                         grid=grid, R1=1.5, T0=6.0)
+    assert calls == {"records": 1, "assemble": ms, "count": 5}
+    assert sorted(rs.spectra) == [(t, m) for t in (0.5, 0.6) for m in ms]
+    monkeypatch.undo()
+    for real in fibers:
+        want = assemble_fiber(disk_profile, real.m, 0.25, grid,
+                              "dirichlet_far", "h")
+        assert np.array_equal(real.diag, want.diag)
+        assert np.array_equal(real.off, want.off)
 
 
 def test_find_resonances_validation(disk_profile):
@@ -674,16 +689,24 @@ def test_arnoldi_is_eigs(disk_profile, h, theta, n):
     assert solves == len(applied) > 2 * k  # the first basis has 2k + 1
 
 
-def test_wide_disk_falls_back_to_dense(disk_profile):
-    """A disk holding N/2 eigenvalues or more is solved dense."""
+def test_wide_disk_is_a_numerical_error(disk_profile, monkeypatch):
+    """A disk holding N/2 eigenvalues or more is too wide to slice: a
+    NumericalError that names the disk, N/2 and the fix, with no dense
+    solve. `complex_spectrum` still gives the dense reference."""
     op = assemble_scaled_fiber(disk_profile, 0, 0.25,
                                scaling_profile(0.5, 1.5, 6.0),
                                RadialGrid(18.0, 128))
     dense = complex_spectrum(op)
+    assert dense.size == 128
+    assert np.all(np.diff(dense.real) >= 0.0)
     radius = float(np.sort(np.abs(dense))[100])
-    got, _ = certified_slice(op, radius)
-    want = dense[np.abs(dense) <= radius]
-    assert np.array_equal(got, want)
+    monkeypatch.setattr(cscale, "complex_spectrum", lambda op: pytest.fail(
+        "the slice ran the dense solve"))
+    with pytest.raises(NumericalError, match=(
+            rf"the disk \|z\| <= {radius:.6g} holds .* Arnoldi's k would "
+            rf"reach N/2 = 64 \(N=128, m=0\); narrow --window or raise "
+            rf"--grid-n")):
+        certified_slice(op, radius)
 
 
 def test_find_resonances_beyond_dense_cap(disk_profile):

@@ -198,18 +198,22 @@ def test_bisection_failure_is_a_numerical_error(name, monkeypatch,
 
 
 def test_dense_failure_is_a_numerical_error(monkeypatch, disk_profile,
-                                            disk_config, tmp_path):
+                                            disk_config, tmp_path, capsys):
     monkeypatch.setattr(cscale, "zgeev", _failing(cscale.zgeev))
     op = assemble_scaled_fiber(disk_profile, 0, 0.25,
                                scaling_profile(0.5, 1.5, 6.0),
                                RadialGrid(18.0, 128))
     with pytest.raises(NumericalError, match="LAPACK info=1"):
         complex_spectrum(op)
-    # a window this wide holds N/2 eigenvalues: the slice falls back to
-    # the dense solve
+    # a window this wide holds N/2 eigenvalues: the slice refuses it
+    # without a dense solve
     assert main(["resonances", "--field", str(disk_config), "--h", "0.25",
                  "--grid-n", "64", "--window", "1:20:-0.1:0",
                  "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "spectral slice too wide" in err and "N/2 = 32" in err
+    assert "narrow --window or raise --grid-n" in err
+    assert "LAPACK" not in err and "Traceback" not in err
 
 
 def test_non_finite_dense_matrix_is_a_numerical_error(disk_profile):

@@ -5,7 +5,8 @@ wraps named `magres` attributes (`TRACED`, `_parallel.pmap`, the profile
 factories, `cscale.filter_resonances`, `cli._emit`). A rename or deletion
 of any of them breaks the benchmark, not the package, so it is checked
 here, and so is the exact solver work of a seed-0 `ladder_sweep` pass
-(`perfbench/workloads.py`). The files are loaded by path and only read.
+(`perfbench/workloads.py`), and so is that every `resonance_sweep` command
+runs without the dense solve. The files are loaded by path and only read.
 """
 
 import importlib.util
@@ -13,9 +14,11 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.linalg as sla
 
 import magres
+from magres import cscale
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEAMS = [("_parallel", "pmap"), ("stepband", "minimize_band"),
@@ -80,13 +83,14 @@ def test_benchmark_trace_sees_each_ladder(monkeypatch):
 
 
 # diagnostics.work of each seed-0 ladder_sweep command, summed over its
-# ladders: (bisections, factorizations, refused, solves)
+# ladders and direct sector solves: (bisections, factorizations, refused,
+# solves)
 LADDER_SWEEP_WORK = {
     "spectrum": (14, 56, 0, 112),
-    "compare-landau": (0, 0, 0, 0),
+    "compare-landau": (3, 14, 0, 24),
     "compare-well-n0": (3, 60, 0, 24),
     "compare-well-n1": (12, 114, 0, 96),
-    "compare-anharmonic": (4, 38, 0, 32),
+    "compare-anharmonic": (7, 50, 0, 56),
     "compare-island": (4, 92, 0, 31),
 }
 
@@ -113,3 +117,24 @@ def test_ladder_sweep_work_is_pinned(monkeypatch, tmp_path):
                 sum(work[key] for work in works) for key in
                 ("bisections", "factorizations", "refused", "solves"))
     assert got == LADDER_SWEEP_WORK
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_resonance_sweep_needs_no_dense_solve(seed, monkeypatch, tmp_path):
+    """Every `resonance_sweep` command of seeds 0-3, and the seed-0
+    anchor, passes its workload check with `complex_spectrum` failing:
+    each spectral slice is certified without the dense solve."""
+    workloads = _load("workloads", monkeypatch)
+    from magres.cli import main
+
+    def dense(op):
+        raise AssertionError("a resonance_sweep command ran the dense solve")
+    monkeypatch.setattr(cscale, "complex_spectrum", dense)
+    workload = workloads.build("resonance_sweep", seed, tmp_path / "in")
+    workloads.write_inputs(workload, tmp_path / "in")
+    commands = workload.commands + workload.anchors
+    assert len(commands) == (2 if seed == 0 else 1)
+    for command in commands:
+        out = tmp_path / (command.label + ".csv")
+        assert main([*command.argv, "--out", str(out)]) == 0
+        assert command.check(out) == []

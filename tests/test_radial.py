@@ -314,9 +314,9 @@ def test_well_sweep_solves_only_the_inner_shells(monkeypatch):
     solves, factored, counted = [], [], {}
     lowest, count, factor = radial._lowest, radial._count_below, radial.dpttrf
 
-    def counting_lowest(op, k, work):
+    def counting_lowest(op, *args):
         solves.append((op.m, op.grid.N))
-        return lowest(op, k, work)
+        return lowest(op, *args)
 
     def counting_factor(d, e, *args):
         factored.append(len(d))
@@ -609,7 +609,7 @@ def test_lowest_matches_longdouble_oracle(case, N):
     kin = scale * scale if convention == "h" else 1.0
     want = fiber_levels_longdouble(r_max, N, op.pot, kin,
                                    radial.FAR_WEIGHT[boundary], 3)
-    got, _ = radial._lowest(op, 3, radial.Work())
+    got, _ = radial._lowest(op, 3, radial.Work(), {})
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -628,7 +628,7 @@ def test_lowest_certifies_each_level(monkeypatch, well_profile):
     op = assemble_fiber(well_profile, 1, 0.05, RadialGrid(3.0, 1500),
                         convention="h")
     work = radial.Work()
-    got, _ = radial._lowest(op, 4, work)
+    got, _ = radial._lowest(op, 4, work, {})
     tol = 64.0 * np.finfo(float).eps * op.diag.max()
     exact = np.linalg.eigvalsh(np.diag(op.diag) + np.diag(op.off, 1)
                                + np.diag(op.off, -1))
@@ -714,10 +714,10 @@ def test_lowest_returns_unit_vectors_and_rescaling_changes_no_digit(
     returns the same levels and vectors, bit for bit."""
     op = assemble_fiber(well_profile, 1, 0.05, RadialGrid(3.0, 1500),
                         convention="h")
-    vals, basis = radial._lowest(op, 4, radial.Work())
+    vals, basis = radial._lowest(op, 4, radial.Work(), {})
     assert np.all(np.abs(np.einsum("ij,ij->i", basis, basis) - 1.0) < 1e-15)
     monkeypatch.setattr(radial, "RESCALE", 1.0)
-    forced_vals, forced_basis = radial._lowest(op, 4, radial.Work())
+    forced_vals, forced_basis = radial._lowest(op, 4, radial.Work(), {})
     assert np.array_equal(forced_vals, vals)
     assert np.array_equal(forced_basis, basis)
 
@@ -850,10 +850,10 @@ def test_lowest_refuses_non_finite_fibers_and_its_iteration_cap(
     op = assemble_fiber(anharmonic_profile, 0, 1.0, grid)
     bad = assemble_fiber(anharmonic_profile, 0, 1e200, grid)
     with pytest.raises(NumericalError, match="non-finite"):
-        radial._lowest(bad, 1, radial.Work())
+        radial._lowest(bad, 1, radial.Work(), {})
     monkeypatch.setattr(radial, "MAX_SOLVES", 2)
     with pytest.raises(NumericalError, match="did not converge"):
-        radial._lowest(op, 1, radial.Work())
+        radial._lowest(op, 1, radial.Work(), {})
 
 
 def test_zero_field_neumann_ground_level_is_zero():
@@ -861,7 +861,7 @@ def test_zero_field_neumann_ground_level_is_zero():
     Neumann disk on the grid, so level 0 converges to 0 itself."""
     op = assemble_fiber(zero_profile(R0=1.5), 0, 1.0,
                         RadialGrid(1.5, radial.LADDER_N), "neumann_far")
-    got, _ = radial._lowest(op, 2, radial.Work())
+    got, _ = radial._lowest(op, 2, radial.Work(), {})
     assert 0.0 <= got[0] < 1e-18
     assert got[1] == pytest.approx(bessel_j_zero(1, 1) ** 2 / 1.5 ** 2,
                                    rel=1e-6)
@@ -874,9 +874,9 @@ def test_lowest_levels_do_not_depend_on_how_many_are_solved(well_profile):
     its shift and must equal a solve of every level."""
     op = assemble_fiber(well_profile, 2, 0.05, RadialGrid(3.0, 1500),
                         convention="h")
-    full, _ = radial._lowest(op, 40, radial.Work())
+    full, _ = radial._lowest(op, 40, radial.Work(), {})
     for k in (1, 2, 3, 5, 16, 17, 33):
-        assert radial._lowest(op, k, radial.Work())[0].tolist() == \
+        assert radial._lowest(op, k, radial.Work(), {})[0].tolist() == \
             full[:k].tolist()
 
 

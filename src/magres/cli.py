@@ -209,9 +209,9 @@ def cmd_resonances(args) -> int:
             lines.append(f"{r.m},{_fmt(h)},{_fmt(args.theta1)},"
                          f"{_fmt(args.theta2)},{_fmt(r.z.real)},"
                          f"{_fmt(r.z.imag)},{_fmt(r.drift)},{grid.N}")
-        t1, t2 = rs.theta_pair
         motion = [{"m": m, "motion": continuum_motion(
-                       rs.spectra[(t1, m)], rs.spectra[(t2, m)], rs.radius)}
+                       rs.spectra[(args.theta1, m)],
+                       rs.spectra[(args.theta2, m)], rs.radius)}
                   for m in args.m]
         slices.append({"h": h, "radius": rs.radius,
                        "counts": [{"theta": theta, "m": m, "count": len(vals),

@@ -45,7 +45,8 @@ NumericalError. The dense O(N^3) solve `complex_spectrum` (LAPACK `zgeev`)
 is the small-N reference the slice is tested against. The LAPACK and
 ARPACK routines come from `_lapack`, which loads their SciPy extensions
 alone, without the linear-algebra packages around them; `_arnoldi` runs
-ARPACK's reverse-communication loop, as SciPy's `eigs` would.
+ARPACK's reverse-communication loop, as SciPy's `eigs` would. A result
+holds what the caller lacks, not its h, angles, window or tolerance.
 """
 
 from __future__ import annotations
@@ -444,23 +445,22 @@ def _ray_hits_window(theta: float, win: Window) -> bool:
 
 @dataclass(frozen=True)
 class Resonance:
+    """A theta-robust eigenvalue of sector m, at the caller's h and angles."""
+
     z: complex  # value from the first-angle run
     m: int | None
-    h: float | None
-    theta_pair: tuple[float, float] | None
     drift: float  # |z(theta1) - z(theta2)|
 
 
 @dataclass(frozen=True, eq=False)
 class ResonanceSet:
+    """`find_resonances` at one h: resonances sorted by (Re, Im), each
+    (theta, m) slice, the radius they hold entire, and each slice's cost."""
+
     resonances: tuple
-    tol: float  # relative pairing tolerance
-    window: Window
-    theta_pair: tuple[float, float] | None
-    h: float | None
-    spectra: dict = field(default_factory=dict, repr=False)  # (theta, m) -> eigenvalues
-    radius: float | None = None  # spectra hold all of |z| <= radius
-    work: dict = field(default_factory=dict, repr=False)  # (theta, m) -> SliceWork
+    spectra: dict = field(repr=False)  # (theta, m) -> eigenvalues
+    radius: float  # spectra hold all of |z| <= radius
+    work: dict = field(repr=False)  # (theta, m) -> SliceWork
 
     def __iter__(self):
         return iter(self.resonances)
@@ -471,10 +471,10 @@ class ResonanceSet:
 
 def filter_resonances(spec1, spec2, tol: float, window: Window,
                       theta_pair: tuple[float, float] | None = None,
-                      m: int | None = None, h: float | None = None
-                      ) -> ResonanceSet:
+                      m: int | None = None) -> tuple:
     """Theta-robust eigenvalues: windowed points of spec1 that reappear in
-    spec2 within tol*(1+|z|).
+    spec2 within tol*(1+|z|), as a tuple of `Resonance`s of sector m
+    sorted by (Re, Im).
 
     Points with |Im z| < 1e-10 are continuum/threshold artifacts and are
     dropped; unpaired points are discarded as rotated-continuum members; two
@@ -526,12 +526,9 @@ def filter_resonances(spec1, spec2, tol: float, window: Window,
             if cmath.phase(z1) <= -2.0 * theta_min:
                 continue  # at or below the rotated continuum: not a resonance
         claimed.add(i)
-        found.append(Resonance(z=complex(z1), m=m, h=h,
-                               theta_pair=theta_pair,
+        found.append(Resonance(z=complex(z1), m=m,
                                drift=float(abs(z1 - z2))))
-    found.sort(key=lambda r: (r.z.real, r.z.imag))
-    return ResonanceSet(resonances=tuple(found), tol=tol, window=window,
-                        theta_pair=theta_pair, h=h)
+    return tuple(sorted(found, key=lambda r: (r.z.real, r.z.imag)))
 
 
 def continuum_motion(spec1, spec2, radius: float) -> float | None:
@@ -543,12 +540,15 @@ def continuum_motion(spec1, spec2, radius: float) -> float | None:
     takes the distance to the nearest spec2 point and returns its minimum
     over the points that move: a point within 10 PAIR_TOL (1 + |z|) of
     spec2 is theta-robust, a resonance whether or not the window holds
-    it, and is left out. None when no point moves. A healthy run has this
-    many times the pairing tolerance: the continuum sweeps while
-    resonances stand still.
+    it, and is left out; so is every point when spec2 is empty. None when
+    no point is measured or none moves. A healthy run has this many times
+    the pairing tolerance: the continuum sweeps while resonances stand
+    still.
     """
     spec1 = np.asarray(spec1, dtype=complex)
     spec2 = np.asarray(spec2, dtype=complex)
+    if not spec2.size:
+        return None
     worst = None
     for z1 in spec1:
         if abs(z1) > radius or z1.imag >= -IM_FLOOR:
@@ -589,7 +589,8 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
                     theta_pair: tuple[float, float], grid: RadialGrid,
                     R1: float, T0: float, tol: float = PAIR_TOL
                     ) -> ResonanceSet:
-    """Theta-robust resonances over the given sectors, sorted by Re z.
+    """The `ResonanceSet` of theta-robust resonances over the given sectors
+    at one h, sorted by (Re, Im).
 
     Both angles share the grid and the deformation radii. One real 'h'
     fiber record (`_GridFiber`, which validates h before any slice runs)
@@ -624,13 +625,8 @@ def find_resonances(profile: FieldProfile, h: float, m_range, window: Window,
     slices = {(sp.theta, m): one for m, both in zip(ms, pmap(solve, ms))
               for sp, one in zip(sps, both)}
     spectra = {key: vals for key, (vals, _) in slices.items()}
-    found = []
-    for m in ms:
-        rs = filter_resonances(spectra[(t1, m)], spectra[(t2, m)], tol,
-                               window, theta_pair=(t1, t2), m=m, h=h)
-        found.extend(rs.resonances)
+    found = [r for m in ms for r in filter_resonances(
+        spectra[(t1, m)], spectra[(t2, m)], tol, window, (t1, t2), m)]
     found.sort(key=lambda r: (r.z.real, r.z.imag))
-    return ResonanceSet(resonances=tuple(found), tol=tol, window=window,
-                        theta_pair=(t1, t2), h=h, spectra=spectra,
-                        radius=radius,
-                        work={key: w for key, (_, w) in slices.items()})
+    return ResonanceSet(tuple(found), spectra, radius,
+                        {key: w for key, (_, w) in slices.items()})

@@ -11,14 +11,15 @@ Five expansion families share one evaluator:
 The coefficients come from the other modules (anharmonic_levels, stepband
 spectral constants, dirichlet_disk_levels); the geometric step inputs
 (k0, k2) and the well Hessian data (det H, Tr H^{1/2}) are caller-supplied
-numbers. compare() lines the expansions up against directly computed
-spectra over an h sweep and fits the observed convergence order.
+numbers. compare() lines the expansions of one (model, n) level up against
+directly computed spectra over an h sweep and fits the observed
+convergence order; its report states the level and both orders once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,45 +102,52 @@ EXPECTED_ORDER = {"well": 3.0, "island": 2.0}
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    model: str
-    n: int
     h: float
     expansion: float
     direct: float
-    diff: float
-    expected_order: float | None
-    observed_order: float | None
+    diff: float  # direct - expansion
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """One (model, n) level: its EXPECTED_ORDER (or None), the fitted slope
+    of log|diff| vs log h (None if a diff is 0), and rows in input order."""
+
+    model: str
+    n: int
+    expected_order: float | None
+    observed_order: float | None
     rows: tuple
-    # per (model, n): fitted slope of log|diff| vs log h over the sweep
-    orders: dict = field(default_factory=dict)
 
     def csv_lines(self):
         yield "model,n,h,expansion,direct,diff,ratio_to_expected,observed_order"
+        order, obs = self.expected_order, self.observed_order
+        obs = "" if obs is None else f"{obs:.14e}"
         for r in self.rows:
-            if r.expected_order is None:
-                ratio = ""
-            else:
-                ratio = f"{abs(r.diff) / r.h ** r.expected_order:.14e}"
-            obs = "" if r.observed_order is None else f"{r.observed_order:.14e}"
-            yield (f"{r.model},{r.n},{r.h:.14e},{r.expansion:.14e},"
+            ratio = ("" if order is None
+                     else f"{abs(r.diff) / r.h ** order:.14e}")
+            yield (f"{self.model},{self.n},{r.h:.14e},{r.expansion:.14e},"
                    f"{r.direct:.14e},{r.diff:.14e},{ratio},{obs}")
 
 
 def compare(pairs) -> ComparisonReport:
     """Line up direct values against expansion values over an h sweep.
 
-    pairs: iterable of (ExpansionParams, direct value). Each (model, n)
-    group needs at least three distinct h so the observed order (log-ratio
+    pairs: iterable of (ExpansionParams, direct value), all of one
+    (model, n) level; a pair of another level is a ValidationError. The
+    level needs at least three distinct h so the observed order (log-ratio
     fit of |difference| against h) means something. A difference, or an
     h^expected_order, outside the float range is a NumericalError.
     """
-    groups = {}
+    level = None
     rows = []
     for p, value in pairs:
+        if level is None:
+            level = (p.model, p.n)
+        elif (p.model, p.n) != level:
+            raise ValidationError(
+                f"compare takes one (model, n) level per report; got "
+                f"{(p.model, p.n)} after {level}")
         d = float(value)
         order = EXPECTED_ORDER.get(p.model)
         try:
@@ -154,27 +162,20 @@ def compare(pairs) -> ComparisonReport:
                 f"{p.model} level {p.n} at h = {p.h:.6g} (direct value "
                 f"{d:.6g}): the expansion, the difference or h^order leaves "
                 f"the float range")
-        rows.append((p.model, p.n, p.h, e, d, d - e))
-        groups.setdefault((p.model, p.n), []).append((p.h, d - e))
-    orders = {}
-    for key, pts in groups.items():
-        distinct = len({h for h, _ in pts})
-        if distinct < 3:
-            raise ValidationError(
-                f"need at least three distinct h values per (model, n); got "
-                f"{distinct} for {key}")
-        pts.sort(reverse=True)
-        hs = np.array([h for h, _ in pts])
-        ds = np.array([abs(d) for _, d in pts])
-        if np.any(ds == 0.0):
-            orders[key] = None  # differences at rounding floor; no fit
-        else:
-            slope = np.polyfit(np.log(hs), np.log(ds), 1)[0]
-            orders[key] = float(slope)
-    out = tuple(
-        ComparisonRow(model=m, n=n, h=h, expansion=e, direct=d, diff=diff,
-                      expected_order=EXPECTED_ORDER.get(m),
-                      observed_order=orders.get((m, n)))
-        for m, n, h, e, d, diff in rows)
-    return ComparisonReport(rows=out, orders=orders)
-
+        rows.append(ComparisonRow(h=p.h, expansion=e, direct=d, diff=d - e))
+    distinct = len({r.h for r in rows})
+    if distinct < 3:
+        raise ValidationError(
+            f"need at least three distinct h values per (model, n); got "
+            f"{distinct}")
+    pts = sorted(((r.h, r.diff) for r in rows), reverse=True)
+    hs = np.array([h for h, _ in pts])
+    ds = np.array([abs(d) for _, d in pts])
+    if np.any(ds == 0.0):
+        observed = None  # differences at rounding floor; no fit
+    else:
+        observed = float(np.polyfit(np.log(hs), np.log(ds), 1)[0])
+    model, n = level
+    return ComparisonReport(model=model, n=n,
+                            expected_order=EXPECTED_ORDER.get(model),
+                            observed_order=observed, rows=tuple(rows))

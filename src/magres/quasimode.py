@@ -84,11 +84,10 @@ def landau_radial(n: int, m: int, b: float, r):
     return _landau_envelope(n, m, b, r) * laguerre(n, k, b * r * r / 2.0)
 
 
-def _landau_radial_derivative(n: int, m: int, b: float, r):
+def _landau_radial_derivative(f, n: int, m: int, b: float, r):
     # f' = f (|m|/r - b r/2) - C r^{|m|} e^{-br^2/4} L_{n-1}^{|m|+1}(br^2/2) b r
-    r = np.asarray(r, dtype=float)
+    # for f = landau_radial(n, m, b, r) on the float array r
     k = abs(m)
-    f = landau_radial(n, m, b, r)
     out = f * (-b * r / 2.0)
     if k:
         out = out + f * (k / r)
@@ -164,7 +163,7 @@ def quasimode_residual(q: Quasimode, profile: FieldProfile
     chi, d1, d2 = _shoulder(r, q.r0, q.delta)
     with np.errstate(over="ignore", invalid="ignore"):
         f = landau_radial(q.n, q.m, q.b, r)
-        fp = _landau_radial_derivative(q.n, q.m, q.b, r)
+        fp = _landau_radial_derivative(f, q.n, q.m, q.b, r)
         g = -(d2 + d1 / r) * f - 2.0 * d1 * fp
         g = np.where(r <= q.r0, g, 0.0)
         res = math.sqrt(2.0 * math.pi * float(np.sum(g * g * r) * q.grid.dr))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -399,12 +400,10 @@ def test_resonances_fit_lines_ascend_in_m(disk_config, capsys, monkeypatch):
               -1: complex(2.0 * h, -math.exp(-2.0 / h))}
         if h == 0.1:
             zs[0] = complex(0.5 * h, -0.01)
-        found = tuple(Resonance(z, m, h, theta_pair, 0.0)
-                      for m, z in sorted(zs.items()))
+        found = tuple(Resonance(z, m, 0.0) for m, z in sorted(zs.items()))
         empty = np.zeros(0, dtype=complex)
         return ResonanceSet(
-            found, 1e-5, win, theta_pair, h,
-            spectra={(t, m): empty for t in theta_pair for m in ms},
+            found, spectra={(t, m): empty for t in theta_pair for m in ms},
             radius=1.0, work={(t, m): SliceWork() for t in theta_pair
                               for m in ms})
     monkeypatch.setattr(cli, "find_resonances", branches)
@@ -569,6 +568,10 @@ def _res_flags(draw):
                                 "window": (0.1, math.inf, -1.0, 0.0)}})
 @example(flags={"h": [0.25], **{**_RES_DEFAULTS, "tol": 1e300}})
 @example(flags={"h": [0.25], **{**_RES_DEFAULTS, "tol": 0.25}})
+# the m = 1 continuum point at |z| = 0.0028250 lies inside the disk at
+# theta1, its theta2 image outside: an empty second slice
+@example(flags={"h": [0.25], **{**_RES_DEFAULTS, "m": "0:1", "window": (
+    0.001, 0.002814, -0.0001, -1e-12)}})
 @given(flags=_res_flags())
 def test_resonances_fuzz_keeps_exit_contract(flags, tmp_path_factory):
     """Resonance flags exit 0, 2 or 3, never 1, print nothing unless they
@@ -714,10 +717,32 @@ def test_compare_well_cli(tmp_path):
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+# SHA-256 of each CSV and JSON sidecar the README examples write (their
+# manifests hold a timestamp). A change to any output byte re-pins these
+# and says so.
+README_DIGESTS = {
+    "spec.csv":
+        "e5751ed264441be91562320b504026f08f62666c4dca74915e3391f8f7aee301",
+    "band.csv":
+        "96087bf6f62eeba39aeca1b1c63651362f78735a4db5ee764f35b0f4457af9c1",
+    "band.csv.constants.json":
+        "03c4d1db8682833075326748e55ea556aa6617263c9f10414e9d3d2e39729608",
+    "res.csv":
+        "49d2cdd1270a152b629a24d003c29b532d4a805367e192746bba46f5feb7ab1b",
+    "quasi.csv":
+        "04223bda5e1d9742e2de34ac320355889f62e6f9e32ca570c536b62ed585f15b",
+    "quasi.csv.window.json":
+        "2d1851b1c69b9edc1e776b826fae3d668d3e7c3d4be0291e0380f2181892f3c7",
+    "cmp.csv":
+        "c169c93928ba99a05e074c925209aa8d2430410a498a96310ff231d75cf344df",
+}
+
+
 def test_readme_examples_run(tmp_path, monkeypatch):
     """Every command of the README's `magres` block, its `\\` continuations
     joined, exits 0 in a fresh directory that holds the README's two field
-    files, and writes its CSV and manifest. Each subcommand has one."""
+    files, and writes its CSV and manifest. Each subcommand has one. Every
+    CSV and sidecar the manifests list has its pinned SHA-256."""
     text = README.read_text()
     fields = {"anh.json": "anharmonic", "disk.json": "constant_disk"}
     for name, kind in fields.items():
@@ -730,13 +755,19 @@ def test_readme_examples_run(tmp_path, monkeypatch):
                 block.replace("\\\n", " ").splitlines()
                 if line.startswith("magres ")]
     monkeypatch.chdir(tmp_path)
+    written = []
     for argv in commands:
         assert main(argv) == 0, argv
         out = tmp_path / argv[argv.index("--out") + 1]
-        assert out.is_file() and out.with_name(
-            out.name + ".manifest.json").is_file(), argv
+        manifest = out.with_name(out.name + ".manifest.json")
+        assert out.is_file() and manifest.is_file(), argv
+        written += json.loads(manifest.read_text())["outputs"]
     assert sorted(argv[0] for argv in commands) == [
         "band", "compare", "quasimode", "resonances", "spectrum"]
+    assert sorted(written) == sorted(README_DIGESTS)
+    for name in written:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == README_DIGESTS[name], f"{name} changed bytes"
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -197,7 +198,7 @@ def test_filter_identical_spectra_trivial():
     w = Window(0.1, 0.4, -0.3, -1e-8)
     spec = [0.2 - 0.05j, 0.35 - 0.2j, 0.39 - 1e-12j, 0.8 - 0.1j]
     rs = filter_resonances(spec, spec, 1e-5, w)
-    assert isinstance(rs, ResonanceSet)
+    assert isinstance(rs, tuple)
     # both windowed points below the Im floor return with drift zero;
     # the near-real one is a threshold artifact, the 0.8 one lies outside
     assert len(rs) == 2
@@ -271,6 +272,19 @@ def test_continuum_motion_synthetic():
     d = continuum_motion(s1, s2, 1.0)
     assert d == pytest.approx(0.005)
     assert continuum_motion([0.2 - 1e-12j], s2, 1.0) is None
+    # a point with no second-slice point to measure against is left out
+    assert continuum_motion([0.002 - 0.002j], [], 0.01) is None
+
+
+def test_resonance_results_hold_each_fact_once(reference_run):
+    """A resonance and a set hold no input of the call: h, the angles, the
+    window and the tolerance stay the caller's."""
+    assert [f.name for f in dataclasses.fields(Resonance)] == [
+        "z", "m", "drift"]
+    assert [f.name for f in dataclasses.fields(ResonanceSet)] == [
+        "resonances", "spectra", "radius", "work"]
+    assert isinstance(reference_run, ResonanceSet)
+    assert list(reference_run) == list(reference_run.resonances)
 
 
 def test_reference_resonance(reference_run):
@@ -572,8 +586,7 @@ def test_reference_slice_matches_dense_diagnostics(reference_run,
     from the full dense spectra, over the slice disk."""
     r = reference_run.resonances[0]
     dense = filter_resonances(dense_reference[0.5], dense_reference[0.6],
-                              PAIR_TOL, WIN, theta_pair=(0.5, 0.6), m=0,
-                              h=0.25)
+                              PAIR_TOL, WIN, theta_pair=(0.5, 0.6), m=0)
     assert [x.z for x in dense] == pytest.approx([r.z], abs=1e-10)
     radius = reference_run.radius
     motion = continuum_motion(reference_run.spectra[(0.5, 0)],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,8 +7,8 @@ import pytest
 
 from magres.errors import ValidationError
 from magres.fields import FieldSpec, make_profile
-from magres.levels import (ComparisonReport, ExpansionParams, compare,
-                           expansion_real_part)
+from magres.levels import (ComparisonReport, ComparisonRow, ExpansionParams,
+                           compare, expansion_real_part)
 from magres.radial import RadialGrid, dirichlet_disk_levels, fiber_levels
 
 from conftest import FROZEN
@@ -113,8 +114,9 @@ def test_compare_well_remainder():
     diffs = [abs(r.diff) for r in rep.rows]
     for d1, d2 in zip(diffs, diffs[1:]):
         assert 4.0 <= d1 / d2 <= 16.0
-    assert rep.rows[0].expected_order == 3.0
-    assert rep.orders[("well", 0)] == pytest.approx(2.07, abs=0.3)
+    assert (rep.model, rep.n) == ("well", 0)
+    assert rep.expected_order == 3.0
+    assert rep.observed_order == pytest.approx(2.07, abs=0.3)
 
 
 def test_compare_landau_vs_resonances():
@@ -125,7 +127,7 @@ def test_compare_landau_vs_resonances():
                   for h, z in items)
     diffs = [abs(r.diff) for r in rep.rows]
     assert diffs[0] > diffs[1] > diffs[2]
-    assert rep.orders[("landau", 0)] > 1.0
+    assert rep.observed_order > 1.0
 
 
 def test_compare_anharmonic_identity():
@@ -153,13 +155,22 @@ def test_compare_island_remainder():
                    FROZEN["island_lowest"][b] / b ** 2) for b in bs)
     ratios = [abs(r.diff) / r.h ** 2 for r in rep.rows]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert rep.orders[("island", 0)] > 2.0
+    assert rep.observed_order > 2.0
     # the csv ratio column carries exactly this diagnostic
     lines = list(rep.csv_lines())
     assert lines[0] == ("model,n,h,expansion,direct,diff,"
                         "ratio_to_expected,observed_order")
     assert len(lines) == 1 + len(bs)
     assert float(lines[1].split(",")[6]) == pytest.approx(ratios[0])
+
+
+def test_comparison_report_states_the_level_once():
+    """The report holds the level and both orders once; a row holds only
+    what varies with h."""
+    assert [f.name for f in dataclasses.fields(ComparisonReport)] == [
+        "model", "n", "expected_order", "observed_order", "rows"]
+    assert [f.name for f in dataclasses.fields(ComparisonRow)] == [
+        "h", "expansion", "direct", "diff"]
 
 
 def test_compare_requires_three_h():
@@ -180,7 +191,7 @@ def test_compare_requires_three_distinct_h():
     rep = compare((ExpansionParams(model="landau", n=0, h=h), 1.1 * h)
                   for h in (0.2, 0.1, 0.1, 0.05))
     assert len(rep.rows) == 4
-    assert rep.orders[("landau", 0)] == pytest.approx(1.0)
+    assert rep.observed_order == pytest.approx(1.0)
 
 
 def test_compare_exact_match_has_no_order():
@@ -188,9 +199,25 @@ def test_compare_exact_match_has_no_order():
     hs = (0.2, 0.1, 0.05)
     rep = compare((ExpansionParams(model="landau", n=1, h=h), 3.0 * h)
                   for h in hs)
-    assert rep.orders[("landau", 1)] is None
-    assert all(r.observed_order is None for r in rep.rows)
+    assert rep.observed_order is None
     assert all(r.diff == 0.0 for r in rep.rows)
+    assert all(line.endswith(",") for line in list(rep.csv_lines())[1:])
+
+
+@pytest.mark.parametrize("other", [
+    ExpansionParams(model="landau", n=1, h=0.05),
+    ExpansionParams(model="well", n=0, h=0.05, b0=1.0, detH=1.0,
+                    trSqrtH=2.0)], ids=["level", "model"])
+def test_compare_takes_one_level(other):
+    """A report is one (model, n) level: a pair of another level is a
+    usage error that names both, not a second group."""
+    pairs = [(ExpansionParams(model="landau", n=0, h=h), 1.1 * h)
+             for h in (0.2, 0.1, 0.05)]
+    with pytest.raises(ValidationError) as info:
+        compare([*pairs, (other, 0.06)])
+    message = str(info.value)
+    assert "('landau', 0)" in message
+    assert repr((other.model, other.n)) in message
 
 
 def test_island_reference_levels():

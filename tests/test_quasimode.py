@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from magres import quasimode
 from magres.errors import ValidationError
 from magres.fields import FieldSpec, make_profile
 from magres.quasimode import (Quasimode, TZWindow, build_quasimode,
@@ -139,6 +140,24 @@ def test_residual_exact_eigenfunction_floor(plane_grid, unit_field):
     q = build_quasimode(0, 0, 25.0, 3.0, 0.2, plane_grid)
     res, _ = quasimode_residual(q, unit_field)
     assert res <= 1e-10
+
+
+@pytest.mark.parametrize("n, calls", [(0, 1), (1, 2), (3, 2)])
+def test_residual_forms_the_landau_factor_once(n, calls, unit_field,
+                                               monkeypatch):
+    """One residual runs the Laguerre recurrence once for the Landau factor
+    f, which its derivative reuses, and once more for the derivative's
+    L_{n-1}^{|m|+1} term when n >= 1."""
+    q = build_quasimode(n, 2, 16.0, 1.0, 0.2, RadialGrid(20.0, 4000))
+    res, _ = quasimode_residual(q, unit_field)
+    orders = []
+
+    def counting(n, k, x):
+        orders.append((n, k))
+        return laguerre(n, k, x)
+    monkeypatch.setattr(quasimode, "laguerre", counting)
+    assert quasimode_residual(q, unit_field)[0] == res
+    assert orders == [(n, 2), (n - 1, 3)][:calls]
 
 
 def test_residual_requires_constant_field(plane_grid):

@@ -45,8 +45,12 @@ NumericalError. The dense O(N^3) solve `complex_spectrum` (LAPACK `zgeev`)
 is the small-N reference the slice is tested against. The LAPACK and
 ARPACK routines come from `_lapack`, which loads their SciPy extensions
 alone, without the linear-algebra packages around them; `_arnoldi` runs
-ARPACK's reverse-communication loop, as SciPy's `eigs` would. A result
-holds what the caller lacks, not its h, angles, window or tolerance.
+ARPACK's reverse-communication loop, as SciPy's `eigs` would. It starts
+from a fixed splitmix64 vector (`_start_vector`) and makes the seeded
+generator that SciPy draws restart vectors from only at ARPACK's first
+request for one (ido 4): a run that asks for none never loads
+`numpy.random`. A result holds what the caller lacks, not its h, angles,
+window or tolerance.
 """
 
 from __future__ import annotations
@@ -247,7 +251,8 @@ def _contour_count(op: FiberOperator, radius: float,
     do, every one it misses lies beyond max|known|, so the first points
     are equally spaced at most an eighth of that margin, and CONTOUR_STEP
     of angle, apart. Steps whose phase still moves by CONTOUR_STEP or more
-    are bisected until none does. Past CONTOUR_CAP points, a NumericalError.
+    are bisected until none does. Past CONTOUR_CAP points, a NumericalError
+    that names N, m and the fix.
     """
     margin = float(np.abs(known).max()) - radius
     steps = 16.0 * math.pi * radius / margin if margin > 0 else math.inf
@@ -255,7 +260,8 @@ def _contour_count(op: FiberOperator, radius: float,
         f"contour count did not resolve |z| = {radius:.6g} within "
         f"{CONTOUR_CAP} points: its first sampling asks for "
         f"{np.ceil(steps):.0f}, at steps of an eighth of the margin "
-        f"{margin:.3g} to the farthest eigenvalue found")
+        f"{margin:.3g} to the farthest eigenvalue found (N={op.grid.N}, "
+        f"m={op.m}); narrow --window or lower --grid-n")
     if not steps < CONTOUR_CAP:
         raise unresolved
 
@@ -311,8 +317,10 @@ def _arnoldi(factors, n: int, k: int, v0: np.ndarray
     return_eigenvectors=False)` for a complex T (mode 3, 'LM', ncv =
     min(max(2k + 1, 20), n), tol 0, maxiter 10 n): the same routines on
     the same inputs, so the same values bit for bit. A restart vector
-    (ido 4) is drawn by SciPy's formula from a fixed seed. Any other
-    request, and a non-zero info (1: maxiter reached), is a NumericalError.
+    (ido 4) is drawn by SciPy's formula from a fixed seed, by a generator
+    made at the first such request: a run that asks for none never loads
+    `numpy.random`. Any other request, and a non-zero info (1: maxiter
+    reached), is a NumericalError.
     """
     ncv = min(max(2 * k + 1, 20), n)
     state = dict.fromkeys(ARPACK_STATE, 0)  # which 0 is 'LM', bmat 0 is 'I'
@@ -321,7 +329,7 @@ def _arnoldi(factors, n: int, k: int, v0: np.ndarray
     resid, v = v0.copy(), np.zeros((n, ncv), complex)
     ipntr, workd = np.zeros(14, np.int32), np.zeros(3 * n, complex)
     workl, rwork = np.zeros(3 * ncv * (ncv + 2), complex), np.zeros(ncv)
-    rng = np.random.default_rng(0)
+    rng = None
     failed = f"shift-invert Arnoldi failed (N={n}, k={k}): ARPACK"
     solves = 0
     while state["ido"] != 99:  # 99: done
@@ -333,6 +341,8 @@ def _arnoldi(factors, n: int, k: int, v0: np.ndarray
             zgttrs(*factors, workd[y:y + n], overwrite_b=1)  # in place
             solves += 1
         elif ido == 4:
+            if rng is None:
+                rng = np.random.default_rng(0)
             resid[:] = rng.uniform(-1.0, 1.0, (n, 2)).view(complex).ravel()
         elif ido != 99:
             raise NumericalError(f"{failed} znaupd asked for ido={ido}")
@@ -347,6 +357,18 @@ def _arnoldi(factors, n: int, k: int, v0: np.ndarray
     return d[:state["nconv"]], solves
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """Arnoldi's start vector: splitmix64 (Steele, Lea and Flood, OOPSLA
+    2014) of j = 1..n, each mapped to [-1, 1) from its top 53 bits, as
+    complex. Generic and fixed, the same bits on every platform, from a
+    few uint64 array operations and no random-number library."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    return ((z >> 11) * 2.0 ** -52 - 1.0).astype(complex)
+
+
 def _spectrum_slice(op: FiberOperator, radius: float, count: int
                     ) -> tuple[np.ndarray, SliceWork]:
     """Eigenvalues of the scaled fiber inside |z| <= radius, sorted by
@@ -355,18 +377,18 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
 
     Shift-invert Arnoldi about the origin, on one tridiagonal LU
     factorization of T (`zgttrf`; exactly singular or not finite is a
-    NumericalError) and a fixed start vector (so reruns agree bit for
-    bit), run by `_arnoldi` (in shift-invert mode ARPACK applies only
-    T^-1, so no product with T is formed); asks for `count` plus two
-    eigenvalues, where `count` is the caller's estimate of how many lie in
-    the disk (`find_resonances` counts the real fiber's below COUNT_REACH
-    times the radius),
-    and doubles k until the k-th nearest lies outside the disk. The
-    argument principle on det(T - z), with the phases of the k values
-    divided out (`_contour_count`), then counts the eigenvalues that
-    Arnoldi missed inside a circle halfway from the disk edge to the
-    nearest value beyond it; any but 0 is a NumericalError. When k would
-    reach N/2 first, the disk is too wide for slicing: a NumericalError.
+    NumericalError) and a fixed start vector (`_start_vector`, so reruns
+    agree bit for bit), run by `_arnoldi` (in shift-invert mode ARPACK
+    applies only T^-1, so no product with T is formed); asks for `count`
+    plus two eigenvalues, where `count` is the caller's estimate of how
+    many lie in the disk (`find_resonances` counts the real fiber's below
+    COUNT_REACH times the radius), and doubles k until the k-th nearest
+    lies outside the disk. The argument principle on det(T - z), with the
+    phases of the k values divided out (`_contour_count`), then counts the
+    eigenvalues that Arnoldi missed inside a circle halfway from the disk
+    edge to the nearest value beyond it; any but 0 is a NumericalError.
+    When k would reach N/2 first, the disk is too wide for slicing: a
+    NumericalError.
     """
     n = op.grid.N
     work = SliceWork()
@@ -377,7 +399,7 @@ def _spectrum_slice(op: FiberOperator, radius: float, count: int
             f"is zero")
     if not all(np.isfinite(f).all() for f in factors[:4]):  # not ipiv
         raise NumericalError(f"T has no finite LU factorization at N={n}")
-    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    v0 = _start_vector(n)
     k = count + 2
     while k < n // 2:
         work.k = k

@@ -14,10 +14,10 @@ from magres.cli import main
 from magres.cscale import (DET_BLOCK, PAIR_TOL, Resonance, ResonanceSet,
                            ScalingProfile, SliceWork, Window, _det_phase,
                            _contour_count, _ray_hits_window, _slice_radius,
-                           _arnoldi, _spectrum_slice, assemble_scaled_fiber,
-                           complex_spectrum, continuum_motion,
-                           filter_resonances, find_resonances,
-                           scaling_profile)
+                           _arnoldi, _spectrum_slice, _start_vector,
+                           assemble_scaled_fiber, complex_spectrum,
+                           continuum_motion, filter_resonances,
+                           find_resonances, scaling_profile)
 from magres.errors import (AmbiguousPairingError, NumericalError,
                            ValidationError)
 from magres.fields import FieldSpec, make_profile, zero_profile
@@ -672,20 +672,44 @@ def test_arnoldi_restart_vectors_are_seeded(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(seen, want))
 
 
+def test_start_vector_is_splitmix64():
+    """The start vector repeats bit for bit, its entries are finite, real
+    and in [-1, 1), all n differ at n = MAX_GRID_N, and its first 1000
+    entries are splitmix64's first outputs from seed 0, by the scalar loop
+    in Python integers."""
+    n = radial.MAX_GRID_N
+    v = _start_vector(n)
+    assert v.dtype == complex and v.shape == (n,)
+    assert np.array_equal(v, _start_vector(n))
+    assert np.isfinite(v).all() and not v.imag.any()
+    assert (-1.0 <= v.real).all() and (v.real < 1.0).all()
+    assert np.unique(v.real).size == n
+    mask, state, want = (1 << 64) - 1, 0, []
+    for _ in range(1000):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        want.append((z >> 11) / 2.0 ** 52 - 1.0)
+    assert want[0] == (0xE220A8397B1DCDAF >> 11) / 2.0 ** 52 - 1.0
+    assert v[:1000].real.tolist() == want
+    assert np.array_equal(_start_vector(5), v[:5])
+
+
 @pytest.mark.parametrize("h, theta, n", [
     *((h, theta, 480) for h in (0.25, 0.2, 0.15) for theta in (0.5, 0.6)),
     (0.25, 0.5, 8000)])
 def test_arnoldi_is_eigs(disk_profile, h, theta, n):
     """`_arnoldi` returns exactly what `scipy.sparse.linalg.eigs` returns
-    for the same k, v0 and LU, and counts the solves `eigs` makes: on the
-    six slices of the seed-0 benchmark sweep, and on the N = 8000 fiber
-    past the dense cap. `eigs` is handed a T that fails the test if
-    applied."""
+    for the same k, LU and the slice's own start vector, and counts the
+    solves `eigs` makes: on the six slices of the seed-0 benchmark sweep,
+    and on the N = 8000 fiber past the dense cap. `eigs` is handed a T
+    that fails the test if applied."""
     op, radius = _cli_slice(disk_profile, 0, h, theta, n)
     if n == 8000:  # as `test_find_resonances_beyond_dense_cap` slices it
         radius = _slice_radius(WIN, PAIR_TOL)
     *factors, _ = cscale.zgttrf(op.off, op.diag, op.off)
-    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    v0 = _start_vector(n)
     k = slice_count(op, radius) + 2
     T = spla.LinearOperator((n, n), dtype=complex,
                             matvec=lambda v: pytest.fail("eigs applied T"))
@@ -850,6 +874,26 @@ def test_contour_count_past_the_cap_is_numerical_error(disk_profile,
                              f"asks for {first}, at steps of an eighth of "
                              f"the margin {margin:.3g} "):
         _contour_count(op, circle, known)
+
+
+def test_contour_cap_error_names_the_fix(disk_profile, disk_config,
+                                         monkeypatch, tmp_path, capsys):
+    """A count whose first sampling would pass CONTOUR_CAP names N, m and
+    the fix, as the N/2 error does: here the farthest known value lies a
+    millionth of the radius beyond the circle. `resonances` exits 3 with
+    that message."""
+    op, known, dist = _known_nearest(disk_profile)
+    with pytest.raises(NumericalError,
+                       match=r"first sampling asks for \d+, .* \(N=400, "
+                             r"m=0\); narrow --window or lower --grid-n$"):
+        _contour_count(op, float(dist[-1]) * (1.0 - 1e-6), known)
+    monkeypatch.setattr(cscale, "CONTOUR_CAP", 8)
+    assert main(["resonances", "--field", str(disk_config), "--h", "0.25",
+                 "--grid-n", "480", "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "contour count did not resolve" in err
+    assert "(N=480, m=0); narrow --window or lower --grid-n" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("N", [64, 401, 480])

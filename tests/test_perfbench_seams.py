@@ -6,7 +6,8 @@ factories, `cscale.filter_resonances`, `cli._emit`). A rename or deletion
 of any of them breaks the benchmark, not the package, so it is checked
 here, and so is the exact solver work of a seed-0 `ladder_sweep` pass
 (`perfbench/workloads.py`), and so is that every `resonance_sweep` command
-runs without the dense solve. The files are loaded by path and only read.
+of seeds 0-3 runs without the dense solve, and the exact work of its
+slices. The files are loaded by path and only read.
 """
 
 import importlib.util
@@ -119,11 +120,25 @@ def test_ladder_sweep_work_is_pinned(monkeypatch, tmp_path):
     assert got == LADDER_SWEEP_WORK
 
 
+# diagnostics.slices[].counts of each resonance_sweep command, summed over
+# its slices: (k, contour_points, solves), by (seed, label)
+RESONANCE_SWEEP_WORK = {
+    (0, "resonances"): (108, 1652, 348),
+    (0, "resonances-n1200"): (32, 551, 104),
+    (1, "resonances"): (106, 1915, 340),
+    (2, "resonances"): (108, 1599, 348),
+    (3, "resonances"): (108, 1589, 348),
+}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_resonance_sweep_needs_no_dense_solve(seed, monkeypatch, tmp_path):
     """Every `resonance_sweep` command of seeds 0-3, and the seed-0
     anchor, passes its workload check with `complex_spectrum` failing:
-    each spectral slice is certified without the dense solve."""
+    each spectral slice is certified without the dense solve. Slice work
+    repeats exactly, so each command's manifest work is pinned: any change
+    in Arnoldi k, contour points or solves shows here without the
+    benchmark."""
     workloads = _load("workloads", monkeypatch)
     from magres.cli import main
 
@@ -134,7 +149,15 @@ def test_resonance_sweep_needs_no_dense_solve(seed, monkeypatch, tmp_path):
     workloads.write_inputs(workload, tmp_path / "in")
     commands = workload.commands + workload.anchors
     assert len(commands) == (2 if seed == 0 else 1)
+    got = {}
     for command in commands:
         out = tmp_path / (command.label + ".csv")
         assert main([*command.argv, "--out", str(out)]) == 0
         assert command.check(out) == []
+        slices = json.loads(out.with_name(out.name + ".manifest.json")
+                            .read_text())["diagnostics"]["slices"]
+        got[(seed, command.label)] = tuple(
+            sum(count[key] for one in slices for count in one["counts"])
+            for key in ("k", "contour_points", "solves"))
+    assert got == {key: work for key, work in RESONANCE_SWEEP_WORK.items()
+                   if key[0] == seed}

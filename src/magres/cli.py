@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .fields import FieldSpec, load_spec, make_profile, spec_config
-from .radial import (RadialGrid, Work, anharmonic_levels, check_ceiling,
+from .radial import (RadialGrid, anharmonic_levels, check_ceiling,
                      dirichlet_disk_levels, island_neumann_levels,
                      sector_sweep, well_levels)
 from .stepband import StepParams, analyze_band
@@ -160,24 +160,22 @@ def cmd_spectrum(args) -> int:
 def cmd_band(args) -> int:
     if len(args.bracket) != 2:
         raise ValidationError("--bracket takes exactly two numbers LO,HI")
-    params_obj = StepParams(a=args.a, L=args.L, N=args.grid_n)
-    work = Work()
-    table, zeta, beta, sc, params_obj = analyze_band(
-        params_obj, tuple(args.bracket), work)
+    band = analyze_band(StepParams(a=args.a, L=args.L, N=args.grid_n),
+                        tuple(args.bracket))
     lines = ["a,xi,mu"]
-    for xi, mu in table:
+    for xi, mu in band.rows:
         lines.append(f"{_fmt(args.a)},{_fmt(xi)},{_fmt(mu)}")
-    constants = {"a": args.a, "L": params_obj.L, "N": params_obj.N,
-                 "beta": beta, "zeta": zeta}
-    if sc is not None:
-        constants.update({"mu2": sc.mu2, "phi0": sc.phi0, "phi0p": sc.phi0p,
-                          "C1": sc.C1, "C2": sc.C2})
+    constants = {"a": args.a, "L": band.params.L, "N": band.params.N,
+                 "beta": band.beta, "zeta": band.zeta}
+    if band.C1 is not None:
+        constants.update({"mu2": band.mu2, "phi0": band.phi0,
+                          "phi0p": band.phi0p, "C1": band.C1, "C2": band.C2})
     else:
         constants["note"] = ("no interface constants at this a: C1/C2 "
                              "are defined only for a in (-1, 0)")
     _emit(args, "band", lines, _params(args),
           json_blobs={"constants": constants},
-          diagnostics={"work": asdict(work)})
+          diagnostics={"work": asdict(band.work)})
     return 0
 
 
@@ -247,18 +245,18 @@ def cmd_quasimode(args) -> int:
     spec = FieldSpec("constant_disk", {"r0": args.rmax}, R0=args.rmax)
     profile = make_profile(spec)
     q = build_quasimode(args.n, args.m, args.b, args.r0, args.delta, grid)
-    res, norm = quasimode_residual(q, profile)
+    res = quasimode_residual(q, profile)
     lines = ["model,n,m,b,r0,delta,norm_defect,residual",
              f"landau,{args.n},{args.m},{_fmt(args.b)},{_fmt(args.r0)},"
-             f"{_fmt(args.delta)},{_fmt(1.0 - norm)},{_fmt(res)}"]
+             f"{_fmt(args.delta)},{_fmt(1.0 - q.norm)},{_fmt(res)}"]
     blobs = None
     if args.tz_c is not None:
         h = 1.0 / args.b
-        w = tz_window((2 * args.n + 1) * h, h, args.tz_c, args.r0)
+        w = tz_window(h, args.tz_c, args.r0)
         star = tz_crossover(args.tz_c, args.r0)
-        blobs = {"window": {"E": w.E, "h": w.h, "c": w.c, "r0": w.r0,
-                            "half_width": w.half_width, "depth": w.depth,
-                            "S": w.S, "R": w.R, "crossover_h": star}}
+        blobs = {"window": {"E": (2 * args.n + 1) * h, "h": h,
+                            "c": args.tz_c, "r0": args.r0, **asdict(w),
+                            "crossover_h": star}}
     _emit(args, "quasimode", lines, _params(args), json_blobs=blobs)
     return 0
 

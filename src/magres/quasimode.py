@@ -14,7 +14,9 @@ so the commutator residual reduces in each sector to
 supported on the cutoff shoulder where the Gaussian has already decayed;
 its norm is exponentially small in b. The residual size feeds the
 Tang-Zworski window: a rectangle around the quasimode energy guaranteed to
-contain a resonance once the residual is small enough.
+contain a resonance once the residual is small enough. `tz_window` gives
+the rectangle's half-width and depth, which do not depend on that energy:
+the caller keeps the energy, as it keeps h, c and r0.
 """
 
 from __future__ import annotations
@@ -147,9 +149,9 @@ def build_quasimode(n: int, m: int, b: float, r0: float, delta: float,
                      values=vals, norm=norm)
 
 
-def quasimode_residual(q: Quasimode, profile: FieldProfile
-                       ) -> tuple[float, float]:
-    """(||(H - Lambda_n) u||, ||u||) for the cutoff Landau quasimode.
+def quasimode_residual(q: Quasimode, profile: FieldProfile) -> float:
+    """||(H - Lambda_n) u|| for the cutoff Landau quasimode u; its ||u||
+    is `q.norm`.
 
     Requires B = 1 on [0, r0]: the commutator formula differentiates the
     analytic Landau eigenfunction, which solves (H - Lambda_n) psi = 0 only
@@ -168,7 +170,7 @@ def quasimode_residual(q: Quasimode, profile: FieldProfile
         g = np.where(r <= q.r0, g, 0.0)
         res = math.sqrt(2.0 * math.pi * float(np.sum(g * g * r) * q.grid.dr))
     _require_finite("residual", res, q.n, q.r0)
-    return res, q.norm
+    return res
 
 
 def generic_quasimode_residual(result, r0: float, delta: float,
@@ -222,18 +224,17 @@ def generic_quasimode_residual(result, r0: float, delta: float,
 
 @dataclass(frozen=True)
 class TZWindow:
-    E: float  # window center
-    h: float
-    c: float  # decay-rate parameter of the residual certificate
-    r0: float  # quasimode support radius
     half_width: float  # w(h) = h^-2 e^{-c r0^2 / (2h)}
     depth: float  # h^-3 S(h)
     S: float  # e^{-c r0^2 / h}
-    R: float  # S(h)^2, the residual-squared scale; R < S always
+    R: float  # S(h)^2, the residual-squared scale; R <= S, and R < S
+    # while 0 < S < 1 (S is 1 or 0 at float extremes of c r0^2 / h)
 
 
-def tz_window(E: float, h: float, c: float, r0: float) -> TZWindow:
-    """Resonance-window rectangle [E - w, E + w] + i[-h^-3 S, 0]."""
+def tz_window(h: float, c: float, r0: float) -> TZWindow:
+    """Resonance-window rectangle [E - w, E + w] + i[-h^-3 S, 0] about any
+    quasimode energy E: c is the residual certificate's decay rate and r0
+    the quasimode's support radius."""
     if not _finite_positive(c, h, r0, h * h * h):
         raise ValidationError("tz_window requires finite c, h, r0 > 0, "
                               "with h^3 finite and nonzero")
@@ -241,8 +242,7 @@ def tz_window(E: float, h: float, c: float, r0: float) -> TZWindow:
     S = math.exp(-K / h)
     w = math.exp(-K / (2.0 * h)) / (h * h)
     depth = S / h ** 3
-    return TZWindow(E=E, h=h, c=c, r0=r0, half_width=w, depth=depth,
-                    S=S, R=S * S)
+    return TZWindow(half_width=w, depth=depth, S=S, R=S * S)
 
 
 def tz_crossover(c: float, r0: float) -> float | None:

@@ -34,8 +34,9 @@ is solved again on a line 1.5x longer at the same step.
 What does not depend on xi is built once per grid: each band value, and
 each scan with the Newton search that follows it, builds a read-only
 record of the N and N/2 grids (step, b_a(tau) tau, kinetic diagonal,
-off-diagonal) and adds its solves to one Work, which `magres band` writes
-to its manifest. A scan point's level is the Hermite extrapolation
+off-diagonal) and adds its solves to one Work. `analyze_band` returns
+the constants, scan rows, line solved and that Work in one `Band`, which
+`magres band` writes out. A scan point's level is the Hermite extrapolation
 through the levels and Hellmann-Feynman slopes of the last n <= 5 earlier
 points on that grid (degree 2n - 1); a miss past WELL_MISS, where the
 ground state changed wells, ends that history, and the next point, like a
@@ -101,11 +102,8 @@ class StepParams:
 
 @dataclass(frozen=True, eq=False)
 class BandSample:
-    xi: float
     mu: float  # lowest eigenvalue, Richardson-refined
     eigenfunction: np.ndarray = field(repr=False)  # on tau(), unit L2, phi(0) > 0
-    tau: np.ndarray = field(repr=False)
-    params: StepParams
 
 
 class _StepGrid:
@@ -307,13 +305,13 @@ def _sample(params: StepParams, xi: float, mu: float, x: np.ndarray
     phi = x / math.sqrt(params.step)  # sum phi^2 step = 1
     if not phi[params.N // 2 - 1] > 0:  # tau = 0
         raise NumericalError(f"ground state vanishes at tau = 0 (xi = {xi})")
-    return BandSample(xi=xi, mu=mu, eigenfunction=phi, tau=params.tau(),
-                      params=params)
+    return BandSample(mu=mu, eigenfunction=phi)
 
 
 def band_value(params: StepParams, xi: float) -> BandSample:
     """Lowest eigenpair of h_a[xi] on the truncated line: refined mu and
-    the positive N-grid ground state of unit discrete L^2 norm."""
+    the positive ground state of unit discrete L^2 norm on params.tau().
+    The single-point solve, end-checked like the band minimum."""
     if not math.isfinite(xi):
         raise ValidationError("xi must be finite")
     mu, _, solved = _refined(_grids(params), xi)
@@ -445,8 +443,8 @@ def _band_minimum(params: StepParams, xi_bracket, work: Work | None = None
 
 def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
                   ) -> tuple[float, float]:
-    """Minimizer and minimum (zeta_a, beta_a) of the band function, by
-    `analyze_band`, so a line too short for the end check grows.
+    """Minimizer and minimum (zeta_a, beta_a) of `analyze_band`'s `Band`,
+    so a line too short for the end check grows.
 
     Coarse scan at step 0.05, then Newton on the slope mu', stepping with
     the curvature mu'' of `_curvature`, from the vertex of the parabola
@@ -458,44 +456,45 @@ def minimize_band(params: StepParams, xi_bracket=(-4.0, 1.0)
     minima, and an interior lowest row that is no such minimum are hard
     errors: picking a candidate would corrupt every downstream constant.
     """
-    return analyze_band(params, xi_bracket)[1:3]
+    band = analyze_band(params, xi_bracket)
+    return band.zeta, band.beta
 
 
-@dataclass(frozen=True)
-class SpectralConstants:
-    a: float
-    beta: float  # band minimum beta_a
-    zeta: float  # minimizer zeta_a < 0
+@dataclass(frozen=True, eq=False)
+class Band:
+    """`analyze_band` of one line: scan, minimum, constants and cost."""
+
+    rows: list  # (xi, mu) scan rows over the bracket
+    params: StepParams  # the line solved: the one given, or grown
+    zeta: float  # minimizer zeta_a
+    beta: float  # band minimum beta_a = mu_a(zeta_a)
     mu2: float  # mu_a''(zeta_a) > 0
-    phi0: float  # phi_a(0)
-    phi0p: float  # phi_a'(0)
-    C1: float
-    C2: float
-    L: float
-    N: int
+    phi0: float  # phi_a(0) > 0
+    phi0p: float  # phi_a'(0), centered difference
+    C1: float | None  # None unless a lies in (-1, 0)
+    C2: float | None  # None unless a lies in (-1, 0)
+    work: Work  # every factorization and solve, of longer lines too
 
 
-def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0),
-                 work: Work | None = None
-                 ) -> tuple[list, float, float, SpectralConstants | None,
-                            StepParams]:
-    """(scan rows, zeta_a, beta_a, constants, params used) of the band in
-    one pass.
+def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0)) -> Band:
+    """The band of params in one pass, as a `Band`.
 
-    One scan feeds both the table and the minimum search inside xi_bracket
+    One scan feeds both the rows and the minimum search inside xi_bracket
     (see minimize_band); zeta_a gives the end check, and the last Newton
     solve beta, mu'', phi(0) and phi'(0). While the end check fails, the
     line grows 1.5x at the same step 2L/N (N rounded up to a multiple of
     4), at most R_MAX_GROWTHS times and within MAX_GRID_N; a band that
-    holds at params keeps them. constants is None unless a lies in (-1, 0).
-    C1 = (1/3)(1 - 1/a) zeta phi(0) phi'(0) must come out positive; a
-    non-positive value is a sign-convention bug and a hard error. C2 =
-    (1/2) sqrt(mu'' C1) exactly. work, when given, gains every
-    factorization and solve, of longer lines too.
+    holds at params keeps them, and `Band.params` is the line solved. C1
+    and C2 are None unless a lies in (-1, 0). There C1 = (1/3)(1 - 1/a)
+    zeta phi(0) phi'(0) must come out positive; a non-positive value is a
+    sign-convention bug and a hard error. C2 = (1/2) sqrt(mu'' C1)
+    exactly. `Band.work` holds every factorization and solve, of longer
+    lines too.
     """
+    work = Work()
     for growth in range(R_MAX_GROWTHS + 1):
         try:
-            table, zeta, mu2, sample = _band_minimum(params, xi_bracket, work)
+            rows, zeta, mu2, sample = _band_minimum(params, xi_bracket, work)
             break
         except TruncationError as exc:
             n = 4 * math.ceil(0.375 * params.N)  # 1.5 N, a multiple of 4
@@ -504,25 +503,23 @@ def analyze_band(params: StepParams, xi_bracket=(-4.0, 1.0),
                     f"{exc} (done up to L = {params.L:.6g}, N = "
                     f"{params.N}, the cap of this band)") from None
             params = StepParams(a=params.a, L=0.5 * n * params.step, N=n)
-    if not (-1.0 < params.a < 0.0):
-        return table, zeta, sample.mu, None, params
-    i0 = params.N // 2 - 1
-    phi0 = float(sample.eigenfunction[i0])
-    phi0p = float(sample.eigenfunction[i0 + 1]
-                  - sample.eigenfunction[i0 - 1]) / (2.0 * params.step)
-    C1 = (1.0 / 3.0) * (1.0 - 1.0 / params.a) * zeta * phi0 * phi0p
-    if C1 <= 0:
-        raise NumericalError(
-            f"C1 = {C1:.3g} <= 0 for a = {params.a}; sign convention violated")
-    C2 = 0.5 * math.sqrt(mu2 * C1)
-    return table, zeta, sample.mu, SpectralConstants(
-        a=params.a, beta=sample.mu, zeta=zeta, mu2=mu2, phi0=phi0,
-        phi0p=phi0p, C1=C1, C2=C2, L=params.L, N=params.N), params
+    i0, phi = params.N // 2 - 1, sample.eigenfunction
+    phi0 = float(phi[i0])
+    phi0p = float(phi[i0 + 1] - phi[i0 - 1]) / (2.0 * params.step)
+    C1 = C2 = None
+    if -1.0 < params.a < 0.0:
+        C1 = (1.0 / 3.0) * (1.0 - 1.0 / params.a) * zeta * phi0 * phi0p
+        if C1 <= 0:
+            raise NumericalError(f"C1 = {C1:.3g} <= 0 for a = {params.a}; "
+                                 f"sign convention violated")
+        C2 = 0.5 * math.sqrt(mu2 * C1)
+    return Band(rows=rows, params=params, zeta=zeta, beta=sample.mu,
+                mu2=mu2, phi0=phi0, phi0p=phi0p, C1=C1, C2=C2, work=work)
 
 
-def spectral_constants(params: StepParams) -> SpectralConstants:
-    """Assemble (beta, zeta, mu'', phi(0), phi'(0), C1, C2) for a in (-1, 0),
-    minimizing over the default bracket (-4, 1) (see analyze_band)."""
+def spectral_constants(params: StepParams) -> Band:
+    """`analyze_band` over the default bracket (-4, 1), for a in (-1, 0)
+    only: its `Band` holds beta, zeta, mu'', phi(0), phi'(0), C1 and C2."""
     if not (-1.0 < params.a < 0.0):
         raise ValidationError("spectral constants require a in (-1, 0)")
-    return analyze_band(params)[3]
+    return analyze_band(params)

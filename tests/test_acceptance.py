@@ -159,7 +159,7 @@ def test_criterion_06_quasimode_residual_law():
     logs = []
     for b in bs:
         q = build_quasimode(0, 0, b, 1.0, 0.2, grid)
-        res, _ = quasimode_residual(q, prof)
+        res = quasimode_residual(q, prof)
         logs.append(math.log(res))
         assert 1.0 - q.norm <= 1.5 * b * math.exp(-0.32 * b)
     slope = np.polyfit(bs, logs, 1)[0]
@@ -233,14 +233,14 @@ def test_criterion_09_tz_window_arithmetic():
         h = float(rng.uniform(0.02, 0.5))
         c = float(rng.uniform(0.05, 2.0))
         r0 = float(rng.uniform(0.3, 3.0))
-        win = tz_window(1.0, h, c, r0)
+        win = tz_window(h, c, r0)
         assert win.half_width == pytest.approx(
             h ** -2 * math.exp(-c * r0 * r0 / (2.0 * h)), rel=1e-14)
         assert win.depth == pytest.approx(
             h ** -3 * math.exp(-c * r0 * r0 / h), rel=1e-14)
     hstar = tz_crossover(0.2, 1.0)
     assert hstar is not None
-    assert tz_window(1.0, hstar, 0.2, 1.0).half_width == pytest.approx(
+    assert tz_window(hstar, 0.2, 1.0).half_width == pytest.approx(
         1.0, rel=1e-9)
     assert time.monotonic() - t0 < 1.0
 

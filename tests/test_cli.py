@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -235,6 +237,36 @@ def test_band_manifest_records_work(tmp_path):
     assert work["bisections"] == 0
     assert 0 < work["factorizations"] + work["refused"] <= 290
     assert work["factorizations"] <= work["solves"] <= 460
+
+
+def test_band_results_hold_each_fact_once(tmp_path):
+    """Band and quasimode results hold only what the caller lacks: no
+    input of the call is echoed back, and the band's work is a field, not
+    an out-parameter. The README band run's `Band.work` is the manifest's
+    work, and a quasimode residual is one float."""
+    fields = {cls: [f.name for f in dataclasses.fields(cls)] for cls in
+              (stepband.Band, stepband.BandSample, quasimode.TZWindow)}
+    assert fields == {
+        stepband.Band: ["rows", "params", "zeta", "beta", "mu2", "phi0",
+                        "phi0p", "C1", "C2", "work"],
+        stepband.BandSample: ["mu", "eigenfunction"],
+        quasimode.TZWindow: ["half_width", "depth", "S", "R"]}
+    assert list(inspect.signature(stepband.analyze_band).parameters) == [
+        "params", "xi_bracket"]
+    assert list(inspect.signature(quasimode.tz_window).parameters) == [
+        "h", "c", "r0"]
+    out = tmp_path / "band.csv"
+    assert main(["band", "--a", "-0.5", "--grid-n", "1600",
+                 "--bracket=-2,0", "--out", str(out)]) == 0
+    manifest = json.loads(out.with_name("band.csv.manifest.json").read_text())
+    band = stepband.analyze_band(stepband.StepParams(a=-0.5, N=1600),
+                                 (-2.0, 0.0))
+    assert dataclasses.asdict(band.work) == manifest["diagnostics"]["work"]
+    q = quasimode.build_quasimode(0, 0, 16.0, 1.0, 0.2,
+                                  radial.RadialGrid(20.0, 4000))
+    unit = magres.make_profile(magres.FieldSpec(
+        "constant_disk", {"r0": 20.0}, R0=20.0))
+    assert type(quasimode.quasimode_residual(q, unit)) is float
 
 
 def test_band_work_counts_every_factorization(tmp_path, monkeypatch):
@@ -772,10 +804,10 @@ def test_readme_examples_run(tmp_path, monkeypatch):
 
 def test_readme_library_example_runs(capsys):
     """The README's `python` block runs in-process: it prints one gamma = 2
-    ladder and one N = 1200 resonance."""
+    ladder, one band constant C2 and one N = 1200 resonance."""
     block = README.read_text().split("```python\n")[1].split("```")[0]
     exec(compile(block, str(README), "exec"), {})
-    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_compare_well_readme_bytes(capsys):

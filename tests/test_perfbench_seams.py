@@ -5,9 +5,10 @@ wraps named `magres` attributes (`TRACED`, `_parallel.pmap`, the profile
 factories, `cscale.filter_resonances`, `cli._emit`). A rename or deletion
 of any of them breaks the benchmark, not the package, so it is checked
 here, and so is the exact solver work of a seed-0 `ladder_sweep` pass
-(`perfbench/workloads.py`), and so is that every `resonance_sweep` command
-of seeds 0-3 runs without the dense solve, and the exact work of its
-slices. The files are loaded by path and only read.
+(`perfbench/workloads.py`) and of each seed-0 `band_pipeline` command,
+and so is that every `resonance_sweep` command of seeds 0-3 runs without
+the dense solve, and the exact work of its slices. The files are loaded by
+path and only read.
 """
 
 import importlib.util
@@ -118,6 +119,35 @@ def test_ladder_sweep_work_is_pinned(monkeypatch, tmp_path):
                 sum(work[key] for work in works) for key in
                 ("bisections", "factorizations", "refused", "solves"))
     assert got == LADDER_SWEEP_WORK
+
+
+# diagnostics.work of each seed-0 band_pipeline command: (bisections,
+# factorizations, refused, solves)
+BAND_PIPELINE_WORK = {
+    "band-default": (0, 261, 4, 439),
+    "band-n1600": (0, 165, 4, 199),
+    "band-de-gennes": (0, 229, 1, 428),
+}
+
+
+def test_band_pipeline_work_is_pinned(monkeypatch, tmp_path):
+    """Band work repeats exactly, so the seed-0 band_pipeline pass's
+    manifest work is pinned per command: any change in factorizations,
+    refused shifts or solves of the scan and the Newton search shows here
+    without the benchmark."""
+    workloads = _load("workloads", monkeypatch)
+    from magres.cli import main
+    workload = workloads.build("band_pipeline", 0, tmp_path / "in")
+    workloads.write_inputs(workload, tmp_path / "in")
+    got = {}
+    for command in workload.commands:
+        out = tmp_path / (command.label + ".csv")
+        assert main([*command.argv, "--out", str(out)]) == 0
+        work = json.loads(out.with_name(out.name + ".manifest.json")
+                          .read_text())["diagnostics"]["work"]
+        got[command.label] = tuple(work[key] for key in (
+            "bisections", "factorizations", "refused", "solves"))
+    assert got == BAND_PIPELINE_WORK
 
 
 # diagnostics.slices[].counts of each resonance_sweep command, summed over

@@ -112,9 +112,8 @@ def test_residual_law_ground(plane_grid, unit_field):
     prev = math.inf
     for b in bs:
         q = build_quasimode(0, 0, b, 1.0, 0.2, plane_grid)
-        res, nrm = quasimode_residual(q, unit_field)
+        res = quasimode_residual(q, unit_field)
         assert 0.0 < res < prev
-        assert nrm == pytest.approx(q.norm)
         prev = res
         logs.append(math.log(res))
     slope = np.polyfit(bs, logs, 1)[0]
@@ -129,7 +128,7 @@ def test_residual_law_first_excited(plane_grid, unit_field):
     logs = []
     for b in bs:
         q = build_quasimode(1, 0, b, 1.0, 0.2, plane_grid)
-        res, _ = quasimode_residual(q, unit_field)
+        res = quasimode_residual(q, unit_field)
         logs.append(math.log(res) - 2.0 * math.log(b))
     slope = np.polyfit(bs, logs, 1)[0]
     assert slope <= -0.64 / 4.0 + 0.05
@@ -138,7 +137,7 @@ def test_residual_law_first_excited(plane_grid, unit_field):
 def test_residual_exact_eigenfunction_floor(plane_grid, unit_field):
     # shoulder beyond six Gaussian standard deviations: chi == 1 in effect
     q = build_quasimode(0, 0, 25.0, 3.0, 0.2, plane_grid)
-    res, _ = quasimode_residual(q, unit_field)
+    res = quasimode_residual(q, unit_field)
     assert res <= 1e-10
 
 
@@ -149,14 +148,14 @@ def test_residual_forms_the_landau_factor_once(n, calls, unit_field,
     f, which its derivative reuses, and once more for the derivative's
     L_{n-1}^{|m|+1} term when n >= 1."""
     q = build_quasimode(n, 2, 16.0, 1.0, 0.2, RadialGrid(20.0, 4000))
-    res, _ = quasimode_residual(q, unit_field)
+    res = quasimode_residual(q, unit_field)
     orders = []
 
     def counting(n, k, x):
         orders.append((n, k))
         return laguerre(n, k, x)
     monkeypatch.setattr(quasimode, "laguerre", counting)
-    assert quasimode_residual(q, unit_field)[0] == res
+    assert quasimode_residual(q, unit_field) == res
     assert orders == [(n, 2), (n - 1, 3)][:calls]
 
 
@@ -235,14 +234,13 @@ def test_generic_residual_validation(anh_profile):
 
 
 def test_tz_window_values():
-    w = tz_window(0.1, 0.1, 0.2, 1.0)
+    w = tz_window(0.1, 0.2, 1.0)
     assert isinstance(w, TZWindow)
     assert w.half_width == pytest.approx(100.0 * math.exp(-1.0), rel=1e-12)
     assert w.depth == pytest.approx(1000.0 * math.exp(-2.0), rel=1e-12)
-    assert tz_window(0.1, 0.02, 0.2, 1.0).half_width == pytest.approx(
+    assert tz_window(0.02, 0.2, 1.0).half_width == pytest.approx(
         2500.0 * math.exp(-5.0), rel=1e-12)
-    for bad in ((0.1, -0.1, 0.2, 1.0), (0.1, 0.1, 0.0, 1.0),
-                (0.1, 0.1, 0.2, 0.0)):
+    for bad in ((-0.1, 0.2, 1.0), (0.1, 0.0, 1.0), (0.1, 0.2, 0.0)):
         with pytest.raises(ValidationError):
             tz_window(*bad)
 
@@ -252,7 +250,7 @@ def test_tz_window_values():
 @settings(deadline=None, max_examples=50)
 def test_tz_window_relations(h, c, r0):
     assume(c * r0 * r0 / h < 600.0)  # keep S above the underflow threshold
-    w = tz_window(0.5, h, c, r0)
+    w = tz_window(h, c, r0)
     assert w.R == w.S * w.S
     assert w.R < w.S
     assert w.half_width == pytest.approx(math.sqrt(w.S) / h ** 2, rel=1e-12)
@@ -261,8 +259,8 @@ def test_tz_window_relations(h, c, r0):
 
 def test_tz_window_sharpens():
     # w(h)^2 / (h^-3 S(h)) = 1/h must grow along any decreasing h sequence
-    ratios = [tz_window(0.5, h, 0.2, 1.0).half_width ** 2
-              / tz_window(0.5, h, 0.2, 1.0).depth
+    ratios = [tz_window(h, 0.2, 1.0).half_width ** 2
+              / tz_window(h, 0.2, 1.0).depth
               for h in (0.2, 0.1, 0.05, 0.02)]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
@@ -272,15 +270,15 @@ def test_tz_crossover():
     # the root of w(h) = 1 to 50 digits, 0.0111117153698388318...
     assert h_star == pytest.approx(0.0111117153698388318, rel=4e-16)
     # at the crossover the half-width is exactly one; below it, informative
-    assert tz_window(0.5, h_star, 0.2, 1.0).half_width == pytest.approx(
+    assert tz_window(h_star, 0.2, 1.0).half_width == pytest.approx(
         1.0, rel=1e-10)
-    assert tz_window(0.5, 0.9 * h_star, 0.2, 1.0).half_width < 1.0
+    assert tz_window(0.9 * h_star, 0.2, 1.0).half_width < 1.0
     # peak already below 1: the window is informative at every h
     assert tz_crossover(60.0, 1.0) is None
     # peak exactly 1 (c r0^2 = 4/e): the root is the peak, at the branch
     # point of Lambert W
     assert tz_crossover(4.0 / math.e, 1.0) == 1.0 / math.e
-    assert tz_window(0.5, 1.0 / math.e, 4.0 / math.e,
+    assert tz_window(1.0 / math.e, 4.0 / math.e,
                      1.0).half_width == pytest.approx(1.0, rel=1e-15)
     # a root below the smallest float is an input error, not a zero
     for c in (1e-320, 5e-324):

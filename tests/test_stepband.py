@@ -8,9 +8,8 @@ from magres.cli import main
 from magres.errors import (FlatBandError, MultipleMinimaError, NumericalError,
                            TruncationError, ValidationError)
 from magres.radial import MAX_GRID_N, Work
-from magres.stepband import (BandSample, SpectralConstants, StepParams,
-                             band_table, band_value, minimize_band,
-                             spectral_constants)
+from magres.stepband import (Band, BandSample, StepParams, band_table,
+                             band_value, minimize_band, spectral_constants)
 
 from conftest import FROZEN
 from oracles import de_gennes_constant, step_band_curvature, step_band_mu
@@ -303,7 +302,7 @@ def test_predicted_points_cost_at_most_two_factorizations(monkeypatch, a):
         refusals.append(work.refused - refused)
         return out
     monkeypatch.setattr(stepband, "_ground", counting)
-    table = stepband.analyze_band(StepParams(a=a))[0]
+    table = stepband.analyze_band(StepParams(a=a)).rows
     assert refusals[:2] == [0, 0], calls[:2]
     early, newton = calls[2:12], calls[2 * len(table):]
     assert all(factored <= 2 for _, _, factored, _ in early), early
@@ -397,8 +396,8 @@ def test_zeta_is_the_root_of_the_slope(a):
     """One more Newton step from the returned zeta moves it by less than
     1e-12. From the last Newton point itself that step is 1.2e-12 at
     a = -0.25 and 3.3e-13 at a = -0.5."""
-    _, zeta, _, _, params = stepband.analyze_band(StepParams(a=a))
-    grids = stepband._grids(params)
+    band = stepband.analyze_band(StepParams(a=a))
+    zeta, grids = band.zeta, stepband._grids(band.params)
     _, slope, solved = stepband._refined(grids, zeta)
     assert abs(slope / stepband._curvature(grids, solved)[0]) < 1e-12
 
@@ -494,7 +493,7 @@ def test_spectral_constants_domain():
 
 def test_spectral_constants_shape():
     c = spectral_constants(StepParams(a=-0.5))
-    assert isinstance(c, SpectralConstants)
+    assert isinstance(c, Band)
     assert c.phi0 == pytest.approx(FROZEN["step_minus05"]["phi0"], rel=1e-4)
     assert c.phi0p == pytest.approx(FROZEN["step_minus05"]["phi0p"], rel=1e-3)
-    assert c.L == 12.0 and c.N == 4800
+    assert c.params.L == 12.0 and c.params.N == 4800
